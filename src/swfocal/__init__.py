@@ -2,7 +2,7 @@
 
 The package models a flat-bottom shallow-water waveguide, predicts
 direction-of-arrival (DOA) angles for the dominant propagation paths by
-analytic ray tracing, associates noisy DOA observations to paths under a
+closed-form ray tracing, associates noisy DOA observations to paths under a
 detection/clutter model, and tracks source range and depth with a particle
 filter.  A command-line interface ties grid precomputation, scenario
 simulation, tracking and evaluation together.
@@ -11,25 +11,21 @@ simulation, tracking and evaluation together.
 from swfocal.environment import (
     EigenRay,
     PathKind,
-    RayPath,
     SoundSpeedProfile,
     Waveguide,
-    find_eigenray,
+    eigenray_angles,
     find_eigenrays,
     sound_speed_at,
-    trace_ray,
 )
 
 __all__ = [
     "EigenRay",
     "PathKind",
-    "RayPath",
     "SoundSpeedProfile",
     "Waveguide",
-    "find_eigenray",
+    "eigenray_angles",
     "find_eigenrays",
     "sound_speed_at",
-    "trace_ray",
 ]
 
 __version__ = "0.1.0"

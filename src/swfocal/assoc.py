@@ -93,6 +93,8 @@ class ObservationSet:
     def __post_init__(self):
         z = np.asarray(self.z, dtype=float).reshape(-1)
         object.__setattr__(self, "z", z)
+        if not np.all(np.isfinite(z)):
+            raise ValueError("observed angles must be finite")
         if z.size and (np.any(z < -90.0) or np.any(z >= 90.0)):
             raise ValueError("observed angles must lie in [-90, 90)")
         if np.any(np.diff(z) > 0.0):

@@ -1,10 +1,11 @@
 """Command-line pipeline: build-grid, simulate, track, evaluate.
 
 Runs are driven by a strict JSON configuration (unknown keys are
-rejected so a config file fully determines a run).  Every subcommand
-accepts ``--seed``; identical invocations produce byte-identical
-outputs.  Exit codes: 0 success, 1 domain error (bad file contents,
-filter degeneracy, missing inputs), 2 usage error.
+rejected so a config file fully determines a run).  ``simulate`` and
+``track`` take ``--seed`` to override the config seed; identical
+invocations produce byte-identical outputs.  Exit codes: 0 success,
+1 domain error (bad file contents, filter degeneracy, missing inputs),
+2 usage error.
 """
 
 from __future__ import annotations
@@ -177,15 +178,7 @@ def load_config(path) -> RunConfig:
 def cmd_build_grid(args) -> int:
     wg = sio.read_environment(args.env)
     kinds = tuple(PathKind[name] for name in args.kinds)
-    grid = build_doa_grid(
-        wg,
-        tuple(args.roi),
-        args.nr,
-        args.nd,
-        kinds,
-        fan_size=args.fan,
-        n_threads=args.threads,
-    )
+    grid = build_doa_grid(wg, tuple(args.roi), args.nr, args.nd, kinds)
     sio.write_grid(args.out, grid)
     for kind, frac in grid.coverage().items():
         print(f"{kind.name}: {frac:.4f} of grid points geometrically impossible")
@@ -341,9 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=[k.name for k in PathKind],
         help="propagation paths to tabulate",
     )
-    b.add_argument("--fan", type=int, default=4096, help="base fan size for the solver")
-    b.add_argument("--threads", type=int, default=1, help="worker threads for grid refinement")
-    b.add_argument("--seed", type=int, default=None, help="accepted for uniformity; build is deterministic")
     b.set_defaults(func=cmd_build_grid)
 
     for name, fn, desc in (
@@ -354,15 +344,12 @@ def _build_parser() -> argparse.ArgumentParser:
         s.add_argument("--config", required=True, help="run configuration JSON")
         s.add_argument("--seed", type=int, default=None, help="override the config seed")
         s.add_argument("--out", default=None, help="override the config output directory")
-        s.add_argument("--threads", type=int, default=1, help="accepted for uniformity")
         s.set_defaults(func=fn)
 
     e = sub.add_parser("evaluate", help="compare estimate files against a truth track")
     e.add_argument("--estimates", action="append", required=True, help="estimates CSV (repeatable)")
     e.add_argument("--truth", required=True, help="truth CSV")
     e.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
-    e.add_argument("--seed", type=int, default=None, help="accepted for uniformity; evaluation is deterministic")
-    e.add_argument("--threads", type=int, default=1, help="accepted for uniformity")
     e.set_defaults(func=cmd_evaluate)
     return p
 

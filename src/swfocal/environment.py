@@ -1,4 +1,4 @@
-"""Shallow-water waveguide model and eigenray arrival-angle solver.
+"""Shallow-water waveguide model and closed-form eigenray solver.
 
 Coordinates and conventions used throughout the package:
 
@@ -24,16 +24,32 @@ such arrival simply counts as an unmodeled path, i.e. a false alarm.
 Where no boundary-guided ray of a kind connects source and receiver, that
 path is geometrically impossible.
 
-The sound speed profile is piecewise linear in depth, so inside each layer
-a ray follows a circular arc of radius ``1 / (xi * g)`` where ``xi`` is the
-ray's Snell constant ``cos(theta) / c`` and ``g`` the layer gradient.  All
-propagation below is evaluated with these closed-form arcs; there is no
-ODE stepping.
+The sound speed profile is piecewise linear in depth, so every path range
+has a closed form (Jensen, Kuperman, Porter & Schmidt, *Computational
+Ocean Acoustics*, ch. 3).  A ray keeps its Snell constant
+``xi = cos(theta) / c``; with ``s = sqrt(1 - xi**2 c**2)`` its horizontal
+run across a slice ``[z_a, z_b]`` of one layer is
+
+    xi * (z_b - z_a) * (c_a + c_b) / (s_a + s_b),
+
+which is the arc formula ``(s_a - s_b) / (xi g)`` for a gradient ``g`` and
+``dz cot(theta)`` for an iso layer, with neither a branch nor a
+cancellation.  Summing runs over slices, with source depth ``zs``,
+receiver depth ``zr`` and bottom depth ``b``, the path ranges are
+
+    DP   run(min(zs, zr), max(zs, zr))
+    SB   run(0, zs) + run(0, zr)
+    BB   run(zs, b) + run(zr, b)
+    SBB  run(0, zs) + run(0, b) + run(zr, b)
+
+Each range strictly increases with ``xi`` up to ``xi_max``, one over the
+largest speed at the depths the path crosses, where the ray grazes that
+depth.  So a kind has at most one eigenray, and it exists iff the source
+range is no more than the path range at ``xi_max``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -43,20 +59,16 @@ __all__ = [
     "SoundSpeedProfile",
     "Waveguide",
     "PathKind",
-    "RayPath",
     "EigenRay",
     "sound_speed_at",
-    "trace_ray",
-    "find_eigenray",
+    "eigenray_angles",
     "find_eigenrays",
 ]
 
-# Fan defaults for eigenray bracketing: launch angles limited to +/-89 deg,
-# bisection run until the receiver-depth miss is below a millimeter.
-FAN_SIZE = 2048
-FAN_LIMIT_DEG = 89.0
-DEPTH_TOL_M = 1e-3
-_MAX_BISECT = 80
+# Grazing angles at the fastest depth of a path that bracket each eigenray
+# before the Illinois steps refine it.
+_FAN = np.linspace(0.0, 0.5 * np.pi, 257)
+_MAX_STEPS = 60
 
 
 class PathKind(Enum):
@@ -156,21 +168,6 @@ class Waveguide:
 
 
 @dataclass(frozen=True)
-class RayPath:
-    """A traced ray: launch angle, samples and boundary interactions.
-
-    ``samples`` is an (n, 3) array of (range_m, depth_m, angle_deg) rows
-    from the start point to the termination point.  ``bounce_events`` lists
-    the specular reflections actually performed, in order; a terminal
-    boundary contact that ends the trace is not included.
-    """
-
-    launch_angle_deg: float
-    samples: np.ndarray
-    bounce_events: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class EigenRay:
     kind: PathKind
     arrival_angle_deg: float
@@ -178,557 +175,138 @@ class EigenRay:
     source_position: tuple[float, float]
 
 
-# ---------------------------------------------------------------------------
-# Internal layered representation and the vectorized ray-marching engine.
-# ---------------------------------------------------------------------------
-
-# Bounce-signature codes.  A ray's signature is the sequence of boundary
-# interactions it has undergone so far; only short sequences are ever
-# useful because the modeled paths have at most two bounces.
-SIG_NONE, SIG_S, SIG_B, SIG_SB, SIG_BS, SIG_DEAD = range(6)
-
-_NEXT_SIG_SURFACE = np.array(
-    [SIG_S, SIG_DEAD, SIG_BS, SIG_DEAD, SIG_DEAD, SIG_DEAD], dtype=np.int8
-)
-_NEXT_SIG_BOTTOM = np.array(
-    [SIG_B, SIG_SB, SIG_DEAD, SIG_DEAD, SIG_DEAD, SIG_DEAD], dtype=np.int8
-)
-
-# Signature a ray must carry when it reaches the far endpoint, per path
-# kind, for rays launched at the source (forward) and for rays launched at
-# the receiver (the traversal is reversed, so the surface-bottom path shows
-# up as bottom-then-surface).
-SOURCE_SIDE_SIG = {
-    PathKind.DP: SIG_NONE,
-    PathKind.SB: SIG_S,
-    PathKind.BB: SIG_B,
-    PathKind.SBB: SIG_SB,
-}
-RECEIVER_SIDE_SIG = {
-    PathKind.DP: SIG_NONE,
-    PathKind.SB: SIG_S,
-    PathKind.BB: SIG_B,
-    PathKind.SBB: SIG_BS,
-}
-
-_STATUS_ACTIVE = 0
-_STATUS_REACHED = 1
-_STATUS_DEAD = 2
-_STATUS_STOPPED = 3  # trace mode: terminated at a boundary by the bounce limit
+# (launch sign, arrival sign) per path; the direct path takes the sign of
+# zr - zs for both.
+_SIGNS = {PathKind.SB: (-1.0, 1.0), PathKind.BB: (1.0, -1.0), PathKind.SBB: (-1.0, -1.0)}
 
 
-@dataclass(frozen=True)
-class _Layers:
-    """Waveguide flattened to arrays for the marching engine."""
-
-    zk: np.ndarray      # knot depths, zk[0] == 0
-    ck: np.ndarray      # speeds at knots
-    grad: np.ndarray    # per-layer gradient (c per meter of depth)
-    zdn: np.ndarray     # per-layer lower boundary, clipped at the bottom
-    down_is_bottom: np.ndarray  # per-layer: lower boundary is the seafloor
-    bottom: float
-    n_layers: int
-
-
-def _layers(wg: Waveguide) -> _Layers:
-    zk = np.array([z for z, _ in wg.ssp.knots], dtype=float)
-    ck = np.array([c for _, c in wg.ssp.knots], dtype=float)
-    grad = np.diff(ck) / np.diff(zk)
-    # layers fully below the seafloor are never entered
-    n_layers = int(np.searchsorted(zk, wg.bottom_depth, side="left"))
-    n_layers = max(1, min(n_layers, len(grad)))
-    zdn = np.minimum(zk[1 : n_layers + 1], wg.bottom_depth)
-    down_is_bottom = zdn >= wg.bottom_depth
-    return _Layers(
-        zk=zk[: n_layers + 1],
-        ck=ck[: n_layers + 1],
-        grad=grad[:n_layers],
-        zdn=zdn,
-        down_is_bottom=down_is_bottom,
-        bottom=wg.bottom_depth,
-        n_layers=n_layers,
-    )
+def _legs(kind: PathKind, z: np.ndarray, zs: float, zr: float) -> np.ndarray:
+    """Number of legs of a ``kind`` path that cross each depth in ``z``."""
+    above_s = (z < zs).astype(float)
+    above_r = (z < zr).astype(float)
+    if kind is PathKind.SB:
+        return above_s + above_r
+    if kind is PathKind.DP:
+        return np.abs(above_s - above_r)
+    if kind is PathKind.BB:
+        return 2.0 - above_s - above_r
+    return above_s + 2.0 - above_r
 
 
-def _locate_layer(lay: _Layers, z, sv) -> np.ndarray:
-    """Layer index containing depth ``z`` for travel direction ``sv``.
+def _slant(phi, c_max: float, c) -> np.ndarray:
+    """``c_max * s`` at speed ``c`` for the ray with ``xi = cos(phi) / c_max``.
 
-    At a knot the layer ahead of the motion is chosen.
+    Written as a sum of non-negative terms, so it keeps full relative
+    precision where the ray is nearly horizontal.
     """
-    z = np.asarray(z, dtype=float)
-    sv = np.asarray(sv)
-    down = np.searchsorted(lay.zk, z, side="right") - 1
-    up = np.searchsorted(lay.zk, z, side="left") - 1
-    li = np.where(sv > 0, down, up)
-    return np.clip(li, 0, lay.n_layers - 1)
+    return np.sqrt((c_max - c) * (c_max + c) + (c * np.sin(phi)) ** 2)
 
 
-class _RayBundle:
-    """State of a batch of rays marched in lockstep through the waveguide.
+def _grazing_angle(ca, cb, weighted_dz, r):
+    """Angle ``phi`` at the fastest depth of the eigenray reaching each range.
 
-    Each ray keeps its Snell constant ``xi = cos(theta)/c`` (invariant
-    across refraction, turns and specular bounces), a vertical direction
-    ``sv`` (+1 descending), its layer index and its bounce signature.
-    ``march(x_stop)`` advances every active ray event by event until it
-    reaches its stop range, dies, or exhausts the bounce budget.
+    The path crosses the slices with end speeds ``ca``/``cb``, each slice
+    ``weighted_dz`` meters thick times its number of legs.  The ray is
+    ``xi = cos(phi) / c_max``; ``phi`` is ``nan`` where ``r`` is beyond the
+    flattest ray's range.  Returns ``(phi, c_max)``.
     """
+    c_max = float(max(ca.max(), cb.max()))
+    num = weighted_dz * (ca + cb)
 
-    def __init__(
-        self,
-        lay: _Layers,
-        z0,
-        theta_deg,
-        *,
-        keep_sigs=(SIG_NONE, SIG_S, SIG_B, SIG_SB, SIG_BS),
-        max_bounces: int | None = None,
-        die_on_turn: bool = False,
-        event_log: list | None = None,
-    ):
-        theta = np.atleast_1d(np.asarray(theta_deg, dtype=float))
-        n = theta.size
-        z0 = np.broadcast_to(np.asarray(z0, dtype=float), (n,)).copy()
-        if np.any(np.abs(theta) >= 90.0):
-            raise ValueError("launch angles must satisfy |angle| < 90 degrees")
-        if np.any((z0 < 0.0) | (z0 > lay.bottom)):
-            raise ValueError("launch depth outside the water column")
+    def path_range(phi):
+        phi = np.asarray(phi)[..., None]
+        with np.errstate(divide="ignore"):
+            runs = num / (_slant(phi, c_max, ca) + _slant(phi, c_max, cb))
+        return np.cos(phi[..., 0]) * runs.sum(axis=-1)
 
-        self.lay = lay
-        self.n = n
-        th = np.radians(np.abs(theta))
-        sv = np.sign(theta)
-        # horizontal launch: the ray bends toward lower sound speed
-        flat = sv == 0.0
-        if np.any(flat):
-            li0 = _locate_layer(lay, z0, np.ones_like(sv))
-            g0 = lay.grad[li0]
-            sv = np.where(flat, np.where(g0 > 0, -1.0, 1.0), sv)
-        self.sv = sv
-        c0 = _speed_at(lay, z0)
-        self.xi = np.cos(th) / c0
-        self.z = z0
-        self.x = np.zeros(n)
-        self.li = _locate_layer(lay, z0, self.sv)
-        self.sig = np.full(n, SIG_NONE, dtype=np.int8)
-        self.status = np.full(n, _STATUS_ACTIVE, dtype=np.int8)
-        self.n_bounces = np.zeros(n, dtype=np.int32)
-        self._stall = np.zeros(n, dtype=np.int8)
-        self._keep = np.zeros(6, dtype=bool)
-        self._keep[list(keep_sigs)] = True
-        self._keep[SIG_DEAD] = False
-        self.max_bounces = max_bounces
-        self.die_on_turn = die_on_turn
-        self.event_log = event_log
-
-    def angle_deg(self) -> np.ndarray:
-        """Signed ray angle (positive descending) at the current position."""
-        u = np.minimum(self.xi * _speed_at(self.lay, self.z), 1.0)
-        return self.sv * np.degrees(np.arccos(u))
-
-    def march(self, x_stop) -> np.ndarray:
-        """Advance active rays to ``x_stop`` (scalar or per-ray array).
-
-        Returns a boolean mask of rays that reached their stop range on
-        this call.  Rays that reach it stay active for further marches.
-        """
-        lay = self.lay
-        x_stop = np.broadcast_to(np.asarray(x_stop, dtype=float), (self.n,))
-        reached = np.zeros(self.n, dtype=bool)
-        pending = np.flatnonzero((self.status == _STATUS_ACTIVE) & (self.x < x_stop))
-        instant = (self.status == _STATUS_ACTIVE) & (self.x >= x_stop)
-        reached[instant] = True
-
-        while pending.size:
-            idx = pending
-            z = self.z[idx]
-            sv = self.sv[idx]
-            xi = self.xi[idx]
-            li = self.li[idx]
-            zk = lay.zk[li]
-            ck = lay.ck[li]
-            g = lay.grad[li]
-
-            c_cur = ck + g * (z - zk)
-            u = np.minimum(xi * c_cur, 1.0)
-            sin_cur = np.sqrt(np.maximum(1.0 - u * u, 0.0))
-
-            down = sv > 0
-            z_bound = np.where(down, lay.zdn[li], zk)
-
-            with np.errstate(divide="ignore", invalid="ignore"):
-                z_turn = zk + (1.0 / xi - ck) / g
-            can_turn = sv * g > 0
-            turn = can_turn & np.where(down, z_turn < z_bound, z_turn > z_bound)
-
-            z_next = np.where(turn, z_turn, z_bound)
-            c_next = ck + g * (z_next - zk)
-            u_next = np.minimum(xi * c_next, 1.0)
-            sin_next = np.where(turn, 0.0, np.sqrt(np.maximum(1.0 - u_next * u_next, 0.0)))
-
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dr_grad = sv * (sin_cur - sin_next) / (xi * g)
-                dr_iso = np.abs(z_next - z) * u / sin_cur
-            dr = np.where(g != 0.0, dr_grad, dr_iso)
-            dr = np.where(np.isnan(dr), np.inf, dr)  # iso layer, horizontal ray
-            dr = np.maximum(dr, 0.0)
-
-            rem = x_stop[idx] - self.x[idx]
-            hits_stop = dr >= rem
-
-            # rays that reach their stop range inside the current segment
-            if np.any(hits_stop):
-                h = idx[hits_stop]
-                remh = rem[hits_stop]
-                gh = lay.grad[self.li[h]]
-                iso = gh == 0.0
-                sin_b = sin_cur[hits_stop] - self.sv[h] * self.xi[h] * gh * remh
-                sin_b = np.clip(sin_b, 0.0, 1.0)
-                cos_b = np.sqrt(np.maximum(1.0 - sin_b * sin_b, 0.0))
-                z_b = lay.zk[self.li[h]] + (cos_b / self.xi[h] - lay.ck[self.li[h]]) / np.where(
-                    gh == 0.0, 1.0, gh
-                )
-                with np.errstate(invalid="ignore"):
-                    tan_cur = sin_cur[hits_stop] / u[hits_stop]
-                z_iso = self.z[h] + self.sv[h] * remh * tan_cur
-                z_new = np.where(iso, z_iso, z_b)
-                lo = lay.zk[self.li[h]]
-                hi = lay.zdn[self.li[h]]
-                self.z[h] = np.clip(z_new, lo, hi)
-                self.x[h] = x_stop[h]
-                reached[h] = True
-
-            # rays whose next event happens before the stop range
-            ev = idx[~hits_stop]
-            if ev.size:
-                sub = ~hits_stop
-                self.x[ev] += dr[sub]
-                self.z[ev] = z_next[sub]
-                stalled = dr[sub] <= 0.0
-                self._stall[ev] = np.where(stalled, self._stall[ev] + 1, 0)
-
-                turn_ev = turn[sub]
-                t = ev[turn_ev]
-                if self.die_on_turn:
-                    self.status[t] = _STATUS_DEAD
-                else:
-                    self.sv[t] = -self.sv[t]
-
-                bnd = ev[~turn_ev]
-                if bnd.size:
-                    going_down = self.sv[bnd] > 0
-                    at_bottom = going_down & lay.down_is_bottom[self.li[bnd]]
-                    at_surface = ~going_down & (self.li[bnd] == 0)
-                    crossing = ~(at_bottom | at_surface)
-
-                    c = bnd[crossing]
-                    self.li[c] += np.where(self.sv[c] > 0, 1, -1).astype(self.li.dtype)
-
-                    for mask, next_sig, new_sv, name in (
-                        (at_surface, _NEXT_SIG_SURFACE, 1.0, "surface"),
-                        (at_bottom, _NEXT_SIG_BOTTOM, -1.0, "bottom"),
-                    ):
-                        b = bnd[mask]
-                        if not b.size:
-                            continue
-                        if self.max_bounces is not None:
-                            over = self.n_bounces[b] >= self.max_bounces
-                            self.status[b[over]] = _STATUS_STOPPED
-                            b = b[~over]
-                            if not b.size:
-                                continue
-                        self.n_bounces[b] += 1
-                        self.sig[b] = next_sig[self.sig[b]]
-                        self.sv[b] = new_sv
-                        if self.event_log is not None:
-                            for r in b:
-                                self.event_log.append((int(r), name, float(self.x[r])))
-                        dead = ~self._keep[self.sig[b]]
-                        self.status[b[dead]] = _STATUS_DEAD
-
-                # degenerate pinned rays (zero advance over and over)
-                self.status[ev[self._stall[ev] >= 16]] = _STATUS_DEAD
-
-            pending = np.flatnonzero(
-                (self.status == _STATUS_ACTIVE) & (self.x < x_stop) & ~reached
-            )
-        return reached
-
-
-def _speed_at(lay: _Layers, z) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    li = np.clip(np.searchsorted(lay.zk, z, side="right") - 1, 0, lay.n_layers - 1)
-    return lay.ck[li] + lay.grad[li] * (z - lay.zk[li])
-
-
-def _aux_turn_angles(lay: _Layers, z_launch: float, dz: float = 0.02) -> np.ndarray:
-    """Launch angles whose turning depths sample the water column.
-
-    Rays that turn where the profile gradient is weak are extremely
-    sensitive to launch angle: a uniform fan can step over an entire family
-    of turning rays.  Sampling turning depths uniformly (every ``dz``
-    meters wherever the speed exceeds the launch-depth speed) pins the
-    fan density to the quantity that actually controls these families.
-    Both signs are returned because the same Snell constant governs
-    pre-bounce and post-bounce turning legs.
-    """
-    zg = np.arange(0.0, lay.bottom, dz)
-    cg = _speed_at(lay, zg)
-    c0 = float(_speed_at(lay, z_launch))
-    u = c0 / cg[cg > c0 * (1.0 + 1e-12)]
-    if not u.size:
-        return np.empty(0)
-    th = np.degrees(np.arccos(u))
-    th = th[th < FAN_LIMIT_DEG]
-    return np.concatenate([-th, th])
-
-
-def _resolve_fan(
-    lay: _Layers,
-    z_launch: float,
-    thetas: np.ndarray,
-    x_target: float,
-    keep_sigs,
-    *,
-    min_width_deg: float = 1e-9,
-    max_passes: int = 48,
-):
-    """March a fan to ``x_target`` and subdivide unresolved windows.
-
-    Adjacent fan rays that do not share a bounce signature may hide a whole
-    family of rays between them; such pairs are bisected repeatedly until
-    the window is narrower than ``min_width_deg``.  Pairs where both rays
-    died (too many bounces) are left alone: families can only border
-    live-ray windows, and the needle-thin ones are turning families that
-    the turning-depth fan samples directly.  Returns sorted arrays
-    (theta, z, sig, reached).
-    """
-    th = np.unique(np.asarray(thetas, dtype=float))
-    bundle = _RayBundle(lay, z_launch, th, keep_sigs=keep_sigs, die_on_turn=True)
-    ok = bundle.march(x_target)
-    z = bundle.z.copy()
-    sig = bundle.sig.copy()
-
-    for _ in range(max_passes):
-        resolved = ok[:-1] & ok[1:] & (sig[:-1] == sig[1:])
-        any_live = ok[:-1] | ok[1:]
-        wide = (th[1:] - th[:-1]) > min_width_deg
-        sus = np.flatnonzero(~resolved & any_live & wide)
-        if not sus.size:
+    # Bracket each range between two fan rays, then refine by Illinois
+    # false position on r / R(phi) - 1, which increases with phi and stays
+    # finite where an iso layer at c_max makes R(0) unbounded.
+    fan_r = path_range(_FAN)
+    n_reach = np.searchsorted(-fan_r, -r, side="right")
+    ok = n_reach > 0
+    j = np.minimum(n_reach[ok], _FAN.size - 1)
+    rr = r[ok]
+    lo, hi = _FAN[j - 1], _FAN[j]
+    f_lo, f_hi = rr / fan_r[j - 1] - 1.0, rr / fan_r[j] - 1.0
+    side = np.zeros(rr.size)
+    x = lo.copy()
+    act = np.flatnonzero(f_lo < 0.0)
+    for _ in range(_MAX_STEPS):
+        if not act.size:
             break
-        mids = 0.5 * (th[sus] + th[sus + 1])
-        mb = _RayBundle(lay, z_launch, mids, keep_sigs=keep_sigs, die_on_turn=True)
-        ok_m = mb.march(x_target)
-        order = np.argsort(np.concatenate([th, mids]), kind="stable")
-        th = np.concatenate([th, mids])[order]
-        z = np.concatenate([z, mb.z])[order]
-        sig = np.concatenate([sig, mb.sig])[order]
-        ok = np.concatenate([ok, ok_m])[order]
-    return th, z, sig, ok
+        a, b, fa, fb = lo[act], hi[act], f_lo[act], f_hi[act]
+        xm = (a * fb - b * fa) / (fb - fa)
+        fm = rr[act] / path_range(xm) - 1.0
+        x[act] = xm
+        up = fm < 0.0
+        # Illinois: halve the value at an end kept twice in a row
+        lo[act] = np.where(up, xm, a)
+        hi[act] = np.where(up, b, xm)
+        f_lo[act] = np.where(up, fm, np.where(side[act] > 0, 0.5 * fa, fa))
+        f_hi[act] = np.where(up, np.where(side[act] < 0, 0.5 * fb, fb), fm)
+        side[act] = np.where(up, -1.0, 1.0)
+        act = act[(np.abs(fm) > 1e-13) & (xm > a) & (xm < b)]
+    phi = np.full(r.shape, np.nan)
+    phi[ok] = x
+    return phi, c_max
 
 
-# ---------------------------------------------------------------------------
-# Public ray tracing
-# ---------------------------------------------------------------------------
-
-
-def trace_ray(
+def eigenray_angles(
     wg: Waveguide,
-    start: tuple[float, float],
-    launch_angle_deg: float,
-    max_range: float,
-    max_bounces: int,
-    sample_dr_m: float = 5.0,
-) -> RayPath:
-    """Trace a single ray from ``start`` toward increasing range.
+    source_depth: float,
+    ranges,
+    kinds: tuple[PathKind, ...] = tuple(PathKind),
+) -> tuple[np.ndarray, np.ndarray]:
+    """Arrival and launch angles of the eigenrays from sources at one depth.
 
-    The ray refracts through the piecewise-linear profile (circular arcs
-    within layers), reflects specularly at the surface and the flat bottom,
-    and terminates at ``max_range`` or upon its ``max_bounces + 1``-th
-    boundary contact, whichever comes first.  Samples are emitted at every
-    event and at intermediate points so consecutive samples are no more
-    than ``sample_dr_m`` apart in range.
+    ``ranges`` holds positive source ranges.  Returns ``(arrival_deg,
+    launch_deg)``, each of shape ``(len(kinds), len(ranges))``, with
+    ``nan`` where a kind has no eigenray.  The direct path from a source
+    at the receiver depth is the horizontal ray, which stays at that depth
+    only where the profile is iso around it.
     """
-    r0, z0 = float(start[0]), float(start[1])
-    if not 0.0 <= z0 <= wg.bottom_depth:
-        raise ValueError("start depth outside the water column")
-    if max_range <= 0.0:
-        raise ValueError("max_range must be positive")
-    lay = _layers(wg)
-    events: list = []
-    bundle = _RayBundle(
-        lay,
-        z0,
-        [launch_angle_deg],
-        keep_sigs=(SIG_NONE, SIG_S, SIG_B, SIG_SB, SIG_BS, SIG_DEAD),
-        max_bounces=max_bounces,
-        event_log=events,
-    )
-    # march in sampling increments so the path is densely recorded
-    samples = [(r0, z0, float(bundle.angle_deg()[0]))]
-    bounces: list[str] = []
-    n_steps = int(math.ceil(max_range / sample_dr_m))
-    seen_events = 0
-    for i in range(1, n_steps + 1):
-        x_stop = min(i * sample_dr_m, max_range)
-        bundle.march(x_stop)
-        # bounce points are samples too: depth is exactly a boundary there
-        for _, name, x_ev in events[seen_events:]:
-            bounces.append(name)
-            z_ev = 0.0 if name == "surface" else wg.bottom_depth
-            u = min(float(bundle.xi[0]) * _speed_at(lay, z_ev), 1.0)
-            ang = math.degrees(math.acos(u)) * (1.0 if name == "surface" else -1.0)
-            samples.append((r0 + x_ev, z_ev, ang))
-        seen_events = len(events)
-        samples.append(
-            (r0 + float(bundle.x[0]), float(bundle.z[0]), float(bundle.angle_deg()[0]))
-        )
-        if bundle.status[0] != _STATUS_ACTIVE:
-            break
-    return RayPath(
-        launch_angle_deg=float(launch_angle_deg),
-        samples=np.array(samples),
-        bounce_events=tuple(bounces),
-    )
-
-
-def _bisect_eigenrays(
-    lay: _Layers,
-    z_launch: float,
-    x_targets: np.ndarray,
-    z_targets: np.ndarray,
-    th_lo: np.ndarray,
-    th_hi: np.ndarray,
-    miss_lo: np.ndarray,
-    want_sig: np.ndarray,
-    keep_sigs,
-    depth_tol_m: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Refine launch-angle brackets by bisecting the depth miss.
-
-    All arrays are parallel, one entry per bracket.  Returns
-    ``(converged, theta, arrival_angle_deg)`` where ``arrival`` is the
-    signed ray angle at the target range.
-    """
-    n = th_lo.size
-    lo = th_lo.copy()
-    hi = th_hi.copy()
-    f_lo = miss_lo.copy()
-    theta = np.full(n, np.nan)
-    arrival = np.full(n, np.nan)
-    converged = np.zeros(n, dtype=bool)
-    active = np.arange(n)
-
-    for _ in range(_MAX_BISECT):
-        if not active.size:
-            break
-        mid = 0.5 * (lo[active] + hi[active])
-        bundle = _RayBundle(lay, z_launch, mid, keep_sigs=keep_sigs, die_on_turn=True)
-        ok = bundle.march(x_targets[active])
-        ok &= bundle.sig == want_sig[active]
-        miss = np.where(ok, bundle.z - z_targets[active], np.nan)
-
-        good = ok & (np.abs(miss) < depth_tol_m)
-        g = active[good]
-        theta[g] = mid[good]
-        arrival[g] = bundle.angle_deg()[good]
-        converged[g] = True
-
-        cont = ~good
-        a = active[cont]
-        m_cont = miss[cont]
-        mid_cont = mid[cont]
-        # invalid midpoints (signature changed inside the bracket) shrink
-        # the interval from above; valid ones replace the matching endpoint
-        bad = np.isnan(m_cont)
-        same = ~bad & (np.sign(m_cont) == np.sign(f_lo[a]))
-        lo[a[same]] = mid_cont[same]
-        f_lo[a[same]] = m_cont[same]
-        other = ~bad & ~same
-        hi[a[other]] = mid_cont[other]
-        hi[a[bad]] = mid_cont[bad]
-        active = a
-    return converged, theta, arrival
+    zs, zr, b = float(source_depth), wg.receiver_depth, wg.bottom_depth
+    r = np.atleast_1d(np.asarray(ranges, dtype=float))
+    if not np.all(r > 0.0):
+        raise ValueError("source range must be positive")
+    if not 0.0 <= zs <= b:
+        raise ValueError("source depth outside the water column")
+    kz, kc = (np.array(v) for v in zip(*wg.ssp.knots))
+    z = np.unique(np.concatenate([kz[kz < b], [zs, zr, b]]))
+    c = np.interp(z, kz, kc)
+    ca, cb, dz = c[:-1], c[1:], np.diff(z)
+    c_s, c_r = np.interp([zs, zr], kz, kc)
+    arrival = np.full((len(kinds), r.size), np.nan)
+    launch = np.full((len(kinds), r.size), np.nan)
+    for i, kind in enumerate(kinds):
+        legs = _legs(kind, 0.5 * (z[:-1] + z[1:]), zs, zr)
+        on = legs > 0
+        if not on.any():  # the direct path with zs == zr crosses no slice
+            touching = (z[:-1] == zs) | (z[1:] == zs)
+            if np.all(ca[touching] == cb[touching]):
+                arrival[i] = launch[i] = 0.0
+            continue
+        phi, c_max = _grazing_angle(ca[on], cb[on], legs[on] * dz[on], r)
+        sign_launch, sign_arrival = _SIGNS.get(kind, (np.sign(zr - zs),) * 2)
+        for out, sign, c_end in ((arrival, sign_arrival, c_r), (launch, sign_launch, c_s)):
+            out[i] = sign * np.degrees(np.arctan2(_slant(phi, c_max, c_end), np.cos(phi) * c_end))
+    return arrival, launch
 
 
 def find_eigenrays(
     wg: Waveguide,
     source: tuple[float, float],
     kinds: tuple[PathKind, ...] = tuple(PathKind),
-    *,
-    fan_size: int = FAN_SIZE,
-    depth_tol_m: float = DEPTH_TOL_M,
 ) -> dict[PathKind, EigenRay | None]:
     """Solve for the eigenrays from ``source`` to the receiver.
 
-    A fan of launch angles is traced from the source toward range 0 (the
-    trace itself runs in mirrored coordinates, which leaves depths and
-    bounce order unchanged).  The fan combines uniformly spaced angles,
-    angles whose turning depths sample the water column, and adaptive
-    subdivision of unresolved windows.  For each requested kind,
-    consecutive fan rays with the matching bounce signature that straddle
-    the receiver depth bracket an eigenray; the bracket is refined by
-    bisection on the depth miss.  A kind with no such bracket is
-    geometrically impossible there and maps to ``None``.  If several
-    eigenrays of one kind exist, the one with the smallest absolute
-    arrival angle is kept.
+    A kind with no boundary-guided eigenray is geometrically impossible
+    there and maps to ``None``.
     """
     r_s, z_s = float(source[0]), float(source[1])
-    if r_s <= 0.0:
-        raise ValueError("source range must be positive")
-    if not 0.0 <= z_s <= wg.bottom_depth:
-        raise ValueError("source depth outside the water column")
-
-    lay = _layers(wg)
-    keep = tuple(SOURCE_SIDE_SIG.values())
-    thetas = np.concatenate(
-        [np.linspace(-FAN_LIMIT_DEG, FAN_LIMIT_DEG, fan_size), _aux_turn_angles(lay, z_s)]
-    )
-    th, z_end, sig, reached = _resolve_fan(lay, z_s, thetas, r_s, keep)
-
-    out: dict[PathKind, EigenRay | None] = {}
-    for kind in kinds:
-        want = SOURCE_SIDE_SIG[kind]
-        mask = reached & (sig == want)
-        miss = z_end - wg.receiver_depth
-        pair = mask[:-1] & mask[1:] & (miss[:-1] * miss[1:] <= 0.0)
-        cand = np.flatnonzero(pair)
-        if not cand.size:
-            out[kind] = None
-            continue
-        conv, theta, arrival = _bisect_eigenrays(
-            lay,
-            z_s,
-            np.full(cand.size, r_s),
-            np.full(cand.size, wg.receiver_depth),
-            th[cand],
-            th[cand + 1],
-            miss[cand],
-            np.full(cand.size, want, dtype=np.int8),
-            keep,
-            depth_tol_m,
-        )
-        if not np.any(conv):
-            out[kind] = None
-            continue
-        c = np.flatnonzero(conv)
-        best = c[np.argmin(np.abs(arrival[c]))]
-        out[kind] = EigenRay(
-            kind=kind,
-            arrival_angle_deg=float(arrival[best]),
-            launch_angle_deg=float(theta[best]),
-            source_position=(r_s, z_s),
-        )
-    return out
-
-
-def find_eigenray(
-    wg: Waveguide,
-    source: tuple[float, float],
-    kind: PathKind,
-    *,
-    fan_size: int = FAN_SIZE,
-    depth_tol_m: float = DEPTH_TOL_M,
-) -> EigenRay | None:
-    """Eigenray of one kind from ``source`` to the receiver, or ``None``."""
-    return find_eigenrays(
-        wg, source, (kind,), fan_size=fan_size, depth_tol_m=depth_tol_m
-    )[kind]
+    arrival, launch = eigenray_angles(wg, z_s, [r_s], kinds)
+    return {
+        kind: None if np.isnan(a) else EigenRay(kind, float(a), float(l), (r_s, z_s))
+        for kind, a, l in zip(kinds, arrival[:, 0], launch[:, 0])
+    }

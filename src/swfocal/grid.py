@@ -6,40 +6,24 @@ fly is far too slow, so the arrival angles are precomputed on a regular
 range/depth grid and bilinearly interpolated at runtime.  Grid cells where
 a path is geometrically impossible hold ``-inf``.
 
-Building the grid exploits reciprocity: a single fan of rays traced
-outward from the receiver crosses every range column of the grid, and a
-ray that passes through a grid point with the reversed bounce signature of
-path ``k`` is exactly the eigenray of kind ``k`` from that point to the
-receiver, traversed backward.  The arrival angle at the receiver is then
-the negated launch angle of the fan ray, which bisection refines until the
-ray passes within ``depth_tol_m`` of the grid point.
+The grid is built one depth row at a time with the closed-form solver of
+``swfocal.environment``: a row is one call of ``eigenray_angles`` for all
+range columns at that source depth, the same solver ``find_eigenrays``
+runs at a single point.  A cell is impossible exactly where its range lies
+beyond the path's flattest boundary-guided ray.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from swfocal.environment import (
-    DEPTH_TOL_M,
-    FAN_LIMIT_DEG,
-    RECEIVER_SIDE_SIG,
-    PathKind,
-    Waveguide,
-    _aux_turn_angles,
-    _bisect_eigenrays,
-    _layers,
-    _RayBundle,
-)
+from swfocal.environment import PathKind, Waveguide, eigenray_angles
 
 __all__ = ["IMPOSSIBLE", "DoaGrid", "build_doa_grid", "interpolate_doa", "interpolate_doa_many"]
 
 IMPOSSIBLE = -np.inf
-
-GRID_FAN_SIZE = 4096
-_REFINE_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -105,15 +89,10 @@ def build_doa_grid(
     n_r: int,
     n_d: int,
     kinds: tuple[PathKind, ...] = tuple(PathKind),
-    *,
-    fan_size: int = GRID_FAN_SIZE,
-    depth_tol_m: float = DEPTH_TOL_M,
-    n_threads: int = 1,
 ) -> DoaGrid:
-    """Build the DOA grid for ``kinds`` over ``roi``.
+    """Build the DOA grid for ``kinds`` over ``roi``, one depth row at a time.
 
-    Deterministic: the same inputs produce a bit-identical grid (for any
-    ``n_threads``; threading only splits the refinement into fixed chunks).
+    Deterministic: the same inputs produce a bit-identical grid.
     """
     roi = _validate_roi(wg, roi)
     if n_r < 2 or n_d < 2:
@@ -122,113 +101,11 @@ def build_doa_grid(
     if len(set(kinds)) != len(kinds) or not kinds:
         raise ValueError("kinds must be a non-empty set of distinct paths")
 
-    lay = _layers(wg)
     ranges = np.linspace(roi[0], roi[1], n_r)
-    depths = np.linspace(roi[2], roi[3], n_d)
-    # uniform fan plus rays whose turning depths sample the water column;
-    # the latter resolve the narrow launch windows of turning-ray families
-    thetas = np.unique(
-        np.concatenate(
-            [
-                np.linspace(-FAN_LIMIT_DEG, FAN_LIMIT_DEG, fan_size),
-                _aux_turn_angles(lay, wg.receiver_depth),
-            ]
-        )
-    )
-    keep = tuple(RECEIVER_SIDE_SIG.values())
-    fan = _RayBundle(lay, wg.receiver_depth, thetas, keep_sigs=keep, die_on_turn=True)
-
-    sig_of_kind = np.array([RECEIVER_SIDE_SIG[k] for k in kinds], dtype=np.int8)
-    values = np.full((n_r, n_d, len(kinds)), IMPOSSIBLE)
-    best_abs = np.full((n_r, n_d, len(kinds)), np.inf)
-
-    def refine_and_assign(col, dep, kin, th_lo, th_hi, f_lo_sign):
-        n_brackets = col.size
-        if not n_brackets:
-            return
-        chunks = [
-            slice(s, min(s + _REFINE_CHUNK, n_brackets))
-            for s in range(0, n_brackets, _REFINE_CHUNK)
-        ]
-
-        def refine(sl: slice):
-            return _bisect_eigenrays(
-                lay,
-                wg.receiver_depth,
-                ranges[col[sl]],
-                depths[dep[sl]],
-                th_lo[sl],
-                th_hi[sl],
-                f_lo_sign[sl].astype(float),
-                sig_of_kind[kin[sl]],
-                keep,
-                depth_tol_m,
-            )
-
-        if n_threads > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                results = list(pool.map(refine, chunks))
-        else:
-            results = [refine(sl) for sl in chunks]
-        conv = np.concatenate([r[0] for r in results])
-        theta = np.concatenate([r[1] for r in results])
-
-        # the eigenray arrival angle is the negated receiver-side launch
-        # angle; when several brackets feed one grid point, the flattest
-        # arrival wins (assignments run steepest first so it lands last)
-        good = np.flatnonzero(conv)
-        order = good[np.argsort(-np.abs(theta[good]), kind="stable")]
-        c, d, k = col[order], dep[order], kin[order]
-        take = np.abs(theta[order]) <= best_abs[c, d, k]
-        c, d, k, t = c[take], d[take], k[take], theta[order][take]
-        values[c, d, k] = -t
-        best_abs[c, d, k] = np.abs(t)
-
-    # Sweep the fan across the range columns, collecting launch-angle
-    # brackets (consecutive fan rays of the right signature straddling a
-    # grid depth); flush to the refiner in blocks to bound memory.
-    acc: list[tuple] = []
-    acc_size = 0
-    flush_at = _REFINE_CHUNK * 4
-    for ir, r in enumerate(ranges):
-        ok = fan.march(r)
-        z = fan.z
-        sig = fan.sig
-        pair_ok = ok[:-1] & ok[1:]
-        za = z[:-1]
-        zb = z[1:]
-        lo = np.minimum(za, zb)
-        hi = np.maximum(za, zb)
-        jlo_all = np.searchsorted(depths, lo, side="left")
-        jhi_all = np.searchsorted(depths, hi, side="left")
-        for ki in range(len(kinds)):
-            valid = pair_ok & (sig[:-1] == sig_of_kind[ki]) & (sig[1:] == sig_of_kind[ki])
-            f = np.flatnonzero(valid & (jhi_all > jlo_all))
-            if not f.size:
-                continue
-            counts = jhi_all[f] - jlo_all[f]
-            rep = np.repeat(f, counts)
-            # concatenated aranges jlo[f] .. jhi[f]-1
-            offs = np.arange(counts.sum()) - np.repeat(
-                np.concatenate(([0], np.cumsum(counts)[:-1])), counts
-            )
-            j = (jlo_all[rep] + offs).astype(np.int32)
-            acc.append(
-                (
-                    np.full(rep.size, ir, dtype=np.int32),
-                    j,
-                    np.full(rep.size, ki, dtype=np.int8),
-                    thetas[rep],
-                    thetas[rep + 1],
-                    np.sign(za[rep] - depths[j]).astype(np.int8),
-                )
-            )
-            acc_size += rep.size
-        if acc_size >= flush_at:
-            refine_and_assign(*(np.concatenate(cols) for cols in zip(*acc)))
-            acc, acc_size = [], 0
-    if acc:
-        refine_and_assign(*(np.concatenate(cols) for cols in zip(*acc)))
+    values = np.empty((n_r, n_d, len(kinds)))
+    for j, depth in enumerate(np.linspace(roi[2], roi[3], n_d)):
+        arrival, _ = eigenray_angles(wg, depth, ranges, kinds)
+        values[:, j, :] = np.where(np.isnan(arrival), IMPOSSIBLE, arrival).T
     return DoaGrid(roi=roi, n_r=n_r, n_d=n_d, kinds=kinds, values=values)
 
 

@@ -126,6 +126,8 @@ def read_grid(path) -> DoaGrid:
     if buf.read(1):
         raise GridFileError(f"{path}: trailing bytes after grid values")
     values = np.frombuffer(data, dtype="<f8").astype(float).reshape(n_r, n_d, n_k)
+    if np.any(np.isnan(values) | (values == np.inf)):
+        raise GridFileError(f"{path}: grid values must be finite or -inf")
     return DoaGrid(roi=roi, n_r=n_r, n_d=n_d, kinds=kinds, values=values)
 
 
@@ -162,6 +164,8 @@ def read_observations(path) -> list[tuple[int, float, np.ndarray]]:
                     float(doc["time_s"]),
                     np.array([float(a) for a in doc["doas"]]),
                 )
+                if not np.all(np.isfinite(rec[2])):
+                    raise ValueError("non-finite DOA")
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"{path}:{lineno}: bad observation record: {e}") from e
             records.append(rec)

@@ -274,6 +274,12 @@ class TestObservationSet:
         with pytest.raises(ValueError):
             ObservationSet(z=np.array([90.0]))  # right-open interval
 
+    def test_non_finite_angles_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            ObservationSet(z=np.array([np.nan, 5.0]))
+        with pytest.raises(ValueError, match="finite"):
+            ObservationSet(z=np.array([np.nan]))
+
     @given(st.lists(st.floats(min_value=-89.9, max_value=89.9), max_size=6))
     def test_sorted_input_accepted(self, z):
         obs = ObservationSet(z=np.sort(np.array(z))[::-1])

@@ -7,13 +7,11 @@ from swfocal.environment import (
     PathKind,
     SoundSpeedProfile,
     Waveguide,
-    find_eigenray,
     find_eigenrays,
     sound_speed_at,
-    trace_ray,
 )
 
-from oracles import image_source_angles
+from oracles import image_source_angles, march_rays
 
 
 def make_wg(knots, bottom=216.5, receiver=150.0):
@@ -54,37 +52,36 @@ class TestSoundSpeedProfile:
 
 
 class TestTraceRay:
+    """Physical checks of the fixed-step marcher the eigenray tests rely on."""
+
     def test_horizontal_ray_in_iso_water_is_straight(self, iso_wg):
-        rp = trace_ray(iso_wg, (0.0, 60.0), 0.0, 500.0, 3)
-        assert rp.bounce_events == ()
-        assert np.allclose(rp.samples[:, 1], 60.0)
-        assert np.allclose(rp.samples[:, 2], 0.0)
-        assert rp.samples[-1, 0] == pytest.approx(500.0)
+        *_, bounces, track = march_rays(iso_wg, 60.0, 0.0, 500.0, record=True)
+        assert bounces == [()]
+        assert np.allclose(track[:, 0, 1], 60.0)
+        assert np.allclose(track[:, 0, 2], 0.0)
+        assert track[-1, 0, 0] == pytest.approx(500.0)
 
     def test_steep_ray_reflects_specularly_at_bottom(self, iso_wg):
-        rp = trace_ray(iso_wg, (0.0, 60.0), 45.0, 400.0, 1)
-        assert rp.bounce_events == ("bottom",)
+        *_, bounces, track = march_rays(iso_wg, 60.0, 45.0, 360.0, record=True)
+        assert bounces == [("bottom",)]
+        x, z, angle = track[:, 0].T
         # straight segments with mirrored angle after the bounce
-        before = rp.samples[rp.samples[:, 1] < 216.5 - 1e-9]
-        assert np.allclose(np.abs(rp.samples[:, 2]), 45.0, atol=1e-12)
+        assert np.allclose(np.abs(angle), 45.0, atol=1e-12)
         hit = 216.5 - 60.0  # horizontal distance to the bottom at 45 degrees
-        down = rp.samples[rp.samples[:, 0] < hit - 1e-9]
-        assert np.allclose(down[:, 2], 45.0)
-        up = before[before[:, 0] > hit + 1e-9]
-        assert np.allclose(up[:, 2], -45.0)
-
-    def test_bounce_budget_terminates_without_recording_terminal_contact(self, iso_wg):
-        rp = trace_ray(iso_wg, (0.0, 60.0), 60.0, 5000.0, 1)
-        assert rp.bounce_events == ("bottom",)  # terminated on reaching the surface
-        assert rp.samples[-1, 1] == pytest.approx(0.0, abs=1e-9)
+        down, up = x < hit - 1e-9, x > hit + 1e-9
+        assert np.allclose(angle[down], 45.0)
+        assert np.allclose(z[down], 60.0 + x[down])
+        assert np.allclose(angle[up], -45.0)
+        assert np.allclose(z[up], 2 * 216.5 - 60.0 - x[up])
 
     def test_constant_gradient_arc_radius(self):
         # circumradius through any three points of a circular arc equals
         # the analytic ray radius c / (g cos(theta))
         wg = make_wg(((0.0, 1520.0), (216.5, 1480.0)))
         g = (1480.0 - 1520.0) / 216.5
-        rp = trace_ray(wg, (0.0, 60.0), 5.0, 800.0, 3, sample_dr_m=2.0)
-        assert rp.bounce_events == ()
+        *_, bounces, track = march_rays(wg, 60.0, 5.0, 800.0, step=2.0, record=True)
+        assert bounces == [()]
+        samples = track[:, 0]
 
         def circumradius(p1, p2, p3):
             a = np.hypot(*(p2 - p1))
@@ -96,32 +93,32 @@ class TestTraceRay:
             return a * b * c / (4.0 * area)
 
         for i in (5, 150, 300):
-            pts = [rp.samples[j, :2] for j in (i, i + 1, i + 2)]
+            pts = [samples[j, :2] for j in (i, i + 1, i + 2)]
             radius = circumradius(*pts)
-            z_mid = rp.samples[i + 1, 1]
+            z_mid = samples[i + 1, 1]
             c_mid = sound_speed_at(wg.ssp, z_mid)
-            th_mid = math.radians(rp.samples[i + 1, 2])
+            th_mid = math.radians(samples[i + 1, 2])
             analytic = abs(c_mid / (g * math.cos(th_mid)))
             assert radius == pytest.approx(analytic, rel=1e-6)
 
     def test_snell_invariant_along_multilayer_ray(self, coastal_wg):
-        rp = trace_ray(coastal_wg, (0.0, 40.0), 12.0, 1500.0, 2, sample_dr_m=3.0)
-        c = np.array([sound_speed_at(coastal_wg.ssp, z) for z in rp.samples[:, 1]])
-        xi = np.cos(np.radians(rp.samples[:, 2])) / c
+        # the marcher integrates the ray equations without imposing Snell's
+        # law, so cos(theta) / c staying put across layers and bounces
+        # checks the integration
+        *_, bounces, track = march_rays(coastal_wg, 40.0, -12.0, 1500.0, record=True)
+        assert bounces == [("surface", "bottom")]
+        samples = track[:, 0]
+        c = np.array([sound_speed_at(coastal_wg.ssp, z) for z in samples[:, 1]])
+        xi = np.cos(np.radians(samples[:, 2])) / c
         assert (xi.max() - xi.min()) / xi.mean() < 1e-9
 
     def test_turning_ray_stays_inside_column(self):
         wg = make_wg(((0.0, 1540.0), (50.0, 1500.0), (216.5, 1495.0)))
-        rp = trace_ray(wg, (0.0, 100.0), -3.0, 3000.0, 5, sample_dr_m=10.0)
-        assert rp.bounce_events == ()
-        assert rp.samples[:, 1].min() > 0.0
-        assert rp.samples[:, 1].max() < 216.5
-
-    def test_bad_inputs(self, iso_wg):
-        with pytest.raises(ValueError):
-            trace_ray(iso_wg, (0.0, 300.0), 5.0, 100.0, 1)
-        with pytest.raises(ValueError):
-            trace_ray(iso_wg, (0.0, 60.0), 95.0, 100.0, 1)
+        *_, bounces, track = march_rays(wg, 100.0, -3.0, 3000.0, step=10.0, record=True)
+        assert bounces == [()]
+        assert track[:, 0, 1].min() > 0.0
+        assert track[:, 0, 1].max() < 216.5
+        assert np.any(track[:, 0, 2] > 0.0) and np.any(track[:, 0, 2] < 0.0)  # it turned
 
 
 class TestEigenrays:
@@ -133,14 +130,14 @@ class TestEigenrays:
             assert rays[kind].arrival_angle_deg == pytest.approx(expect[kind], abs=1e-3)
 
     def test_source_at_receiver_depth_gives_horizontal_direct_path(self, iso_wg):
-        ray = find_eigenray(iso_wg, (800.0, 150.0), PathKind.DP)
+        ray = find_eigenrays(iso_wg, (800.0, 150.0), (PathKind.DP,))[PathKind.DP]
         assert ray is not None
         assert ray.arrival_angle_deg == pytest.approx(0.0, abs=1e-3)
 
     def test_surface_bounce_equals_mirrored_direct_path(self, iso_wg):
         # in an iso-velocity channel the one-surface-bounce arrival equals
         # the straight line from the source mirrored above the surface
-        sb = find_eigenray(iso_wg, (700.0, 45.0), PathKind.SB, depth_tol_m=1e-7)
+        sb = find_eigenrays(iso_wg, (700.0, 45.0), (PathKind.SB,))[PathKind.SB]
         mirrored = math.degrees(math.atan2(150.0 + 45.0, 700.0))
         assert sb.arrival_angle_deg == pytest.approx(mirrored, abs=1e-6)
 
@@ -160,18 +157,18 @@ class TestEigenrays:
         for kind, ray in rays.items():
             if ray is None:
                 continue
-            rp = trace_ray(coastal_wg, (0.0, src[1]), ray.launch_angle_deg, src[0], 5)
-            assert rp.bounce_events == kind.bounce_signature
-            assert rp.samples[-1, 1] == pytest.approx(coastal_wg.receiver_depth, abs=5e-3)
-            assert rp.samples[-1, 2] == pytest.approx(ray.arrival_angle_deg, abs=1e-3)
+            (depth,), (angle,), (bounces,) = march_rays(coastal_wg, src[1], ray.launch_angle_deg, src[0])
+            assert bounces == kind.bounce_signature
+            assert depth == pytest.approx(coastal_wg.receiver_depth, abs=5e-3)
+            assert angle == pytest.approx(ray.arrival_angle_deg, abs=1e-3)
 
     def test_direct_path_impossible_at_long_range_in_strong_gradient(self):
         wg = make_wg(((0.0, 1540.0), (216.5, 1453.4)))
-        assert find_eigenray(wg, (2400.0, 10.0), PathKind.DP) is None
-        assert find_eigenray(wg, (300.0, 100.0), PathKind.DP) is not None
+        assert find_eigenrays(wg, (2400.0, 10.0), (PathKind.DP,))[PathKind.DP] is None
+        assert find_eigenrays(wg, (300.0, 100.0), (PathKind.DP,))[PathKind.DP] is not None
 
     def test_invalid_source_positions_rejected(self, iso_wg):
         with pytest.raises(ValueError):
-            find_eigenray(iso_wg, (0.0, 60.0), PathKind.DP)
+            find_eigenrays(iso_wg, (0.0, 60.0), (PathKind.DP,))
         with pytest.raises(ValueError):
-            find_eigenray(iso_wg, (500.0, 400.0), PathKind.DP)
+            find_eigenrays(iso_wg, (500.0, 400.0), (PathKind.DP,))

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from swfocal.environment import PathKind, SoundSpeedProfile, Waveguide, find_eigenrays
+from swfocal.environment import (
+    PathKind,
+    SoundSpeedProfile,
+    Waveguide,
+    find_eigenrays,
+    sound_speed_at,
+)
 from swfocal.grid import (
     IMPOSSIBLE,
     DoaGrid,
@@ -10,7 +16,7 @@ from swfocal.grid import (
     interpolate_doa_many,
 )
 
-from oracles import image_source_angles
+from oracles import image_source_angles, march_rays
 
 
 class TestBuild:
@@ -37,10 +43,63 @@ class TestBuild:
         b = build_doa_grid(iso_wg, (400.0, 900.0, 40.0, 160.0), 11, 9)
         assert np.array_equal(a.values, b.values)
 
-    def test_thread_count_does_not_change_values(self, iso_wg):
-        a = build_doa_grid(iso_wg, (400.0, 900.0, 40.0, 160.0), 11, 9)
-        b = build_doa_grid(iso_wg, (400.0, 900.0, 40.0, 160.0), 11, 9, n_threads=3)
-        assert np.array_equal(a.values, b.values)
+    def test_iso_direct_path_at_receiver_depth_is_horizontal(self, iso_grid):
+        (row,) = np.flatnonzero(iso_grid.depths == 150.0)
+        assert np.all(iso_grid.values[:, row, iso_grid.kinds.index(PathKind.DP)] == 0.0)
+
+    def test_sampled_cells_agree_with_marcher_oracle(self, full_grid, coastal_wg):
+        grid, _ = full_grid
+        v = grid.values
+        zr = coastal_wg.receiver_depth
+        rng = np.random.default_rng(17)
+        # cells one range step short of an impossible cell and the impossible
+        # cells there are the hardest: their rays are nearly the flattest
+        edge = np.zeros(v.shape, dtype=bool)
+        edge[1:] = np.isneginf(v[1:]) & np.isfinite(v[:-1])
+        last_finite = np.roll(edge, -1, axis=0)
+
+        def sample(mask, n):
+            cells = np.argwhere(mask)
+            return cells[rng.choice(len(cells), min(n, len(cells)), replace=False)]
+
+        # every finite value retraces to the receiver along its kind's bounces
+        cells = np.concatenate([sample(np.isfinite(v), 60), sample(last_finite, 20)])
+        i, j, k = cells.T
+        kinds = [grid.kinds[kk] for kk in k]
+        rays = [
+            find_eigenrays(coastal_wg, (grid.ranges[a], grid.depths[b]), (kind,))[kind]
+            for a, b, kind in zip(i, j, kinds)
+        ]
+        depth, angle, bounces = march_rays(
+            coastal_wg, grid.depths[j], [ray.launch_angle_deg for ray in rays], grid.ranges[i]
+        )
+        assert np.all(np.abs(depth - zr) < 5e-3)
+        assert np.all(np.abs(angle - v[i, j, k]) < 1e-3)
+        assert bounces == [kind.bounce_signature for kind in kinds]
+
+        # at every impossible cell the kind's flattest boundary-guided ray
+        # has passed the far end of the path before the cell's range.  In
+        # this profile the fastest depth such a path crosses is its
+        # shallower end, where the flattest ray is horizontal, so it is
+        # marched from there, reversed when that end is the receiver.
+        cells = np.concatenate([sample(np.isneginf(v), 40), sample(edge, 40)])
+        i, j, k = cells.T
+        kinds = [grid.kinds[kk] for kk in k]
+        assert set(kinds) <= {PathKind.DP, PathKind.BB}
+        from_source = grid.depths[j] < zr
+        start = np.where(from_source, grid.depths[j], zr)
+        end = np.where(from_source, zr, grid.depths[j])
+        knots = np.array([z for z, _ in coastal_wg.ssp.knots])
+        for z0, z1, kind in zip(start, end, kinds):
+            deepest = coastal_wg.bottom_depth if kind is PathKind.BB else z1
+            crossed = np.concatenate([[z0, deepest], knots[(knots > z0) & (knots < deepest)]])
+            speeds = [sound_speed_at(coastal_wg.ssp, z) for z in crossed]
+            assert max(speeds) == speeds[0]
+        depth, angle, bounces = march_rays(coastal_wg, start, np.zeros(len(cells)), grid.ranges[i])
+        for kind, fwd, z_end, z, a, b in zip(kinds, from_source, end, depth, angle, bounces):
+            sig = kind.bounce_signature if fwd else kind.bounce_signature[::-1]
+            assert b[: len(sig)] == sig
+            assert len(b) > len(sig) or (z > z_end) == (a > 0.0)
 
     def test_canonical_ordering_on_grid(self, refr_grid):
         v = refr_grid.values

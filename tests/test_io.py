@@ -3,7 +3,7 @@ import pytest
 
 from swfocal import io as sio
 from swfocal.environment import PathKind
-from swfocal.grid import build_doa_grid
+from swfocal.grid import DoaGrid, build_doa_grid
 
 
 class TestEnvironmentFile:
@@ -70,6 +70,22 @@ class TestGridFile:
         with pytest.raises(sio.GridFileError, match="truncated"):
             sio.read_grid(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_and_positive_inf_values_rejected(self, tmp_path, bad):
+        path = tmp_path / "grid.bin"
+        values = np.zeros((2, 2, 1))
+        values[0, 1, 0] = -np.inf  # the impossible sentinel is legal
+
+        def write():
+            sio.write_grid(path, DoaGrid((1.0, 2.0, 1.0, 2.0), 2, 2, (PathKind.DP,), values))
+
+        write()
+        assert np.array_equal(sio.read_grid(path).values, values)
+        values[1, 0, 0] = bad
+        write()
+        with pytest.raises(sio.GridFileError, match="finite"):
+            sio.read_grid(path)
+
     def test_trailing_bytes(self, tmp_path, iso_wg):
         grid = build_doa_grid(iso_wg, (400.0, 900.0, 40.0, 160.0), 4, 3)
         path = tmp_path / "grid.bin"
@@ -93,6 +109,15 @@ class TestRecordFiles:
         path = tmp_path / "obs.jsonl"
         path.write_text('{"t_index": 0, "time_s": 0.0, "doas": []}\nnot json\n')
         with pytest.raises(ValueError, match=":2:"):
+            sio.read_observations(path)
+
+    def test_observation_non_finite_doa_rejected(self, tmp_path):
+        path = tmp_path / "obs.jsonl"
+        path.write_text(
+            '{"t_index": 0, "time_s": 0.0, "doas": [3.0]}\n'
+            '{"t_index": 1, "time_s": 2.0, "doas": [NaN, 1.0]}\n'
+        )
+        with pytest.raises(ValueError, match=":2:.*non-finite"):
             sio.read_observations(path)
 
     def test_track_csv_round_trip(self, tmp_path):
