@@ -19,8 +19,16 @@ and the per-state update weight is the sum of ``|D_a|! * prod_k r_k(a_k)``
 over valid vectors, where ``|D_a|`` counts the detected paths.  The
 x-independent constant ``exp(-mu) * mu^M / M! * prod_m f_fa(z_m)`` is
 dropped.  The sum runs over a number of vectors exponential in K, but a
-dynamic program over paths with state (largest observation index used,
-detection count) computes it exactly in O(K^2 M^2).
+dynamic program over paths computes it exactly.  Its state ``S[m, c]`` is
+the sum over the paths so far with largest used observation index m and c
+detections.  Path k either misses, which scales ``S[m, c]`` by
+``1 - d_k``, or takes an observation m above every index used so far,
+which adds ``r_k(m)`` times the prefix sum of ``S[m', c - 1]`` over
+``m' < m``; the weight is then the sum of ``c! * S[m, c]``.
+``marginal_likelihood_batch`` runs this path by path on an (M+1, K+1, J)
+array with the J states innermost, so each step is a few whole-array
+operations.  Before path k only counts 0..k can be nonzero, and only
+those are updated; the cost is O(K^2 M) per state.
 
 Angles are degrees throughout; densities are per degree.
 """
@@ -224,47 +232,10 @@ def unnormalized_factor_r(
 
 
 def marginal_likelihood(z: ObservationSet, pred: PathPrediction, params: ModelParams) -> float:
-    """Update weight of one state: exact sum over valid associations.
-
-    Computes ``sum_a |D_a|! prod_k r_k(a_k)`` by dynamic programming over
-    paths with state (largest observation index used, detection count);
-    the state-independent constant of the joint posterior is dropped.
-    With ``mu_fa = 0`` false alarms are impossible and the sum collapses
-    to the associations that explain every observation.
-    """
-    K = pred.n_paths
-    M = z.M
-    mu = params.mu_fa
-    if mu <= 0.0 and M > K:
-        return 0.0
-
-    # r[k][m]: miss factor at m = 0, detection factors at m >= 1 (without
-    # the 1/mu scaling in the zero-clutter limit)
-    r = np.zeros((K, M + 1))
-    r[:, 0] = 1.0 - pred.detect_probs
-    for k in range(K):
-        d_k = float(pred.detect_probs[k])
-        if d_k == 0.0:
-            continue
-        scale = d_k if mu <= 0.0 else d_k / mu
-        for m in range(1, M + 1):
-            f_k = path_likelihood(float(z.z[m - 1]), pred.angles_deg[k], params.sigma_deg[k])
-            r[k, m] = scale * f_k / params.fa_density
-
-    # S[m][c]: partial product sum with largest used index m, c detections
-    S = np.zeros((M + 1, K + 1))
-    S[0, 0] = 1.0
-    for k in range(K):
-        S_next = S * r[k, 0]
-        prefix = np.cumsum(S, axis=0)
-        for m in range(1, M + 1):
-            S_next[m, 1:] += r[k, m] * prefix[m - 1, :-1]
-        S = S_next
-
-    if mu <= 0.0:
-        return float(math.factorial(M) * S[:, M].sum())
-    weights = np.array([math.factorial(c) for c in range(K + 1)], dtype=float)
-    return float(S.sum(axis=0) @ weights)
+    """Update weight of one state: ``marginal_likelihood_batch`` on one row."""
+    return float(
+        marginal_likelihood_batch(z.z, pred.angles_deg[None], pred.detect_probs[None], params)[0]
+    )
 
 
 def marginal_likelihood_batch(
@@ -273,11 +244,14 @@ def marginal_likelihood_batch(
     detect_probs: np.ndarray,
     params: ModelParams,
 ) -> np.ndarray:
-    """Vectorized ``marginal_likelihood`` over many states at once.
+    """Update weights of many states: exact sums over valid associations.
 
     ``angles_deg`` and ``detect_probs`` are (J, K) with ``nan`` marking
     impossible paths; ``z_sorted`` is the shared descending observation
-    vector.  Returns a (J,) array of update weights.
+    vector.  Returns a (J,) array of ``sum_a |D_a|! prod_k r_k(a_k)``; the
+    state-independent constant of the joint posterior is dropped.  With
+    ``mu_fa = 0`` false alarms are impossible and the sum collapses to the
+    associations that explain every observation.
     """
     z = np.asarray(z_sorted, dtype=float).reshape(-1)
     ang = np.atleast_2d(np.asarray(angles_deg, dtype=float))
@@ -290,28 +264,31 @@ def marginal_likelihood_batch(
     if mu <= 0.0 and M > K:
         return np.zeros(J)
 
-    r = np.zeros((J, K, M + 1))
-    r[:, :, 0] = 1.0 - det
-    if M:
-        scale = det if mu <= 0.0 else det / mu
-        u = (z[None, None, :] - ang[:, :, None]) / sig[None, :, None]
-        dens = np.exp(-0.5 * u * u) / (sig[None, :, None] * np.sqrt(2.0 * np.pi))
-        dens = np.where(np.isnan(dens), 0.0, dens)
-        r[:, :, 1:] = scale[:, :, None] * dens / params.fa_density
-
-    S = np.zeros((J, M + 1, K + 1))
-    S[:, 0, 0] = 1.0
+    # detection factors carry no 1/mu in the zero-clutter limit
+    scale = det if mu <= 0.0 else det / mu
+    S = np.zeros((M + 1, K + 1, J))
+    S[0, 0] = 1.0
     for k in range(K):
-        S_next = S * r[:, k, 0, None, None]
+        # before path k at most k detections exist: counts above k are zero.
+        # prefix[m] sums S[0..m]; row by row, which is cumsum's order but
+        # far faster than cumsum along an outer axis
+        prefix = S[:M, : k + 1].copy()
+        for m in range(1, M):
+            prefix[m] += prefix[m - 1]
+        S[:, : k + 2] *= 1.0 - det[:, k]
         if M:
-            prefix = np.cumsum(S, axis=1)
-            S_next[:, 1:, 1:] += r[:, k, 1:, None] * prefix[:, :-1, :-1]
-        S = S_next
+            u = (z[:, None] - ang[:, k]) / sig[k]
+            dens = np.exp(-0.5 * u * u) / (sig[k] * np.sqrt(2.0 * np.pi))
+            dens = np.where(np.isnan(dens), 0.0, dens)
+            hit = scale[:, k] * dens / params.fa_density  # (M, J)
+            S[1:, 1 : k + 2] += np.multiply(hit[:, None, :], prefix, out=prefix)
 
+    # each state's sums run along a contiguous row, in numpy's pairwise
+    # order, which the tracker's estimates are pinned to
     if mu <= 0.0:
-        return math.factorial(M) * S[:, :, M].sum(axis=1)
+        return math.factorial(M) * np.ascontiguousarray(S[:, M].T).sum(axis=1)
     weights = np.array([math.factorial(c) for c in range(K + 1)], dtype=float)
-    return S.sum(axis=1) @ weights
+    return np.ascontiguousarray(S.sum(axis=0).T) @ weights
 
 
 def count_valid(K: int, M: int) -> int:

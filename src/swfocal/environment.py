@@ -161,11 +161,6 @@ class Waveguide:
         if self.ssp.max_depth < self.bottom_depth:
             raise ValueError("sound speed profile must cover the full water column")
 
-    def sound_speed(self, depth_m: float) -> float:
-        if depth_m > self.bottom_depth:
-            raise ValueError(f"depth {depth_m} m below the bottom")
-        return sound_speed_at(self.ssp, depth_m)
-
 
 @dataclass(frozen=True)
 class EigenRay:

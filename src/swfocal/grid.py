@@ -109,77 +109,73 @@ def build_doa_grid(
     return DoaGrid(roi=roi, n_r=n_r, n_d=n_d, kinds=kinds, values=values)
 
 
-def _cell_weights(grid: DoaGrid, rng_m, dep_m):
-    """Cell indices and bilinear weights for query points inside the roi."""
-    ranges = grid.ranges
-    depths = grid.depths
-    ir = np.clip(np.searchsorted(ranges, rng_m, side="right") - 1, 0, grid.n_r - 2)
-    jd = np.clip(np.searchsorted(depths, dep_m, side="right") - 1, 0, grid.n_d - 2)
-    fx = (rng_m - ranges[ir]) / (ranges[ir + 1] - ranges[ir])
-    fy = (dep_m - depths[jd]) / (depths[jd + 1] - depths[jd])
-    return ir, jd, fx, fy
+def _axis_cells(lo: float, hi: float, n: int, x: np.ndarray):
+    """Cell index and fraction of each ``x`` in [lo, hi] on ``n`` uniform nodes.
+
+    The index is the last node at or below ``x`` (the cell below the top
+    node for ``x == hi``), with the node positions of ``linspace``.  It is
+    read off the uniform step, then moved by at most one to agree with the
+    nodes, whose positions round differently; that is enough while the
+    step is far above the rounding error of the coordinates.
+    """
+    nodes = np.linspace(lo, hi, n)
+    # x >= lo, so truncation is floor
+    i = np.clip(((x - lo) / ((hi - lo) / (n - 1))).astype(np.intp), 0, n - 2)
+    i -= nodes[i] > x
+    i += nodes[i + 1] <= x
+    i = np.clip(i, 0, n - 2)
+    return i, (x - nodes[i]) / (nodes[i + 1] - nodes[i])
 
 
 def interpolate_doa(grid: DoaGrid, p: tuple[float, float], k: int) -> float | None:
     """Bilinear DOA for path layer ``k`` at point ``p`` inside the roi.
 
-    Returns ``None`` when any corner of the containing cell that carries
-    bilinear weight is impossible: a partially impossible cell has no
-    trustworthy interpolated value.  Corners with exactly zero weight are
-    ignored, so a query exactly on a grid node returns the stored value.
+    ``interpolate_doa_many`` at one point; ``None`` where the path is
+    impossible.
     """
-    r, d = float(p[0]), float(p[1])
-    r0, r1, d0, d1 = grid.roi
-    if not (r0 <= r <= r1 and d0 <= d <= d1):
-        raise ValueError(f"point ({r}, {d}) outside the grid region of interest")
     if not 0 <= k < len(grid.kinds):
         raise ValueError(f"path layer index {k} out of range")
-    ir, jd, fx, fy = _cell_weights(grid, r, d)
-    w = np.array([(1 - fx) * (1 - fy), (1 - fx) * fy, fx * (1 - fy), fx * fy])
-    v = np.array(
-        [
-            grid.values[ir, jd, k],
-            grid.values[ir, jd + 1, k],
-            grid.values[ir + 1, jd, k],
-            grid.values[ir + 1, jd + 1, k],
-        ]
-    )
-    active = w > 0.0
-    if np.any(np.isneginf(v[active])):
-        return None
-    return float(np.sum(np.where(active, w * np.where(np.isneginf(v), 0.0, v), 0.0)))
+    v = interpolate_doa_many(grid, np.array([[p[0], p[1]]], dtype=float))[0, k]
+    return None if np.isnan(v) else float(v)
 
 
 def interpolate_doa_many(grid: DoaGrid, points: np.ndarray) -> np.ndarray:
     """Bilinear DOAs for all path layers at many points.
 
     ``points`` is (n, 2) of (range_m, depth_m); all points must lie inside
-    the roi.  Returns an (n, K) array with ``nan`` where the path is
-    impossible, applying the same zero-weight corner rule as
-    ``interpolate_doa``.
+    the roi.  Returns an (n, K) array with ``nan`` where a corner of the
+    containing cell that carries bilinear weight is impossible: a partially
+    impossible cell has no trustworthy interpolated value.  Corners with
+    exactly zero weight are ignored, so a query exactly on a grid node
+    returns the stored value.
     """
     pts = np.asarray(points, dtype=float)
     r = pts[:, 0]
     d = pts[:, 1]
     r0, r1, d0, d1 = grid.roi
-    if np.any((r < r0) | (r > r1) | (d < d0) | (d > d1)):
+    if not np.all((r >= r0) & (r <= r1) & (d >= d0) & (d <= d1)):
         raise ValueError("points outside the grid region of interest")
-    ir, jd, fx, fy = _cell_weights(grid, r, d)
-    w = np.stack(
-        [(1 - fx) * (1 - fy), (1 - fx) * fy, fx * (1 - fy), fx * fy], axis=1
-    )  # (n, 4)
-    v = np.stack(
-        [
-            grid.values[ir, jd, :],
-            grid.values[ir, jd + 1, :],
-            grid.values[ir + 1, jd, :],
-            grid.values[ir + 1, jd + 1, :],
-        ],
-        axis=1,
-    )  # (n, 4, K)
-    active = w > 0.0
-    bad = np.any(np.isneginf(v) & active[:, :, None], axis=1)  # (n, K)
-    contrib = np.where(active[:, :, None], w[:, :, None] * np.where(np.isneginf(v), 0.0, v), 0.0)
-    out = contrib.sum(axis=1)
-    out[bad] = np.nan
+    ir, fx = _axis_cells(r0, r1, grid.n_r, r)
+    jd, fy = _axis_cells(d0, d1, grid.n_d, d)
+    flat = grid.values.reshape(-1, len(grid.kinds))
+    cell = ir * grid.n_d + jd
+    weights = [(1 - fx) * (1 - fy), (1 - fx) * fy, fx * (1 - fy), fx * fy]
+    corners = [flat.take(cell + step, axis=0) for step in (0, 1, grid.n_d, grid.n_d + 1)]
+    # inside a cell every corner has weight, and an impossible one makes
+    # the sum -inf.  On a cell edge a corner of zero weight is ignored, also
+    # where impossible (0 * -inf is nan), so those rows are summed again.
+    with np.errstate(invalid="ignore"):
+        out = weights[0][:, None] * corners[0]
+        for w, v in zip(weights[1:], corners[1:]):
+            out += w[:, None] * v
+        out[~np.isfinite(out)] = np.nan
+        edge = np.flatnonzero(np.min(weights, axis=0) == 0.0)
+        if edge.size:
+            terms, bad = [], False
+            for w, v in zip(weights, corners):
+                w, v = w[edge, None], v[edge]
+                live, hole = w > 0.0, np.isneginf(v)
+                terms.append(np.where(live & ~hole, w * v, 0.0))
+                bad = bad | (live & hole)
+            out[edge] = np.where(bad, np.nan, terms[0] + terms[1] + terms[2] + terms[3])
     return out

@@ -16,8 +16,12 @@ and systematic resampling runs whenever the effective sample size drops
 below half the particle count.  The state estimate is the weighted
 particle mean.
 
-Weights are carried in the log domain during the update; degeneracy
-(every particle at zero weight) aborts the run.
+The association marginal is computed in the linear domain; the update
+only takes its logarithm to combine it with the prior weights.  A
+marginal that underflows to exactly zero therefore counts as zero
+likelihood, and when no particle keeps a positive weight (every particle
+left the region of interest, or every likelihood inside it is zero) the
+run aborts with ``DegeneracyError``.
 """
 
 from __future__ import annotations
@@ -107,7 +111,17 @@ class ParticleSet:
 
 
 class DegeneracyError(RuntimeError):
-    """All particle weights vanished; the filter lost the target."""
+    """All particle weights vanished; the filter lost the target.
+
+    ``cause`` says why; ``time_s`` is the epoch's time where the caller
+    knows it (``run_tracker`` does).
+    """
+
+    def __init__(self, cause: str, time_s: float | None = None):
+        self.cause = cause
+        self.time_s = time_s
+        at = "" if time_s is None else f" at epoch t = {time_s:g} s"
+        super().__init__(f"all particle weights vanished{at}: {cause}")
 
 
 def init_particles(prior: PriorParams, J: int, rng: np.random.Generator) -> ParticleSet:
@@ -162,7 +176,8 @@ def update(
     """Reweight particles by the association marginal of this epoch.
 
     Particles outside the grid's region of interest get zero weight.
-    Raises ``DegeneracyError`` if no particle retains positive weight.
+    Raises ``DegeneracyError``, naming the cause, if no particle retains
+    positive weight.
     """
     r0, r1, d0, d1 = grid.roi
     s = ps.states
@@ -178,7 +193,11 @@ def update(
         logw = np.log(ps.weights) + np.log(like)
     peak = logw.max()
     if not np.isfinite(peak):
-        raise DegeneracyError("all particle weights vanished in the update step")
+        if not np.any(inside):
+            raise DegeneracyError("every particle left the region of interest")
+        if not np.any(like):
+            raise DegeneracyError("every likelihood inside the region of interest is zero")
+        raise DegeneracyError("every particle with a nonzero likelihood has zero weight")
     w = np.exp(logw - peak)
     return ParticleSet(states=s.copy(), weights=w / w.sum())
 
@@ -257,7 +276,10 @@ def run_tracker(
         if T <= 0:
             raise ValueError("observation epochs must be strictly increasing in time")
         ps = predict_particles(ps, T, motion, rng)
-        ps = update(ps, z, grid, params)
+        try:
+            ps = update(ps, z, grid, params)
+        except DegeneracyError as e:
+            raise DegeneracyError(e.cause, float(time_s)) from None
         ess = effective_sample_size(ps)
         out.append((float(time_s), mmse_estimate(ps), ess))
         if ess < ess_threshold * ps.J:

@@ -2,10 +2,13 @@
 
 Everything here is written from the model definitions directly, with
 brute-force enumeration instead of dynamic programming, image-source
-geometry and a fixed-step ray march instead of closed-form layer sums, so
-the tests never share code with the implementations they verify.
+geometry and a fixed-step ray march instead of closed-form layer sums, and
+a binary-search, one-point bilinear interpolation instead of vectorized
+cell arithmetic, so the tests never share code with the implementations
+they verify.
 """
 
+import bisect
 import itertools
 import math
 
@@ -88,6 +91,42 @@ class EnumTable:
         if mu <= 0.0:
             terms = np.where(self.counts == M, terms, 0.0)
         return float(terms.sum())
+
+
+def bilinear_doa(grid, r: float, d: float) -> list:
+    """Bilinear DOA of every path layer at (r, d), ``None`` where impossible.
+
+    The cell is found by binary search: the last node at or below the
+    point, and the cell below the top node at the roi maximum.  A corner of
+    zero weight is ignored even where impossible; an impossible corner with
+    weight makes the value ``None``.  Corners are summed in the order
+    (i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1).
+    """
+    ranges, depths = grid.ranges.tolist(), grid.depths.tolist()
+    i = min(max(bisect.bisect_right(ranges, r) - 1, 0), len(ranges) - 2)
+    j = min(max(bisect.bisect_right(depths, d) - 1, 0), len(depths) - 2)
+    fx = (r - ranges[i]) / (ranges[i + 1] - ranges[i])
+    fy = (d - depths[j]) / (depths[j + 1] - depths[j])
+    corners = (
+        ((1 - fx) * (1 - fy), i, j),
+        ((1 - fx) * fy, i, j + 1),
+        (fx * (1 - fy), i + 1, j),
+        (fx * fy, i + 1, j + 1),
+    )
+    out = []
+    for k in range(len(grid.kinds)):
+        total = None
+        for w, a, b in corners:
+            v = float(grid.values[a, b, k])
+            term = 0.0
+            if w > 0.0:
+                if v == -math.inf:
+                    total = None
+                    break
+                term = w * v
+            total = term if total is None else total + term
+        out.append(total)
+    return out
 
 
 def image_source_angles(bottom: float, receiver_depth: float, r: float, zs: float):

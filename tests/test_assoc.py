@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swfocal.assoc import (
@@ -217,7 +217,7 @@ class TestMarginalLikelihood:
                     want = enum_marginal(z, ang, det, p.sigma_deg, p.mu_fa)
                     assert got == pytest.approx(want, rel=1e-12)
 
-    def test_batch_matches_scalar(self):
+    def test_batch_matches_enumeration(self):
         rng = np.random.default_rng(7)
         p = params(4, sigma=(0.5, 0.5, 2.0, 2.0))
         z = np.sort(rng.uniform(-30, 30, 5))[::-1]
@@ -227,10 +227,35 @@ class TestMarginalLikelihood:
         det[::5, 3] = 0.0
         batch = marginal_likelihood_batch(z, ang, det, p)
         for j in range(64):
-            scalar = marginal_likelihood(
-                ObservationSet(z=z), PathPrediction(ang[j], det[j]), p
-            )
-            assert batch[j] == pytest.approx(scalar, rel=1e-12)
+            want = enum_marginal(z, ang[j], det[j], p.sigma_deg, p.mu_fa)
+            assert batch[j] == pytest.approx(want, rel=1e-12)
+
+    @given(
+        K=st.integers(min_value=1, max_value=4),
+        M=st.integers(min_value=0, max_value=7),
+        d=st.sampled_from([0.9, 1.0]),
+        mu=st.sampled_from([0.0, 0.5, 2.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(K=3, M=2, d=1.0, mu=0.0, seed=1)
+    @example(K=2, M=5, d=1.0, mu=0.0, seed=2)
+    @settings(max_examples=150, deadline=None)
+    def test_batch_matches_enumeration_property(self, K, M, d, mu, seed):
+        # impossible paths in any column, observations near the modeled
+        # angles or clutter, zero clutter with M <= K and M > K; the bound
+        # is relative down to 1e-300, below which single terms are subnormal
+        rng = np.random.default_rng(seed)
+        p = params(K, sigma=tuple(rng.uniform(0.3, 3.0, K)), d=d, mu=mu)
+        ang = np.sort(rng.uniform(-30, 30, (3, K)), axis=1)[:, ::-1].copy()
+        ang[rng.random((3, K)) < 0.3] = np.nan
+        det = np.where(np.isnan(ang), 0.0, d)
+        near = rng.choice(ang[0], M) + rng.normal(0.0, 1.0, M)
+        z = np.where(np.isnan(near) | (rng.random(M) < 0.3), rng.uniform(-30, 30, M), near)
+        z = np.sort(np.clip(z, -89.0, 89.0))[::-1]
+        batch = marginal_likelihood_batch(z, ang, det, p)
+        for j in range(3):
+            want = enum_marginal(z, ang[j], det[j], p.sigma_deg, p.mu_fa)
+            assert batch[j] == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     def test_false_alarm_density_rescaling_matches_enumeration(self):
         # halving the false-alarm support doubles its density and rescales

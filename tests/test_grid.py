@@ -16,7 +16,7 @@ from swfocal.grid import (
     interpolate_doa_many,
 )
 
-from oracles import image_source_angles, march_rays
+from oracles import bilinear_doa, image_source_angles, march_rays
 
 
 class TestBuild:
@@ -172,17 +172,49 @@ class TestInterpolation:
                 assert rays[kind] is not None
                 assert abs(rays[kind].arrival_angle_deg - interp[i, ki]) < 0.1
 
-    def test_batch_matches_scalar(self, refr_grid):
+    def test_batch_matches_scalar(self, refr_grid, full_grid):
+        # batch and one-point calls against the binary-search oracle, bit for
+        # bit: off-node points, a row and a column of nodes, nodes beside
+        # impossible DP cells, one ulp to either side of each node, and the
+        # roi corners.  The 1 m grid's steps are not exact in binary, so
+        # the uniform-step cell guess is off by one at some of its nodes.
         rng = np.random.default_rng(5)
-        pts = np.column_stack([rng.uniform(300, 1200, 25), rng.uniform(30, 150, 25)])
-        batch = interpolate_doa_many(refr_grid, pts)
-        for i, p in enumerate(pts):
-            for ki in range(len(refr_grid.kinds)):
-                scalar = interpolate_doa(refr_grid, tuple(p), ki)
-                if scalar is None:
-                    assert np.isnan(batch[i, ki])
-                else:
-                    assert batch[i, ki] == pytest.approx(scalar, rel=1e-14)
+        for g in (refr_grid, full_grid[0]):
+            r0, r1, d0, d1 = g.roi
+            dp = g.values[:, :, g.kinds.index(PathKind.DP)]
+            i, j = np.nonzero(np.isfinite(dp[:-1]) & np.isneginf(dp[1:]))
+            pick = rng.choice(len(i), min(len(i), 40), replace=False)
+            i, j = i[pick], j[pick]
+            nodes = np.concatenate(
+                [
+                    np.column_stack([g.ranges[i], g.depths[j]]),
+                    np.column_stack([g.ranges[i + 1], g.depths[j]]),
+                    np.column_stack([g.ranges, np.full(g.n_r, rng.choice(g.depths))]),
+                    np.column_stack([np.full(g.n_d, rng.choice(g.ranges)), g.depths]),
+                ]
+            )
+            ulps = [
+                np.column_stack([np.nextafter(nodes[:, 0], s), np.nextafter(nodes[:, 1], t)])
+                for s in (-np.inf, np.inf)
+                for t in (-np.inf, np.inf)
+            ]
+            corners = [[r0, d0], [r0, d1], [r1, d0], [r1, d1]]
+            off = np.column_stack([rng.uniform(r0, r1, 25), rng.uniform(d0, d1, 25)])
+            pts = np.concatenate([off, nodes, *ulps, corners])
+            pts[:, 0] = np.clip(pts[:, 0], r0, r1)
+            pts[:, 1] = np.clip(pts[:, 1], d0, d1)
+            batch = interpolate_doa_many(g, pts)
+            n_none = 0
+            for n, (r, d) in enumerate(pts.tolist()):
+                for k, want in enumerate(bilinear_doa(g, r, d)):
+                    if n % 5 == 0:
+                        assert interpolate_doa(g, (r, d), k) == want
+                    if want is None:
+                        n_none += 1
+                        assert np.isnan(batch[n, k])
+                    else:
+                        assert batch[n, k] == want
+            assert len(i) > 0 and n_none > 0
 
     def test_select_kinds(self, iso_grid):
         sub = iso_grid.select_kinds((PathKind.SB, PathKind.DP))

@@ -158,7 +158,22 @@ class TestUpdate:
     def test_all_particles_outside_raises_degeneracy(self, refr_grid):
         states = np.array([[5000.0, 70.0, 0.0], [6000.0, 70.0, 0.0]])
         ps = ParticleSet(states=states, weights=np.array([0.5, 0.5]))
-        with pytest.raises(DegeneracyError):
+        with pytest.raises(DegeneracyError, match="left the region of interest") as err:
+            update(ps, ObservationSet(z=np.array([5.0])), refr_grid, PARAMS4)
+        assert err.value.time_s is None
+
+    def test_zero_likelihood_everywhere_raises_degeneracy(self, refr_grid):
+        # without clutter, five observations cannot come from four paths
+        p = ModelParams(n_paths=4, sigma_deg=(0.5,) * 4, detect_prob=0.9, mu_fa=0.0)
+        ps = init_particles(PriorParams(roi=ROI), 50, np.random.default_rng(3))
+        z = ObservationSet(z=np.array([20.0, 10.0, 0.0, -10.0, -20.0]))
+        with pytest.raises(DegeneracyError, match="every likelihood inside the region of interest is zero"):
+            update(ps, z, refr_grid, p)
+
+    def test_zero_weight_inside_raises_degeneracy(self, refr_grid):
+        states = np.array([[700.0, 70.0, 0.0], [5000.0, 70.0, 0.0]])
+        ps = ParticleSet(states=states, weights=np.array([0.0, 1.0]))
+        with pytest.raises(DegeneracyError, match="nonzero likelihood has zero weight"):
             update(ps, ObservationSet(z=np.array([5.0])), refr_grid, PARAMS4)
 
     def test_weights_normalized_after_update(self, refr_grid):
@@ -239,6 +254,16 @@ class TestRunTracker:
         a = run_tracker(refr_grid, obs, PARAMS4, MotionParams(), PriorParams(roi=ROI), J=300, seed=12)
         b = run_tracker(refr_grid, obs, PARAMS4, MotionParams(), PriorParams(roi=ROI), J=300, seed=12)
         assert [(t, e, s) for t, e, s in a] == [(t, e, s) for t, e, s in b]
+
+    def test_degeneracy_names_the_epoch_time(self, refr_grid):
+        # the third epoch has more observations than paths and no clutter
+        p = ModelParams(n_paths=4, sigma_deg=(0.5,) * 4, detect_prob=0.9, mu_fa=0.0)
+        z = [np.array([5.0]), np.array([5.0]), np.array([20.0, 10.0, 0.0, -10.0, -20.0])]
+        obs = [(2.048 * (i + 1), ObservationSet(z=zi)) for i, zi in enumerate(z)]
+        with pytest.raises(DegeneracyError, match=r"at epoch t = 6\.144 s: every likelihood") as err:
+            run_tracker(refr_grid, obs, p, MotionParams(), PriorParams(roi=ROI), J=200, seed=1)
+        assert err.value.time_s == 6.144
+        assert err.value.cause == "every likelihood inside the region of interest is zero"
 
     def test_rejects_nonincreasing_times(self, refr_grid):
         obs = [(2.0, ObservationSet(z=np.array([]))), (2.0, ObservationSet(z=np.array([])))]
