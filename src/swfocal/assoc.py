@@ -101,11 +101,12 @@ class ObservationSet:
     def __post_init__(self):
         z = np.asarray(self.z, dtype=float).reshape(-1)
         object.__setattr__(self, "z", z)
-        if not np.all(np.isfinite(z)):
-            raise ValueError("observed angles must be finite")
-        if z.size and (np.any(z < -90.0) or np.any(z >= 90.0)):
+        # array methods rather than np.any/np.diff: read_observations builds one set per line
+        if not np.isfinite(z).all():
+            raise ValueError("non-finite observed angle")
+        if (z < -90.0).any() or (z >= 90.0).any():
             raise ValueError("observed angles must lie in [-90, 90)")
-        if np.any(np.diff(z) > 0.0):
+        if (z[1:] > z[:-1]).any():
             raise ValueError("observations must be sorted in descending order")
 
     @property

@@ -11,16 +11,16 @@ invocations produce byte-identical outputs.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from swfocal import io as sio
 from swfocal.assoc import ModelParams, ObservationSet
-from swfocal.grid import PathKind, build_doa_grid
+from swfocal.grid import DoaGrid, PathKind, build_doa_grid
 from swfocal.simulator import ScenarioConfig, generate_observations, generate_truth
 from swfocal.tracking import MotionParams, PriorParams, run_tracker
 
@@ -36,22 +36,21 @@ class ConfigError(ValueError):
     """Malformed run configuration."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Everything a simulate/track/evaluate run needs, fully explicit."""
 
-    environment_file: str
     grid_file: str
-    output_dir: str = "out"
-    observations_file: str | None = None
-    truth_file: str | None = None
-    n_paths: int = 4
-    n_particles: int = 10_000
-    seed: int = 0
-    model: ModelParams = None  # filled by load_config
-    motion: MotionParams = field(default_factory=MotionParams)
-    prior: PriorParams = field(default_factory=lambda: PriorParams(roi=DEFAULT_ROI))
-    scenario: ScenarioConfig = None
+    output_dir: str
+    observations_file: str | None
+    truth_file: str | None
+    n_paths: int
+    n_particles: int
+    seed: int
+    model: ModelParams
+    motion: MotionParams
+    prior: PriorParams
+    scenario: ScenarioConfig
 
     def obs_path(self) -> Path:
         return Path(self.observations_file or Path(self.output_dir) / "observations.jsonl")
@@ -66,12 +65,22 @@ def _take(doc: dict, context: str, known: set[str]) -> None:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
 
 
+def _block(doc: dict, key: str, path, cls, skip: tuple[str, ...] = ()) -> dict:
+    """Config block ``key``: keys named after the fields of ``cls``, except ``skip``."""
+    block = dict(doc.get(key, {}))
+    _take(block, f"{path}: {key}", {f.name for f in dataclasses.fields(cls)} - set(skip))
+    return block
+
+
+def _floats(block: dict) -> dict:
+    """The keys a block sets, as floats; a key it leaves out keeps its dataclass default."""
+    return {k: float(v) for k, v in block.items()}
+
+
 def load_config(path) -> RunConfig:
     """Parse and validate a run configuration file."""
     try:
         doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
     if not isinstance(doc, dict):
@@ -80,7 +89,6 @@ def load_config(path) -> RunConfig:
         doc,
         str(path),
         {
-            "environment_file",
             "grid_file",
             "output_dir",
             "observations_file",
@@ -94,53 +102,29 @@ def load_config(path) -> RunConfig:
             "scenario",
         },
     )
-    for key in ("environment_file", "grid_file"):
-        if key not in doc:
-            raise ConfigError(f"{path}: missing required key '{key}'")
+    if "grid_file" not in doc:
+        raise ConfigError(f"{path}: missing required key 'grid_file'")
 
     try:
         n_paths = int(doc.get("K", 4))
         if n_paths not in KIND_SELECTIONS:
             raise ConfigError(f"{path}: K must be one of {sorted(KIND_SELECTIONS)}")
 
-        model_doc = dict(doc.get("model", {}))
-        _take(model_doc, f"{path}: model", {"sigma_deg", "detect_prob", "mu_fa"})
+        model_doc = _block(doc, "model", path, ModelParams, skip=("n_paths", "fa_support_deg"))
         model = ModelParams(
             n_paths=n_paths,
-            sigma_deg=tuple(model_doc.get("sigma_deg", DEFAULT_SIGMA[n_paths])),
-            detect_prob=float(model_doc.get("detect_prob", 0.9)),
-            mu_fa=float(model_doc.get("mu_fa", DEFAULT_MU_FA[n_paths])),
+            sigma_deg=tuple(model_doc.pop("sigma_deg", DEFAULT_SIGMA[n_paths])),
+            mu_fa=float(model_doc.pop("mu_fa", DEFAULT_MU_FA[n_paths])),
+            **_floats(model_doc),
         )
 
-        motion_doc = dict(doc.get("motion", {}))
-        _take(motion_doc, f"{path}: motion", {"accel_var", "depth_var", "step_s"})
-        motion = MotionParams(
-            accel_var=float(motion_doc.get("accel_var", 0.05)),
-            depth_var=float(motion_doc.get("depth_var", 0.1)),
-            step_s=float(motion_doc.get("step_s", 2.048)),
-        )
-
-        prior_doc = dict(doc.get("prior", {}))
-        _take(prior_doc, f"{path}: prior", {"roi", "speed_std"})
+        motion = MotionParams(**_floats(_block(doc, "motion", path, MotionParams)))
+        prior_doc = _block(doc, "prior", path, PriorParams)
         prior = PriorParams(
-            roi=tuple(float(v) for v in prior_doc.get("roi", DEFAULT_ROI)),
-            speed_std=float(prior_doc.get("speed_std", 5.0)),
+            roi=tuple(float(v) for v in prior_doc.pop("roi", DEFAULT_ROI)), **_floats(prior_doc)
         )
 
-        scen_doc = dict(doc.get("scenario", {}))
-        _take(
-            scen_doc,
-            f"{path}: scenario",
-            {
-                "initial_range_m",
-                "initial_depth_m",
-                "initial_speed_mps",
-                "duration_s",
-                "step_s",
-                "dropouts",
-                "truth_motion",
-            },
-        )
+        scen_doc = _block(doc, "scenario", path, ScenarioConfig, skip=("roi", "motion"))
         scenario = ScenarioConfig(
             initial_range_m=float(scen_doc.get("initial_range_m", 3500.0)),
             initial_depth_m=float(scen_doc.get("initial_depth_m", 60.0)),
@@ -156,7 +140,6 @@ def load_config(path) -> RunConfig:
         )
 
         return RunConfig(
-            environment_file=str(doc["environment_file"]),
             grid_file=str(doc["grid_file"]),
             output_dir=str(doc.get("output_dir", "out")),
             observations_file=doc.get("observations_file"),
@@ -187,13 +170,9 @@ def cmd_build_grid(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_run(args)
-    grid = sio.read_grid(cfg.grid_file)
-    grid = grid.select_kinds(KIND_SELECTIONS[cfg.n_paths])
-    seed = cfg.seed if args.seed is None else args.seed
-
-    truth = generate_truth(cfg.scenario, seed=seed)
-    obs = generate_observations(truth, grid, cfg.model, seed=seed)
+    cfg, grid = _load_run(args)
+    truth = generate_truth(cfg.scenario, seed=cfg.seed)
+    obs = generate_observations(truth, grid, cfg.model, seed=cfg.seed)
 
     Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
     sio.write_track_csv(
@@ -214,11 +193,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_track(args) -> int:
-    cfg = _load_run(args)
-    grid = sio.read_grid(cfg.grid_file)
-    grid = grid.select_kinds(KIND_SELECTIONS[cfg.n_paths])
-    seed = cfg.seed if args.seed is None else args.seed
-
+    cfg, grid = _load_run(args)
     records = sio.read_observations(cfg.obs_path())
     stream = ((time_s, ObservationSet(z=doas)) for _, time_s, doas in records)
     estimates = run_tracker(
@@ -228,7 +203,7 @@ def cmd_track(args) -> int:
         cfg.motion,
         cfg.prior,
         J=cfg.n_particles,
-        seed=seed,
+        seed=cfg.seed,
     )
     Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
     out = Path(cfg.output_dir) / "estimates.csv"
@@ -294,11 +269,14 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _load_run(args) -> RunConfig:
+def _load_run(args) -> tuple[RunConfig, DoaGrid]:
+    """The config with the command line's overrides, and its grid's selected kinds."""
     cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.out is not None:
-        cfg = RunConfig(**{**cfg.__dict__, "output_dir": args.out})
-    return cfg
+        cfg = dataclasses.replace(cfg, output_dir=args.out)
+    return cfg, sio.read_grid(cfg.grid_file).select_kinds(KIND_SELECTIONS[cfg.n_paths])
 
 
 def _build_parser() -> argparse.ArgumentParser:

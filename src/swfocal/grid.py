@@ -42,6 +42,13 @@ class DoaGrid:
     values: np.ndarray
 
     def __post_init__(self):
+        r0, r1, d0, d1 = self.roi
+        if not (r0 < r1 and d0 < d1):
+            raise ValueError("grid roi must satisfy range_min < range_max and depth_min < depth_max")
+        if self.n_r < 2 or self.n_d < 2:
+            raise ValueError("grid needs at least 2 points per axis")
+        if not self.kinds or len(set(self.kinds)) != len(self.kinds):
+            raise ValueError("kinds must be a non-empty set of distinct paths")
         if self.values.shape != (self.n_r, self.n_d, len(self.kinds)):
             raise ValueError("grid value array shape does not match header")
 
@@ -76,9 +83,9 @@ class DoaGrid:
 
 def _validate_roi(wg: Waveguide, roi) -> tuple[float, float, float, float]:
     r0, r1, d0, d1 = (float(v) for v in roi)
-    if not 0.0 < r0 < r1:
-        raise ValueError("roi ranges must satisfy 0 < range_min < range_max")
-    if not 0.0 <= d0 < d1 <= wg.bottom_depth:
+    if not 0.0 < r0:
+        raise ValueError("roi ranges must be positive")
+    if not (0.0 <= d0 and d1 <= wg.bottom_depth):
         raise ValueError("roi depths must lie inside the water column")
     return (r0, r1, d0, d1)
 
@@ -92,21 +99,17 @@ def build_doa_grid(
 ) -> DoaGrid:
     """Build the DOA grid for ``kinds`` over ``roi``, one depth row at a time.
 
-    Deterministic: the same inputs produce a bit-identical grid.
+    ``DoaGrid`` checks the header before any row is solved.  Deterministic:
+    the same inputs produce a bit-identical grid.
     """
-    roi = _validate_roi(wg, roi)
-    if n_r < 2 or n_d < 2:
-        raise ValueError("grid needs at least 2 points per axis")
     kinds = tuple(kinds)
-    if len(set(kinds)) != len(kinds) or not kinds:
-        raise ValueError("kinds must be a non-empty set of distinct paths")
-
-    ranges = np.linspace(roi[0], roi[1], n_r)
     values = np.empty((n_r, n_d, len(kinds)))
-    for j, depth in enumerate(np.linspace(roi[2], roi[3], n_d)):
+    grid = DoaGrid(roi=_validate_roi(wg, roi), n_r=n_r, n_d=n_d, kinds=kinds, values=values)
+    ranges = grid.ranges
+    for j, depth in enumerate(grid.depths):
         arrival, _ = eigenray_angles(wg, depth, ranges, kinds)
         values[:, j, :] = np.where(np.isnan(arrival), IMPOSSIBLE, arrival).T
-    return DoaGrid(roi=roi, n_r=n_r, n_d=n_d, kinds=kinds, values=values)
+    return grid
 
 
 def _axis_cells(lo: float, hi: float, n: int, x: np.ndarray):

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from swfocal.assoc import ObservationSet
 from swfocal.environment import PathKind, SoundSpeedProfile, Waveguide
 from swfocal.grid import DoaGrid
 
@@ -128,7 +129,10 @@ def read_grid(path) -> DoaGrid:
     values = np.frombuffer(data, dtype="<f8").astype(float).reshape(n_r, n_d, n_k)
     if np.any(np.isnan(values) | (values == np.inf)):
         raise GridFileError(f"{path}: grid values must be finite or -inf")
-    return DoaGrid(roi=roi, n_r=n_r, n_d=n_d, kinds=kinds, values=values)
+    try:
+        return DoaGrid(roi=roi, n_r=n_r, n_d=n_d, kinds=kinds, values=values)
+    except ValueError as e:
+        raise GridFileError(f"{path}: {e}") from e
 
 
 def write_observations(path, records) -> None:
@@ -152,6 +156,7 @@ def write_observations(path, records) -> None:
 
 
 def read_observations(path) -> list[tuple[int, float, np.ndarray]]:
+    """Read (t_index, time_s, doas) records, each checked as an ``ObservationSet``."""
     records = []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -162,10 +167,8 @@ def read_observations(path) -> list[tuple[int, float, np.ndarray]]:
                 rec = (
                     int(doc["t_index"]),
                     float(doc["time_s"]),
-                    np.array([float(a) for a in doc["doas"]]),
+                    ObservationSet(z=[float(a) for a in doc["doas"]]).z,
                 )
-                if not np.all(np.isfinite(rec[2])):
-                    raise ValueError("non-finite DOA")
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"{path}:{lineno}: bad observation record: {e}") from e
             records.append(rec)

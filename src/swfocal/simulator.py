@@ -18,7 +18,7 @@ import numpy as np
 
 from swfocal.assoc import ModelParams, ObservationSet
 from swfocal.grid import DoaGrid, interpolate_doa_many
-from swfocal.tracking import MotionParams, SourceState, predict
+from swfocal.tracking import MotionParams, predict
 
 __all__ = ["ScenarioConfig", "GroundTruthTrack", "generate_truth", "generate_observations"]
 
@@ -92,15 +92,11 @@ def generate_truth(cfg: ScenarioConfig, seed: int = 0) -> GroundTruthTrack:
         states[:, 2] = cfg.initial_speed_mps
     else:
         rng = np.random.default_rng(seed)
-        s = SourceState(cfg.initial_range_m, cfg.initial_depth_m, cfg.initial_speed_mps)
-        for i, t in enumerate(times):
-            if i > 0:
-                u = (
-                    rng.normal(0.0, np.sqrt(cfg.motion.accel_var)),
-                    rng.normal(0.0, np.sqrt(cfg.motion.depth_var)),
-                )
-                s = predict(s, float(times[i] - times[i - 1]), u)
-            states[i] = (s.range_m, s.depth_m, s.speed_mps)
+        states[:1] = (cfg.initial_range_m, cfg.initial_depth_m, cfg.initial_speed_mps)
+        for i in range(1, times.size):
+            u1 = rng.normal(0.0, np.sqrt(cfg.motion.accel_var))
+            u2 = rng.normal(0.0, np.sqrt(cfg.motion.depth_var))
+            states[i] = predict(states[i - 1], float(times[i] - times[i - 1]), u1, u2)
 
     inside = (
         (states[:, 0] >= r0)

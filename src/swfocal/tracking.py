@@ -139,15 +139,18 @@ def init_particles(prior: PriorParams, J: int, rng: np.random.Generator) -> Part
     return ParticleSet(states=states, weights=np.full(J, 1.0 / J))
 
 
-def predict(state: SourceState, T: float, noise: tuple[float, float]) -> SourceState:
-    """One deterministic motion step given the driving-noise realization."""
+def predict(states: np.ndarray, T: float, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """One motion step of (..., 3) states given the driving-noise realization.
+
+    The last axis is [range_m, depth_m, speed_mps]; ``u1`` and ``u2``
+    broadcast against the leading axes.
+    """
     if T <= 0:
         raise ValueError("time step must be positive")
-    u1, u2 = noise
-    return SourceState(
-        range_m=state.range_m + T * state.speed_mps + 0.5 * T * T * u1,
-        depth_m=state.depth_m + T * u2,
-        speed_mps=state.speed_mps + T * u1,
+    s = np.asarray(states, dtype=float)
+    return np.stack(
+        [s[..., 0] + T * s[..., 2] + 0.5 * T * T * u1, s[..., 1] + T * u2, s[..., 2] + T * u1],
+        axis=-1,
     )
 
 
@@ -155,19 +158,9 @@ def predict_particles(
     ps: ParticleSet, T: float, motion: MotionParams, rng: np.random.Generator
 ) -> ParticleSet:
     """Propagate all particles one step, sampling the driving noise."""
-    if T <= 0:
-        raise ValueError("time step must be positive")
     u1 = rng.normal(0.0, np.sqrt(motion.accel_var), ps.J)
     u2 = rng.normal(0.0, np.sqrt(motion.depth_var), ps.J)
-    s = ps.states
-    states = np.column_stack(
-        [
-            s[:, 0] + T * s[:, 2] + 0.5 * T * T * u1,
-            s[:, 1] + T * u2,
-            s[:, 2] + T * u1,
-        ]
-    )
-    return ParticleSet(states=states, weights=ps.weights.copy())
+    return ParticleSet(states=predict(ps.states, T, u1, u2), weights=ps.weights)
 
 
 def update(
@@ -199,7 +192,7 @@ def update(
             raise DegeneracyError("every likelihood inside the region of interest is zero")
         raise DegeneracyError("every particle with a nonzero likelihood has zero weight")
     w = np.exp(logw - peak)
-    return ParticleSet(states=s.copy(), weights=w / w.sum())
+    return ParticleSet(states=s, weights=w / w.sum())
 
 
 def effective_sample_size(ps: ParticleSet) -> float:
@@ -212,7 +205,7 @@ def resample(ps: ParticleSet, rng: np.random.Generator) -> ParticleSet:
     positions = (rng.random() + np.arange(J)) / J
     idx = np.searchsorted(np.cumsum(ps.weights), positions)
     idx = np.minimum(idx, J - 1)
-    return ParticleSet(states=ps.states[idx].copy(), weights=np.full(J, 1.0 / J))
+    return ParticleSet(states=ps.states[idx], weights=np.full(J, 1.0 / J))
 
 
 def mmse_estimate(ps: ParticleSet) -> SourceState:
@@ -252,19 +245,15 @@ def run_tracker(
     prior: PriorParams,
     J: int = 10_000,
     seed: int = 0,
-    *,
-    ess_threshold: float = 0.5,
-    jitter_std: tuple[float, float, float] | None = None,
 ) -> list[tuple[float, SourceState, float]]:
     """Track through a time-ordered sequence of (time_s, ObservationSet).
 
     The prediction step uses the actual gap between consecutive epochs, so
     data dropouts simply stretch the motion model; the first epoch uses
-    the nominal step.  Resampling triggers when the effective sample size
-    falls below ``ess_threshold * J``; ``jitter_std`` optionally adds
-    Gaussian roughening after each resampling (off by default, the driving
-    noise normally provides enough diversity).  Deterministic for a fixed
-    seed.  Returns one (time_s, estimate, effective sample size) per epoch.
+    the nominal step.  Systematic resampling runs whenever the effective
+    sample size falls below J/2, with no roughening: the driving noise
+    keeps the particles diverse.  Deterministic for a fixed seed.  Returns
+    one (time_s, estimate, effective sample size) per epoch.
     """
     _keep_epoch_memory()
     rng = np.random.default_rng(seed)
@@ -282,9 +271,7 @@ def run_tracker(
             raise DegeneracyError(e.cause, float(time_s)) from None
         ess = effective_sample_size(ps)
         out.append((float(time_s), mmse_estimate(ps), ess))
-        if ess < ess_threshold * ps.J:
+        if ess < ps.J / 2:
             ps = resample(ps, rng)
-            if jitter_std is not None:
-                ps.states += rng.normal(0.0, jitter_std, size=ps.states.shape)
         t_prev = time_s
     return out

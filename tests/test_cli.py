@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from swfocal import io as sio
+from swfocal.cli import ConfigError, load_config
 from swfocal.grid import build_doa_grid
+from swfocal.tracking import MotionParams
 
 REPO = Path(__file__).resolve().parent.parent
 ENV_FILE = REPO / "configs" / "coastal_216m_env.json"
@@ -33,7 +35,6 @@ def tiny_setup(tmp_path_factory, coastal_wg):
     grid = build_doa_grid(coastal_wg, (300.0, 1200.0, 30.0, 150.0), 46, 25)
     sio.write_grid(grid_path, grid)
     cfg = {
-        "environment_file": str(ENV_FILE),
         "grid_file": str(grid_path),
         "output_dir": str(root / "out"),
         "K": 4,
@@ -51,6 +52,25 @@ def tiny_setup(tmp_path_factory, coastal_wg):
     cfg_path = root / "run.json"
     cfg_path.write_text(json.dumps(cfg, indent=1))
     return root, cfg_path, cfg
+
+
+class TestLoadConfig:
+    def test_grid_file_alone_takes_the_defaults(self, tmp_path):
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps({"grid_file": "grid.bin"}))
+        cfg = load_config(p)
+        assert cfg.motion == MotionParams()
+        assert cfg.model.detect_prob == 0.9
+        assert cfg.prior.speed_std == 5.0
+        assert cfg.n_particles == 10_000
+        assert cfg.seed == 0
+        assert cfg.output_dir == "out"
+
+    def test_environment_file_is_an_unknown_key(self, tmp_path):
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps({"grid_file": "grid.bin", "environment_file": "env.json"}))
+        with pytest.raises(ConfigError, match="unknown keys"):
+            load_config(p)
 
 
 class TestBuildGrid:
@@ -251,7 +271,6 @@ class TestDefaultConfigRoundTrip:
         )
         assert res.returncode == 0, res.stderr
         cfg = json.loads((REPO / "configs" / "default_run.json").read_text())
-        cfg["environment_file"] = str(ENV_FILE)
         cfg["grid_file"] = str(grid_path)
         cfg["output_dir"] = str(tmp_path / "out")
         cfg_path = tmp_path / "run.json"

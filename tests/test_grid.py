@@ -125,6 +125,12 @@ class TestBuild:
             build_doa_grid(iso_wg, (-5.0, 2500.0, 10.0, 175.0), 10, 10)
         with pytest.raises(ValueError):
             build_doa_grid(iso_wg, (100.0, 2500.0, 10.0, 175.0), 1, 10)
+        with pytest.raises(ValueError, match="range_min < range_max"):
+            build_doa_grid(iso_wg, (2500.0, 100.0, 10.0, 175.0), 10, 10)
+        with pytest.raises(ValueError, match="distinct"):
+            build_doa_grid(iso_wg, (100.0, 2500.0, 10.0, 175.0), 10, 10, (PathKind.DP, PathKind.DP))
+        with pytest.raises(ValueError, match="non-empty"):
+            build_doa_grid(iso_wg, (100.0, 2500.0, 10.0, 175.0), 10, 10, ())
 
 
 class TestInterpolation:
@@ -222,3 +228,7 @@ class TestInterpolation:
         assert np.array_equal(sub.values, iso_grid.values[:, :, :2])
         with pytest.raises(ValueError):
             sub.select_kinds((PathKind.BB,))
+
+    def test_select_kinds_rejects_duplicates(self, iso_grid):
+        with pytest.raises(ValueError, match="distinct"):
+            iso_grid.select_kinds((PathKind.DP, PathKind.DP))

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,32 @@ class TestGridFile:
         with pytest.raises(sio.GridFileError, match="finite"):
             sio.read_grid(path)
 
+    @pytest.mark.parametrize(
+        "roi, n_r, n_d, kinds, why",
+        [
+            ((100.0, 200.0, 10.0, 20.0), 2, 2, (PathKind.DP, PathKind.DP), "distinct"),
+            ((100.0, 200.0, 10.0, 20.0), 2, 2, (), "non-empty"),
+            ((200.0, 100.0, 10.0, 20.0), 2, 2, (PathKind.DP,), "range_min < range_max"),
+            ((100.0, 200.0, 20.0, 10.0), 2, 2, (PathKind.DP,), "depth_min < depth_max"),
+            ((100.0, 200.0, 10.0, 20.0), 1, 2, (PathKind.DP,), "2 points"),
+            ((100.0, 200.0, 10.0, 20.0), 2, 1, (PathKind.DP,), "2 points"),
+        ],
+        ids=["duplicate-kinds", "no-kinds", "reversed-range", "reversed-depth", "one-range", "one-depth"],
+    )
+    def test_bad_header_rejected(self, tmp_path, roi, n_r, n_d, kinds, why):
+        path = tmp_path / "grid.bin"
+        path.write_bytes(
+            sio.GRID_MAGIC
+            + struct.pack("<I", sio.GRID_VERSION)
+            + struct.pack("<4d", *roi)
+            + struct.pack("<III", n_r, n_d, len(kinds))
+            + bytes(k.index for k in kinds)
+            + np.zeros(n_r * n_d * len(kinds), dtype="<f8").tobytes()
+        )
+        with pytest.raises(sio.GridFileError, match=why) as err:
+            sio.read_grid(path)
+        assert str(err.value).startswith(f"{path}: ")
+
     def test_trailing_bytes(self, tmp_path, iso_wg):
         grid = build_doa_grid(iso_wg, (400.0, 900.0, 40.0, 160.0), 4, 3)
         path = tmp_path / "grid.bin"
@@ -118,6 +146,24 @@ class TestRecordFiles:
             '{"t_index": 1, "time_s": 2.0, "doas": [NaN, 1.0]}\n'
         )
         with pytest.raises(ValueError, match=":2:.*non-finite"):
+            sio.read_observations(path)
+
+    def test_observation_unsorted_record_rejected(self, tmp_path):
+        path = tmp_path / "obs.jsonl"
+        path.write_text(
+            '{"t_index": 0, "time_s": 0.0, "doas": [3.0, -1.0]}\n'
+            '{"t_index": 1, "time_s": 2.0, "doas": [-1.0, 3.0]}\n'
+        )
+        with pytest.raises(ValueError, match=":2:.*descending"):
+            sio.read_observations(path)
+
+    def test_observation_out_of_range_record_rejected(self, tmp_path):
+        path = tmp_path / "obs.jsonl"
+        path.write_text(
+            '{"t_index": 0, "time_s": 0.0, "doas": [3.0]}\n'
+            '{"t_index": 1, "time_s": 2.0, "doas": [90.0, 1.0]}\n'
+        )
+        with pytest.raises(ValueError, match=r":2:.*\[-90, 90\)"):
             sio.read_observations(path)
 
     def test_track_csv_round_trip(self, tmp_path):

@@ -8,7 +8,6 @@ from swfocal.tracking import (
     MotionParams,
     ParticleSet,
     PriorParams,
-    SourceState,
     effective_sample_size,
     init_particles,
     mmse_estimate,
@@ -25,33 +24,36 @@ PARAMS4 = ModelParams(n_paths=4, sigma_deg=(0.5, 0.5, 2.0, 2.0), detect_prob=0.9
 
 class TestPredict:
     def test_deterministic_part(self):
-        s = predict(SourceState(1000.0, 60.0, -2.5), 2.048, (0.0, 0.0))
-        assert s.range_m == pytest.approx(1000.0 - 2.5 * 2.048)
-        assert s.depth_m == 60.0
-        assert s.speed_mps == -2.5
+        s = predict(np.array([1000.0, 60.0, -2.5]), 2.048, 0.0, 0.0)
+        assert s[0] == pytest.approx(1000.0 - 2.5 * 2.048)
+        assert s[1] == 60.0
+        assert s[2] == -2.5
 
     def test_noise_columns(self):
-        s = predict(SourceState(0.0, 0.0, 0.0), 1.0, (1.0, 0.0))
-        assert (s.range_m, s.depth_m, s.speed_mps) == (0.5, 0.0, 1.0)
-        s = predict(SourceState(0.0, 0.0, 0.0), 1.0, (0.0, 1.0))
-        assert (s.range_m, s.depth_m, s.speed_mps) == (0.0, 1.0, 0.0)
+        assert predict(np.zeros(3), 1.0, 1.0, 0.0).tolist() == [0.5, 0.0, 1.0]
+        assert predict(np.zeros(3), 1.0, 0.0, 1.0).tolist() == [0.0, 1.0, 0.0]
 
     def test_dropout_stretches_step(self):
         T = 2.048 + 74.0
-        s = predict(SourceState(1000.0, 60.0, -2.5), T, (0.0, 0.0))
-        assert s.range_m == pytest.approx(1000.0 - 2.5 * T)
+        s = predict(np.array([1000.0, 60.0, -2.5]), T, 0.0, 0.0)
+        assert s[0] == pytest.approx(1000.0 - 2.5 * T)
+
+    @pytest.mark.parametrize("T", [0.0, -2.048])
+    def test_nonpositive_step_rejected(self, T):
+        with pytest.raises(ValueError, match="time step must be positive"):
+            predict(np.zeros(3), T, 0.0, 0.0)
 
     def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(0)
-        ps = init_particles(PriorParams(roi=ROI), 50, rng)
-        rng2 = np.random.default_rng(1)
-        out = predict_particles(ps, 2.048, MotionParams(), rng2)
-        rng3 = np.random.default_rng(1)
-        u1 = rng3.normal(0.0, np.sqrt(0.05), 50)
-        u2 = rng3.normal(0.0, np.sqrt(0.1), 50)
-        for j in range(50):
-            s = predict(SourceState(*ps.states[j]), 2.048, (u1[j], u2[j]))
-            assert np.allclose(out.states[j], (s.range_m, s.depth_m, s.speed_mps))
+        ps = init_particles(PriorParams(roi=ROI), 50, np.random.default_rng(0))
+        out = predict_particles(ps, 2.048, MotionParams(), np.random.default_rng(1))
+        rng = np.random.default_rng(1)
+        u1 = rng.normal(0.0, np.sqrt(0.05), 50)
+        u2 = rng.normal(0.0, np.sqrt(0.1), 50)
+        assert np.array_equal(out.states, predict(ps.states, 2.048, u1, u2))
+        # one row at a time, as the simulator's stochastic truth steps
+        rows = [predict(ps.states[j], 2.048, u1[j], u2[j]) for j in range(50)]
+        assert np.array_equal(out.states, rows)
+        assert np.array_equal(out.weights, ps.weights)
 
 
 class TestInit:
