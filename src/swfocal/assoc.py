@@ -28,7 +28,19 @@ which adds ``r_k(m)`` times the prefix sum of ``S[m', c - 1]`` over
 ``marginal_likelihood_batch`` runs this path by path on an (M+1, K+1, J)
 array with the J states innermost, so each step is a few whole-array
 operations.  Before path k only counts 0..k can be nonzero, and only
-those are updated; the cost is O(K^2 M) per state.
+those are updated; the cost is O(K^2 M) per state.  Most of it is in the
+densities and in the adds of the detection branch, and many (path,
+observation) rows of those are exactly 0, the observation lying far from
+the path's angle at every state: about two thirds of the SB and DP rows
+of the default tracking run.  So the angles are taken path-major, as
+(K, J), and a row is computed only if its observation is within 39 sigma
+of the span of the path's angles.  Beyond that every exponent is below
+-760, where ``exp`` is exactly 0 (it rounds to 0 below about -745.13), so
+a skipped row would add exactly 0; the prefix sums stop at the last live
+row.  In a live row ``exp`` runs on exponents
+clipped at -700, which keeps numpy in its fast vector loop, and is masked
+to 0 below; the few exponents in [-746, -700) are redone one by one.  The
+result is that of the plain DP bit for bit.
 
 Angles are degrees throughout; densities are per degree.
 """
@@ -239,6 +251,46 @@ def marginal_likelihood(z: ObservationSet, pred: PathPrediction, params: ModelPa
     )
 
 
+# exp(x) rounds to exactly 0 below x = ln(2**-1075) ~ -745.13, half the
+# smallest subnormal.  An observation more than 39 sigma from every angle of
+# a path has x = -u**2/2 < -760 at each, so that row of densities is exactly
+# 0 and is skipped.  numpy's exp leaves its vector loop for arguments that
+# underflow, at ten times the cost or more, so exp runs on max(x, -700) and
+# is masked to 0 below -700; the few x in [-746, -700), whose exp is tiny
+# or subnormal, are recomputed exactly.  The densities are those of the
+# plain exp(x) / c bit for bit.
+_GATE_SIGMA = 39.0
+_EXP_FLOOR = -700.0
+_EXP_ZERO = -746.0
+
+
+def _live_rows(z: np.ndarray, angles: np.ndarray, sigma: float) -> np.ndarray:
+    """Indices of the observations with a nonzero density at some angle.
+
+    ``nan`` angles (impossible paths) are ignored; all ``nan`` gives none.
+    """
+    lo = np.fmin.reduce(angles, initial=np.inf)
+    hi = np.fmax.reduce(angles, initial=-np.inf)
+    reach = _GATE_SIGMA * sigma
+    return np.flatnonzero((z >= lo - reach) & (z <= hi + reach))
+
+
+def _densities(z: np.ndarray, angles: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian densities (len(z), len(angles)) of ``z`` about ``angles``; 0 at ``nan``."""
+    u = np.subtract.outer(z, angles)
+    u /= sigma
+    x = -0.5 * u
+    x *= u
+    c = sigma * np.sqrt(2.0 * np.pi)
+    dens = np.exp(np.fmax(x, _EXP_FLOOR, out=u), out=u)
+    dens /= c
+    dens *= x >= _EXP_FLOOR  # also 0 at nan
+    x = x.reshape(-1)
+    tail = np.flatnonzero((x < _EXP_FLOOR) & (x >= _EXP_ZERO))
+    dens.reshape(-1)[tail] = np.exp(x[tail]) / c
+    return dens
+
+
 def marginal_likelihood_batch(
     z_sorted: np.ndarray,
     angles_deg: np.ndarray,
@@ -253,36 +305,46 @@ def marginal_likelihood_batch(
     state-independent constant of the joint posterior is dropped.  With
     ``mu_fa = 0`` false alarms are impossible and the sum collapses to the
     associations that explain every observation.
+
+    Path by path, only observations within 39 sigma of the span of the
+    path's angles get densities, from exponents clipped at -700 and masked
+    after ``exp`` (which also gives 0 at ``nan``); every other density is
+    exactly 0, so the result is the full DP's bit for bit.
     """
     z = np.asarray(z_sorted, dtype=float).reshape(-1)
-    ang = np.atleast_2d(np.asarray(angles_deg, dtype=float))
-    det = np.atleast_2d(np.asarray(detect_probs, dtype=float))
-    J, K = ang.shape
+    # path-major: row k holds path k's angles at every state
+    ang = np.atleast_2d(np.asarray(angles_deg, dtype=float)).T.copy()
+    det = np.atleast_2d(np.asarray(detect_probs, dtype=float)).T.copy()
+    K, J = ang.shape
     M = z.size
     mu = params.mu_fa
-    sig = np.asarray(params.sigma_deg)
 
     if mu <= 0.0 and M > K:
         return np.zeros(J)
 
-    # detection factors carry no 1/mu in the zero-clutter limit
-    scale = det if mu <= 0.0 else det / mu
     S = np.zeros((M + 1, K + 1, J))
     S[0, 0] = 1.0
+    prefix = np.empty((M, K, J))
     for k in range(K):
+        sig = params.sigma_deg[k]
+        live = _live_rows(z, ang[k], sig)
         # before path k at most k detections exist: counts above k are zero.
-        # prefix[m] sums S[0..m]; row by row, which is cumsum's order but
-        # far faster than cumsum along an outer axis
-        prefix = S[:M, : k + 1].copy()
-        for m in range(1, M):
-            prefix[m] += prefix[m - 1]
-        S[:, : k + 2] *= 1.0 - det[:, k]
-        if M:
-            u = (z[:, None] - ang[:, k]) / sig[k]
-            dens = np.exp(-0.5 * u * u) / (sig[k] * np.sqrt(2.0 * np.pi))
-            dens = np.where(np.isnan(dens), 0.0, dens)
-            hit = scale[:, k] * dens / params.fa_density  # (M, J)
-            S[1:, 1 : k + 2] += np.multiply(hit[:, None, :], prefix, out=prefix)
+        # prefix[m] sums S[0..m] up to the last live row; row by row, which
+        # is cumsum's order but far faster than cumsum along an outer axis
+        if live.size:
+            P = prefix[: live[-1] + 1, : k + 1]
+            P[0] = S[0, : k + 1]
+            for m in range(1, len(P)):
+                np.add(P[m - 1], S[m, : k + 1], out=P[m])
+        S[:, : k + 2] *= 1.0 - det[k]
+        if live.size:
+            # detection factors carry no 1/mu in the zero-clutter limit
+            scale = det[k] if mu <= 0.0 else det[k] / mu
+            hit = _densities(z[live], ang[k], sig)
+            hit *= scale
+            hit /= params.fa_density
+            for m, h in zip(live, hit):
+                S[m + 1, 1 : k + 2] += np.multiply(h, P[m], out=P[m])
 
     # each state's sums run along a contiguous row, in numpy's pairwise
     # order, which the tracker's estimates are pinned to

@@ -125,6 +125,7 @@ def load_config(path) -> RunConfig:
         )
 
         scen_doc = _block(doc, "scenario", path, ScenarioConfig, skip=("roi", "motion"))
+        given = {"truth_motion": str(scen_doc["truth_motion"])} if "truth_motion" in scen_doc else {}
         scenario = ScenarioConfig(
             initial_range_m=float(scen_doc.get("initial_range_m", 3500.0)),
             initial_depth_m=float(scen_doc.get("initial_depth_m", 60.0)),
@@ -134,9 +135,9 @@ def load_config(path) -> RunConfig:
             dropouts=tuple(
                 (float(a), float(b)) for a, b in scen_doc.get("dropouts", [[420.0, 494.0], [660.0, 734.0]])
             ),
-            truth_motion=str(scen_doc.get("truth_motion", "deterministic")),
             roi=prior.roi,
             motion=motion,
+            **given,
         )
 
         return RunConfig(

@@ -197,21 +197,25 @@ def _slant(phi, c_max: float, c) -> np.ndarray:
     return np.sqrt((c_max - c) * (c_max + c) + (c * np.sin(phi)) ** 2)
 
 
-def _grazing_angle(ca, cb, weighted_dz, r):
+def _grazing_angle(c, weighted_dz, r):
     """Angle ``phi`` at the fastest depth of the eigenray reaching each range.
 
-    The path crosses the slices with end speeds ``ca``/``cb``, each slice
-    ``weighted_dz`` meters thick times its number of legs.  The ray is
-    ``xi = cos(phi) / c_max``; ``phi`` is ``nan`` where ``r`` is beyond the
-    flattest ray's range.  Returns ``(phi, c_max)``.
+    The path crosses one contiguous run of slices, with node speeds ``c``
+    (one more than slices), each slice ``weighted_dz`` meters thick times
+    its number of legs.  The ray is ``xi = cos(phi) / c_max``; ``phi`` is
+    ``nan`` where ``r`` is beyond the flattest ray's range.  Returns
+    ``(phi, c_max)``.
     """
-    c_max = float(max(ca.max(), cb.max()))
-    num = weighted_dz * (ca + cb)
+    c_max = float(c.max())
+    num = weighted_dz * (c[:-1] + c[1:])
+    base = (c_max - c) * (c_max + c)  # the phi-independent part of _slant
 
     def path_range(phi):
         phi = np.asarray(phi)[..., None]
+        # _slant at each node, shared by the two slices that meet there
+        s = np.sqrt(base + (c * np.sin(phi)) ** 2)
         with np.errstate(divide="ignore"):
-            runs = num / (_slant(phi, c_max, ca) + _slant(phi, c_max, cb))
+            runs = num / (s[..., :-1] + s[..., 1:])
         return np.cos(phi[..., 0]) * runs.sum(axis=-1)
 
     # Bracket each range between two fan rays, then refine by Illinois
@@ -282,7 +286,8 @@ def eigenray_angles(
             if np.all(ca[touching] == cb[touching]):
                 arrival[i] = launch[i] = 0.0
             continue
-        phi, c_max = _grazing_angle(ca[on], cb[on], legs[on] * dz[on], r)
+        first, last = np.flatnonzero(on)[[0, -1]]
+        phi, c_max = _grazing_angle(c[first : last + 2], legs[on] * dz[on], r)
         sign_launch, sign_arrival = _SIGNS.get(kind, (np.sign(zr - zs),) * 2)
         for out, sign, c_end in ((arrival, sign_arrival, c_r), (launch, sign_launch, c_s)):
             out[i] = sign * np.degrees(np.arctan2(_slant(phi, c_max, c_end), np.cos(phi) * c_end))

@@ -171,7 +171,7 @@ def interpolate_doa_many(grid: DoaGrid, points: np.ndarray) -> np.ndarray:
         out = weights[0][:, None] * corners[0]
         for w, v in zip(weights[1:], corners[1:]):
             out += w[:, None] * v
-        out[~np.isfinite(out)] = np.nan
+        out += 0.0 * out  # -inf (an impossible corner) to nan
         edge = np.flatnonzero(np.min(weights, axis=0) == 0.0)
         if edge.size:
             terms, bad = [], False

@@ -33,7 +33,7 @@ class ScenarioConfig:
     initial_depth_m: float
     initial_speed_mps: float
     duration_s: float
-    step_s: float = 2.048
+    step_s: float = MotionParams.step_s
     dropouts: tuple[tuple[float, float], ...] = ()
     truth_motion: str = "deterministic"  # or "stochastic"
     roi: tuple[float, float, float, float] = (100.0, 2500.0, 10.0, 175.0)

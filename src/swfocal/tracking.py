@@ -176,11 +176,18 @@ def update(
     s = ps.states
     inside = (s[:, 0] >= r0) & (s[:, 0] <= r1) & (s[:, 1] >= d0) & (s[:, 1] <= d1)
 
-    like = np.zeros(ps.J)
-    if np.any(inside):
-        angles = interpolate_doa_many(grid, s[inside, :2])
-        detect = np.where(np.isnan(angles), 0.0, params.detect_prob)
-        like[inside] = marginal_likelihood_batch(z.z, angles, detect, params)
+    def likelihood(points):
+        angles = interpolate_doa_many(grid, points)
+        detect = params.detect_prob * (angles == angles)  # 0 where impossible (nan)
+        return marginal_likelihood_batch(z.z, angles, detect, params)
+
+    # usually every particle is inside: then nothing is gathered or scattered
+    if inside.all():
+        like = likelihood(s[:, :2])
+    else:
+        like = np.zeros(ps.J)
+        if inside.any():
+            like[inside] = likelihood(s[inside, :2])
 
     with np.errstate(divide="ignore"):
         logw = np.log(ps.weights) + np.log(like)

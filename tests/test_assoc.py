@@ -40,6 +40,42 @@ def pred(angles, detect=None):
     return PathPrediction(angles_deg=ang, detect_probs=det)
 
 
+CASES = dict(
+    K=st.integers(min_value=1, max_value=4),
+    M=st.integers(min_value=0, max_value=7),
+    d=st.sampled_from([0.9, 1.0]),
+    mu=st.sampled_from([0.0, 0.5, 2.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+def random_case(K, M, d, mu, seed):
+    """Three states, impossible paths in any column, and observations near
+    their modeled angles or clutter; with zero clutter M <= K and M > K."""
+    rng = np.random.default_rng(seed)
+    p = params(K, sigma=tuple(rng.uniform(0.3, 3.0, K)), d=d, mu=mu)
+    ang = np.sort(rng.uniform(-30, 30, (3, K)), axis=1)[:, ::-1].copy()
+    ang[rng.random((3, K)) < 0.3] = np.nan
+    det = np.where(np.isnan(ang), 0.0, d)
+    near = rng.choice(ang[0], M) + rng.normal(0.0, 1.0, M)
+    z = np.where(np.isnan(near) | (rng.random(M) < 0.3), rng.uniform(-30, 30, M), near)
+    z = np.sort(np.clip(z, -89.0, 89.0))[::-1]
+    return p, z, ang, det
+
+
+def with_forcing_states(z, ang, det, d):
+    """Append one state per observation with every path angle on it.
+
+    Every (path, observation) row of a batch with these states has a
+    nonzero density, so no row of the original states can be skipped.
+    """
+    K = ang.shape[1]
+    return (
+        np.vstack([ang, np.repeat(z[:, None], K, axis=1)]),
+        np.vstack([det, np.full((z.size, K), d)]),
+    )
+
+
 class TestValidity:
     def test_identity_assignment_is_valid(self):
         assert is_valid([1, 2, 3, 4], 4)
@@ -230,32 +266,66 @@ class TestMarginalLikelihood:
             want = enum_marginal(z, ang[j], det[j], p.sigma_deg, p.mu_fa)
             assert batch[j] == pytest.approx(want, rel=1e-12)
 
-    @given(
-        K=st.integers(min_value=1, max_value=4),
-        M=st.integers(min_value=0, max_value=7),
-        d=st.sampled_from([0.9, 1.0]),
-        mu=st.sampled_from([0.0, 0.5, 2.0]),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
+    @given(**CASES)
     @example(K=3, M=2, d=1.0, mu=0.0, seed=1)
     @example(K=2, M=5, d=1.0, mu=0.0, seed=2)
     @settings(max_examples=150, deadline=None)
     def test_batch_matches_enumeration_property(self, K, M, d, mu, seed):
-        # impossible paths in any column, observations near the modeled
-        # angles or clutter, zero clutter with M <= K and M > K; the bound
-        # is relative down to 1e-300, below which single terms are subnormal
-        rng = np.random.default_rng(seed)
-        p = params(K, sigma=tuple(rng.uniform(0.3, 3.0, K)), d=d, mu=mu)
-        ang = np.sort(rng.uniform(-30, 30, (3, K)), axis=1)[:, ::-1].copy()
-        ang[rng.random((3, K)) < 0.3] = np.nan
-        det = np.where(np.isnan(ang), 0.0, d)
-        near = rng.choice(ang[0], M) + rng.normal(0.0, 1.0, M)
-        z = np.where(np.isnan(near) | (rng.random(M) < 0.3), rng.uniform(-30, 30, M), near)
-        z = np.sort(np.clip(z, -89.0, 89.0))[::-1]
+        # the bound is relative down to 1e-300, below which single terms are subnormal
+        p, z, ang, det = random_case(K, M, d, mu, seed)
         batch = marginal_likelihood_batch(z, ang, det, p)
         for j in range(3):
             want = enum_marginal(z, ang[j], det[j], p.sigma_deg, p.mu_fa)
             assert batch[j] == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    def test_rows_far_from_every_state_change_no_bit(self):
+        # SB and DP states in a tight cloud: clutter 60 degrees away, and
+        # observations 38.6 sigma (a subnormal density) and 39.5 sigma (an
+        # exact 0) from the cloud's edge.  Forcing states make every row live.
+        rng = np.random.default_rng(11)
+        p = params(4, sigma=(0.5, 0.5, 2.0, 2.0))
+        ang = np.column_stack(
+            [rng.normal(c, 0.2, 200) for c in (12.0, 10.0, -8.0, -14.0)]
+        )
+        ang[::7, 2:] = np.nan
+        det = np.where(np.isnan(ang), 0.0, 0.9)
+        edge = np.nanmax(ang[:, 0])
+        z = np.array([edge + 39.5 * 0.5, edge + 38.6 * 0.5, 11.0, 9.8, -9.0, -70.0])
+        ext_ang, ext_det = with_forcing_states(z, ang, det, 0.9)
+        base = marginal_likelihood_batch(z, ang, det, p)
+        assert base.tobytes() == marginal_likelihood_batch(z, ext_ang, ext_det, p)[:200].tobytes()
+
+    @given(**CASES)
+    @settings(max_examples=150, deadline=None)
+    def test_rows_far_from_every_state_change_no_bit_property(self, K, M, d, mu, seed):
+        p, z, ang, det = random_case(K, M, d, mu, seed)
+        ext_ang, ext_det = with_forcing_states(z, ang, det, d)
+        base = marginal_likelihood_batch(z, ang, det, p)
+        assert base.tobytes() == marginal_likelihood_batch(z, ext_ang, ext_det, p)[:3].tobytes()
+
+    @pytest.mark.parametrize("dist", [3.0, 37.5, 38.6, 39.1, -38.6, -39.1])
+    def test_single_path_density_bit_for_bit_across_the_cut(self, dist):
+        # K = 1, M = 1, no clutter, d = 1: the marginal is dens / f_fa.  At
+        # 37.5 sigma the exponent is below -700, at 38.6 sigma the density is
+        # subnormal and at 39.1 sigma it is exactly 0
+        p = params(1, d=1.0, mu=0.0)
+        z = np.array([10.0])
+        ang = z - dist * 0.5
+        u = (z - ang) / 0.5
+        want = np.exp(-0.5 * u * u) / (0.5 * np.sqrt(2.0 * np.pi)) / FA
+        assert (want[0] == 0.0) == (abs(dist) > 38.7)
+        assert (0.0 < want[0] < np.finfo(float).tiny) == (abs(dist) == 38.6)
+        got = marginal_likelihood_batch(z, ang[None], np.ones((1, 1)), p)
+        assert got.tobytes() == want.tobytes()
+
+    def test_single_impossible_path_is_zero(self):
+        # beside a live state, so the observation's row is computed; d = 1
+        # even at nan, so only the density itself can make the product 0
+        p = params(1, d=1.0, mu=0.0)
+        ang = np.array([[np.nan], [10.0]])
+        got = marginal_likelihood_batch(np.array([10.0]), ang, np.ones((2, 1)), p)
+        assert got[0].tobytes() == np.zeros(1).tobytes()
+        assert got[1] == 1.0 / (0.5 * np.sqrt(2.0 * np.pi)) / FA
 
     def test_false_alarm_density_rescaling_matches_enumeration(self):
         # halving the false-alarm support doubles its density and rescales

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from swfocal import io as sio
 from swfocal.cli import ConfigError, load_config
 from swfocal.grid import build_doa_grid
+from swfocal.simulator import ScenarioConfig
 from swfocal.tracking import MotionParams
 
 REPO = Path(__file__).resolve().parent.parent
@@ -65,6 +67,14 @@ class TestLoadConfig:
         assert cfg.n_particles == 10_000
         assert cfg.seed == 0
         assert cfg.output_dir == "out"
+
+    def test_scenario_without_truth_motion_takes_the_dataclass_default(self, tmp_path):
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps({"grid_file": "grid.bin", "scenario": {"initial_range_m": 3000.0}}))
+        scenario = load_config(p).scenario
+        default = {f.name: f.default for f in dataclasses.fields(ScenarioConfig)}
+        assert scenario.truth_motion == default["truth_motion"]
+        assert scenario.step_s == default["step_s"] == MotionParams().step_s
 
     def test_environment_file_is_an_unknown_key(self, tmp_path):
         p = tmp_path / "run.json"
