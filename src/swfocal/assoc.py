@@ -27,19 +27,30 @@ which adds ``r_k(m)`` times the prefix sum of ``S[m', c - 1]`` over
 ``m' < m``; the weight is then the sum of ``c! * S[m, c]``.
 ``marginal_likelihood_batch`` runs this path by path on an (M+1, K+1, J)
 array with the J states innermost, so each step is a few whole-array
-operations.  Before path k only counts 0..k can be nonzero, and only
-those are updated; the cost is O(K^2 M) per state.  Most of it is in the
-densities and in the adds of the detection branch, and many (path,
-observation) rows of those are exactly 0, the observation lying far from
-the path's angle at every state: about two thirds of the SB and DP rows
-of the default tracking run.  So the angles are taken path-major, as
-(K, J), and a row is computed only if its observation is within 39 sigma
-of the span of the path's angles.  Beyond that every exponent is below
--760, where ``exp`` is exactly 0 (it rounds to 0 below about -745.13), so
-a skipped row would add exactly 0; the prefix sums stop at the last live
-row.  In a live row ``exp`` runs on exponents
-clipped at -700, which keeps numpy in its fast vector loop, and is masked
-to 0 below; the few exponents in [-746, -700) are redone one by one.  The
+operations.  Its cost is O(K^2 M) per state, and it skips three kinds of
+work whose result is known exactly:
+
+* The triangle.  Before path k, ``S[m, c]`` is 0 for c > min(m, k): c
+  detections need c observations, and only k paths came before.  So
+  the miss factor scales counts 0..min(m, k) of row m only, and the
+  detection branch from row m adds into counts 1..min(m, k) + 1 of row
+  m + 1 only.
+* Rows far from every state.  Many (path, observation) rows of densities
+  are exactly 0, the observation lying far from the path's angle at every
+  state: about two thirds of the SB and DP rows of the default tracking
+  run.  So the angles are taken path-major, as (K, J), and a row is
+  computed only if its observation is within 39 sigma of the span of the
+  path's angles.  Beyond that every exponent is below -760, where ``exp``
+  is exactly 0 (it rounds to 0 below about -745.13); the prefix sums stop
+  at the last live row.
+* The underflow correction.  In a live row ``exp`` runs on exponents
+  clipped at -700, which keeps numpy in its fast vector loop, and is
+  masked to 0 below; the few exponents in [-746, -700) are redone one by
+  one.  When no live row of a path has an exponent below -700 or a
+  ``nan`` angle, as for about half of the live rows of the default run,
+  the clip, the mask and the redo would change nothing and are skipped.
+
+Every skipped operation would have added or multiplied an exact 0, so the
 result is that of the plain DP bit for bit.
 
 Angles are degrees throughout; densities are per degree.
@@ -57,14 +68,11 @@ __all__ = [
     "ModelParams",
     "ObservationSet",
     "PathPrediction",
-    "is_valid",
     "path_likelihood",
     "conditional_pdf",
     "association_prior",
-    "unnormalized_factor_r",
     "marginal_likelihood",
     "marginal_likelihood_batch",
-    "count_valid",
 ]
 
 # An association vector is a plain sequence of K integers in {0, ..., M}.
@@ -226,24 +234,6 @@ def association_prior(
     return prob
 
 
-def unnormalized_factor_r(
-    z: ObservationSet, pred: PathPrediction, k: int, a_k: int, params: ModelParams
-) -> float:
-    """Combined association-prior and likelihood factor for one path."""
-    if params.mu_fa <= 0.0:
-        raise ValueError("per-path factors need a positive mean false-alarm count")
-    if not 0 <= a_k <= z.M:
-        raise ValueError(f"association entry {a_k} outside 0..{z.M}")
-    d_k = float(pred.detect_probs[k])
-    if a_k == 0:
-        return 1.0 - d_k
-    if d_k == 0.0:
-        return 0.0
-    zm = float(z.z[a_k - 1])
-    f_k = path_likelihood(zm, pred.angles_deg[k], params.sigma_deg[k])
-    return (d_k / params.mu_fa) * f_k / params.fa_density
-
-
 def marginal_likelihood(z: ObservationSet, pred: PathPrediction, params: ModelParams) -> float:
     """Update weight of one state: ``marginal_likelihood_batch`` on one row."""
     return float(
@@ -282,12 +272,15 @@ def _densities(z: np.ndarray, angles: np.ndarray, sigma: float) -> np.ndarray:
     x = -0.5 * u
     x *= u
     c = sigma * np.sqrt(2.0 * np.pi)
-    dens = np.exp(np.fmax(x, _EXP_FLOOR, out=u), out=u)
+    # with no nan and no x below the floor, the clip and the mask change nothing
+    clipped = not x.min() >= _EXP_FLOOR
+    dens = np.exp(np.fmax(x, _EXP_FLOOR, out=u) if clipped else x, out=u)
     dens /= c
-    dens *= x >= _EXP_FLOOR  # also 0 at nan
-    x = x.reshape(-1)
-    tail = np.flatnonzero((x < _EXP_FLOOR) & (x >= _EXP_ZERO))
-    dens.reshape(-1)[tail] = np.exp(x[tail]) / c
+    if clipped:
+        dens *= x >= _EXP_FLOOR  # also 0 at nan
+        x = x.reshape(-1)
+        tail = np.flatnonzero((x < _EXP_FLOOR) & (x >= _EXP_ZERO))
+        dens.reshape(-1)[tail] = np.exp(x[tail]) / c
     return dens
 
 
@@ -307,14 +300,16 @@ def marginal_likelihood_batch(
     associations that explain every observation.
 
     Path by path, only observations within 39 sigma of the span of the
-    path's angles get densities, from exponents clipped at -700 and masked
-    after ``exp`` (which also gives 0 at ``nan``); every other density is
-    exactly 0, so the result is the full DP's bit for bit.
+    path's angles get densities, and only the counts that can be nonzero
+    are updated (see the module docstring); the result is the full DP's
+    bit for bit.  Any memory layout is accepted; the transpose of a
+    C-ordered (K, J) array, as ``interpolate_doa_many`` returns, is read
+    without a copy.
     """
     z = np.asarray(z_sorted, dtype=float).reshape(-1)
     # path-major: row k holds path k's angles at every state
-    ang = np.atleast_2d(np.asarray(angles_deg, dtype=float)).T.copy()
-    det = np.atleast_2d(np.asarray(detect_probs, dtype=float)).T.copy()
+    ang = np.ascontiguousarray(np.atleast_2d(np.asarray(angles_deg, dtype=float)).T)
+    det = np.ascontiguousarray(np.atleast_2d(np.asarray(detect_probs, dtype=float)).T)
     K, J = ang.shape
     M = z.size
     mu = params.mu_fa
@@ -328,7 +323,8 @@ def marginal_likelihood_batch(
     for k in range(K):
         sig = params.sigma_deg[k]
         live = _live_rows(z, ang[k], sig)
-        # before path k at most k detections exist: counts above k are zero.
+        # before path k, c detections need c observations and at most k
+        # paths: S[m, c] is 0 for c > min(m, k), and so is prefix[m, c].
         # prefix[m] sums S[0..m] up to the last live row; row by row, which
         # is cumsum's order but far faster than cumsum along an outer axis
         if live.size:
@@ -336,7 +332,10 @@ def marginal_likelihood_batch(
             P[0] = S[0, : k + 1]
             for m in range(1, len(P)):
                 np.add(P[m - 1], S[m, : k + 1], out=P[m])
-        S[:, : k + 2] *= 1.0 - det[k]
+        miss = 1.0 - det[k]
+        for m in range(min(k, M + 1)):  # rows below k hold counts 0..m only
+            S[m, : m + 1] *= miss
+        S[k:, : k + 1] *= miss
         if live.size:
             # detection factors carry no 1/mu in the zero-clutter limit
             scale = det[k] if mu <= 0.0 else det[k] / mu
@@ -344,7 +343,8 @@ def marginal_likelihood_batch(
             hit *= scale
             hit /= params.fa_density
             for m, h in zip(live, hit):
-                S[m + 1, 1 : k + 2] += np.multiply(h, P[m], out=P[m])
+                c = min(m, k) + 1
+                S[m + 1, 1 : c + 1] += np.multiply(h, P[m, :c], out=P[m, :c])
 
     # each state's sums run along a contiguous row, in numpy's pairwise
     # order, which the tracker's estimates are pinned to
@@ -352,15 +352,3 @@ def marginal_likelihood_batch(
         return math.factorial(M) * np.ascontiguousarray(S[:, M].T).sum(axis=1)
     weights = np.array([math.factorial(c) for c in range(K + 1)], dtype=float)
     return np.ascontiguousarray(S.sum(axis=0).T) @ weights
-
-
-def count_valid(K: int, M: int) -> int:
-    """Number of admissible association vectors for K paths, M observations.
-
-    Choosing which c paths detect and which c observations they take fixes
-    the assignment (indices must increase), so the count is the sum over c
-    of C(K, c) * C(M, c).
-    """
-    if K < 0 or M < 0:
-        raise ValueError("path and observation counts must be nonnegative")
-    return sum(math.comb(K, c) * math.comb(M, c) for c in range(min(K, M) + 1))

@@ -21,7 +21,7 @@ import numpy as np
 
 from swfocal.environment import PathKind, Waveguide, eigenray_angles
 
-__all__ = ["IMPOSSIBLE", "DoaGrid", "build_doa_grid", "interpolate_doa", "interpolate_doa_many"]
+__all__ = ["IMPOSSIBLE", "DoaGrid", "build_doa_grid", "interpolate_doa_many"]
 
 IMPOSSIBLE = -np.inf
 
@@ -122,24 +122,17 @@ def _axis_cells(lo: float, hi: float, n: int, x: np.ndarray):
     step is far above the rounding error of the coordinates.
     """
     nodes = np.linspace(lo, hi, n)
-    # x >= lo, so truncation is floor
-    i = np.clip(((x - lo) / ((hi - lo) / (n - 1))).astype(np.intp), 0, n - 2)
-    i -= nodes[i] > x
-    i += nodes[i + 1] <= x
-    i = np.clip(i, 0, n - 2)
-    return i, (x - nodes[i]) / (nodes[i + 1] - nodes[i])
-
-
-def interpolate_doa(grid: DoaGrid, p: tuple[float, float], k: int) -> float | None:
-    """Bilinear DOA for path layer ``k`` at point ``p`` inside the roi.
-
-    ``interpolate_doa_many`` at one point; ``None`` where the path is
-    impossible.
-    """
-    if not 0 <= k < len(grid.kinds):
-        raise ValueError(f"path layer index {k} out of range")
-    v = interpolate_doa_many(grid, np.array([[p[0], p[1]]], dtype=float))[0, k]
-    return None if np.isnan(v) else float(v)
+    t = x - lo
+    t /= (hi - lo) / (n - 1)
+    i = t.astype(np.intp)  # x >= lo, so truncation is floor
+    np.clip(i, 0, n - 2, out=i)
+    i -= nodes.take(i) > x
+    i += nodes.take(i + 1) <= x
+    np.clip(i, 0, n - 2, out=i)
+    below = nodes.take(i)
+    frac = x - below
+    frac /= nodes.take(i + 1) - below
+    return i, frac
 
 
 def interpolate_doa_many(grid: DoaGrid, points: np.ndarray) -> np.ndarray:
@@ -151,34 +144,50 @@ def interpolate_doa_many(grid: DoaGrid, points: np.ndarray) -> np.ndarray:
     impossible cell has no trustworthy interpolated value.  Corners with
     exactly zero weight are ignored, so a query exactly on a grid node
     returns the stored value.
+
+    The (n, K) result is a view of path-major (K, n) memory: each path's
+    angles are contiguous, and ``result.T`` is C-ordered.
     """
     pts = np.asarray(points, dtype=float)
-    r = pts[:, 0]
-    d = pts[:, 1]
+    r = np.ascontiguousarray(pts[:, 0])
+    d = np.ascontiguousarray(pts[:, 1])
     r0, r1, d0, d1 = grid.roi
-    if not np.all((r >= r0) & (r <= r1) & (d >= d0) & (d <= d1)):
+    # a nan coordinate fails these comparisons too
+    if not (
+        r.min(initial=r0) >= r0
+        and r.max(initial=r1) <= r1
+        and d.min(initial=d0) >= d0
+        and d.max(initial=d1) <= d1
+    ):
         raise ValueError("points outside the grid region of interest")
     ir, fx = _axis_cells(r0, r1, grid.n_r, r)
     jd, fy = _axis_cells(d0, d1, grid.n_d, d)
+    cell = ir * grid.n_d
+    cell += jd
+    gx = 1 - fx
+    gy = 1 - fy
+    weights = [gx * gy, gx * fy, fx * gy, fx * fy]
+    # the four corners in one gather, then path-major: (4, K, n)
+    steps = np.array([0, 1, grid.n_d, grid.n_d + 1])
     flat = grid.values.reshape(-1, len(grid.kinds))
-    cell = ir * grid.n_d + jd
-    weights = [(1 - fx) * (1 - fy), (1 - fx) * fy, fx * (1 - fy), fx * fy]
-    corners = [flat.take(cell + step, axis=0) for step in (0, 1, grid.n_d, grid.n_d + 1)]
+    corners = flat.take(cell + steps[:, None], axis=0).transpose(0, 2, 1).copy()
     # inside a cell every corner has weight, and an impossible one makes
     # the sum -inf.  On a cell edge a corner of zero weight is ignored, also
-    # where impossible (0 * -inf is nan), so those rows are summed again.
+    # where impossible (0 * -inf is nan), so those rows are summed again,
+    # from corners gathered anew: the weighting overwrites ``corners``.
     with np.errstate(invalid="ignore"):
-        out = weights[0][:, None] * corners[0]
+        out = np.multiply(weights[0], corners[0])
         for w, v in zip(weights[1:], corners[1:]):
-            out += w[:, None] * v
+            v *= w
+            out += v
         out += 0.0 * out  # -inf (an impossible corner) to nan
         edge = np.flatnonzero(np.min(weights, axis=0) == 0.0)
         if edge.size:
             terms, bad = [], False
-            for w, v in zip(weights, corners):
-                w, v = w[edge, None], v[edge]
+            for w, v in zip(weights, flat.take(cell[edge] + steps[:, None], axis=0)):
+                w = w[edge, None]
                 live, hole = w > 0.0, np.isneginf(v)
                 terms.append(np.where(live & ~hole, w * v, 0.0))
                 bad = bad | (live & hole)
-            out[edge] = np.where(bad, np.nan, terms[0] + terms[1] + terms[2] + terms[3])
-    return out
+            out[:, edge] = np.where(bad, np.nan, terms[0] + terms[1] + terms[2] + terms[3]).T
+    return out.T

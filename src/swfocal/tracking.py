@@ -148,10 +148,17 @@ def predict(states: np.ndarray, T: float, u1: np.ndarray, u2: np.ndarray) -> np.
     if T <= 0:
         raise ValueError("time step must be positive")
     s = np.asarray(states, dtype=float)
-    return np.stack(
-        [s[..., 0] + T * s[..., 2] + 0.5 * T * T * u1, s[..., 1] + T * u2, s[..., 2] + T * u1],
-        axis=-1,
-    )
+    out = np.empty(np.broadcast_shapes(s.shape[:-1], np.shape(u1), np.shape(u2)) + (3,))
+    r, d, v = out[..., 0], out[..., 1], out[..., 2]
+    # r = s0 + T s2 + T^2/2 u1, d = s1 + T u2, v = s2 + T u1, each in that order
+    np.multiply(T, s[..., 2], out=r)
+    np.add(s[..., 0], r, out=r)
+    r += 0.5 * T * T * u1
+    np.multiply(T, u2, out=d)
+    np.add(s[..., 1], d, out=d)
+    np.multiply(T, u1, out=v)
+    np.add(s[..., 2], v, out=v)
+    return out
 
 
 def predict_particles(

@@ -1,11 +1,12 @@
 """Independent reference implementations used to check the package.
 
 Everything here is written from the model definitions directly, with
-brute-force enumeration instead of dynamic programming, image-source
-geometry and a fixed-step ray march instead of closed-form layer sums, and
-a binary-search, one-point bilinear interpolation instead of vectorized
-cell arithmetic, so the tests never share code with the implementations
-they verify.
+brute-force enumeration and a dense dynamic program instead of the gated
+one, image-source geometry and a fixed-step ray march instead of
+closed-form layer sums, and a binary-search, one-point bilinear
+interpolation instead of vectorized cell arithmetic, so the tests never
+share code with the implementations they verify.  The last section holds
+small one-value helpers that only the tests use.
 """
 
 import bisect
@@ -14,7 +15,9 @@ import math
 
 import numpy as np
 
+from swfocal.assoc import ModelParams, ObservationSet, PathPrediction, path_likelihood
 from swfocal.environment import PathKind
+from swfocal.grid import DoaGrid, interpolate_doa_many
 
 
 def valid_vectors(K: int, M: int):
@@ -55,6 +58,43 @@ def enum_marginal(z, angles, detect, sigma, mu, fa_density=1.0 / 180.0) -> float
                 term *= (detect[k] if mu <= 0.0 else detect[k] / mu) * f / fa_density
         total += term
     return total
+
+
+def dense_dp_marginal(z, angles, detect, sigma, mu, fa_density=1.0 / 180.0) -> np.ndarray:
+    """The association DP over every observation row and every count.
+
+    ``angles`` and ``detect`` are (J, K).  The state ``S[m, c]`` is
+    (M+1, K+1, J); path k scales all of it by its miss factor and adds its
+    detection branch, ``r_k(m)`` times the running sum of ``S[:m]``, into
+    every row and count, with the plain densities ``exp(x) / c`` (0 at a
+    ``nan`` angle) and no row gate, no triangle and no clipped ``exp``.
+    Every skipped term of ``marginal_likelihood_batch`` is an exact 0 here,
+    and the final weighted sum is taken in the same order, so the two agree
+    bit for bit.
+    """
+    z = np.asarray(z, dtype=float)
+    ang = np.asarray(angles, dtype=float).T
+    det = np.asarray(detect, dtype=float).T
+    K, J = ang.shape
+    M = z.size
+    if mu <= 0.0 and M > K:
+        return np.zeros(J)
+    S = np.zeros((M + 1, K + 1, J))
+    S[0, 0] = 1.0
+    for k in range(K):
+        P = np.cumsum(S[:M], axis=0)
+        S *= 1.0 - det[k]
+        u = (z[:, None] - ang[k]) / sigma[k]
+        x = -0.5 * u * u
+        c = sigma[k] * math.sqrt(2.0 * math.pi)
+        with np.errstate(invalid="ignore"):
+            dens = np.where(np.isnan(x), 0.0, np.exp(x) / c)
+        hit = dens * (det[k] if mu <= 0.0 else det[k] / mu) / fa_density
+        S[1:, 1:] += hit[:, None, :] * P[:, :K]
+    if mu <= 0.0:
+        return math.factorial(M) * np.ascontiguousarray(S[:, M].T).sum(axis=1)
+    weights = np.array([math.factorial(c) for c in range(K + 1)], dtype=float)
+    return np.ascontiguousarray(S.sum(axis=0).T) @ weights
 
 
 class EnumTable:
@@ -214,3 +254,46 @@ def march_rays(wg, depth, launch_deg, ranges, step=1.0, record=False):
             track.append(np.stack([x, z, np.degrees(np.arctan2(zeta, xi))], axis=1))
     result = (z, np.degrees(np.arctan2(zeta, xi)), [tuple(bs) for bs in bounces])
     return result + (np.array(track),) if record else result
+
+
+# ---------------------------------------------------------------------------
+# One-value helpers used only by the tests
+# ---------------------------------------------------------------------------
+
+
+def unnormalized_factor_r(
+    z: ObservationSet, pred: PathPrediction, k: int, a_k: int, params: ModelParams
+) -> float:
+    """Combined association-prior and likelihood factor ``r_k(a_k)`` for one path."""
+    if params.mu_fa <= 0.0:
+        raise ValueError("per-path factors need a positive mean false-alarm count")
+    if not 0 <= a_k <= z.M:
+        raise ValueError(f"association entry {a_k} outside 0..{z.M}")
+    d_k = float(pred.detect_probs[k])
+    if a_k == 0:
+        return 1.0 - d_k
+    if d_k == 0.0:
+        return 0.0
+    zm = float(z.z[a_k - 1])
+    f_k = path_likelihood(zm, pred.angles_deg[k], params.sigma_deg[k])
+    return (d_k / params.mu_fa) * f_k / params.fa_density
+
+
+def count_valid(K: int, M: int) -> int:
+    """Number of admissible association vectors for K paths, M observations.
+
+    Choosing which c paths detect and which c observations they take fixes
+    the assignment (indices must increase), so the count is the sum over c
+    of C(K, c) * C(M, c).
+    """
+    if K < 0 or M < 0:
+        raise ValueError("path and observation counts must be nonnegative")
+    return sum(math.comb(K, c) * math.comb(M, c) for c in range(min(K, M) + 1))
+
+
+def interpolate_doa(grid: DoaGrid, p: tuple[float, float], k: int) -> float | None:
+    """``interpolate_doa_many`` at one point for path layer ``k``; ``None`` where impossible."""
+    if not 0 <= k < len(grid.kinds):
+        raise ValueError(f"path layer index {k} out of range")
+    v = interpolate_doa_many(grid, np.array([[p[0], p[1]]], dtype=float))[0, k]
+    return None if np.isnan(v) else float(v)

@@ -11,15 +11,13 @@ from swfocal.assoc import (
     PathPrediction,
     association_prior,
     conditional_pdf,
-    count_valid,
     is_valid,
     marginal_likelihood,
     marginal_likelihood_batch,
     path_likelihood,
-    unnormalized_factor_r,
 )
 
-from oracles import enum_marginal, valid_vectors
+from oracles import count_valid, dense_dp_marginal, enum_marginal, unnormalized_factor_r, valid_vectors
 
 FA = 1.0 / 180.0
 
@@ -74,6 +72,18 @@ def with_forcing_states(z, ang, det, d):
         np.vstack([ang, np.repeat(z[:, None], K, axis=1)]),
         np.vstack([det, np.full((z.size, K), d)]),
     )
+
+
+def tail_states(z, sigma, d, seed):
+    """Three states with every path angle 37.5 to 39 sigma from one observation.
+
+    The rows of that observation have all their exponents in [-761, -703],
+    where the density is tiny, subnormal or exactly 0.
+    """
+    rng = np.random.default_rng(seed)
+    s = np.asarray(sigma)
+    far = rng.choice([-1.0, 1.0], (3, s.size)) * rng.uniform(37.5, 39.0, (3, s.size)) * s
+    return rng.choice(z) + far, np.full(far.shape, d)
 
 
 class TestValidity:
@@ -302,6 +312,24 @@ class TestMarginalLikelihood:
         ext_ang, ext_det = with_forcing_states(z, ang, det, d)
         base = marginal_likelihood_batch(z, ang, det, p)
         assert base.tobytes() == marginal_likelihood_batch(z, ext_ang, ext_det, p)[:3].tobytes()
+
+    @given(**CASES)
+    @example(K=3, M=2, d=1.0, mu=0.0, seed=1)
+    @example(K=2, M=5, d=1.0, mu=0.0, seed=2)
+    @settings(max_examples=150, deadline=None)
+    def test_batch_matches_dense_dp_bit_for_bit(self, K, M, d, mu, seed):
+        # against the plain DP over every row and count, with C- and
+        # F-ordered states; the forcing states make every row live, and the
+        # tail states put whole rows below the exp floor
+        p, z, ang, det = random_case(K, M, d, mu, seed)
+        cases = [(ang, det), with_forcing_states(z, ang, det, d)]
+        if M:
+            cases.append(tail_states(z, p.sigma_deg, d, seed))
+        for a, dt in cases:
+            want = dense_dp_marginal(z, a, dt, p.sigma_deg, p.mu_fa).tobytes()
+            for order in "CF":
+                a_o, dt_o = np.asarray(a, order=order), np.asarray(dt, order=order)
+                assert marginal_likelihood_batch(z, a_o, dt_o, p).tobytes() == want
 
     @pytest.mark.parametrize("dist", [3.0, 37.5, 38.6, 39.1, -38.6, -39.1])
     def test_single_path_density_bit_for_bit_across_the_cut(self, dist):

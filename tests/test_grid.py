@@ -12,11 +12,10 @@ from swfocal.grid import (
     IMPOSSIBLE,
     DoaGrid,
     build_doa_grid,
-    interpolate_doa,
     interpolate_doa_many,
 )
 
-from oracles import bilinear_doa, image_source_angles, march_rays
+from oracles import bilinear_doa, image_source_angles, interpolate_doa, march_rays
 
 
 class TestBuild:

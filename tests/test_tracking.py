@@ -43,6 +43,27 @@ class TestPredict:
         with pytest.raises(ValueError, match="time step must be positive"):
             predict(np.zeros(3), T, 0.0, 0.0)
 
+    def test_broadcasting_matches_stacked_components(self):
+        # the step as three stacked components, the reference for the
+        # simulator's one-row step and the filter's (J, 3) step, bit for bit
+        def stacked(s, T, u1, u2):
+            return np.stack(
+                [s[..., 0] + T * s[..., 2] + 0.5 * T * T * u1, s[..., 1] + T * u2, s[..., 2] + T * u1],
+                axis=-1,
+            )
+
+        rng = np.random.default_rng(3)
+        row = np.array([1234.5, 61.3, -2.37])
+        u1, u2 = rng.normal(0.0, np.sqrt(0.05)), rng.normal(0.0, np.sqrt(0.1))
+        got = predict(row, 2.048, u1, u2)
+        assert got.shape == (3,)
+        assert np.array_equal(got, stacked(row, 2.048, u1, u2))
+        states = init_particles(PriorParams(roi=ROI), 500, rng).states
+        u1, u2 = rng.normal(0.0, 0.3, 500), rng.normal(0.0, 0.4, 500)
+        got = predict(states, 76.048, u1, u2)
+        assert got.shape == (500, 3)
+        assert np.array_equal(got, stacked(states, 76.048, u1, u2))
+
     def test_batch_matches_scalar(self):
         ps = init_particles(PriorParams(roi=ROI), 50, np.random.default_rng(0))
         out = predict_particles(ps, 2.048, MotionParams(), np.random.default_rng(1))
