@@ -59,6 +59,7 @@ Angles are degrees throughout; densities are per degree.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -253,6 +254,15 @@ _GATE_SIGMA = 39.0
 _EXP_FLOOR = -700.0
 _EXP_ZERO = -746.0
 
+# the DP's prefix sums are written before they are read, so one buffer per
+# thread serves every call; a fresh multi-megabyte array per epoch would be
+# served by mmap and faulted in anew each time
+class _Scratch(threading.local):
+    prefix = np.empty(0)
+
+
+_scratch = _Scratch()
+
 
 def _live_rows(z: np.ndarray, angles: np.ndarray, sigma: float) -> np.ndarray:
     """Indices of the observations with a nonzero density at some angle.
@@ -304,7 +314,9 @@ def marginal_likelihood_batch(
     are updated (see the module docstring); the result is the full DP's
     bit for bit.  Any memory layout is accepted; the transpose of a
     C-ordered (K, J) array, as ``interpolate_doa_many`` returns, is read
-    without a copy.
+    without a copy.  The prefix sums live in a per-thread scratch buffer
+    that only grows, to the largest M * K * J float64 of any call on that
+    thread (about 3 MB at M = 10, K = 4, J = 10^4), and is kept between calls.
     """
     z = np.asarray(z_sorted, dtype=float).reshape(-1)
     # path-major: row k holds path k's angles at every state
@@ -319,7 +331,10 @@ def marginal_likelihood_batch(
 
     S = np.zeros((M + 1, K + 1, J))
     S[0, 0] = 1.0
-    prefix = np.empty((M, K, J))
+    if _scratch.prefix.size < M * K * J:
+        _scratch.prefix = None  # free the old buffer before its successor exists
+        _scratch.prefix = np.empty(M * K * J)
+    prefix = _scratch.prefix[: M * K * J].reshape(M, K, J)
     for k in range(K):
         sig = params.sigma_deg[k]
         live = _live_rows(z, ang[k], sig)

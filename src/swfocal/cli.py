@@ -22,7 +22,7 @@ from swfocal import io as sio
 from swfocal.assoc import ModelParams, ObservationSet
 from swfocal.grid import DoaGrid, PathKind, build_doa_grid
 from swfocal.simulator import ScenarioConfig, generate_observations, generate_truth
-from swfocal.tracking import MotionParams, PriorParams, run_tracker
+from swfocal.tracking import DegeneracyError, MotionParams, PriorParams, run_tracker
 
 __all__ = ["main", "RunConfig", "ConfigError", "load_config"]
 
@@ -197,15 +197,20 @@ def cmd_track(args) -> int:
     cfg, grid = _load_run(args)
     records = sio.read_observations(cfg.obs_path())
     stream = ((time_s, ObservationSet(z=doas)) for _, time_s, doas in records)
-    estimates = run_tracker(
-        grid,
-        stream,
-        cfg.model,
-        cfg.motion,
-        cfg.prior,
-        J=cfg.n_particles,
-        seed=cfg.seed,
-    )
+    failure = None
+    try:
+        estimates = run_tracker(
+            grid,
+            stream,
+            cfg.model,
+            cfg.motion,
+            cfg.prior,
+            J=cfg.n_particles,
+            seed=cfg.seed,
+        )
+    except DegeneracyError as e:
+        # a lost track still leaves the estimates made before it
+        estimates, failure = e.estimates, e
     Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
     out = Path(cfg.output_dir) / "estimates.csv"
     sio.write_estimates_csv(
@@ -215,6 +220,8 @@ def cmd_track(args) -> int:
             for t, est, ess in estimates
         ),
     )
+    if failure is not None:
+        raise failure
     print(f"tracked {len(estimates)} epochs -> {out}")
     return 0
 

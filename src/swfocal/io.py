@@ -177,11 +177,7 @@ def read_observations(path) -> list[tuple[int, float, np.ndarray]]:
 
 def write_track_csv(path, rows) -> None:
     """Truth track CSV: time_s,range_m,depth_m,speed_mps."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["time_s", "range_m", "depth_m", "speed_mps"])
-        for t, rng, dep, spd in rows:
-            w.writerow([repr(float(t)), repr(float(rng)), repr(float(dep)), repr(float(spd))])
+    _write_csv(path, ["time_s", "range_m", "depth_m", "speed_mps"], rows)
 
 
 def read_track_csv(path) -> np.ndarray:
@@ -191,23 +187,23 @@ def read_track_csv(path) -> np.ndarray:
 
 def write_estimates_csv(path, rows) -> None:
     """Estimates CSV: time_s,range_m,depth_m,speed_mps,ess."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["time_s", "range_m", "depth_m", "speed_mps", "ess"])
-        for t, rng, dep, spd, ess in rows:
-            w.writerow(
-                [
-                    repr(float(t)),
-                    repr(float(rng)),
-                    repr(float(dep)),
-                    repr(float(spd)),
-                    repr(float(ess)),
-                ]
-            )
+    _write_csv(path, ["time_s", "range_m", "depth_m", "speed_mps", "ess"], rows)
 
 
 def read_estimates_csv(path) -> np.ndarray:
     return _read_csv(path, ["time_s", "range_m", "depth_m", "speed_mps", "ess"])
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    """One line per row, each value written as the shortest repr of its float."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        for row in rows:
+            values = [repr(float(v)) for v in row]
+            if len(values) != len(header):
+                raise ValueError(f"{path}: expected {len(header)} values per row, got {len(values)}")
+            w.writerow(values)
 
 
 def _read_csv(path, expected_header: list[str]) -> np.ndarray:

@@ -26,7 +26,6 @@ run aborts with ``DegeneracyError``.
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,12 +113,15 @@ class DegeneracyError(RuntimeError):
     """All particle weights vanished; the filter lost the target.
 
     ``cause`` says why; ``time_s`` is the epoch's time where the caller
-    knows it (``run_tracker`` does).
+    knows it (``run_tracker`` does).  ``estimates`` holds the
+    (time_s, estimate, ess) records made before the failing epoch; it is
+    empty when ``update`` raises directly.
     """
 
-    def __init__(self, cause: str, time_s: float | None = None):
+    def __init__(self, cause: str, time_s: float | None = None, estimates=()):
         self.cause = cause
         self.time_s = time_s
+        self.estimates = list(estimates)
         at = "" if time_s is None else f" at epoch t = {time_s:g} s"
         super().__init__(f"all particle weights vanished{at}: {cause}")
 
@@ -228,29 +230,6 @@ def mmse_estimate(ps: ParticleSet) -> SourceState:
     return SourceState(range_m=float(m[0]), depth_m=float(m[1]), speed_mps=float(m[2]))
 
 
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
-
-
-def _keep_epoch_memory() -> None:
-    """Keep the memory an epoch frees in the heap for the next epoch.
-
-    An epoch at J = 10^4 allocates and frees some 10 to 20 MB of arrays.
-    glibc's dynamic thresholds serve the multi-megabyte ones by mmap and
-    trim the heap once they are freed, unless something earlier in the
-    process happened to free a larger block, so every epoch faults its
-    pages in anew.  On a 2-vCPU Xeon KVM guest that was 1.9 M minor faults
-    and 15 % of the time of ``swfocal track`` on the default run (514
-    epochs).  Fixed thresholds above the working set keep the pages.
-    Other C libraries are left as they are.
-    """
-    try:
-        libc = ctypes.CDLL("libc.so.6")
-    except OSError:
-        return
-    libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    libc.mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-
-
 def run_tracker(
     grid: DoaGrid,
     observations,
@@ -267,9 +246,9 @@ def run_tracker(
     the nominal step.  Systematic resampling runs whenever the effective
     sample size falls below J/2, with no roughening: the driving noise
     keeps the particles diverse.  Deterministic for a fixed seed.  Returns
-    one (time_s, estimate, effective sample size) per epoch.
+    one (time_s, estimate, effective sample size) per epoch; a
+    ``DegeneracyError`` carries the records made before its epoch.
     """
-    _keep_epoch_memory()
     rng = np.random.default_rng(seed)
     ps = init_particles(prior, J, rng)
     out: list[tuple[float, SourceState, float]] = []
@@ -282,7 +261,7 @@ def run_tracker(
         try:
             ps = update(ps, z, grid, params)
         except DegeneracyError as e:
-            raise DegeneracyError(e.cause, float(time_s)) from None
+            raise DegeneracyError(e.cause, float(time_s), out) from None
         ess = effective_sample_size(ps)
         out.append((float(time_s), mmse_estimate(ps), ess))
         if ess < ps.J / 2:

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -84,6 +86,29 @@ def tail_states(z, sigma, d, seed):
     s = np.asarray(sigma)
     far = rng.choice([-1.0, 1.0], (3, s.size)) * rng.uniform(37.5, 39.0, (3, s.size)) * s
     return rng.choice(z) + far, np.full(far.shape, d)
+
+
+# (K, M, d, mu, seed, forcing rounds): M * K * J starts at nothing, grows,
+# shrinks, and grows past every earlier call
+SCRATCH_SEQUENCE = [
+    (3, 0, 0.9, 2.0, 4, 1),
+    (1, 2, 0.9, 2.0, 1, 1),
+    (4, 7, 0.9, 2.0, 2, 1),
+    (2, 3, 1.0, 0.5, 3, 1),
+    (3, 2, 1.0, 0.0, 5, 1),
+    (4, 6, 0.9, 0.5, 6, 1),
+    (4, 7, 0.9, 2.0, 7, 2),
+]
+
+
+def scratch_case(K, M, d, mu, seed, rounds):
+    """A ``random_case`` with ``rounds`` sets of forcing states, which make
+    every row live, and its marginal from the dense DP."""
+    p, z, ang, det = random_case(K, M, d, mu, seed)
+    for _ in range(rounds):
+        ang, det = with_forcing_states(z, ang, det, d)
+    want = dense_dp_marginal(z, ang, det, p.sigma_deg, p.mu_fa).tobytes()
+    return (z, ang, det, p), want
 
 
 class TestValidity:
@@ -379,6 +404,39 @@ class TestMarginalLikelihood:
         got = marginal_likelihood(ObservationSet(z=np.array([5.0, 1.0])), pr, p)
         want = enum_marginal(np.array([5.0, 1.0]), pr.angles_deg, pr.detect_probs, p.sigma_deg, 0.0)
         assert got == pytest.approx(want, rel=1e-12)
+
+    def test_scratch_never_leaks_between_calls(self):
+        cases = [scratch_case(*c) for c in SCRATCH_SEQUENCE]
+        sizes = [args[0].size * args[1].size for args, _ in cases]  # M * K * J
+        assert sizes[0] == 0 and sizes[3] < sizes[2] and sizes[-1] > max(sizes[:-1])
+        for args, want in cases:
+            assert marginal_likelihood_batch(*args).tobytes() == want
+
+    def test_scratch_is_per_thread(self):
+        # the two threads alternate at every bytecode boundary they can, so
+        # one buffer shared between them would be overwritten mid-call; the
+        # first thread starts with M = 0, before it has a buffer of its own
+        cases = [scratch_case(*c) for c in SCRATCH_SEQUENCE]
+        got = {0: [], 1: []}
+
+        def run(part):
+            for _ in range(20):
+                for args, _ in cases[part::2]:
+                    got[part].append(marginal_likelihood_batch(*args).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(part,)) for part in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for part in (0, 1):
+            assert got[part] == [want for _, want in cases[part::2]] * 20
 
     def test_factor_r_requires_clutter(self):
         z = ObservationSet(z=np.array([3.0]))

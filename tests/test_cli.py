@@ -266,6 +266,22 @@ class TestTrackAndEvaluate:
         res = run_cli("track", "--config", p)
         assert res.returncode == 1
 
+    def test_degenerate_track_writes_the_epochs_before_it(self, tiny_setup, tmp_path):
+        # without clutter, the third epoch's five observations cannot come
+        # from four paths: every likelihood is zero there
+        root, cfg_path, cfg = tiny_setup
+        obs = tmp_path / "obs.jsonl"
+        doas = [[5.0], [5.0], [20.0, 10.0, 0.0, -10.0, -20.0], [5.0]]
+        sio.write_observations(obs, [(i, 2.048 * (i + 1), z) for i, z in enumerate(doas)])
+        cfg_d = dict(cfg, output_dir=str(tmp_path / "out"), observations_file=str(obs), model={"mu_fa": 0.0})
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(cfg_d))
+        res = run_cli("track", "--config", p)
+        assert res.returncode == 1
+        assert "at epoch t = 6.144 s: every likelihood inside the region of interest is zero" in res.stderr
+        est = sio.read_estimates_csv(tmp_path / "out" / "estimates.csv")
+        assert est[:, 0].tolist() == [2.048, 4.096]
+
 
 class TestDefaultConfigRoundTrip:
     def test_default_config_round_trip_under_budget(self, tmp_path):

@@ -184,6 +184,7 @@ class TestUpdate:
         with pytest.raises(DegeneracyError, match="left the region of interest") as err:
             update(ps, ObservationSet(z=np.array([5.0])), refr_grid, PARAMS4)
         assert err.value.time_s is None
+        assert err.value.estimates == []
 
     def test_zero_likelihood_everywhere_raises_degeneracy(self, refr_grid):
         # without clutter, five observations cannot come from four paths
@@ -287,6 +288,10 @@ class TestRunTracker:
             run_tracker(refr_grid, obs, p, MotionParams(), PriorParams(roi=ROI), J=200, seed=1)
         assert err.value.time_s == 6.144
         assert err.value.cause == "every likelihood inside the region of interest is zero"
+        # the records of the two epochs before, as a run over them alone gives
+        good = run_tracker(refr_grid, obs[:2], p, MotionParams(), PriorParams(roi=ROI), J=200, seed=1)
+        assert [t for t, _, _ in err.value.estimates] == [2.048, 4.096]
+        assert err.value.estimates == good
 
     def test_rejects_nonincreasing_times(self, refr_grid):
         obs = [(2.0, ObservationSet(z=np.array([]))), (2.0, ObservationSet(z=np.array([])))]
