@@ -96,15 +96,16 @@ class ModelParams:
             raise ValueError("need at least one propagation path")
         if len(self.sigma_deg) != self.n_paths:
             raise ValueError("need one noise standard deviation per path")
-        if any(s <= 0 for s in self.sigma_deg):
-            raise ValueError("noise standard deviations must be positive")
+        # each check is written so that nan fails it
+        if not all(0.0 < s < np.inf for s in self.sigma_deg):
+            raise ValueError("sigma_deg: noise standard deviations must be positive and finite")
         if not 0.0 <= self.detect_prob <= 1.0:
-            raise ValueError("detection probability must lie in [0, 1]")
-        if self.mu_fa < 0.0:
-            raise ValueError("mean false-alarm count must be nonnegative")
+            raise ValueError("detect_prob: detection probability must lie in [0, 1]")
+        if not 0.0 <= self.mu_fa < np.inf:
+            raise ValueError("mu_fa: mean false-alarm count must be finite and nonnegative")
         lo, hi = self.fa_support_deg
         if not -90.0 <= lo < hi <= 90.0:
-            raise ValueError("false-alarm support must be a nonempty sub-interval of [-90, 90]")
+            raise ValueError("fa_support_deg: false-alarm support must be a nonempty sub-interval of [-90, 90]")
 
     @property
     def fa_density(self) -> float:

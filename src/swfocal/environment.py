@@ -46,6 +46,15 @@ Each range strictly increases with ``xi`` up to ``xi_max``, one over the
 largest speed at the depths the path crosses, where the ray grazes that
 depth.  So a kind has at most one eigenray, and it exists iff the source
 range is no more than the path range at ``xi_max``.
+
+The solver brackets each eigenray between two rays of a fixed fan, then
+refines it by Illinois false position.  The range function is evaluated
+node-major, as a (nodes, rays) array, so each numpy step runs over the
+many rays rather than the dozen or so nodes of a path.  Its slice runs are
+summed over the nodes in numpy's own pairwise order, so every range equals
+the row-major ``runs.sum(axis=-1)`` bit for bit.  The Illinois loop carries
+only the unconverged brackets, as compact arrays that are compressed when
+some of them converge.
 """
 
 from __future__ import annotations
@@ -197,6 +206,58 @@ def _slant(phi, c_max: float, c) -> np.ndarray:
     return np.sqrt((c_max - c) * (c_max + c) + (c * np.sin(phi)) ** 2)
 
 
+def _sum_rows(a) -> np.ndarray:
+    """``a.sum(axis=0)`` of a 2-D array, in the order numpy sums a contiguous row.
+
+    numpy sums fewer than 8 values one after the other, 8 to 128 values in
+    8 interleaved accumulators combined as a tree, and longer runs as two
+    halves split at a multiple of 8.  Taking each step across the columns
+    at once keeps the columns on the long inner axis and gives, bit for
+    bit, ``np.ascontiguousarray(a.T).sum(axis=-1)``.
+    """
+    n = len(a)
+    if n < 8:
+        out = a[0] + 0.0  # numpy starts from 0.0, which turns -0.0 into 0.0
+        for row in a[1:]:
+            out += row
+        return out
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        out = _sum_rows(a[:half])
+        out += _sum_rows(a[half:])
+        return out
+    acc = a[:8].copy()
+    tail = n - n % 8
+    for i in range(8, tail, 8):
+        acc += a[i : i + 8]
+    acc[::2] += acc[1::2]
+    acc[::4] += acc[2::4]
+    out = acc[0]
+    out += acc[4]
+    for row in a[tail:]:
+        out += row
+    out += 0.0  # numpy's start value, as above
+    return out
+
+
+def _path_range(phi, c, num, base) -> np.ndarray:
+    """Range of the path at each grazing angle in the 1-D array ``phi``.
+
+    ``c`` holds the node speeds of the slices the path crosses, ``num`` each
+    slice's ``weighted_dz * (c_a + c_b)`` and ``base`` the ``phi``-independent
+    part of ``_slant`` at each node.  Evaluated node-major, as (nodes, rays),
+    so every step runs over the rays.
+    """
+    s = np.multiply.outer(c, np.sin(phi))
+    s *= s
+    s += base[:, None]
+    np.sqrt(s, out=s)  # _slant at each node, shared by the two slices that meet there
+    runs = s[:-1] + s[1:]
+    with np.errstate(divide="ignore"):
+        np.divide(num[:, None], runs, out=runs)
+    return np.cos(phi) * _sum_rows(runs)
+
+
 def _grazing_angle(c, weighted_dz, r):
     """Angle ``phi`` at the fastest depth of the eigenray reaching each range.
 
@@ -210,45 +271,79 @@ def _grazing_angle(c, weighted_dz, r):
     num = weighted_dz * (c[:-1] + c[1:])
     base = (c_max - c) * (c_max + c)  # the phi-independent part of _slant
 
-    def path_range(phi):
-        phi = np.asarray(phi)[..., None]
-        # _slant at each node, shared by the two slices that meet there
-        s = np.sqrt(base + (c * np.sin(phi)) ** 2)
-        with np.errstate(divide="ignore"):
-            runs = num / (s[..., :-1] + s[..., 1:])
-        return np.cos(phi[..., 0]) * runs.sum(axis=-1)
-
     # Bracket each range between two fan rays, then refine by Illinois
     # false position on r / R(phi) - 1, which increases with phi and stays
-    # finite where an iso layer at c_max makes R(0) unbounded.
-    fan_r = path_range(_FAN)
+    # finite where an iso layer at c_max makes R(0) unbounded.  Only the
+    # unconverged brackets are carried, compacted when some converge.
+    fan_r = _path_range(_FAN, c, num, base)
     n_reach = np.searchsorted(-fan_r, -r, side="right")
     ok = n_reach > 0
     j = np.minimum(n_reach[ok], _FAN.size - 1)
     rr = r[ok]
-    lo, hi = _FAN[j - 1], _FAN[j]
-    f_lo, f_hi = rr / fan_r[j - 1] - 1.0, rr / fan_r[j] - 1.0
-    side = np.zeros(rr.size)
-    x = lo.copy()
+    x = _FAN[j - 1]
+    f_lo = rr / fan_r[j - 1] - 1.0
     act = np.flatnonzero(f_lo < 0.0)
+    a, fa, ra = x[act], f_lo[act], rr[act]
+    b = _FAN[j[act]]
+    fb = ra / fan_r[j[act]] - 1.0
+    side = np.zeros(act.size)
     for _ in range(_MAX_STEPS):
         if not act.size:
             break
-        a, b, fa, fb = lo[act], hi[act], f_lo[act], f_hi[act]
         xm = (a * fb - b * fa) / (fb - fa)
-        fm = rr[act] / path_range(xm) - 1.0
+        fm = ra / _path_range(xm, c, num, base) - 1.0
         x[act] = xm
+        keep = (np.abs(fm) > 1e-13) & (xm > a) & (xm < b)
         up = fm < 0.0
         # Illinois: halve the value at an end kept twice in a row
-        lo[act] = np.where(up, xm, a)
-        hi[act] = np.where(up, b, xm)
-        f_lo[act] = np.where(up, fm, np.where(side[act] > 0, 0.5 * fa, fa))
-        f_hi[act] = np.where(up, np.where(side[act] < 0, 0.5 * fb, fb), fm)
-        side[act] = np.where(up, -1.0, 1.0)
-        act = act[(np.abs(fm) > 1e-13) & (xm > a) & (xm < b)]
+        a, b = np.where(up, xm, a), np.where(up, b, xm)
+        fa = np.where(up, fm, np.where(side > 0, 0.5 * fa, fa))
+        fb = np.where(up, np.where(side < 0, 0.5 * fb, fb), fm)
+        side = np.where(up, -1.0, 1.0)
+        if not keep.all():
+            act, a, b, fa, fb, ra, side = (v[keep] for v in (act, a, b, fa, fb, ra, side))
     phi = np.full(r.shape, np.nan)
     phi[ok] = x
     return phi, c_max
+
+
+def _solve(wg: Waveguide, source_depth: float, ranges, kinds: tuple[PathKind, ...]):
+    """Each kind's eigenray from sources at one depth to the receiver.
+
+    Checks the source, then returns ``(rays, c_s, c_r)``: per kind
+    ``(phi, c_max, sign_launch, sign_arrival)``, the ray ``xi = cos(phi) /
+    c_max`` at each range with ``phi`` ``nan`` where the kind has no
+    eigenray, and the speeds at the source and the receiver.
+    """
+    zs, zr, b = float(source_depth), wg.receiver_depth, wg.bottom_depth
+    r = np.atleast_1d(np.asarray(ranges, dtype=float))
+    if not np.all(r > 0.0):
+        raise ValueError("source range must be positive")
+    if not 0.0 <= zs <= b:
+        raise ValueError("source depth outside the water column")
+    kz, kc = (np.array(v) for v in zip(*wg.ssp.knots))
+    z = np.unique(np.concatenate([kz[kz < b], [zs, zr, b]]))
+    c = np.interp(z, kz, kc)
+    ca, cb, dz = c[:-1], c[1:], np.diff(z)
+    c_s, c_r = np.interp([zs, zr], kz, kc)
+    rays = []
+    for kind in kinds:
+        legs = _legs(kind, 0.5 * (z[:-1] + z[1:]), zs, zr)
+        on = legs > 0
+        if on.any():
+            first, last = np.flatnonzero(on)[[0, -1]]
+            phi, c_max = _grazing_angle(c[first : last + 2], legs[on] * dz[on], r)
+        else:  # the direct path with zs == zr crosses no slice: the horizontal ray
+            touching = (z[:-1] == zs) | (z[1:] == zs)
+            phi = np.full(r.shape, 0.0 if np.all(ca[touching] == cb[touching]) else np.nan)
+            c_max = c_r
+        rays.append((phi, c_max, *_SIGNS.get(kind, (np.sign(zr - zs),) * 2)))
+    return rays, c_s, c_r
+
+
+def _angle_deg(phi, c_max: float, c_end: float, sign: float) -> np.ndarray:
+    """Signed angle in degrees of the rays ``xi = cos(phi) / c_max`` where the speed is ``c_end``."""
+    return sign * np.degrees(np.arctan2(_slant(phi, c_max, c_end), np.cos(phi) * c_end))
 
 
 def eigenray_angles(
@@ -265,32 +360,13 @@ def eigenray_angles(
     at the receiver depth is the horizontal ray, which stays at that depth
     only where the profile is iso around it.
     """
-    zs, zr, b = float(source_depth), wg.receiver_depth, wg.bottom_depth
-    r = np.atleast_1d(np.asarray(ranges, dtype=float))
-    if not np.all(r > 0.0):
-        raise ValueError("source range must be positive")
-    if not 0.0 <= zs <= b:
-        raise ValueError("source depth outside the water column")
-    kz, kc = (np.array(v) for v in zip(*wg.ssp.knots))
-    z = np.unique(np.concatenate([kz[kz < b], [zs, zr, b]]))
-    c = np.interp(z, kz, kc)
-    ca, cb, dz = c[:-1], c[1:], np.diff(z)
-    c_s, c_r = np.interp([zs, zr], kz, kc)
-    arrival = np.full((len(kinds), r.size), np.nan)
-    launch = np.full((len(kinds), r.size), np.nan)
-    for i, kind in enumerate(kinds):
-        legs = _legs(kind, 0.5 * (z[:-1] + z[1:]), zs, zr)
-        on = legs > 0
-        if not on.any():  # the direct path with zs == zr crosses no slice
-            touching = (z[:-1] == zs) | (z[1:] == zs)
-            if np.all(ca[touching] == cb[touching]):
-                arrival[i] = launch[i] = 0.0
-            continue
-        first, last = np.flatnonzero(on)[[0, -1]]
-        phi, c_max = _grazing_angle(c[first : last + 2], legs[on] * dz[on], r)
-        sign_launch, sign_arrival = _SIGNS.get(kind, (np.sign(zr - zs),) * 2)
-        for out, sign, c_end in ((arrival, sign_arrival, c_r), (launch, sign_launch, c_s)):
-            out[i] = sign * np.degrees(np.arctan2(_slant(phi, c_max, c_end), np.cos(phi) * c_end))
+    rays, c_s, c_r = _solve(wg, source_depth, ranges, kinds)
+    n = np.size(ranges)
+    arrival = np.empty((len(kinds), n))
+    launch = np.empty((len(kinds), n))
+    for i, (phi, c_max, sign_launch, sign_arrival) in enumerate(rays):
+        arrival[i] = _angle_deg(phi, c_max, c_r, sign_arrival)
+        launch[i] = _angle_deg(phi, c_max, c_s, sign_launch)
     return arrival, launch
 
 

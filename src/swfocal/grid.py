@@ -7,10 +7,12 @@ range/depth grid and bilinearly interpolated at runtime.  Grid cells where
 a path is geometrically impossible hold ``-inf``.
 
 The grid is built one depth row at a time with the closed-form solver of
-``swfocal.environment``: a row is one call of ``eigenray_angles`` for all
-range columns at that source depth, the same solver ``find_eigenrays``
-runs at a single point.  A cell is impossible exactly where its range lies
-beyond the path's flattest boundary-guided ray.
+``swfocal.environment``: a row is one arrivals-only solve for all range
+columns at that source depth.  It is the solve ``eigenray_angles`` and
+``find_eigenrays`` run, and skips only the launch angles, so every row
+equals the arrival angles of ``eigenray_angles`` bit for bit.  A cell is
+impossible exactly where its range lies beyond the path's flattest
+boundary-guided ray.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swfocal.environment import PathKind, Waveguide, eigenray_angles
+from swfocal.environment import PathKind, Waveguide, _angle_deg, _solve
 
 __all__ = ["IMPOSSIBLE", "DoaGrid", "build_doa_grid", "interpolate_doa_many"]
 
@@ -107,8 +109,10 @@ def build_doa_grid(
     grid = DoaGrid(roi=_validate_roi(wg, roi), n_r=n_r, n_d=n_d, kinds=kinds, values=values)
     ranges = grid.ranges
     for j, depth in enumerate(grid.depths):
-        arrival, _ = eigenray_angles(wg, depth, ranges, kinds)
-        values[:, j, :] = np.where(np.isnan(arrival), IMPOSSIBLE, arrival).T
+        rays, _, c_r = _solve(wg, depth, ranges, kinds)
+        for i, (phi, c_max, _, sign_arrival) in enumerate(rays):
+            arrival = _angle_deg(phi, c_max, c_r, sign_arrival)
+            values[:, j, i] = np.where(np.isnan(arrival), IMPOSSIBLE, arrival)
     return grid
 
 

@@ -40,10 +40,13 @@ class ScenarioConfig:
     motion: MotionParams = field(default_factory=MotionParams)
 
     def __post_init__(self):
-        if self.step_s <= 0:
-            raise ValueError("epoch step must be positive")
-        if self.duration_s < 0:
-            raise ValueError("duration must be nonnegative")
+        # each check is written so that nan fails it
+        if not 0.0 < self.step_s < np.inf:
+            raise ValueError("step_s: epoch step must be positive and finite")
+        if not 0.0 <= self.duration_s < np.inf:
+            raise ValueError("duration_s: duration must be finite and nonnegative")
+        if not np.isfinite(self.initial_speed_mps):
+            raise ValueError("initial_speed_mps: initial speed must be finite")
         if self.truth_motion not in ("deterministic", "stochastic"):
             raise ValueError("truth motion must be 'deterministic' or 'stochastic'")
         for a, b in self.dropouts:

@@ -66,10 +66,12 @@ class MotionParams:
     step_s: float = 2.048
 
     def __post_init__(self):
-        if self.accel_var < 0 or self.depth_var < 0:
-            raise ValueError("driving-noise variances must be nonnegative")
-        if self.step_s <= 0:
-            raise ValueError("nominal step must be positive")
+        # each check is written so that nan fails it
+        for name in ("accel_var", "depth_var"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name}: driving-noise variance must be finite and nonnegative")
+        if not 0.0 < self.step_s < np.inf:
+            raise ValueError("step_s: nominal step must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -81,10 +83,12 @@ class PriorParams:
 
     def __post_init__(self):
         r0, r1, d0, d1 = self.roi
+        if not np.isfinite(self.roi).all():
+            raise ValueError("roi: prior region of interest must be finite")
         if not (r0 < r1 and d0 < d1):
-            raise ValueError("prior region of interest is empty")
-        if self.speed_std <= 0:
-            raise ValueError("speed prior standard deviation must be positive")
+            raise ValueError("roi: prior region of interest is empty")
+        if not 0.0 < self.speed_std < np.inf:
+            raise ValueError("speed_std: speed prior standard deviation must be positive and finite")
 
 
 @dataclass

@@ -3,7 +3,8 @@
 Everything here is written from the model definitions directly, with
 brute-force enumeration and a dense dynamic program instead of the gated
 one, image-source geometry and a fixed-step ray march instead of
-closed-form layer sums, and a binary-search, one-point bilinear
+closed-form layer sums, the row-major range sum instead of the
+node-major one, and a binary-search, one-point bilinear
 interpolation instead of vectorized cell arithmetic, so the tests never
 share code with the implementations they verify.  The last section holds
 small one-value helpers that only the tests use.
@@ -182,6 +183,22 @@ def image_source_angles(bottom: float, receiver_depth: float, r: float, zs: floa
         PathKind.BB: -math.degrees(math.atan2(2.0 * bottom - zs - zr, r)),
         PathKind.SBB: -math.degrees(math.atan2(2.0 * bottom + zs - zr, r)),
     }
+
+
+def row_major_path_range(phi, c, num, base):
+    """The closed-form path range as a (rays, nodes) array, summed per ray.
+
+    ``c``, ``num`` and ``base`` are the node speeds, slice numerators and
+    ``phi``-independent slant terms of ``environment._grazing_angle``.
+    This is the solver's own row-major evaluation, kept to pin the
+    node-major one byte for byte.
+    """
+    phi = np.asarray(phi)[..., None]
+    # _slant at each node, shared by the two slices that meet there
+    s = np.sqrt(base + (c * np.sin(phi)) ** 2)
+    with np.errstate(divide="ignore"):
+        runs = num / (s[..., :-1] + s[..., 1:])
+    return np.cos(phi[..., 0]) * runs.sum(axis=-1)
 
 
 def march_rays(wg, depth, launch_deg, ranges, step=1.0, record=False):

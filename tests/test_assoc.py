@@ -444,6 +444,25 @@ class TestMarginalLikelihood:
             unnormalized_factor_r(z, pred([3.0]), 0, 1, params(1, mu=0.0))
 
 
+class TestModelParams:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sigma_deg", (0.5, float("nan"))),
+            ("sigma_deg", (0.5, float("inf"))),
+            ("detect_prob", float("nan")),
+            ("mu_fa", float("nan")),
+            ("mu_fa", float("inf")),
+            ("fa_support_deg", (float("nan"), 90.0)),
+        ],
+    )
+    def test_non_finite_values_rejected_by_name(self, field, value):
+        kw = dict(n_paths=2, sigma_deg=(0.5, 0.5), detect_prob=0.9, mu_fa=2.0)
+        kw[field] = value
+        with pytest.raises(ValueError, match=field):
+            ModelParams(**kw)
+
+
 class TestObservationSet:
     def test_descending_order_enforced(self):
         with pytest.raises(ValueError):

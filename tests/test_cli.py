@@ -76,6 +76,24 @@ class TestLoadConfig:
         assert scenario.truth_motion == default["truth_motion"]
         assert scenario.step_s == default["step_s"] == MotionParams().step_s
 
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [
+            ("model", "mu_fa", float("nan")),
+            ("model", "sigma_deg", [0.5, 0.5, float("nan"), 2.0]),
+            ("motion", "accel_var", float("nan")),
+            ("motion", "step_s", float("inf")),
+            ("prior", "speed_std", float("inf")),
+            ("scenario", "duration_s", float("nan")),
+        ],
+    )
+    def test_non_finite_parameter_is_a_config_error(self, tmp_path, block, key, value):
+        # Python's json reads the NaN and Infinity literals that it writes
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps({"grid_file": "grid.bin", block: {key: value}}))
+        with pytest.raises(ConfigError, match=key):
+            load_config(p)
+
     def test_environment_file_is_an_unknown_key(self, tmp_path):
         p = tmp_path / "run.json"
         p.write_text(json.dumps({"grid_file": "grid.bin", "environment_file": "env.json"}))
@@ -265,6 +283,15 @@ class TestTrackAndEvaluate:
         p.write_text(json.dumps(cfg_bad))
         res = run_cli("track", "--config", p)
         assert res.returncode == 1
+
+    def test_track_with_nan_parameter_exits_1_naming_it(self, tiny_setup, tmp_path):
+        root, cfg_path, cfg = tiny_setup
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(dict(cfg, output_dir=str(tmp_path / "out"), model={"mu_fa": float("nan")})))
+        res = run_cli("track", "--config", p)
+        assert res.returncode == 1
+        assert "mu_fa" in res.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_degenerate_track_writes_the_epochs_before_it(self, tiny_setup, tmp_path):
         # without clutter, the third epoch's five observations cannot come

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from swfocal.environment import (
+    _FAN,
     PathKind,
     SoundSpeedProfile,
     Waveguide,
+    _path_range,
+    _sum_rows,
     find_eigenrays,
     sound_speed_at,
 )
 
-from oracles import image_source_angles, march_rays
+from oracles import image_source_angles, march_rays, row_major_path_range
 
 
 def make_wg(knots, bottom=216.5, receiver=150.0):
@@ -172,3 +175,50 @@ class TestEigenrays:
             find_eigenrays(iso_wg, (0.0, 60.0), (PathKind.DP,))
         with pytest.raises(ValueError):
             find_eigenrays(iso_wg, (500.0, 400.0), (PathKind.DP,))
+
+
+class TestRangeFunction:
+    """The node-major range function against the row-major sum it replaced."""
+
+    @staticmethod
+    def terms(c, weighted_dz):
+        # as _grazing_angle forms them
+        c_max = c.max()
+        return weighted_dz * (c[:-1] + c[1:]), (c_max - c) * (c_max + c)
+
+    @staticmethod
+    def angles(rng):
+        return np.concatenate([[0.0, 0.5 * np.pi], _FAN, rng.uniform(0.0, 0.5 * np.pi, 300)])
+
+    @pytest.mark.parametrize("n_slices", [*range(1, 41), 150])
+    def test_matches_row_major_byte_for_byte(self, n_slices):
+        rng = np.random.default_rng(n_slices)
+        c = rng.uniform(1450.0, 1550.0, n_slices + 1)
+        weighted_dz = rng.uniform(0.1, 30.0, n_slices) * rng.integers(1, 3, n_slices)
+        num, base = self.terms(c, weighted_dz)
+        phi = self.angles(rng)
+        got = _path_range(phi, c, num, base)
+        assert got.tobytes() == row_major_path_range(phi, c, num, base).tobytes()
+
+    def test_iso_layer_at_the_top_speed_is_unbounded_at_zero(self):
+        rng = np.random.default_rng(7)
+        c = np.array([1500.0, 1505.0, 1510.0, 1510.0, 1495.0, 1490.0])
+        num, base = self.terms(c, np.array([10.0, 20.0, 15.0, 30.0, 12.0]))
+        phi = self.angles(rng)
+        got = _path_range(phi, c, num, base)
+        assert np.array_equal(np.isinf(got), phi == 0.0)
+        assert got.tobytes() == row_major_path_range(phi, c, num, base).tobytes()
+
+    def test_sum_rows_follows_numpy_summation_order(self):
+        # _sum_rows copies numpy's pairwise order; if a numpy release
+        # changes it, the grid moves by a few ulps and this fails first
+        rng = np.random.default_rng(11)
+        for n_rows in range(1, 301):
+            n_cols = (1, 3, 257, 2400)[n_rows % 4]
+            a = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.uniform(-8, 8, (n_rows, 1))
+            before = a.copy()
+            want = np.ascontiguousarray(a.T).sum(axis=-1)
+            assert _sum_rows(a).tobytes() == want.tobytes(), f"{n_rows} rows"
+            assert np.array_equal(a, before)
+        zeros = np.full((9, 3), -0.0)
+        assert _sum_rows(zeros).tobytes() == np.ascontiguousarray(zeros.T).sum(axis=-1).tobytes()

@@ -5,6 +5,7 @@ from swfocal.environment import (
     PathKind,
     SoundSpeedProfile,
     Waveguide,
+    eigenray_angles,
     find_eigenrays,
     sound_speed_at,
 )
@@ -41,6 +42,33 @@ class TestBuild:
         a = build_doa_grid(iso_wg, (400.0, 900.0, 40.0, 160.0), 11, 9)
         b = build_doa_grid(iso_wg, (400.0, 900.0, 40.0, 160.0), 11, 9)
         assert np.array_equal(a.values, b.values)
+
+    @staticmethod
+    def assert_rows_are_public_solves(wg, grid):
+        for j, depth in enumerate(grid.depths):
+            arrival, _ = eigenray_angles(wg, depth, grid.ranges, grid.kinds)
+            want = np.where(np.isnan(arrival), IMPOSSIBLE, arrival).T
+            assert grid.values[:, j, :].tobytes() == want.tobytes(), f"row {j} at {depth} m"
+
+    def test_rows_are_public_solves_coastal(self, coastal_wg):
+        # the depth axis steps 10 m onto the receiver depth, 153.1875 m
+        grid = build_doa_grid(coastal_wg, (100.0, 2500.0, 13.1875, 173.1875), 120, 17)
+        assert coastal_wg.receiver_depth in grid.depths
+        self.assert_rows_are_public_solves(coastal_wg, grid)
+
+    def test_rows_are_public_solves_iso(self, iso_wg, iso_grid):
+        assert iso_wg.receiver_depth in iso_grid.depths  # the horizontal direct path
+        self.assert_rows_are_public_solves(iso_wg, iso_grid)
+
+    def test_rows_are_public_solves_strong_gradient(self):
+        wg = Waveguide(
+            ssp=SoundSpeedProfile(knots=((0.0, 1540.0), (216.5, 1453.4))),
+            bottom_depth=216.5,
+            receiver_depth=150.0,
+        )
+        grid = build_doa_grid(wg, (100.0, 2500.0, 10.0, 175.0), 120, 34)
+        assert np.isneginf(grid.values).any() and np.isfinite(grid.values).any()
+        self.assert_rows_are_public_solves(wg, grid)
 
     def test_iso_direct_path_at_receiver_depth_is_horizontal(self, iso_grid):
         (row,) = np.flatnonzero(iso_grid.depths == 150.0)

@@ -72,6 +72,20 @@ class TestTruth:
         with pytest.raises(ValueError):
             scenario(initial_range_m=50.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("duration_s", float("nan")),
+            ("duration_s", float("inf")),
+            ("step_s", float("nan")),
+            ("step_s", float("inf")),
+            ("initial_speed_mps", float("nan")),
+        ],
+    )
+    def test_non_finite_values_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            scenario(**{field: value})
+
 
 class TestObservations:
     def test_noiseless_limit_reproduces_modeled_angles(self, refr_grid):

@@ -1,8 +1,13 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from swfocal.assoc import ModelParams, ObservationSet, PathPrediction, marginal_likelihood
-from swfocal.grid import interpolate_doa_many
+from swfocal.cli import load_config
+from swfocal.grid import build_doa_grid, interpolate_doa_many
+from swfocal.simulator import generate_observations, generate_truth
 from swfocal.tracking import (
     DegeneracyError,
     MotionParams,
@@ -18,6 +23,7 @@ from swfocal.tracking import (
     update,
 )
 
+REPO = Path(__file__).resolve().parent.parent
 ROI = (300.0, 1200.0, 30.0, 150.0)
 PARAMS4 = ModelParams(n_paths=4, sigma_deg=(0.5, 0.5, 2.0, 2.0), detect_prob=0.9, mu_fa=2.0)
 
@@ -75,6 +81,35 @@ class TestPredict:
         rows = [predict(ps.states[j], 2.048, u1[j], u2[j]) for j in range(50)]
         assert np.array_equal(out.states, rows)
         assert np.array_equal(out.weights, ps.weights)
+
+
+class TestParams:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("accel_var", float("nan")),
+            ("accel_var", float("inf")),
+            ("depth_var", float("nan")),
+            ("step_s", float("nan")),
+            ("step_s", float("inf")),
+        ],
+    )
+    def test_non_finite_motion_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MotionParams(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("speed_std", float("nan")),
+            ("speed_std", float("inf")),
+            ("roi", (300.0, float("inf"), 30.0, 150.0)),
+            ("roi", (300.0, 1200.0, float("nan"), 150.0)),
+        ],
+    )
+    def test_non_finite_prior_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PriorParams(**{"roi": ROI, field: value})
 
 
 class TestInit:
@@ -297,3 +332,38 @@ class TestRunTracker:
         obs = [(2.0, ObservationSet(z=np.array([]))), (2.0, ObservationSet(z=np.array([])))]
         with pytest.raises(ValueError):
             run_tracker(refr_grid, obs, PARAMS4, MotionParams(), PriorParams(roi=ROI), J=10)
+
+
+@pytest.fixture(scope="module")
+def default_run(coastal_wg):
+    """The README run: its 876x56 grid and the stream ``simulate`` writes at seed 0."""
+    cfg = load_config(REPO / "configs" / "default_run.json")
+    grid = build_doa_grid(coastal_wg, (100.0, 3600.0, 10.0, 175.0), 876, 56)
+    truth = generate_truth(cfg.scenario, seed=0)
+    obs = generate_observations(truth, grid, cfg.model, seed=0)
+    stream = [(t, o) for t, o in zip(truth.times_s.tolist(), obs) if not cfg.scenario.in_dropout(t)]
+    return cfg, grid, stream
+
+
+class TestLossOfTrack:
+    """The default run, tracked under a mismatched model, loses the target
+    at a measured epoch and keeps the records made before it."""
+
+    @pytest.mark.parametrize(
+        "change, time_s, cause, n_before",
+        [
+            # a missed detection has zero probability at d = 1
+            ({"detect_prob": 1.0}, 256.0, "every likelihood inside the region of interest is zero", 125),
+            # sigma / 10 drifts to the 100 m edge of the region
+            ({"sigma_deg": (0.05, 0.05, 0.2, 0.2)}, 847.872, "every particle left the region of interest", 342),
+        ],
+        ids=["detect_prob=1", "sigma/10"],
+    )
+    def test_mismatched_model_loses_the_track(self, default_run, change, time_s, cause, n_before):
+        cfg, grid, stream = default_run
+        model = dataclasses.replace(cfg.model, **change)
+        with pytest.raises(DegeneracyError) as err:
+            run_tracker(grid, stream, model, cfg.motion, cfg.prior, J=cfg.n_particles, seed=cfg.seed)
+        assert err.value.cause == cause
+        assert err.value.time_s == stream[n_before][0] == pytest.approx(time_s)
+        assert [t for t, _, _ in err.value.estimates] == [t for t, _ in stream[:n_before]]
