@@ -206,14 +206,16 @@ def _slant(phi, c_max: float, c) -> np.ndarray:
     return np.sqrt((c_max - c) * (c_max + c) + (c * np.sin(phi)) ** 2)
 
 
-def _sum_rows(a) -> np.ndarray:
+def _sum_rows(a, acc=None) -> np.ndarray:
     """``a.sum(axis=0)`` of a 2-D array, in the order numpy sums a contiguous row.
 
     numpy sums fewer than 8 values one after the other, 8 to 128 values in
     8 interleaved accumulators combined as a tree, and longer runs as two
     halves split at a multiple of 8.  Taking each step across the columns
     at once keeps the columns on the long inner axis and gives, bit for
-    bit, ``np.ascontiguousarray(a.T).sum(axis=-1)``.
+    bit, ``np.ascontiguousarray(a.T).sum(axis=-1)``.  ``acc``, an (8,
+    columns) array, holds the accumulators, and the sum may be a view of
+    it; ``None`` takes a fresh one.
     """
     n = len(a)
     if n < 8:
@@ -223,10 +225,12 @@ def _sum_rows(a) -> np.ndarray:
         return out
     if n > 128:
         half = n // 2 - n // 2 % 8
-        out = _sum_rows(a[:half])
-        out += _sum_rows(a[half:])
+        out = _sum_rows(a[:half], acc).copy()  # the second half reuses ``acc``
+        out += _sum_rows(a[half:], acc)
         return out
-    acc = a[:8].copy()
+    if acc is None:
+        acc = np.empty((8, a.shape[1]))
+    np.copyto(acc, a[:8])
     tail = n - n % 8
     for i in range(8, tail, 8):
         acc += a[i : i + 8]
@@ -240,32 +244,45 @@ def _sum_rows(a) -> np.ndarray:
     return out
 
 
-def _path_range(phi, c, num, base) -> np.ndarray:
+def _scratch(n_nodes: int, n_rays: int) -> np.ndarray:
+    """Room for ``_path_range`` on up to ``n_nodes`` nodes and ``n_rays`` rays."""
+    return np.empty((2 * n_nodes + 7) * n_rays)
+
+
+def _path_range(phi, c, num, base, scratch=None) -> np.ndarray:
     """Range of the path at each grazing angle in the 1-D array ``phi``.
 
     ``c`` holds the node speeds of the slices the path crosses, ``num`` each
     slice's ``weighted_dz * (c_a + c_b)`` and ``base`` the ``phi``-independent
     part of ``_slant`` at each node.  Evaluated node-major, as (nodes, rays),
-    so every step runs over the rays.
+    so every step runs over the rays, in views of ``scratch`` (from
+    ``_scratch``; ``None`` takes a fresh one).
     """
-    s = np.multiply.outer(c, np.sin(phi))
+    n, m = c.size, phi.size
+    if scratch is None:
+        scratch = _scratch(n, m)
+    s = scratch[: n * m].reshape(n, m)
+    runs = scratch[n * m : (2 * n - 1) * m].reshape(n - 1, m)
+    acc = scratch[(2 * n - 1) * m : (2 * n + 7) * m].reshape(8, m)
+    np.multiply.outer(c, np.sin(phi), out=s)
     s *= s
     s += base[:, None]
     np.sqrt(s, out=s)  # _slant at each node, shared by the two slices that meet there
-    runs = s[:-1] + s[1:]
+    np.add(s[:-1], s[1:], out=runs)
     with np.errstate(divide="ignore"):
         np.divide(num[:, None], runs, out=runs)
-    return np.cos(phi) * _sum_rows(runs)
+    return np.cos(phi) * _sum_rows(runs, acc)
 
 
-def _grazing_angle(c, weighted_dz, r):
+def _grazing_angle(c, weighted_dz, r, scratch):
     """Angle ``phi`` at the fastest depth of the eigenray reaching each range.
 
     The path crosses one contiguous run of slices, with node speeds ``c``
     (one more than slices), each slice ``weighted_dz`` meters thick times
     its number of legs.  The ray is ``xi = cos(phi) / c_max``; ``phi`` is
     ``nan`` where ``r`` is beyond the flattest ray's range.  Returns
-    ``(phi, c_max)``.
+    ``(phi, c_max)``.  ``scratch`` serves ``_path_range`` for the path's
+    nodes and ``max(r.size, _FAN.size)`` rays.
     """
     c_max = float(c.max())
     num = weighted_dz * (c[:-1] + c[1:])
@@ -275,7 +292,7 @@ def _grazing_angle(c, weighted_dz, r):
     # false position on r / R(phi) - 1, which increases with phi and stays
     # finite where an iso layer at c_max makes R(0) unbounded.  Only the
     # unconverged brackets are carried, compacted when some converge.
-    fan_r = _path_range(_FAN, c, num, base)
+    fan_r = _path_range(_FAN, c, num, base, scratch)
     n_reach = np.searchsorted(-fan_r, -r, side="right")
     ok = n_reach > 0
     j = np.minimum(n_reach[ok], _FAN.size - 1)
@@ -291,7 +308,7 @@ def _grazing_angle(c, weighted_dz, r):
         if not act.size:
             break
         xm = (a * fb - b * fa) / (fb - fa)
-        fm = ra / _path_range(xm, c, num, base) - 1.0
+        fm = ra / _path_range(xm, c, num, base, scratch) - 1.0
         x[act] = xm
         keep = (np.abs(fm) > 1e-13) & (xm > a) & (xm < b)
         up = fm < 0.0
@@ -307,13 +324,22 @@ def _grazing_angle(c, weighted_dz, r):
     return phi, c_max
 
 
-def _solve(wg: Waveguide, source_depth: float, ranges, kinds: tuple[PathKind, ...]):
+def _solve_scratch(wg: Waveguide, n_ranges: int) -> np.ndarray:
+    """Scratch for ``_solve`` in ``wg`` at any source depth and up to ``n_ranges`` ranges."""
+    # the nodes: the knots above the bottom, the source, the receiver and the bottom
+    n_nodes = sum(z < wg.bottom_depth for z, _ in wg.ssp.knots) + 3
+    return _scratch(n_nodes, max(n_ranges, _FAN.size))
+
+
+def _solve(wg: Waveguide, source_depth: float, ranges, kinds: tuple[PathKind, ...], scratch=None):
     """Each kind's eigenray from sources at one depth to the receiver.
 
     Checks the source, then returns ``(rays, c_s, c_r)``: per kind
     ``(phi, c_max, sign_launch, sign_arrival)``, the ray ``xi = cos(phi) /
     c_max`` at each range with ``phi`` ``nan`` where the kind has no
-    eigenray, and the speeds at the source and the receiver.
+    eigenray, and the speeds at the source and the receiver.  The range
+    functions run in ``scratch``, from ``_solve_scratch``; ``None`` takes
+    a fresh one for this call.
     """
     zs, zr, b = float(source_depth), wg.receiver_depth, wg.bottom_depth
     r = np.atleast_1d(np.asarray(ranges, dtype=float))
@@ -321,6 +347,8 @@ def _solve(wg: Waveguide, source_depth: float, ranges, kinds: tuple[PathKind, ..
         raise ValueError("source range must be positive")
     if not 0.0 <= zs <= b:
         raise ValueError("source depth outside the water column")
+    if scratch is None:
+        scratch = _solve_scratch(wg, r.size)
     kz, kc = (np.array(v) for v in zip(*wg.ssp.knots))
     z = np.unique(np.concatenate([kz[kz < b], [zs, zr, b]]))
     c = np.interp(z, kz, kc)
@@ -332,7 +360,7 @@ def _solve(wg: Waveguide, source_depth: float, ranges, kinds: tuple[PathKind, ..
         on = legs > 0
         if on.any():
             first, last = np.flatnonzero(on)[[0, -1]]
-            phi, c_max = _grazing_angle(c[first : last + 2], legs[on] * dz[on], r)
+            phi, c_max = _grazing_angle(c[first : last + 2], legs[on] * dz[on], r, scratch)
         else:  # the direct path with zs == zr crosses no slice: the horizontal ray
             touching = (z[:-1] == zs) | (z[1:] == zs)
             phi = np.full(r.shape, 0.0 if np.all(ca[touching] == cb[touching]) else np.nan)

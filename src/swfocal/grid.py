@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swfocal.environment import PathKind, Waveguide, _angle_deg, _solve
+from swfocal.environment import PathKind, Waveguide, _angle_deg, _solve, _solve_scratch
 
 __all__ = ["IMPOSSIBLE", "DoaGrid", "build_doa_grid", "interpolate_doa_many"]
 
@@ -68,18 +68,23 @@ class DoaGrid:
         return {k: float(f) for k, f in zip(self.kinds, frac)}
 
     def select_kinds(self, kinds: tuple[PathKind, ...]) -> "DoaGrid":
-        """Restrict the grid to a subset of its path layers."""
+        """Restrict the grid to a subset of its path layers.
+
+        Every layer in the grid's own order shares the grid's C-ordered
+        values; any other selection copies them.
+        """
         idx = []
         for k in kinds:
             if k not in self.kinds:
                 raise ValueError(f"grid has no layer for path {k.name}")
             idx.append(self.kinds.index(k))
+        values = self.values if idx == list(range(len(self.kinds))) else self.values[:, :, idx]
         return DoaGrid(
             roi=self.roi,
             n_r=self.n_r,
             n_d=self.n_d,
             kinds=tuple(kinds),
-            values=np.ascontiguousarray(self.values[:, :, idx]),
+            values=np.ascontiguousarray(values),
         )
 
 
@@ -101,15 +106,17 @@ def build_doa_grid(
 ) -> DoaGrid:
     """Build the DOA grid for ``kinds`` over ``roi``, one depth row at a time.
 
-    ``DoaGrid`` checks the header before any row is solved.  Deterministic:
-    the same inputs produce a bit-identical grid.
+    ``DoaGrid`` checks the header before any row is solved.  Every row's
+    solve runs in one scratch, freed when the build returns.
+    Deterministic: the same inputs produce a bit-identical grid.
     """
     kinds = tuple(kinds)
     values = np.empty((n_r, n_d, len(kinds)))
     grid = DoaGrid(roi=_validate_roi(wg, roi), n_r=n_r, n_d=n_d, kinds=kinds, values=values)
     ranges = grid.ranges
+    scratch = _solve_scratch(wg, n_r)
     for j, depth in enumerate(grid.depths):
-        rays, _, c_r = _solve(wg, depth, ranges, kinds)
+        rays, _, c_r = _solve(wg, depth, ranges, kinds, scratch)
         for i, (phi, c_max, _, sign_arrival) in enumerate(rays):
             arrival = _angle_deg(phi, c_max, c_r, sign_arrival)
             values[:, j, i] = np.where(np.isnan(arrival), IMPOSSIBLE, arrival)

@@ -12,9 +12,10 @@ geometrically impossible entries.
 from __future__ import annotations
 
 import csv
-import io as _io
 import json
+import os
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -93,41 +94,52 @@ def write_environment(path, wg: Waveguide) -> None:
 
 
 def write_grid(path, grid: DoaGrid) -> None:
+    """Write ``grid`` in the binary layout, straight from its values' memory."""
     with open(path, "wb") as f:
         f.write(GRID_MAGIC)
         f.write(struct.pack("<I", GRID_VERSION))
         f.write(struct.pack("<4d", *grid.roi))
         f.write(struct.pack("<III", grid.n_r, grid.n_d, len(grid.kinds)))
         f.write(bytes(k.index for k in grid.kinds))
-        f.write(np.ascontiguousarray(grid.values, dtype="<f8").tobytes())
+        f.write(np.ascontiguousarray(grid.values, dtype="<f8"))  # a copy only if not C-ordered <f8
 
 
 def read_grid(path) -> DoaGrid:
-    raw = Path(path).read_bytes()
-    buf = _io.BytesIO(raw)
+    """Read a grid file, its values straight into the grid's one array.
 
-    def take(n: int, what: str) -> bytes:
-        b = buf.read(n)
-        if len(b) != n:
-            raise GridFileError(f"{path}: truncated while reading {what}")
-        return b
+    The header's value count is checked against the file's size before
+    anything is allocated for the values.
+    """
+    with open(path, "rb") as f:
 
-    if take(8, "magic") != GRID_MAGIC:
-        raise GridFileError(f"{path}: not a DOA grid file (bad magic)")
-    (version,) = struct.unpack("<I", take(4, "version"))
-    if version != GRID_VERSION:
-        raise GridFileError(f"{path}: unsupported grid version {version}")
-    roi = struct.unpack("<4d", take(32, "roi"))
-    n_r, n_d, n_k = struct.unpack("<III", take(12, "counts"))
-    try:
-        kinds = tuple(PathKind(b) for b in take(n_k, "path kinds"))
-    except ValueError as e:
-        raise GridFileError(f"{path}: {e}") from e
-    data = take(8 * n_r * n_d * n_k, "values")
-    if buf.read(1):
-        raise GridFileError(f"{path}: trailing bytes after grid values")
-    values = np.frombuffer(data, dtype="<f8").astype(float).reshape(n_r, n_d, n_k)
-    if np.any(np.isnan(values) | (values == np.inf)):
+        def take(n: int, what: str) -> bytes:
+            b = f.read(n)
+            if len(b) != n:
+                raise GridFileError(f"{path}: truncated while reading {what}")
+            return b
+
+        if take(8, "magic") != GRID_MAGIC:
+            raise GridFileError(f"{path}: not a DOA grid file (bad magic)")
+        (version,) = struct.unpack("<I", take(4, "version"))
+        if version != GRID_VERSION:
+            raise GridFileError(f"{path}: unsupported grid version {version}")
+        roi = struct.unpack("<4d", take(32, "roi"))
+        n_r, n_d, n_k = struct.unpack("<III", take(12, "counts"))
+        try:
+            kinds = tuple(PathKind(b) for b in take(n_k, "path kinds"))
+        except ValueError as e:
+            raise GridFileError(f"{path}: {e}") from e
+        size, left = 8 * n_r * n_d * n_k, os.fstat(f.fileno()).st_size - f.tell()
+        if left < size:
+            raise GridFileError(f"{path}: truncated while reading values")
+        if left > size:
+            raise GridFileError(f"{path}: trailing bytes after grid values")
+        values = np.empty((n_r, n_d, n_k))
+        if f.readinto(values) != size:
+            raise GridFileError(f"{path}: truncated while reading values")
+    if sys.byteorder != "little":
+        values.byteswap(inplace=True)
+    if not (values < np.inf).all():  # nan and +inf fail the comparison
         raise GridFileError(f"{path}: grid values must be finite or -inf")
     try:
         return DoaGrid(roi=roi, n_r=n_r, n_d=n_d, kinds=kinds, values=values)

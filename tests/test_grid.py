@@ -70,6 +70,13 @@ class TestBuild:
         assert np.isneginf(grid.values).any() and np.isfinite(grid.values).any()
         self.assert_rows_are_public_solves(wg, grid)
 
+    def test_rows_are_public_solves_across_builds(self, coastal_wg):
+        # one process builds wide, narrow (fewer columns than the fan) and
+        # then wider grids; every row must still be the public solve
+        for n_r in (300, 40, 700):
+            grid = build_doa_grid(coastal_wg, (100.0, 2500.0, 13.1875, 173.1875), n_r, 5)
+            self.assert_rows_are_public_solves(coastal_wg, grid)
+
     def test_iso_direct_path_at_receiver_depth_is_horizontal(self, iso_grid):
         (row,) = np.flatnonzero(iso_grid.depths == 150.0)
         assert np.all(iso_grid.values[:, row, iso_grid.kinds.index(PathKind.DP)] == 0.0)
@@ -255,6 +262,15 @@ class TestInterpolation:
         assert np.array_equal(sub.values, iso_grid.values[:, :, :2])
         with pytest.raises(ValueError):
             sub.select_kinds((PathKind.BB,))
+
+    def test_select_kinds_shares_every_layer_in_order(self, iso_grid):
+        same = iso_grid.select_kinds(iso_grid.kinds)
+        assert same.kinds == iso_grid.kinds
+        assert np.shares_memory(same.values, iso_grid.values)
+        assert np.array_equal(same.values, iso_grid.values)
+        reordered = iso_grid.select_kinds(iso_grid.kinds[::-1])
+        assert not np.shares_memory(reordered.values, iso_grid.values)
+        assert np.array_equal(reordered.values, iso_grid.values[:, :, ::-1])
 
     def test_select_kinds_rejects_duplicates(self, iso_grid):
         with pytest.raises(ValueError, match="distinct"):

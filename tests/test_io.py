@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,24 @@ class TestGridFile:
             sio.read_grid(path)
         assert str(err.value).startswith(f"{path}: ")
 
+    def test_oversized_header_fails_before_allocating(self, tmp_path):
+        # 2**32 - 1 squared values would need 2**67 bytes: the file's size
+        # rejects them before any array is made
+        path = tmp_path / "grid.bin"
+        n = 2**32 - 1
+        path.write_bytes(
+            sio.GRID_MAGIC
+            + struct.pack("<I", sio.GRID_VERSION)
+            + struct.pack("<4d", 100.0, 200.0, 10.0, 20.0)
+            + struct.pack("<III", n, n, 1)
+            + bytes([PathKind.DP.index])
+            + np.zeros(6, dtype="<f8").tobytes()
+        )
+        assert path.stat().st_size < 120
+        with pytest.raises(sio.GridFileError, match="truncated") as err:
+            sio.read_grid(path)
+        assert str(err.value).startswith(f"{path}: ")
+
     def test_trailing_bytes(self, tmp_path, iso_wg):
         grid = build_doa_grid(iso_wg, (400.0, 900.0, 40.0, 160.0), 4, 3)
         path = tmp_path / "grid.bin"
@@ -121,6 +140,46 @@ class TestGridFile:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(sio.GridFileError, match="trailing"):
             sio.read_grid(path)
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of the memory it allocated, from ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGridMemory:
+    """Each step of the grid's round trip holds at most the grid itself."""
+
+    @pytest.fixture
+    def grid(self):
+        rng = np.random.default_rng(3)
+        values = rng.uniform(-40.0, 40.0, (600, 165, 4))
+        values[values > 35.0] = -np.inf
+        return DoaGrid((100.0, 2500.0, 10.0, 175.0), 600, 165, tuple(PathKind), values)
+
+    def test_write_makes_no_copy(self, tmp_path, grid):
+        path = tmp_path / "grid.bin"
+        _, peak = traced_peak(lambda: sio.write_grid(path, grid))
+        assert peak < 0.01 * grid.values.nbytes + 8192
+        assert np.array_equal(sio.read_grid(path).values, grid.values)
+
+    def test_read_holds_one_array(self, tmp_path, grid):
+        path = tmp_path / "grid.bin"
+        sio.write_grid(path, grid)
+        back, peak = traced_peak(lambda: sio.read_grid(path))
+        assert peak <= 1.2 * grid.values.nbytes
+        assert back.values.tobytes() == grid.values.tobytes()
+        assert back.values.flags.c_contiguous and back.values.flags.writeable
+
+    def test_selecting_every_layer_shares_the_values(self, grid):
+        same, peak = traced_peak(lambda: grid.select_kinds(grid.kinds))
+        assert peak < 0.01 * grid.values.nbytes
+        assert np.shares_memory(same.values, grid.values)
 
 
 class TestRecordFiles:
