@@ -15,7 +15,6 @@ from swfocal.environment import (
     Waveguide,
     eigenray_angles,
     find_eigenrays,
-    sound_speed_at,
 )
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "Waveguide",
     "eigenray_angles",
     "find_eigenrays",
-    "sound_speed_at",
 ]
 
 __version__ = "0.1.0"

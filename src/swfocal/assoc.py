@@ -25,24 +25,29 @@ detections.  Path k either misses, which scales ``S[m, c]`` by
 ``1 - d_k``, or takes an observation m above every index used so far,
 which adds ``r_k(m)`` times the prefix sum of ``S[m', c - 1]`` over
 ``m' < m``; the weight is then the sum of ``c! * S[m, c]``.
-``marginal_likelihood_batch`` runs this path by path on an (M+1, K+1, J)
-array with the J states innermost, so each step is a few whole-array
-operations.  Its cost is O(K^2 M) per state, and it skips three kinds of
-work whose result is known exactly:
+``marginal_likelihood_batch`` runs this path by path on a count-major
+(K+1, M+1, J) array, indexed ``[c, m]``, with the J states innermost, so
+each step is a few whole-array operations.  Its cost is O(K^2 M) per
+state, and it skips three kinds of work whose result is known exactly:
 
 * The triangle.  Before path k, ``S[m, c]`` is 0 for c > min(m, k): c
-  detections need c observations, and only k paths came before.  So
-  the miss factor scales counts 0..min(m, k) of row m only, and the
+  detections need c observations, and only k paths came before.  So the
   detection branch from row m adds into counts 1..min(m, k) + 1 of row
-  m + 1 only.
+  m + 1 only: row by row below row k, and as one block op over rows k
+  and up, which all take counts 1..k + 1.  The miss factor scales counts
+  0..k of every row, one contiguous block, in one op; the entries above
+  the triangle that it touches are exact zeros, and ``0 * (1 - d_k)`` is
+  +0.
 * Rows far from every state.  Many (path, observation) rows of densities
   are exactly 0, the observation lying far from the path's angle at every
   state: about two thirds of the SB and DP rows of the default tracking
   run.  So the angles are taken path-major, as (K, J), and a row is
   computed only if its observation is within 39 sigma of the span of the
   path's angles.  Beyond that every exponent is below -760, where ``exp``
-  is exactly 0 (it rounds to 0 below about -745.13); the prefix sums stop
-  at the last live row.
+  is exactly 0 (it rounds to 0 below about -745.13).  The span is an
+  interval and ``z`` descends, so each path's live rows are contiguous:
+  two ``searchsorted`` calls on ``-z`` find them for every path at once,
+  and the prefix sums stop at the last live row.
 * The underflow correction.  In a live row ``exp`` runs on exponents
   clipped at -700, which keeps numpy in its fast vector loop, and is
   masked to 0 below; the few exponents in [-746, -700) are redone one by
@@ -58,6 +63,7 @@ Angles are degrees throughout; densities are per degree.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -252,6 +258,7 @@ def marginal_likelihood(z: ObservationSet, pred: PathPrediction, params: ModelPa
 # or subnormal, are recomputed exactly.  The densities are those of the
 # plain exp(x) / c bit for bit.
 _GATE_SIGMA = 39.0
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _EXP_FLOOR = -700.0
 _EXP_ZERO = -746.0
 
@@ -265,15 +272,18 @@ class _Scratch(threading.local):
 _scratch = _Scratch()
 
 
-def _live_rows(z: np.ndarray, angles: np.ndarray, sigma: float) -> np.ndarray:
-    """Indices of the observations with a nonzero density at some angle.
+def _live_spans(z: np.ndarray, ang: np.ndarray, sigma) -> tuple[list[int], list[int]]:
+    """Live rows ``first[k]..stop[k] - 1`` of each path, for descending ``z``.
 
-    ``nan`` angles (impossible paths) are ignored; all ``nan`` gives none.
+    Row m of path k is live if ``z[m]`` lies within 39 ``sigma[k]`` of the
+    span of row k of the path-major ``ang``.  ``nan`` angles are ignored;
+    all ``nan`` gives ``first[k] >= stop[k]``, no row.
     """
-    lo = np.fmin.reduce(angles, initial=np.inf)
-    hi = np.fmax.reduce(angles, initial=-np.inf)
-    reach = _GATE_SIGMA * sigma
-    return np.flatnonzero((z >= lo - reach) & (z <= hi + reach))
+    reach = _GATE_SIGMA * np.array(sigma)
+    neg_z = -z
+    first = neg_z.searchsorted(-(np.fmax.reduce(ang, axis=1, initial=-np.inf) + reach))
+    stop = neg_z.searchsorted(-(np.fmin.reduce(ang, axis=1, initial=np.inf) - reach), side="right")
+    return first.tolist(), stop.tolist()
 
 
 def _densities(z: np.ndarray, angles: np.ndarray, sigma: float) -> np.ndarray:
@@ -282,7 +292,7 @@ def _densities(z: np.ndarray, angles: np.ndarray, sigma: float) -> np.ndarray:
     u /= sigma
     x = -0.5 * u
     x *= u
-    c = sigma * np.sqrt(2.0 * np.pi)
+    c = sigma * _SQRT_2PI
     # with no nan and no x below the floor, the clip and the mask change nothing
     clipped = not x.min() >= _EXP_FLOOR
     dens = np.exp(np.fmax(x, _EXP_FLOOR, out=u) if clipped else x, out=u)
@@ -311,13 +321,15 @@ def marginal_likelihood_batch(
     associations that explain every observation.
 
     Path by path, only observations within 39 sigma of the span of the
-    path's angles get densities, and only the counts that can be nonzero
-    are updated (see the module docstring); the result is the full DP's
-    bit for bit.  Any memory layout is accepted; the transpose of a
-    C-ordered (K, J) array, as ``interpolate_doa_many`` returns, is read
-    without a copy.  The prefix sums live in a per-thread scratch buffer
-    that only grows, to the largest M * K * J float64 of any call on that
-    thread (about 3 MB at M = 10, K = 4, J = 10^4), and is kept between calls.
+    path's angles get densities, and the detection branch updates only
+    the counts that can be nonzero (see the module docstring); the result
+    is the full DP's bit for bit.  The gate relies on the order, so
+    ``z_sorted`` out of order, or with a ``nan``, raises ``ValueError``.
+    Any memory layout is accepted; the transpose of a C-ordered (K, J)
+    array, as ``interpolate_doa_many`` returns, is read without a copy.
+    The prefix sums live in a per-thread scratch buffer that only grows,
+    to the largest M * K * J float64 of any call on that thread (about
+    3 MB at M = 10, K = 4, J = 10^4), and is kept between calls.
     """
     z = np.asarray(z_sorted, dtype=float).reshape(-1)
     # path-major: row k holds path k's angles at every state
@@ -326,45 +338,64 @@ def marginal_likelihood_batch(
     K, J = ang.shape
     M = z.size
     mu = params.mu_fa
+    if not (z[1:] <= z[:-1]).all():  # nan fails it too
+        raise ValueError("observations must be sorted in descending order")
 
     if mu <= 0.0 and M > K:
         return np.zeros(J)
 
-    S = np.zeros((M + 1, K + 1, J))
+    first, stop = _live_spans(z, ang, params.sigma_deg[:K])
+
+    miss = 1.0 - det
+    # detection factors carry no 1/mu in the zero-clutter limit
+    scale = det if mu <= 0.0 else det / mu
+    # count-major, S[c, m]: the counts 0..k that path k touches are one
+    # contiguous block
+    S = np.zeros((K + 1, M + 1, J))
     S[0, 0] = 1.0
     if _scratch.prefix.size < M * K * J:
         _scratch.prefix = None  # free the old buffer before its successor exists
         _scratch.prefix = np.empty(M * K * J)
-    prefix = _scratch.prefix[: M * K * J].reshape(M, K, J)
     for k in range(K):
-        sig = params.sigma_deg[k]
-        live = _live_rows(z, ang[k], sig)
+        s, e = first[k], stop[k]
         # before path k, c detections need c observations and at most k
-        # paths: S[m, c] is 0 for c > min(m, k), and so is prefix[m, c].
-        # prefix[m] sums S[0..m] up to the last live row; row by row, which
-        # is cumsum's order but far faster than cumsum along an outer axis
-        if live.size:
-            P = prefix[: live[-1] + 1, : k + 1]
-            P[0] = S[0, : k + 1]
-            for m in range(1, len(P)):
-                np.add(P[m - 1], S[m, : k + 1], out=P[m])
-        miss = 1.0 - det[k]
-        for m in range(min(k, M + 1)):  # rows below k hold counts 0..m only
-            S[m, : m + 1] *= miss
-        S[k:, : k + 1] *= miss
-        if live.size:
-            # detection factors carry no 1/mu in the zero-clutter limit
-            scale = det[k] if mu <= 0.0 else det[k] / mu
-            hit = _densities(z[live], ang[k], sig)
-            hit *= scale
+        # paths: S[c, m] is 0 for c > min(m, k), and so is P[c, m].  P[:, m]
+        # sums S[:, 0..m] over counts 0..k up to the last live row; row by
+        # row, which is cumsum's order but far faster than cumsum along an
+        # outer axis
+        if s < e:
+            P = _scratch.prefix[: (k + 1) * e * J].reshape(k + 1, e, J)
+            P[:, 0] = S[: k + 1, 0]
+            for m in range(1, e):
+                np.add(P[:, m - 1], S[: k + 1, m], out=P[:, m])
+        # counts 0..k of every row in one op; the entries above the
+        # triangle are exact zeros, and 0 * (1 - d) is +0
+        S[: k + 1] *= miss[k]
+        if s < e:
+            hit = _densities(z[s:e], ang[k], params.sigma_deg[k])
+            hit *= scale[k]
             hit /= params.fa_density
-            for m, h in zip(live, hit):
-                c = min(m, k) + 1
-                S[m + 1, 1 : c + 1] += np.multiply(h, P[m, :c], out=P[m, :c])
+            # the detection from row m adds into counts 1..min(m, k) + 1 of
+            # row m + 1: one by one below row k, as one block from row k on
+            for m in range(s, min(k, e)):
+                h, Pm = hit[m - s], P[: m + 1, m]
+                S[1 : m + 2, m + 1] += np.multiply(h, Pm, out=Pm)
+            b = max(s, k)
+            if b < e:
+                Pb = P[:, b:]
+                Pb *= hit[b - s :]
+                S[1 : k + 2, b + 1 : e + 1] += Pb
 
     # each state's sums run along a contiguous row, in numpy's pairwise
     # order, which the tracker's estimates are pinned to
     if mu <= 0.0:
-        return math.factorial(M) * np.ascontiguousarray(S[:, M].T).sum(axis=1)
+        return math.factorial(M) * np.ascontiguousarray(S[M].T).sum(axis=1)
+    return np.ascontiguousarray(S.sum(axis=1).T) @ _factorials(K)
+
+
+@functools.lru_cache(maxsize=None)
+def _factorials(K: int) -> np.ndarray:
+    """0!, 1!, ..., K! as a read-only float array."""
     weights = np.array([math.factorial(c) for c in range(K + 1)], dtype=float)
-    return np.ascontiguousarray(S.sum(axis=0).T) @ weights
+    weights.flags.writeable = False
+    return weights

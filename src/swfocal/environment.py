@@ -69,7 +69,6 @@ __all__ = [
     "Waveguide",
     "PathKind",
     "EigenRay",
-    "sound_speed_at",
     "eigenray_angles",
     "find_eigenrays",
 ]
@@ -97,19 +96,6 @@ class PathKind(Enum):
     @property
     def index(self) -> int:
         return self.value
-
-    @property
-    def bounce_signature(self) -> tuple[str, ...]:
-        """Ordered boundary interactions from source to receiver."""
-        return _KIND_SIGNATURE[self]
-
-
-_KIND_SIGNATURE = {
-    PathKind.SB: ("surface",),
-    PathKind.DP: (),
-    PathKind.BB: ("bottom",),
-    PathKind.SBB: ("surface", "bottom"),
-}
 
 
 @dataclass(frozen=True)
@@ -140,20 +126,6 @@ class SoundSpeedProfile:
         return self.knots[-1][0]
 
 
-def sound_speed_at(ssp: SoundSpeedProfile, depth_m: float) -> float:
-    """Sound speed at ``depth_m`` by linear interpolation between knots.
-
-    Raises ``ValueError`` if the depth lies outside the profile support.
-    """
-    if not 0.0 <= depth_m <= ssp.max_depth:
-        raise ValueError(
-            f"depth {depth_m} m outside profile support [0, {ssp.max_depth}] m"
-        )
-    zs = np.array([z for z, _ in ssp.knots])
-    cs = np.array([c for _, c in ssp.knots])
-    return float(np.interp(depth_m, zs, cs))
-
-
 @dataclass(frozen=True)
 class Waveguide:
     """Flat-bottom waveguide: profile, bottom depth and receiver depth."""
@@ -176,7 +148,6 @@ class EigenRay:
     kind: PathKind
     arrival_angle_deg: float
     launch_angle_deg: float
-    source_position: tuple[float, float]
 
 
 # (launch sign, arrival sign) per path; the direct path takes the sign of
@@ -411,6 +382,6 @@ def find_eigenrays(
     r_s, z_s = float(source[0]), float(source[1])
     arrival, launch = eigenray_angles(wg, z_s, [r_s], kinds)
     return {
-        kind: None if np.isnan(a) else EigenRay(kind, float(a), float(l), (r_s, z_s))
+        kind: None if np.isnan(a) else EigenRay(kind, float(a), float(l))
         for kind, a, l in zip(kinds, arrival[:, 0], launch[:, 0])
     }

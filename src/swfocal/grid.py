@@ -4,7 +4,9 @@ The tracker needs the modeled arrival angle of every propagation path at
 many candidate source positions per time step.  Solving eigenrays on the
 fly is far too slow, so the arrival angles are precomputed on a regular
 range/depth grid and bilinearly interpolated at runtime.  Grid cells where
-a path is geometrically impossible hold ``-inf``.
+a path is geometrically impossible hold ``-inf``.  Each grid keeps its two
+node tables, the ``linspace`` positions of its range and depth nodes, as
+read-only arrays built with it, so a lookup makes no node array of its own.
 
 The grid is built one depth row at a time with the closed-form solver of
 ``swfocal.environment``: a row is one arrivals-only solve for all range
@@ -17,7 +19,7 @@ boundary-guided ray.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +37,10 @@ class DoaGrid:
     ``values`` has shape (n_r, n_d, K) in degrees with ``-inf`` marking
     geometrically impossible eigenrays.  Grid points are uniformly spaced
     and include both ends of the region of interest.
+
+    ``ranges`` and ``depths`` are the node tables, ``np.linspace`` over
+    the roi: built once with the grid, read by every lookup, and therefore
+    read-only arrays.
     """
 
     roi: tuple[float, float, float, float]
@@ -42,25 +48,23 @@ class DoaGrid:
     n_d: int
     kinds: tuple[PathKind, ...]
     values: np.ndarray
+    ranges: np.ndarray = field(init=False, repr=False, compare=False)
+    depths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r0, r1, d0, d1 = self.roi
         if not (r0 < r1 and d0 < d1):
             raise ValueError("grid roi must satisfy range_min < range_max and depth_min < depth_max")
+        if not (r1 - r0 < np.inf and d1 - d0 < np.inf):
+            raise ValueError("grid roi must be finite")
         if self.n_r < 2 or self.n_d < 2:
             raise ValueError("grid needs at least 2 points per axis")
         if not self.kinds or len(set(self.kinds)) != len(self.kinds):
             raise ValueError("kinds must be a non-empty set of distinct paths")
         if self.values.shape != (self.n_r, self.n_d, len(self.kinds)):
             raise ValueError("grid value array shape does not match header")
-
-    @property
-    def ranges(self) -> np.ndarray:
-        return np.linspace(self.roi[0], self.roi[1], self.n_r)
-
-    @property
-    def depths(self) -> np.ndarray:
-        return np.linspace(self.roi[2], self.roi[3], self.n_d)
+        object.__setattr__(self, "ranges", _nodes(r0, r1, self.n_r))
+        object.__setattr__(self, "depths", _nodes(d0, d1, self.n_d))
 
     def coverage(self) -> dict[PathKind, float]:
         """Fraction of grid points where each path is impossible."""
@@ -86,6 +90,13 @@ class DoaGrid:
             kinds=tuple(kinds),
             values=np.ascontiguousarray(values),
         )
+
+
+def _nodes(lo: float, hi: float, n: int) -> np.ndarray:
+    """``n`` uniform nodes over [lo, hi], as a read-only array."""
+    nodes = np.linspace(lo, hi, n)
+    nodes.flags.writeable = False
+    return nodes
 
 
 def _validate_roi(wg: Waveguide, roi) -> tuple[float, float, float, float]:
@@ -123,27 +134,42 @@ def build_doa_grid(
     return grid
 
 
-def _axis_cells(lo: float, hi: float, n: int, x: np.ndarray):
-    """Cell index and fraction of each ``x`` in [lo, hi] on ``n`` uniform nodes.
+def _axis_cells(lo: float, hi: float, nodes: np.ndarray, x: np.ndarray):
+    """Cell index and fraction of each ``x`` in [lo, hi] on the uniform ``nodes``.
 
-    The index is the last node at or below ``x`` (the cell below the top
-    node for ``x == hi``), with the node positions of ``linspace``.  It is
-    read off the uniform step, then moved by at most one to agree with the
-    nodes, whose positions round differently; that is enough while the
-    step is far above the rounding error of the coordinates.
+    ``nodes`` is the grid's node table over [lo, hi].  The index is the
+    last node at or below ``x`` (the cell below the top node for
+    ``x == hi``).  It is read off the uniform step, then moved by at most
+    one to agree with the nodes, whose positions round differently; that
+    is enough while the step is far above the rounding error of the
+    coordinates.  As ``x >= lo == nodes[0]``, the index never falls
+    below 0, so only the top is clipped.
     """
-    nodes = np.linspace(lo, hi, n)
+    n = nodes.size
     t = x - lo
     t /= (hi - lo) / (n - 1)
     i = t.astype(np.intp)  # x >= lo, so truncation is floor
-    np.clip(i, 0, n - 2, out=i)
+    np.minimum(i, n - 2, out=i)
     i -= nodes.take(i) > x
     i += nodes.take(i + 1) <= x
-    np.clip(i, 0, n - 2, out=i)
+    np.minimum(i, n - 2, out=i)
     below = nodes.take(i)
     frac = x - below
     frac /= nodes.take(i + 1) - below
     return i, frac
+
+
+def _edge_rows(fx, gx, fy, gy) -> np.ndarray:
+    """Rows where some corner's bilinear weight is exactly 0.
+
+    The four weights are the rounded products of ``(gx or fx)`` and
+    ``(gy or fy)``.  Rounding is monotone, so the smallest is
+    ``min(fx, gx) * min(fy, gy)``, rounded alike: 0 where a fraction is
+    0 or 1, and where the product underflows.
+    """
+    low = np.minimum(fx, gx)
+    low *= np.minimum(fy, gy)
+    return np.flatnonzero(low == 0.0)
 
 
 def interpolate_doa_many(grid: DoaGrid, points: np.ndarray) -> np.ndarray:
@@ -156,8 +182,11 @@ def interpolate_doa_many(grid: DoaGrid, points: np.ndarray) -> np.ndarray:
     exactly zero weight are ignored, so a query exactly on a grid node
     returns the stored value.
 
-    The (n, K) result is a view of path-major (K, n) memory: each path's
-    angles are contiguous, and ``result.T`` is C-ordered.
+    The cells are read off the grid's node tables, ``ranges`` and
+    ``depths``, which the grid builds once; the rows with a corner of zero
+    weight are found from the cell fractions.  The (n, K) result is a
+    view of path-major (K, n) memory: each path's angles are contiguous,
+    and ``result.T`` is C-ordered.
     """
     pts = np.asarray(points, dtype=float)
     r = np.ascontiguousarray(pts[:, 0])
@@ -171,8 +200,8 @@ def interpolate_doa_many(grid: DoaGrid, points: np.ndarray) -> np.ndarray:
         and d.max(initial=d1) <= d1
     ):
         raise ValueError("points outside the grid region of interest")
-    ir, fx = _axis_cells(r0, r1, grid.n_r, r)
-    jd, fy = _axis_cells(d0, d1, grid.n_d, d)
+    ir, fx = _axis_cells(r0, r1, grid.ranges, r)
+    jd, fy = _axis_cells(d0, d1, grid.depths, d)
     cell = ir * grid.n_d
     cell += jd
     gx = 1 - fx
@@ -192,7 +221,7 @@ def interpolate_doa_many(grid: DoaGrid, points: np.ndarray) -> np.ndarray:
             v *= w
             out += v
         out += 0.0 * out  # -inf (an impossible corner) to nan
-        edge = np.flatnonzero(np.min(weights, axis=0) == 0.0)
+        edge = _edge_rows(fx, gx, fy, gy)
         if edge.size:
             terms, bad = [], False
             for w, v in zip(weights, flat.take(cell[edge] + steps[:, None], axis=0)):

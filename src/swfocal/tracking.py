@@ -26,6 +26,7 @@ run aborts with ``DegeneracyError``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,7 +155,7 @@ def predict(states: np.ndarray, T: float, u1: np.ndarray, u2: np.ndarray) -> np.
     if T <= 0:
         raise ValueError("time step must be positive")
     s = np.asarray(states, dtype=float)
-    out = np.empty(np.broadcast_shapes(s.shape[:-1], np.shape(u1), np.shape(u2)) + (3,))
+    out = np.empty(np.broadcast(s[..., 0], u1, u2).shape + (3,))
     r, d, v = out[..., 0], out[..., 1], out[..., 2]
     # r = s0 + T s2 + T^2/2 u1, d = s1 + T u2, v = s2 + T u1, each in that order
     np.multiply(T, s[..., 2], out=r)
@@ -205,7 +206,7 @@ def update(
     with np.errstate(divide="ignore"):
         logw = np.log(ps.weights) + np.log(like)
     peak = logw.max()
-    if not np.isfinite(peak):
+    if not math.isfinite(peak):
         if not np.any(inside):
             raise DegeneracyError("every particle left the region of interest")
         if not np.any(like):

@@ -2,12 +2,14 @@
 
 Everything here is written from the model definitions directly, with
 brute-force enumeration and a dense dynamic program instead of the gated
-one, image-source geometry and a fixed-step ray march instead of
-closed-form layer sums, the row-major range sum instead of the
-node-major one, and a binary-search, one-point bilinear
-interpolation instead of vectorized cell arithmetic, so the tests never
-share code with the implementations they verify.  The last section holds
-small one-value helpers that only the tests use.
+one, a row-by-row gate mask instead of the search on sorted
+observations, image-source geometry and a fixed-step ray march instead
+of closed-form layer sums, the row-major range sum instead of the
+node-major one, and a binary-search, one-point bilinear interpolation
+and the minimum of the four corner weights instead of vectorized cell
+arithmetic and the fraction-based edge rule, so the tests never share
+code with the implementations they verify.  The last section holds small
+one-value helpers that only the tests use.
 """
 
 import bisect
@@ -98,6 +100,18 @@ def dense_dp_marginal(z, angles, detect, sigma, mu, fa_density=1.0 / 180.0) -> n
     return np.ascontiguousarray(S.sum(axis=0).T) @ weights
 
 
+def gate_mask(z, angles, sigma: float) -> np.ndarray:
+    """The observations within 39 sigma of the span of one path's angles.
+
+    A boolean mask over ``z``, tested row by row: ``nan`` angles are
+    ignored, and all ``nan`` selects no row.
+    """
+    lo = np.fmin.reduce(angles, initial=np.inf)
+    hi = np.fmax.reduce(angles, initial=-np.inf)
+    reach = 39.0 * sigma
+    return (z >= lo - reach) & (z <= hi + reach)
+
+
 class EnumTable:
     """Precomputed vector table for fast repeated brute-force marginals."""
 
@@ -168,6 +182,12 @@ def bilinear_doa(grid, r: float, d: float) -> list:
             total = term if total is None else total + term
         out.append(total)
     return out
+
+
+def min_weight_edge_rows(fx, fy) -> np.ndarray:
+    """Rows where the smallest of the four bilinear weights is exactly 0."""
+    gx, gy = 1 - fx, 1 - fy
+    return np.flatnonzero(np.min([gx * gy, gx * fy, fx * gy, fx * fy], axis=0) == 0.0)
 
 
 def image_source_angles(bottom: float, receiver_depth: float, r: float, zs: float):
@@ -276,6 +296,28 @@ def march_rays(wg, depth, launch_deg, ranges, step=1.0, record=False):
 # ---------------------------------------------------------------------------
 # One-value helpers used only by the tests
 # ---------------------------------------------------------------------------
+
+
+# the boundary interactions of each path from source to receiver, in order,
+# as ``march_rays`` names them
+BOUNCE_SIGNATURE = {
+    PathKind.SB: ("surface",),
+    PathKind.DP: (),
+    PathKind.BB: ("bottom",),
+    PathKind.SBB: ("surface", "bottom"),
+}
+
+
+def sound_speed_at(ssp, depth_m: float) -> float:
+    """Sound speed at ``depth_m`` by linear interpolation between knots.
+
+    Raises ``ValueError`` if the depth lies outside the profile support.
+    """
+    if not 0.0 <= depth_m <= ssp.max_depth:
+        raise ValueError(f"depth {depth_m} m outside profile support [0, {ssp.max_depth}] m")
+    zs = np.array([z for z, _ in ssp.knots])
+    cs = np.array([c for _, c in ssp.knots])
+    return float(np.interp(depth_m, zs, cs))
 
 
 def unnormalized_factor_r(

@@ -11,6 +11,7 @@ from swfocal.assoc import (
     ModelParams,
     ObservationSet,
     PathPrediction,
+    _live_spans,
     association_prior,
     conditional_pdf,
     is_valid,
@@ -19,7 +20,14 @@ from swfocal.assoc import (
     path_likelihood,
 )
 
-from oracles import count_valid, dense_dp_marginal, enum_marginal, unnormalized_factor_r, valid_vectors
+from oracles import (
+    count_valid,
+    dense_dp_marginal,
+    enum_marginal,
+    gate_mask,
+    unnormalized_factor_r,
+    valid_vectors,
+)
 
 FA = 1.0 / 180.0
 
@@ -442,6 +450,66 @@ class TestMarginalLikelihood:
         z = ObservationSet(z=np.array([3.0]))
         with pytest.raises(ValueError):
             unnormalized_factor_r(z, pred([3.0]), 0, 1, params(1, mu=0.0))
+
+
+def on_gate_edges(z, ang, sigma, seed):
+    """``z`` with up to three observations exactly 39 sigma beyond the span
+    of a path's angles, on either side, the first of them twice (a tie)."""
+    edges = []
+    for k in range(ang.shape[1]):
+        col = ang[:, k]
+        if not np.isnan(col).all():
+            reach = 39.0 * sigma[k]
+            edges += [np.nanmin(col) - reach, np.nanmax(col) + reach]
+    if not edges:
+        return z
+    picked = np.random.default_rng(seed).choice(edges, min(len(edges), 3), replace=False)
+    return np.sort(np.concatenate([z, picked, picked[:1]]))[::-1]
+
+
+class TestGate:
+    @staticmethod
+    def assert_spans_are_mask_rows(z, ang, sigma):
+        first, stop = _live_spans(z, np.ascontiguousarray(ang.T), sigma)
+        for k in range(ang.shape[1]):
+            want = np.flatnonzero(gate_mask(z, ang[:, k], sigma[k]))
+            assert np.array_equal(np.arange(first[k], stop[k]), want), f"path {k}"
+
+    @given(**CASES)
+    @example(K=3, M=0, d=0.9, mu=2.0, seed=0)
+    @example(K=1, M=4, d=0.9, mu=2.0, seed=3)
+    @settings(max_examples=150, deadline=None)
+    def test_spans_select_exactly_the_mask_rows(self, K, M, d, mu, seed):
+        # observations as drawn, and with some exactly on a gate's edge and
+        # tied; path angles as drawn, and with path 0 impossible at every state
+        p, z, ang, det = random_case(K, M, d, mu, seed)
+        all_nan = ang.copy()
+        all_nan[:, 0] = np.nan
+        edged = on_gate_edges(z, ang, p.sigma_deg, seed)
+        for obs in (z, edged):
+            for a in (ang, all_nan):
+                self.assert_spans_are_mask_rows(obs, a, p.sigma_deg)
+        # the marginal on the edge observations is the plain DP's, bit for bit
+        for a in (ang, all_nan):
+            dt = np.where(np.isnan(a), 0.0, d)
+            want = dense_dp_marginal(edged, a, dt, p.sigma_deg, p.mu_fa)
+            assert marginal_likelihood_batch(edged, a, dt, p).tobytes() == want.tobytes()
+
+    def test_edge_observations_are_live(self):
+        # exactly 39 sigma beyond either end of the span: live, and exactly 0
+        sigma = (0.5,)
+        ang = np.array([[12.0], [10.0], [np.nan]])
+        z = np.array([12.0 + 19.5, np.nextafter(10.0 - 19.5, -np.inf), 10.0 - 19.5])
+        z = np.sort(np.append(z, np.nextafter(12.0 + 19.5, np.inf)))[::-1]
+        assert _live_spans(z, np.ascontiguousarray(ang.T), sigma) == ([1], [3])
+        self.assert_spans_are_mask_rows(z, ang, sigma)
+
+    def test_unsorted_observations_rejected(self):
+        ang, det = np.array([[3.0]]), np.array([[0.9]])
+        with pytest.raises(ValueError, match="descending"):
+            marginal_likelihood_batch(np.array([1.0, 2.0]), ang, det, params(1))
+        with pytest.raises(ValueError, match="descending"):
+            marginal_likelihood_batch(np.array([2.0, np.nan]), ang, det, params(1))
 
 
 class TestModelParams:

@@ -11,10 +11,15 @@ from swfocal.environment import (
     _path_range,
     _sum_rows,
     find_eigenrays,
-    sound_speed_at,
 )
 
-from oracles import image_source_angles, march_rays, row_major_path_range
+from oracles import (
+    BOUNCE_SIGNATURE,
+    image_source_angles,
+    march_rays,
+    row_major_path_range,
+    sound_speed_at,
+)
 
 
 def make_wg(knots, bottom=216.5, receiver=150.0):
@@ -161,7 +166,7 @@ class TestEigenrays:
             if ray is None:
                 continue
             (depth,), (angle,), (bounces,) = march_rays(coastal_wg, src[1], ray.launch_angle_deg, src[0])
-            assert bounces == kind.bounce_signature
+            assert bounces == BOUNCE_SIGNATURE[kind]
             assert depth == pytest.approx(coastal_wg.receiver_depth, abs=5e-3)
             assert angle == pytest.approx(ray.arrival_angle_deg, abs=1e-3)
 

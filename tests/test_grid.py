@@ -7,16 +7,72 @@ from swfocal.environment import (
     Waveguide,
     eigenray_angles,
     find_eigenrays,
-    sound_speed_at,
 )
+from swfocal import io as sio
 from swfocal.grid import (
     IMPOSSIBLE,
     DoaGrid,
+    _axis_cells,
+    _edge_rows,
     build_doa_grid,
     interpolate_doa_many,
 )
 
-from oracles import bilinear_doa, image_source_angles, interpolate_doa, march_rays
+from oracles import (
+    BOUNCE_SIGNATURE,
+    bilinear_doa,
+    image_source_angles,
+    interpolate_doa,
+    march_rays,
+    min_weight_edge_rows,
+    sound_speed_at,
+)
+
+
+def lookup_case():
+    """A 2400x165 grid with holes, a -0.0 and steps inexact in binary, and
+    points on nodes, one ulp beside them, on the roi's outer edges and
+    inside cells, with the row range of each group.  The last point sits
+    beside a node at depth 5e-324, where the weight fx * fy underflows to 0
+    though neither fraction is 0; the corner that weight falls on is a
+    hole."""
+    rng = np.random.default_rng(23)
+    roi = (100.0, 2500.0, 0.0, 175.0)
+    values = rng.uniform(-30.0, 30.0, (2400, 165, 2))
+    values[rng.random(values.shape) < 0.1] = IMPOSSIBLE
+    values[7, 3, 0] = -0.0
+    values[100:102, :2, :] = 1.5
+    values[101, 1, :] = IMPOSSIBLE
+    grid = DoaGrid(roi=roi, n_r=2400, n_d=165, kinds=(PathKind.SB, PathKind.DP), values=values)
+    r0, r1, d0, d1 = roi
+    i = rng.integers(0, grid.n_r, 300)
+    j = rng.integers(0, grid.n_d, 300)
+    nodes = np.column_stack([grid.ranges[i], grid.depths[j]])
+    nodes = np.concatenate([nodes, [[grid.ranges[7], grid.depths[3]]]])
+    ulps = [
+        np.column_stack([np.nextafter(nodes[:, 0], s), np.nextafter(nodes[:, 1], t)])
+        for s in (-np.inf, np.inf)
+        for t in (-np.inf, np.inf)
+    ]
+    r, d = rng.uniform(r0, r1, 100), rng.uniform(d0, d1, 100)
+    outer = [
+        np.column_stack([np.full(100, r0), d]),
+        np.column_stack([np.full(100, r1), d]),
+        np.column_stack([r, np.full(100, d0)]),
+        np.column_stack([r, np.full(100, d1)]),
+        [[r0, d0], [r0, d1], [r1, d0], [r1, d1]],
+    ]
+    inside = np.column_stack([rng.uniform(r0, r1, 300), rng.uniform(d0, d1, 300)])
+    underflow = [[np.nextafter(grid.ranges[100], np.inf), 5e-324]]
+    parts = {"nodes": [nodes], "ulps": ulps, "outer": outer, "inside": [inside], "underflow": [underflow]}
+    groups, n = {}, 0
+    for name, arrays in parts.items():
+        size = sum(len(a) for a in arrays)
+        groups[name], n = np.arange(n, n + size), n + size
+    pts = np.concatenate([a for arrays in parts.values() for a in arrays])
+    pts[:, 0] = np.clip(pts[:, 0], r0, r1)
+    pts[:, 1] = np.clip(pts[:, 1], d0, d1)
+    return grid, pts, groups
 
 
 class TestBuild:
@@ -109,7 +165,7 @@ class TestBuild:
         )
         assert np.all(np.abs(depth - zr) < 5e-3)
         assert np.all(np.abs(angle - v[i, j, k]) < 1e-3)
-        assert bounces == [kind.bounce_signature for kind in kinds]
+        assert bounces == [BOUNCE_SIGNATURE[kind] for kind in kinds]
 
         # at every impossible cell the kind's flattest boundary-guided ray
         # has passed the far end of the path before the cell's range.  In
@@ -131,7 +187,7 @@ class TestBuild:
             assert max(speeds) == speeds[0]
         depth, angle, bounces = march_rays(coastal_wg, start, np.zeros(len(cells)), grid.ranges[i])
         for kind, fwd, z_end, z, a, b in zip(kinds, from_source, end, depth, angle, bounces):
-            sig = kind.bounce_signature if fwd else kind.bounce_signature[::-1]
+            sig = BOUNCE_SIGNATURE[kind] if fwd else BOUNCE_SIGNATURE[kind][::-1]
             assert b[: len(sig)] == sig
             assert len(b) > len(sig) or (z > z_end) == (a > 0.0)
 
@@ -255,6 +311,60 @@ class TestInterpolation:
                     else:
                         assert batch[n, k] == want
             assert len(i) > 0 and n_none > 0
+
+    def test_node_tables_are_linspace_and_read_only(self, iso_grid, tmp_path):
+        path = tmp_path / "grid.bin"
+        sio.write_grid(path, iso_grid)
+        for g in (
+            iso_grid,
+            iso_grid.select_kinds(iso_grid.kinds),
+            iso_grid.select_kinds(iso_grid.kinds[::-1]),
+            sio.read_grid(path),
+        ):
+            r0, r1, d0, d1 = g.roi
+            assert g.ranges.tobytes() == np.linspace(r0, r1, g.n_r).tobytes()
+            assert g.depths.tobytes() == np.linspace(d0, d1, g.n_d).tobytes()
+            for nodes in (g.ranges, g.depths):
+                with pytest.raises(ValueError, match="read-only"):
+                    nodes[0] = 0.0
+                with pytest.raises(ValueError, match="read-only"):
+                    nodes *= 2.0
+        # the refused writes left the tables as they were
+        assert iso_grid.ranges.tobytes() == np.linspace(100.0, 2500.0, 61).tobytes()
+
+    def test_infinite_roi_rejected(self):
+        values = np.zeros((2, 2, 1))
+        for roi in ((0.0, np.inf, 0.0, 10.0), (-1e308, 1e308, 0.0, 10.0)):
+            with pytest.raises(ValueError, match="finite"):
+                DoaGrid(roi=roi, n_r=2, n_d=2, kinds=(PathKind.DP,), values=values)
+
+    def test_edge_rule_marks_the_zero_weight_rows(self):
+        grid, pts, groups = lookup_case()
+        r0, r1, d0, d1 = grid.roi
+        _, fx = _axis_cells(r0, r1, grid.ranges, pts[:, 0])
+        _, fy = _axis_cells(d0, d1, grid.depths, pts[:, 1])
+        got = _edge_rows(fx, 1 - fx, fy, 1 - fy)
+        assert np.array_equal(got, min_weight_edge_rows(fx, fy))
+        # every node, roi edge and the underflow is an edge row; no cell
+        # interior is, and the underflow's fractions are both inside (0, 1)
+        for name in ("nodes", "outer", "underflow"):
+            assert np.isin(groups[name], got).all(), name
+        assert not np.isin(groups["inside"], got).any()
+        assert 0.0 < fx[-1] < 1.0 and 0.0 < fy[-1] < 1.0
+
+    def test_lookup_matches_oracle_byte_for_byte(self):
+        grid, pts, _ = lookup_case()
+        batch = interpolate_doa_many(grid, pts)
+        n_none = 0
+        for n, (r, d) in enumerate(pts.tolist()):
+            for k, want in enumerate(bilinear_doa(grid, r, d)):
+                if want is None:
+                    n_none += 1
+                    assert np.isnan(batch[n, k])
+                else:
+                    assert batch[n, k].tobytes() == np.float64(want).tobytes(), (n, k)
+        assert n_none > 0
+        assert not np.isnan(batch[-1]).any()  # the underflowed hole carries no weight
 
     def test_select_kinds(self, iso_grid):
         sub = iso_grid.select_kinds((PathKind.SB, PathKind.DP))
