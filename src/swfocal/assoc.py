@@ -386,8 +386,10 @@ def marginal_likelihood_batch(
                 Pb *= hit[b - s :]
                 S[1 : k + 2, b + 1 : e + 1] += Pb
 
-    # each state's sums run along a contiguous row, in numpy's pairwise
-    # order, which the tracker's estimates are pinned to
+    # each state's sums run along its own contiguous row, so its weight
+    # does not depend on the batch; a gemv down the columns of the
+    # (counts, states) sums, ``_factorials(K) @ S.sum(axis=1)``, takes an
+    # order that the BLAS kernel picks by batch size and position
     if mu <= 0.0:
         return math.factorial(M) * np.ascontiguousarray(S[M].T).sum(axis=1)
     return np.ascontiguousarray(S.sum(axis=1).T) @ _factorials(K)

@@ -77,6 +77,19 @@ def _floats(block: dict) -> dict:
     return {k: float(v) for k, v in block.items()}
 
 
+def _integer(doc: dict, key: str, default: int, least: int, path) -> int:
+    """``doc[key]`` as an int of at least ``least``; a float must be integral and a bool is no int."""
+    v = doc.get(key, default)
+    if (
+        isinstance(v, bool)
+        or not isinstance(v, (int, float))
+        or (isinstance(v, float) and not v.is_integer())  # nan and inf too
+        or v < least
+    ):
+        raise ConfigError(f"{path}: {key} must be an integer of at least {least}, got {v!r}")
+    return int(v)
+
+
 def load_config(path) -> RunConfig:
     """Parse and validate a run configuration file."""
     try:
@@ -106,7 +119,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{path}: missing required key 'grid_file'")
 
     try:
-        n_paths = int(doc.get("K", 4))
+        n_paths = _integer(doc, "K", 4, 0, path)
         if n_paths not in KIND_SELECTIONS:
             raise ConfigError(f"{path}: K must be one of {sorted(KIND_SELECTIONS)}")
 
@@ -146,8 +159,8 @@ def load_config(path) -> RunConfig:
             observations_file=doc.get("observations_file"),
             truth_file=doc.get("truth_file"),
             n_paths=n_paths,
-            n_particles=int(doc.get("J", 10_000)),
-            seed=int(doc.get("seed", 0)),
+            n_particles=_integer(doc, "J", 10_000, 1, path),
+            seed=_integer(doc, "seed", 0, 0, path),
             model=model,
             motion=motion,
             prior=prior,
@@ -229,6 +242,8 @@ def cmd_track(args) -> int:
 def evaluate_run(estimates: np.ndarray, truth: np.ndarray) -> dict:
     """Errors of one estimate sequence against the truth, joined on time."""
     t_truth = truth[:, 0]
+    if not t_truth.size:
+        raise ValueError("the truth has no epochs")
     idx = np.searchsorted(t_truth, estimates[:, 0])
     idx = np.clip(idx, 0, t_truth.size - 1)
     matched = np.abs(t_truth[idx] - estimates[:, 0]) < 1e-6
@@ -300,6 +315,12 @@ def _build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError("grid needs at least 2 points per axis")
         return n
 
+    def nonnegative_seed(v: str) -> int:
+        n = int(v)
+        if n < 0:
+            raise argparse.ArgumentTypeError("seed must be a nonnegative integer")
+        return n
+
     b = sub.add_parser("build-grid", help="precompute the DOA lookup grid")
     b.add_argument("--env", required=True, help="environment JSON file")
     b.add_argument("--out", required=True, help="output grid file")
@@ -328,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         s = sub.add_parser(name, help=desc)
         s.add_argument("--config", required=True, help="run configuration JSON")
-        s.add_argument("--seed", type=int, default=None, help="override the config seed")
+        s.add_argument("--seed", type=nonnegative_seed, default=None, help="override the config seed")
         s.add_argument("--out", default=None, help="override the config output directory")
         s.set_defaults(func=fn)
 

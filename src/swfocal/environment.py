@@ -50,11 +50,9 @@ range is no more than the path range at ``xi_max``.
 The solver brackets each eigenray between two rays of a fixed fan, then
 refines it by Illinois false position.  The range function is evaluated
 node-major, as a (nodes, rays) array, so each numpy step runs over the
-many rays rather than the dozen or so nodes of a path.  Its slice runs are
-summed over the nodes in numpy's own pairwise order, so every range equals
-the row-major ``runs.sum(axis=-1)`` bit for bit.  The Illinois loop carries
-only the unconverged brackets, as compact arrays that are compressed when
-some of them converge.
+many rays rather than the dozen or so nodes of a path.  The Illinois loop
+carries only the unconverged brackets, as compact arrays that are
+compressed when some of them converge.
 """
 
 from __future__ import annotations
@@ -177,47 +175,9 @@ def _slant(phi, c_max: float, c) -> np.ndarray:
     return np.sqrt((c_max - c) * (c_max + c) + (c * np.sin(phi)) ** 2)
 
 
-def _sum_rows(a, acc=None) -> np.ndarray:
-    """``a.sum(axis=0)`` of a 2-D array, in the order numpy sums a contiguous row.
-
-    numpy sums fewer than 8 values one after the other, 8 to 128 values in
-    8 interleaved accumulators combined as a tree, and longer runs as two
-    halves split at a multiple of 8.  Taking each step across the columns
-    at once keeps the columns on the long inner axis and gives, bit for
-    bit, ``np.ascontiguousarray(a.T).sum(axis=-1)``.  ``acc``, an (8,
-    columns) array, holds the accumulators, and the sum may be a view of
-    it; ``None`` takes a fresh one.
-    """
-    n = len(a)
-    if n < 8:
-        out = a[0] + 0.0  # numpy starts from 0.0, which turns -0.0 into 0.0
-        for row in a[1:]:
-            out += row
-        return out
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        out = _sum_rows(a[:half], acc).copy()  # the second half reuses ``acc``
-        out += _sum_rows(a[half:], acc)
-        return out
-    if acc is None:
-        acc = np.empty((8, a.shape[1]))
-    np.copyto(acc, a[:8])
-    tail = n - n % 8
-    for i in range(8, tail, 8):
-        acc += a[i : i + 8]
-    acc[::2] += acc[1::2]
-    acc[::4] += acc[2::4]
-    out = acc[0]
-    out += acc[4]
-    for row in a[tail:]:
-        out += row
-    out += 0.0  # numpy's start value, as above
-    return out
-
-
 def _scratch(n_nodes: int, n_rays: int) -> np.ndarray:
     """Room for ``_path_range`` on up to ``n_nodes`` nodes and ``n_rays`` rays."""
-    return np.empty((2 * n_nodes + 7) * n_rays)
+    return np.empty((2 * n_nodes - 1) * n_rays)
 
 
 def _path_range(phi, c, num, base, scratch=None) -> np.ndarray:
@@ -234,7 +194,6 @@ def _path_range(phi, c, num, base, scratch=None) -> np.ndarray:
         scratch = _scratch(n, m)
     s = scratch[: n * m].reshape(n, m)
     runs = scratch[n * m : (2 * n - 1) * m].reshape(n - 1, m)
-    acc = scratch[(2 * n - 1) * m : (2 * n + 7) * m].reshape(8, m)
     np.multiply.outer(c, np.sin(phi), out=s)
     s *= s
     s += base[:, None]
@@ -242,7 +201,7 @@ def _path_range(phi, c, num, base, scratch=None) -> np.ndarray:
     np.add(s[:-1], s[1:], out=runs)
     with np.errstate(divide="ignore"):
         np.divide(num[:, None], runs, out=runs)
-    return np.cos(phi) * _sum_rows(runs, acc)
+    return np.cos(phi) * runs.sum(axis=0)
 
 
 def _grazing_angle(c, weighted_dz, r, scratch):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import struct
 import sys
@@ -181,6 +182,8 @@ def read_observations(path) -> list[tuple[int, float, np.ndarray]]:
                     float(doc["time_s"]),
                     ObservationSet(z=[float(a) for a in doc["doas"]]).z,
                 )
+                if not math.isfinite(rec[1]):
+                    raise ValueError(f"non-finite time_s {rec[1]}")
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"{path}:{lineno}: bad observation record: {e}") from e
             records.append(rec)

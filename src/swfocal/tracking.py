@@ -260,8 +260,8 @@ def run_tracker(
     t_prev: float | None = None
     for time_s, z in observations:
         T = motion.step_s if t_prev is None else time_s - t_prev
-        if T <= 0:
-            raise ValueError("observation epochs must be strictly increasing in time")
+        if not 0.0 < T < np.inf:  # nan fails it too
+            raise ValueError("observation epochs must be finite and strictly increasing in time")
         ps = predict_particles(ps, T, motion, rng)
         try:
             ps = update(ps, z, grid, params)

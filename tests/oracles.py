@@ -210,8 +210,9 @@ def row_major_path_range(phi, c, num, base):
 
     ``c``, ``num`` and ``base`` are the node speeds, slice numerators and
     ``phi``-independent slant terms of ``environment._grazing_angle``.
-    This is the solver's own row-major evaluation, kept to pin the
-    node-major one byte for byte.
+    This is the solver's former row-major evaluation.  Its per-ray sum runs
+    in numpy's pairwise order, not the node-major one's row by row, so it
+    bounds the node-major range within a few ulps rather than bit for bit.
     """
     phi = np.asarray(phi)[..., None]
     # _slant at each node, shared by the two slices that meet there

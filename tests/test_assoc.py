@@ -343,8 +343,12 @@ class TestMarginalLikelihood:
     def test_rows_far_from_every_state_change_no_bit_property(self, K, M, d, mu, seed):
         p, z, ang, det = random_case(K, M, d, mu, seed)
         ext_ang, ext_det = with_forcing_states(z, ang, det, d)
-        base = marginal_likelihood_batch(z, ang, det, p)
-        assert base.tobytes() == marginal_likelihood_batch(z, ext_ang, ext_det, p)[:3].tobytes()
+        ext = marginal_likelihood_batch(z, ext_ang, ext_det, p)
+        assert marginal_likelihood_batch(z, ang, det, p).tobytes() == ext[:3].tobytes()
+        # nor on its place in the batch: each state four times, shuffled
+        order = np.random.default_rng(seed).permutation(np.repeat(np.arange(ext.size), 4))
+        shuffled = marginal_likelihood_batch(z, ext_ang[order], ext_det[order], p)
+        assert shuffled.tobytes() == ext[order].tobytes()
 
     @given(**CASES)
     @example(K=3, M=2, d=1.0, mu=0.0, seed=1)

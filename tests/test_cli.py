@@ -94,6 +94,31 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=key):
             load_config(p)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("J", 2.7),
+            ("K", 4.9),
+            ("J", True),
+            ("J", 0),
+            ("J", "400"),
+            ("seed", -1),
+            ("seed", float("nan")),
+            ("J", 1e4),
+            ("seed", 3.0),
+        ],
+    )
+    def test_counts_and_seed_must_be_integers(self, tmp_path, key, value):
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps({"grid_file": "grid.bin", key: value}))
+        if isinstance(value, float) and value.is_integer():
+            cfg = load_config(p)
+            assert (cfg.n_particles, cfg.seed) == ((10_000, 0) if key == "J" else (10_000, 3))
+            assert type(cfg.n_particles) is type(cfg.seed) is int
+        else:
+            with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+                load_config(p)
+
     def test_environment_file_is_an_unknown_key(self, tmp_path):
         p = tmp_path / "run.json"
         p.write_text(json.dumps({"grid_file": "grid.bin", "environment_file": "env.json"}))
@@ -189,6 +214,13 @@ class TestSimulate:
             )
         assert outs[0] == outs[1]
 
+    def test_negative_seed_is_usage_error(self, tiny_setup, tmp_path):
+        root, cfg_path, cfg = tiny_setup
+        res = run_cli("simulate", "--config", cfg_path, "--seed", -1, "--out", tmp_path / "out")
+        assert res.returncode == 2
+        assert "seed must be a nonnegative integer" in res.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_missing_grid_file_is_domain_error(self, tiny_setup, tmp_path):
         root, cfg_path, cfg = tiny_setup
         cfg_bad = dict(cfg, grid_file=str(tmp_path / "nope.bin"))
@@ -275,6 +307,16 @@ class TestTrackAndEvaluate:
         )
         report = json.loads(res.stdout)
         assert len(report["runs"]) == 2
+
+    def test_evaluate_empty_truth_is_domain_error(self, tmp_path):
+        # simulate writes such a truth for a zero duration
+        truth = tmp_path / "truth.csv"
+        est = tmp_path / "est.csv"
+        sio.write_track_csv(truth, [])
+        sio.write_estimates_csv(est, [(2.048, 1000.0, 60.0, -2.5, 100.0)])
+        res = run_cli("evaluate", "--estimates", est, "--truth", truth)
+        assert res.returncode == 1
+        assert res.stderr == "error: the truth has no epochs\n"
 
     def test_track_missing_observations_is_domain_error(self, tiny_setup, tmp_path):
         root, cfg_path, cfg = tiny_setup

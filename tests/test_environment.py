@@ -9,7 +9,6 @@ from swfocal.environment import (
     SoundSpeedProfile,
     Waveguide,
     _path_range,
-    _sum_rows,
     find_eigenrays,
 )
 
@@ -183,7 +182,11 @@ class TestEigenrays:
 
 
 class TestRangeFunction:
-    """The node-major range function against the row-major sum it replaced."""
+    """The node-major range function against the row-major oracle.
+
+    The two sum a path's slice runs in different orders, so from 8 slices
+    on they may differ by a few ulps; the impossible (``inf``) rays match.
+    """
 
     @staticmethod
     def terms(c, weighted_dz):
@@ -202,8 +205,10 @@ class TestRangeFunction:
         weighted_dz = rng.uniform(0.1, 30.0, n_slices) * rng.integers(1, 3, n_slices)
         num, base = self.terms(c, weighted_dz)
         phi = self.angles(rng)
-        got = _path_range(phi, c, num, base)
-        assert got.tobytes() == row_major_path_range(phi, c, num, base).tobytes()
+        got, want = _path_range(phi, c, num, base), row_major_path_range(phi, c, num, base)
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-14, atol=0.0)
 
     def test_iso_layer_at_the_top_speed_is_unbounded_at_zero(self):
         rng = np.random.default_rng(7)
@@ -213,17 +218,3 @@ class TestRangeFunction:
         got = _path_range(phi, c, num, base)
         assert np.array_equal(np.isinf(got), phi == 0.0)
         assert got.tobytes() == row_major_path_range(phi, c, num, base).tobytes()
-
-    def test_sum_rows_follows_numpy_summation_order(self):
-        # _sum_rows copies numpy's pairwise order; if a numpy release
-        # changes it, the grid moves by a few ulps and this fails first
-        rng = np.random.default_rng(11)
-        for n_rows in range(1, 301):
-            n_cols = (1, 3, 257, 2400)[n_rows % 4]
-            a = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.uniform(-8, 8, (n_rows, 1))
-            before = a.copy()
-            want = np.ascontiguousarray(a.T).sum(axis=-1)
-            assert _sum_rows(a).tobytes() == want.tobytes(), f"{n_rows} rows"
-            assert np.array_equal(a, before)
-        zeros = np.full((9, 3), -0.0)
-        assert _sum_rows(zeros).tobytes() == np.ascontiguousarray(zeros.T).sum(axis=-1).tobytes()

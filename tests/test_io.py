@@ -207,6 +207,16 @@ class TestRecordFiles:
         with pytest.raises(ValueError, match=":2:.*non-finite"):
             sio.read_observations(path)
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_observation_non_finite_time_rejected(self, tmp_path, bad):
+        path = tmp_path / "obs.jsonl"
+        path.write_text(
+            '{"t_index": 0, "time_s": 0.0, "doas": [3.0]}\n'
+            f'{{"t_index": 1, "time_s": {bad}, "doas": [1.0]}}\n'
+        )
+        with pytest.raises(ValueError, match=":2:.*non-finite time_s"):
+            sio.read_observations(path)
+
     def test_observation_unsorted_record_rejected(self, tmp_path):
         path = tmp_path / "obs.jsonl"
         path.write_text(

@@ -333,6 +333,13 @@ class TestRunTracker:
         with pytest.raises(ValueError):
             run_tracker(refr_grid, obs, PARAMS4, MotionParams(), PriorParams(roi=ROI), J=10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_times(self, refr_grid, bad):
+        # not a lost track: the step to the bad epoch is no time step at all
+        obs = [(2.0, ObservationSet(z=np.array([]))), (bad, ObservationSet(z=np.array([])))]
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            run_tracker(refr_grid, obs, PARAMS4, MotionParams(), PriorParams(roi=ROI), J=10)
+
 
 @pytest.fixture(scope="module")
 def default_run(coastal_wg):
