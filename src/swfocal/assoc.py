@@ -160,7 +160,7 @@ class PathPrediction:
         object.__setattr__(self, "detect_probs", det)
         if ang.shape != det.shape:
             raise ValueError("angles and detection probabilities must align")
-        if np.any((det < 0.0) | (det > 1.0)):
+        if not np.all((det >= 0.0) & (det <= 1.0)):
             raise ValueError("detection probabilities must lie in [0, 1]")
         if np.any(np.isnan(ang) & (det != 0.0)):
             raise ValueError("impossible paths must have zero detection probability")

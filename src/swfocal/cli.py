@@ -144,7 +144,6 @@ def load_config(path) -> RunConfig:
             initial_depth_m=float(scen_doc.get("initial_depth_m", 60.0)),
             initial_speed_mps=float(scen_doc.get("initial_speed_mps", -2.5)),
             duration_s=float(scen_doc.get("duration_s", 1200.0)),
-            step_s=float(scen_doc.get("step_s", motion.step_s)),
             dropouts=tuple(
                 (float(a), float(b)) for a, b in scen_doc.get("dropouts", [[420.0, 494.0], [660.0, 734.0]])
             ),

@@ -114,10 +114,11 @@ class SoundSpeedProfile:
         depths = [z for z, _ in knots]
         if depths[0] != 0.0:
             raise ValueError("first profile knot must be at the surface (depth 0)")
-        if any(b <= a for a, b in zip(depths, depths[1:])):
-            raise ValueError("profile knot depths must be strictly increasing")
-        if any(c <= 0.0 for _, c in knots):
-            raise ValueError("sound speeds must be positive")
+        # each check is written so that nan fails it
+        if not all(a < b < np.inf for a, b in zip(depths, depths[1:])):
+            raise ValueError("profile knot depths must be finite and strictly increasing")
+        if not all(0.0 < c < np.inf for _, c in knots):
+            raise ValueError("sound speeds must be positive and finite")
 
     @property
     def max_depth(self) -> float:
@@ -133,8 +134,9 @@ class Waveguide:
     receiver_depth: float
 
     def __post_init__(self):
-        if self.bottom_depth <= 0.0:
-            raise ValueError("bottom depth must be positive")
+        # each check is written so that nan fails it
+        if not 0.0 < self.bottom_depth < np.inf:
+            raise ValueError("bottom depth must be positive and finite")
         if not 0.0 < self.receiver_depth < self.bottom_depth:
             raise ValueError("receiver depth must lie strictly inside the water column")
         if self.ssp.max_depth < self.bottom_depth:
@@ -145,12 +147,10 @@ class Waveguide:
 class EigenRay:
     kind: PathKind
     arrival_angle_deg: float
-    launch_angle_deg: float
 
 
-# (launch sign, arrival sign) per path; the direct path takes the sign of
-# zr - zs for both.
-_SIGNS = {PathKind.SB: (-1.0, 1.0), PathKind.BB: (1.0, -1.0), PathKind.SBB: (-1.0, -1.0)}
+# arrival sign per path; the direct path takes the sign of zr - zs
+_SIGNS = {PathKind.SB: 1.0, PathKind.BB: -1.0, PathKind.SBB: -1.0}
 
 
 def _legs(kind: PathKind, z: np.ndarray, zs: float, zr: float) -> np.ndarray:
@@ -262,14 +262,12 @@ def _solve_scratch(wg: Waveguide, n_ranges: int) -> np.ndarray:
 
 
 def _solve(wg: Waveguide, source_depth: float, ranges, kinds: tuple[PathKind, ...], scratch=None):
-    """Each kind's eigenray from sources at one depth to the receiver.
+    """Arrival angles of each kind's eigenray from sources at one depth.
 
-    Checks the source, then returns ``(rays, c_s, c_r)``: per kind
-    ``(phi, c_max, sign_launch, sign_arrival)``, the ray ``xi = cos(phi) /
-    c_max`` at each range with ``phi`` ``nan`` where the kind has no
-    eigenray, and the speeds at the source and the receiver.  The range
-    functions run in ``scratch``, from ``_solve_scratch``; ``None`` takes
-    a fresh one for this call.
+    Checks the source, then returns the ``(len(kinds), len(ranges))``
+    arrival angles in degrees, ``nan`` where a kind has no eigenray.  The
+    range functions run in ``scratch``, from ``_solve_scratch``; ``None``
+    takes a fresh one for this call.
     """
     zs, zr, b = float(source_depth), wg.receiver_depth, wg.bottom_depth
     r = np.atleast_1d(np.asarray(ranges, dtype=float))
@@ -283,9 +281,9 @@ def _solve(wg: Waveguide, source_depth: float, ranges, kinds: tuple[PathKind, ..
     z = np.unique(np.concatenate([kz[kz < b], [zs, zr, b]]))
     c = np.interp(z, kz, kc)
     ca, cb, dz = c[:-1], c[1:], np.diff(z)
-    c_s, c_r = np.interp([zs, zr], kz, kc)
-    rays = []
-    for kind in kinds:
+    c_r = np.interp(zr, kz, kc)
+    arrival = np.empty((len(kinds), r.size))
+    for i, kind in enumerate(kinds):
         legs = _legs(kind, 0.5 * (z[:-1] + z[1:]), zs, zr)
         on = legs > 0
         if on.any():
@@ -295,13 +293,9 @@ def _solve(wg: Waveguide, source_depth: float, ranges, kinds: tuple[PathKind, ..
             touching = (z[:-1] == zs) | (z[1:] == zs)
             phi = np.full(r.shape, 0.0 if np.all(ca[touching] == cb[touching]) else np.nan)
             c_max = c_r
-        rays.append((phi, c_max, *_SIGNS.get(kind, (np.sign(zr - zs),) * 2)))
-    return rays, c_s, c_r
-
-
-def _angle_deg(phi, c_max: float, c_end: float, sign: float) -> np.ndarray:
-    """Signed angle in degrees of the rays ``xi = cos(phi) / c_max`` where the speed is ``c_end``."""
-    return sign * np.degrees(np.arctan2(_slant(phi, c_max, c_end), np.cos(phi) * c_end))
+        angle = np.degrees(np.arctan2(_slant(phi, c_max, c_r), np.cos(phi) * c_r))
+        arrival[i] = _SIGNS.get(kind, np.sign(zr - zs)) * angle
+    return arrival
 
 
 def eigenray_angles(
@@ -309,23 +303,16 @@ def eigenray_angles(
     source_depth: float,
     ranges,
     kinds: tuple[PathKind, ...] = tuple(PathKind),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Arrival and launch angles of the eigenrays from sources at one depth.
+) -> np.ndarray:
+    """Arrival angles of the eigenrays from sources at one depth.
 
-    ``ranges`` holds positive source ranges.  Returns ``(arrival_deg,
-    launch_deg)``, each of shape ``(len(kinds), len(ranges))``, with
-    ``nan`` where a kind has no eigenray.  The direct path from a source
-    at the receiver depth is the horizontal ray, which stays at that depth
-    only where the profile is iso around it.
+    ``ranges`` holds positive source ranges.  Returns the arrival angles in
+    degrees, of shape ``(len(kinds), len(ranges))``, with ``nan`` where a
+    kind has no eigenray.  The direct path from a source at the receiver
+    depth is the horizontal ray, which stays at that depth only where the
+    profile is iso around it.
     """
-    rays, c_s, c_r = _solve(wg, source_depth, ranges, kinds)
-    n = np.size(ranges)
-    arrival = np.empty((len(kinds), n))
-    launch = np.empty((len(kinds), n))
-    for i, (phi, c_max, sign_launch, sign_arrival) in enumerate(rays):
-        arrival[i] = _angle_deg(phi, c_max, c_r, sign_arrival)
-        launch[i] = _angle_deg(phi, c_max, c_s, sign_launch)
-    return arrival, launch
+    return _solve(wg, source_depth, ranges, kinds)
 
 
 def find_eigenrays(
@@ -339,8 +326,5 @@ def find_eigenrays(
     there and maps to ``None``.
     """
     r_s, z_s = float(source[0]), float(source[1])
-    arrival, launch = eigenray_angles(wg, z_s, [r_s], kinds)
-    return {
-        kind: None if np.isnan(a) else EigenRay(kind, float(a), float(l))
-        for kind, a, l in zip(kinds, arrival[:, 0], launch[:, 0])
-    }
+    arrival = eigenray_angles(wg, z_s, [r_s], kinds)[:, 0]
+    return {kind: None if np.isnan(a) else EigenRay(kind, float(a)) for kind, a in zip(kinds, arrival)}

@@ -11,10 +11,9 @@ read-only arrays built with it, so a lookup makes no node array of its own.
 The grid is built one depth row at a time with the closed-form solver of
 ``swfocal.environment``: a row is one arrivals-only solve for all range
 columns at that source depth.  It is the solve ``eigenray_angles`` and
-``find_eigenrays`` run, and skips only the launch angles, so every row
-equals the arrival angles of ``eigenray_angles`` bit for bit.  A cell is
-impossible exactly where its range lies beyond the path's flattest
-boundary-guided ray.
+``find_eigenrays`` run, so every row equals the arrival angles of
+``eigenray_angles`` bit for bit.  A cell is impossible exactly where its
+range lies beyond the path's flattest boundary-guided ray.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from swfocal.environment import PathKind, Waveguide, _angle_deg, _solve, _solve_scratch
+from swfocal.environment import PathKind, Waveguide, _solve, _solve_scratch
 
 __all__ = ["IMPOSSIBLE", "DoaGrid", "build_doa_grid", "interpolate_doa_many"]
 
@@ -124,13 +123,10 @@ def build_doa_grid(
     kinds = tuple(kinds)
     values = np.empty((n_r, n_d, len(kinds)))
     grid = DoaGrid(roi=_validate_roi(wg, roi), n_r=n_r, n_d=n_d, kinds=kinds, values=values)
-    ranges = grid.ranges
     scratch = _solve_scratch(wg, n_r)
     for j, depth in enumerate(grid.depths):
-        rays, _, c_r = _solve(wg, depth, ranges, kinds, scratch)
-        for i, (phi, c_max, _, sign_arrival) in enumerate(rays):
-            arrival = _angle_deg(phi, c_max, c_r, sign_arrival)
-            values[:, j, i] = np.where(np.isnan(arrival), IMPOSSIBLE, arrival)
+        arrival = _solve(wg, depth, grid.ranges, kinds, scratch)
+        values[:, j] = np.where(np.isnan(arrival), IMPOSSIBLE, arrival).T
     return grid
 
 
@@ -213,21 +209,16 @@ def interpolate_doa_many(grid: DoaGrid, points: np.ndarray) -> np.ndarray:
     corners = flat.take(cell + steps[:, None], axis=0).transpose(0, 2, 1).copy()
     # inside a cell every corner has weight, and an impossible one makes
     # the sum -inf.  On a cell edge a corner of zero weight is ignored, also
-    # where impossible (0 * -inf is nan), so those rows are summed again,
-    # from corners gathered anew: the weighting overwrites ``corners``.
+    # where impossible (0 * -inf would be nan), so it is zeroed first.
+    # Random points are almost never on an edge: skip the four selections.
+    edge = _edge_rows(fx, gx, fy, gy)
+    if edge.size:
+        for w, v in zip(weights, corners):
+            v[:, edge[w[edge] == 0.0]] = 0.0
+    out = np.multiply(weights[0], corners[0])
+    for w, v in zip(weights[1:], corners[1:]):
+        v *= w
+        out += v
     with np.errstate(invalid="ignore"):
-        out = np.multiply(weights[0], corners[0])
-        for w, v in zip(weights[1:], corners[1:]):
-            v *= w
-            out += v
         out += 0.0 * out  # -inf (an impossible corner) to nan
-        edge = _edge_rows(fx, gx, fy, gy)
-        if edge.size:
-            terms, bad = [], False
-            for w, v in zip(weights, flat.take(cell[edge] + steps[:, None], axis=0)):
-                w = w[edge, None]
-                live, hole = w > 0.0, np.isneginf(v)
-                terms.append(np.where(live & ~hole, w * v, 0.0))
-                bad = bad | (live & hole)
-            out[:, edge] = np.where(bad, np.nan, terms[0] + terms[1] + terms[2] + terms[3]).T
     return out.T

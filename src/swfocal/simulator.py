@@ -4,9 +4,9 @@ The simulator stands in for a beamforming front-end: it moves a source
 through the waveguide, looks up the modeled path angles at its true
 position, and emits per-epoch observation sets drawn from the detection,
 noise and clutter model the tracker assumes.  Epochs tick every
-``step_s`` seconds starting at zero; dropout windows delete whole epochs
-from the observation stream (the truth keeps all of them), which is how
-variable time steps reach the tracker.
+``motion.step_s`` seconds starting at zero; dropout windows delete whole
+epochs from the observation stream (the truth keeps all of them), which is
+how variable time steps reach the tracker.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class ScenarioConfig:
     initial_depth_m: float
     initial_speed_mps: float
     duration_s: float
-    step_s: float = MotionParams.step_s
     dropouts: tuple[tuple[float, float], ...] = ()
     truth_motion: str = "deterministic"  # or "stochastic"
     roi: tuple[float, float, float, float] = (100.0, 2500.0, 10.0, 175.0)
@@ -41,8 +40,6 @@ class ScenarioConfig:
 
     def __post_init__(self):
         # each check is written so that nan fails it
-        if not 0.0 < self.step_s < np.inf:
-            raise ValueError("step_s: epoch step must be positive and finite")
         if not 0.0 <= self.duration_s < np.inf:
             raise ValueError("duration_s: duration must be finite and nonnegative")
         if not np.isfinite(self.initial_speed_mps):
@@ -57,8 +54,8 @@ class ScenarioConfig:
             raise ValueError("initial position must lie inside the region of interest")
 
     def epoch_times(self) -> np.ndarray:
-        n = int(np.ceil(self.duration_s / self.step_s))
-        return np.arange(n) * self.step_s
+        n = int(np.ceil(self.duration_s / self.motion.step_s))
+        return np.arange(n) * self.motion.step_s
 
     def in_dropout(self, t: float) -> bool:
         return any(a <= t < b for a, b in self.dropouts)
@@ -72,8 +69,9 @@ class GroundTruthTrack:
     states: np.ndarray  # (n, 3): range_m, depth_m, speed_mps
 
     def __post_init__(self):
-        if np.any(np.diff(self.times_s) <= 0):
-            raise ValueError("track times must be strictly increasing")
+        # written so that nan fails it
+        if not (np.all(np.diff(self.times_s) > 0.0) and np.all(np.abs(self.times_s) < np.inf)):
+            raise ValueError("track times must be finite and strictly increasing")
         if self.states.shape != (self.times_s.size, 3):
             raise ValueError("track needs one (range, depth, speed) row per time")
 

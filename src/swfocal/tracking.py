@@ -152,8 +152,8 @@ def predict(states: np.ndarray, T: float, u1: np.ndarray, u2: np.ndarray) -> np.
     The last axis is [range_m, depth_m, speed_mps]; ``u1`` and ``u2``
     broadcast against the leading axes.
     """
-    if T <= 0:
-        raise ValueError("time step must be positive")
+    if not 0.0 < T < np.inf:
+        raise ValueError("time step must be positive and finite")
     s = np.asarray(states, dtype=float)
     out = np.empty(np.broadcast(s[..., 0], u1, u2).shape + (3,))
     r, d, v = out[..., 0], out[..., 1], out[..., 2]

@@ -560,3 +560,7 @@ class TestObservationSet:
     def test_impossible_prediction_needs_zero_detect(self):
         with pytest.raises(ValueError):
             PathPrediction(angles_deg=np.array([np.nan]), detect_probs=np.array([0.5]))
+
+    def test_nan_detection_probability_rejected(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            PathPrediction(angles_deg=np.array([5.0]), detect_probs=np.array([np.nan]))

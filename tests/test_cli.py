@@ -74,7 +74,7 @@ class TestLoadConfig:
         scenario = load_config(p).scenario
         default = {f.name: f.default for f in dataclasses.fields(ScenarioConfig)}
         assert scenario.truth_motion == default["truth_motion"]
-        assert scenario.step_s == default["step_s"] == MotionParams().step_s
+        assert scenario.motion.step_s == MotionParams().step_s
 
     @pytest.mark.parametrize(
         "block, key, value",
@@ -125,6 +125,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="unknown keys"):
             load_config(p)
 
+    def test_scenario_step_is_an_unknown_key(self, tmp_path):
+        # the epoch step is the motion step
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps({"grid_file": "grid.bin", "scenario": {"step_s": 2.048}}))
+        with pytest.raises(ConfigError, match="unknown keys"):
+            load_config(p)
+
 
 class TestBuildGrid:
     def test_builds_and_reports_coverage(self, tmp_path):
@@ -153,6 +160,33 @@ class TestBuildGrid:
         )
         assert res.returncode == 1
         assert ":2:" in res.stderr
+
+    @pytest.mark.parametrize(
+        "edit, name",
+        [
+            (lambda doc: doc["ssp_knots"][1].__setitem__(1, float("nan")), "sound speeds"),
+            (lambda doc: doc["ssp_knots"][1].__setitem__(1, float("inf")), "sound speeds"),
+            (lambda doc: doc["ssp_knots"][1].__setitem__(0, float("nan")), "knot depths"),
+            (lambda doc: doc["ssp_knots"][-1].__setitem__(0, float("inf")), "knot depths"),
+            (lambda doc: doc.__setitem__("bottom_depth_m", float("nan")), "bottom depth"),
+            (lambda doc: doc.__setitem__("bottom_depth_m", float("inf")), "bottom depth"),
+            (lambda doc: doc.__setitem__("receiver_depth_m", float("nan")), "receiver depth"),
+        ],
+        ids=["speed-nan", "speed-inf", "depth-nan", "depth-inf", "bottom-nan", "bottom-inf", "receiver-nan"],
+    )
+    def test_non_finite_env_value_is_domain_error_by_name(self, tmp_path, edit, name):
+        # Python's json reads the NaN and Infinity literals that it writes
+        doc = json.loads(ENV_FILE.read_text())
+        edit(doc)
+        bad = tmp_path / "env.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(sio.EnvFileError, match=name):
+            sio.read_environment(bad)
+        out = tmp_path / "g.bin"
+        res = run_cli("build-grid", "--env", bad, "--out", out, "--nr", 50, "--nd", 10)
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:") and name in res.stderr
+        assert not out.exists()
 
     def test_kind_subset(self, tmp_path):
         out = tmp_path / "g2.bin"

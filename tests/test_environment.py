@@ -158,16 +158,18 @@ class TestEigenrays:
                 if len(angles) == 4:
                     assert angles[0] >= angles[1] > angles[2] >= angles[3]
 
-    def test_eigenray_launch_retraces_to_receiver(self, coastal_wg):
+    def test_eigenray_arrival_retraces_to_source(self, coastal_wg):
+        # the arrival reversed is a ray from the receiver that lands on the
+        # source after the kind's bounces in reverse order
         src = (900.0, 75.0)
         rays = find_eigenrays(coastal_wg, src)
+        zr = coastal_wg.receiver_depth
         for kind, ray in rays.items():
             if ray is None:
                 continue
-            (depth,), (angle,), (bounces,) = march_rays(coastal_wg, src[1], ray.launch_angle_deg, src[0])
-            assert bounces == BOUNCE_SIGNATURE[kind]
-            assert depth == pytest.approx(coastal_wg.receiver_depth, abs=5e-3)
-            assert angle == pytest.approx(ray.arrival_angle_deg, abs=1e-3)
+            (depth,), _, (bounces,) = march_rays(coastal_wg, zr, -ray.arrival_angle_deg, src[0])
+            assert bounces == BOUNCE_SIGNATURE[kind][::-1]
+            assert depth == pytest.approx(src[1], abs=5e-3)
 
     def test_direct_path_impossible_at_long_range_in_strong_gradient(self):
         wg = make_wg(((0.0, 1540.0), (216.5, 1453.4)))

@@ -3,7 +3,7 @@ import pytest
 
 from swfocal.assoc import ModelParams
 from swfocal.grid import interpolate_doa_many
-from swfocal.simulator import ScenarioConfig, generate_observations, generate_truth
+from swfocal.simulator import GroundTruthTrack, ScenarioConfig, generate_observations, generate_truth
 from swfocal.tracking import MotionParams
 
 ROI = (300.0, 1200.0, 30.0, 150.0)
@@ -50,7 +50,7 @@ class TestTruth:
             duration_s=4.2,
             motion=MotionParams(accel_var=0.05, depth_var=0.1),
         )
-        T = cfg.step_s
+        T = cfg.motion.step_s
         d_range, d_depth, d_speed = [], [], []
         for seed in range(10_000):
             t = generate_truth(cfg, seed=seed)
@@ -77,14 +77,17 @@ class TestTruth:
         [
             ("duration_s", float("nan")),
             ("duration_s", float("inf")),
-            ("step_s", float("nan")),
-            ("step_s", float("inf")),
             ("initial_speed_mps", float("nan")),
         ],
     )
     def test_non_finite_values_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
             scenario(**{field: value})
+
+    @pytest.mark.parametrize("times", [[0.0, np.nan], [np.nan], [0.0, np.inf]])
+    def test_non_finite_truth_times_rejected(self, times):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            GroundTruthTrack(times_s=np.array(times), states=np.zeros((len(times), 3)))
 
 
 class TestObservations:
@@ -104,8 +107,6 @@ class TestObservations:
     def test_false_alarm_count_is_poisson(self, refr_grid):
         times = np.arange(100_000) * 2.048
         states = np.tile([700.0, 70.0, 0.0], (times.size, 1))
-        from swfocal.simulator import GroundTruthTrack
-
         truth = GroundTruthTrack(times_s=times, states=states)
         params = ModelParams(n_paths=4, sigma_deg=(0.5, 0.5, 2, 2), detect_prob=0.0, mu_fa=2.0)
         obs = generate_observations(truth, refr_grid, params, seed=1)
@@ -115,7 +116,6 @@ class TestObservations:
     def test_impossible_paths_never_fire(self, coastal_wg):
         # at long range the direct path is impossible on this grid slice
         from swfocal.grid import build_doa_grid
-        from swfocal.simulator import GroundTruthTrack
         from swfocal.environment import PathKind
 
         grid = build_doa_grid(coastal_wg, (2200.0, 2400.0, 50.0, 80.0), 21, 7)

@@ -44,7 +44,7 @@ class TestPredict:
         s = predict(np.array([1000.0, 60.0, -2.5]), T, 0.0, 0.0)
         assert s[0] == pytest.approx(1000.0 - 2.5 * T)
 
-    @pytest.mark.parametrize("T", [0.0, -2.048])
+    @pytest.mark.parametrize("T", [0.0, -2.048, float("nan"), float("inf")])
     def test_nonpositive_step_rejected(self, T):
         with pytest.raises(ValueError, match="time step must be positive"):
             predict(np.zeros(3), T, 0.0, 0.0)
