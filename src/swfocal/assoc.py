@@ -269,7 +269,7 @@ class _Scratch(threading.local):
     prefix = np.empty(0)
 
 
-_scratch = _Scratch()
+_thread_scratch = _Scratch()
 
 
 def _live_spans(z: np.ndarray, ang: np.ndarray, sigma) -> tuple[list[int], list[int]]:
@@ -324,9 +324,10 @@ def marginal_likelihood_batch(
     path's angles get densities, and the detection branch updates only
     the counts that can be nonzero (see the module docstring); the result
     is the full DP's bit for bit.  The gate relies on the order, so
-    ``z_sorted`` out of order, or with a ``nan``, raises ``ValueError``.
-    Any memory layout is accepted; the transpose of a C-ordered (K, J)
-    array, as ``interpolate_doa_many`` returns, is read without a copy.
+    ``z_sorted`` out of order, or with a ``nan``, raises ``ValueError``,
+    as does a path count K other than ``params.n_paths``.  Any memory
+    layout is accepted; the transpose of a C-ordered (K, J) array, as
+    ``interpolate_doa_many`` returns, is read without a copy.
     The prefix sums live in a per-thread scratch buffer that only grows,
     to the largest M * K * J float64 of any call on that thread (about
     3 MB at M = 10, K = 4, J = 10^4), and is kept between calls.
@@ -338,13 +339,15 @@ def marginal_likelihood_batch(
     K, J = ang.shape
     M = z.size
     mu = params.mu_fa
+    if K != params.n_paths:
+        raise ValueError(f"angles_deg has {K} paths, the model {params.n_paths}")
     if not (z[1:] <= z[:-1]).all():  # nan fails it too
         raise ValueError("observations must be sorted in descending order")
 
     if mu <= 0.0 and M > K:
         return np.zeros(J)
 
-    first, stop = _live_spans(z, ang, params.sigma_deg[:K])
+    first, stop = _live_spans(z, ang, params.sigma_deg)
 
     miss = 1.0 - det
     # detection factors carry no 1/mu in the zero-clutter limit
@@ -353,9 +356,9 @@ def marginal_likelihood_batch(
     # contiguous block
     S = np.zeros((K + 1, M + 1, J))
     S[0, 0] = 1.0
-    if _scratch.prefix.size < M * K * J:
-        _scratch.prefix = None  # free the old buffer before its successor exists
-        _scratch.prefix = np.empty(M * K * J)
+    if _thread_scratch.prefix.size < M * K * J:
+        _thread_scratch.prefix = None  # free the old buffer before its successor exists
+        _thread_scratch.prefix = np.empty(M * K * J)
     for k in range(K):
         s, e = first[k], stop[k]
         # before path k, c detections need c observations and at most k
@@ -364,7 +367,7 @@ def marginal_likelihood_batch(
         # row, which is cumsum's order but far faster than cumsum along an
         # outer axis
         if s < e:
-            P = _scratch.prefix[: (k + 1) * e * J].reshape(k + 1, e, J)
+            P = _thread_scratch.prefix[: (k + 1) * e * J].reshape(k + 1, e, J)
             P[:, 0] = S[: k + 1, 0]
             for m in range(1, e):
                 np.add(P[:, m - 1], S[: k + 1, m], out=P[:, m])

@@ -239,7 +239,12 @@ def cmd_track(args) -> int:
 
 
 def evaluate_run(estimates: np.ndarray, truth: np.ndarray) -> dict:
-    """Errors of one estimate sequence against the truth, joined on time."""
+    """Errors of one estimate sequence against the truth, joined on time.
+
+    The join bisects the truth times, which must be finite and strictly
+    increasing: ``cmd_evaluate`` checks its truth file, and a simulated
+    ``GroundTruthTrack`` holds such times.
+    """
     t_truth = truth[:, 0]
     if not t_truth.size:
         raise ValueError("the truth has no epochs")
@@ -275,6 +280,9 @@ def evaluate_run(estimates: np.ndarray, truth: np.ndarray) -> dict:
 
 def cmd_evaluate(args) -> int:
     truth = sio.read_track_csv(args.truth)
+    t = truth[:, 0]
+    if not (np.isfinite(t).all() and (t[1:] > t[:-1]).all()):
+        raise ValueError(f"{args.truth}: truth times must be finite and strictly increasing")
     report = {"truth_file": str(args.truth), "runs": []}
     for est_path in args.estimates:
         est = sio.read_estimates_csv(est_path)

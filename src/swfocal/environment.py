@@ -175,25 +175,19 @@ def _slant(phi, c_max: float, c) -> np.ndarray:
     return np.sqrt((c_max - c) * (c_max + c) + (c * np.sin(phi)) ** 2)
 
 
-def _scratch(n_nodes: int, n_rays: int) -> np.ndarray:
-    """Room for ``_path_range`` on up to ``n_nodes`` nodes and ``n_rays`` rays."""
-    return np.empty((2 * n_nodes - 1) * n_rays)
-
-
-def _path_range(phi, c, num, base, scratch=None) -> np.ndarray:
+def _path_range(phi, c, num, base) -> np.ndarray:
     """Range of the path at each grazing angle in the 1-D array ``phi``.
 
     ``c`` holds the node speeds of the slices the path crosses, ``num`` each
     slice's ``weighted_dz * (c_a + c_b)`` and ``base`` the ``phi``-independent
     part of ``_slant`` at each node.  Evaluated node-major, as (nodes, rays),
-    so every step runs over the rays, in views of ``scratch`` (from
-    ``_scratch``; ``None`` takes a fresh one).
+    so every step runs over the rays, in views of one block: with two
+    separate arrays a 2400x165 grid build faulted in some 40 times the pages.
     """
     n, m = c.size, phi.size
-    if scratch is None:
-        scratch = _scratch(n, m)
-    s = scratch[: n * m].reshape(n, m)
-    runs = scratch[n * m : (2 * n - 1) * m].reshape(n - 1, m)
+    block = np.empty((2 * n - 1) * m)
+    s = block[: n * m].reshape(n, m)
+    runs = block[n * m :].reshape(n - 1, m)
     np.multiply.outer(c, np.sin(phi), out=s)
     s *= s
     s += base[:, None]
@@ -204,15 +198,14 @@ def _path_range(phi, c, num, base, scratch=None) -> np.ndarray:
     return np.cos(phi) * runs.sum(axis=0)
 
 
-def _grazing_angle(c, weighted_dz, r, scratch):
+def _grazing_angle(c, weighted_dz, r):
     """Angle ``phi`` at the fastest depth of the eigenray reaching each range.
 
     The path crosses one contiguous run of slices, with node speeds ``c``
     (one more than slices), each slice ``weighted_dz`` meters thick times
     its number of legs.  The ray is ``xi = cos(phi) / c_max``; ``phi`` is
     ``nan`` where ``r`` is beyond the flattest ray's range.  Returns
-    ``(phi, c_max)``.  ``scratch`` serves ``_path_range`` for the path's
-    nodes and ``max(r.size, _FAN.size)`` rays.
+    ``(phi, c_max)``.
     """
     c_max = float(c.max())
     num = weighted_dz * (c[:-1] + c[1:])
@@ -222,7 +215,7 @@ def _grazing_angle(c, weighted_dz, r, scratch):
     # false position on r / R(phi) - 1, which increases with phi and stays
     # finite where an iso layer at c_max makes R(0) unbounded.  Only the
     # unconverged brackets are carried, compacted when some converge.
-    fan_r = _path_range(_FAN, c, num, base, scratch)
+    fan_r = _path_range(_FAN, c, num, base)
     n_reach = np.searchsorted(-fan_r, -r, side="right")
     ok = n_reach > 0
     j = np.minimum(n_reach[ok], _FAN.size - 1)
@@ -238,7 +231,7 @@ def _grazing_angle(c, weighted_dz, r, scratch):
         if not act.size:
             break
         xm = (a * fb - b * fa) / (fb - fa)
-        fm = ra / _path_range(xm, c, num, base, scratch) - 1.0
+        fm = ra / _path_range(xm, c, num, base) - 1.0
         x[act] = xm
         keep = (np.abs(fm) > 1e-13) & (xm > a) & (xm < b)
         up = fm < 0.0
@@ -252,50 +245,6 @@ def _grazing_angle(c, weighted_dz, r, scratch):
     phi = np.full(r.shape, np.nan)
     phi[ok] = x
     return phi, c_max
-
-
-def _solve_scratch(wg: Waveguide, n_ranges: int) -> np.ndarray:
-    """Scratch for ``_solve`` in ``wg`` at any source depth and up to ``n_ranges`` ranges."""
-    # the nodes: the knots above the bottom, the source, the receiver and the bottom
-    n_nodes = sum(z < wg.bottom_depth for z, _ in wg.ssp.knots) + 3
-    return _scratch(n_nodes, max(n_ranges, _FAN.size))
-
-
-def _solve(wg: Waveguide, source_depth: float, ranges, kinds: tuple[PathKind, ...], scratch=None):
-    """Arrival angles of each kind's eigenray from sources at one depth.
-
-    Checks the source, then returns the ``(len(kinds), len(ranges))``
-    arrival angles in degrees, ``nan`` where a kind has no eigenray.  The
-    range functions run in ``scratch``, from ``_solve_scratch``; ``None``
-    takes a fresh one for this call.
-    """
-    zs, zr, b = float(source_depth), wg.receiver_depth, wg.bottom_depth
-    r = np.atleast_1d(np.asarray(ranges, dtype=float))
-    if not np.all(r > 0.0):
-        raise ValueError("source range must be positive")
-    if not 0.0 <= zs <= b:
-        raise ValueError("source depth outside the water column")
-    if scratch is None:
-        scratch = _solve_scratch(wg, r.size)
-    kz, kc = (np.array(v) for v in zip(*wg.ssp.knots))
-    z = np.unique(np.concatenate([kz[kz < b], [zs, zr, b]]))
-    c = np.interp(z, kz, kc)
-    ca, cb, dz = c[:-1], c[1:], np.diff(z)
-    c_r = np.interp(zr, kz, kc)
-    arrival = np.empty((len(kinds), r.size))
-    for i, kind in enumerate(kinds):
-        legs = _legs(kind, 0.5 * (z[:-1] + z[1:]), zs, zr)
-        on = legs > 0
-        if on.any():
-            first, last = np.flatnonzero(on)[[0, -1]]
-            phi, c_max = _grazing_angle(c[first : last + 2], legs[on] * dz[on], r, scratch)
-        else:  # the direct path with zs == zr crosses no slice: the horizontal ray
-            touching = (z[:-1] == zs) | (z[1:] == zs)
-            phi = np.full(r.shape, 0.0 if np.all(ca[touching] == cb[touching]) else np.nan)
-            c_max = c_r
-        angle = np.degrees(np.arctan2(_slant(phi, c_max, c_r), np.cos(phi) * c_r))
-        arrival[i] = _SIGNS.get(kind, np.sign(zr - zs)) * angle
-    return arrival
 
 
 def eigenray_angles(
@@ -312,7 +261,31 @@ def eigenray_angles(
     depth is the horizontal ray, which stays at that depth only where the
     profile is iso around it.
     """
-    return _solve(wg, source_depth, ranges, kinds)
+    zs, zr, b = float(source_depth), wg.receiver_depth, wg.bottom_depth
+    r = np.atleast_1d(np.asarray(ranges, dtype=float))
+    if not np.all(r > 0.0):
+        raise ValueError("source range must be positive")
+    if not 0.0 <= zs <= b:
+        raise ValueError("source depth outside the water column")
+    kz, kc = (np.array(v) for v in zip(*wg.ssp.knots))
+    z = np.unique(np.concatenate([kz[kz < b], [zs, zr, b]]))
+    c = np.interp(z, kz, kc)
+    ca, cb, dz = c[:-1], c[1:], np.diff(z)
+    c_r = np.interp(zr, kz, kc)
+    arrival = np.empty((len(kinds), r.size))
+    for i, kind in enumerate(kinds):
+        legs = _legs(kind, 0.5 * (z[:-1] + z[1:]), zs, zr)
+        on = legs > 0
+        if on.any():
+            first, last = np.flatnonzero(on)[[0, -1]]
+            phi, c_max = _grazing_angle(c[first : last + 2], legs[on] * dz[on], r)
+        else:  # the direct path with zs == zr crosses no slice: the horizontal ray
+            touching = (z[:-1] == zs) | (z[1:] == zs)
+            phi = np.full(r.shape, 0.0 if np.all(ca[touching] == cb[touching]) else np.nan)
+            c_max = c_r
+        angle = np.degrees(np.arctan2(_slant(phi, c_max, c_r), np.cos(phi) * c_r))
+        arrival[i] = _SIGNS.get(kind, np.sign(zr - zs)) * angle
+    return arrival
 
 
 def find_eigenrays(
@@ -323,7 +296,9 @@ def find_eigenrays(
     """Solve for the eigenrays from ``source`` to the receiver.
 
     A kind with no boundary-guided eigenray is geometrically impossible
-    there and maps to ``None``.
+    there and maps to ``None``.  The arrivals agree with the same source in
+    a grid row to rounding, not bit for bit: the one-range solve sums each
+    path's slice runs in another order.
     """
     r_s, z_s = float(source[0]), float(source[1])
     arrival = eigenray_angles(wg, z_s, [r_s], kinds)[:, 0]

@@ -9,11 +9,9 @@ node tables, the ``linspace`` positions of its range and depth nodes, as
 read-only arrays built with it, so a lookup makes no node array of its own.
 
 The grid is built one depth row at a time with the closed-form solver of
-``swfocal.environment``: a row is one arrivals-only solve for all range
-columns at that source depth.  It is the solve ``eigenray_angles`` and
-``find_eigenrays`` run, so every row equals the arrival angles of
-``eigenray_angles`` bit for bit.  A cell is impossible exactly where its
-range lies beyond the path's flattest boundary-guided ray.
+``swfocal.environment``: a row is one ``eigenray_angles`` call for all
+range columns at that source depth.  A cell is impossible exactly where
+its range lies beyond the path's flattest boundary-guided ray.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from swfocal.environment import PathKind, Waveguide, _solve, _solve_scratch
+from swfocal.environment import PathKind, Waveguide, eigenray_angles
 
 __all__ = ["IMPOSSIBLE", "DoaGrid", "build_doa_grid", "interpolate_doa_many"]
 
@@ -116,16 +114,14 @@ def build_doa_grid(
 ) -> DoaGrid:
     """Build the DOA grid for ``kinds`` over ``roi``, one depth row at a time.
 
-    ``DoaGrid`` checks the header before any row is solved.  Every row's
-    solve runs in one scratch, freed when the build returns.
+    ``DoaGrid`` checks the header before any row is solved.
     Deterministic: the same inputs produce a bit-identical grid.
     """
     kinds = tuple(kinds)
     values = np.empty((n_r, n_d, len(kinds)))
     grid = DoaGrid(roi=_validate_roi(wg, roi), n_r=n_r, n_d=n_d, kinds=kinds, values=values)
-    scratch = _solve_scratch(wg, n_r)
     for j, depth in enumerate(grid.depths):
-        arrival = _solve(wg, depth, grid.ranges, kinds, scratch)
+        arrival = eigenray_angles(wg, depth, grid.ranges, kinds)
         values[:, j] = np.where(np.isnan(arrival), IMPOSSIBLE, arrival).T
     return grid
 

@@ -417,6 +417,13 @@ class TestMarginalLikelihood:
         want = enum_marginal(np.array([5.0, 1.0]), pr.angles_deg, pr.detect_probs, p.sigma_deg, 0.0)
         assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("K_angles, K_model", [(2, 4), (4, 2)])
+    def test_path_count_must_match_the_model(self, K_angles, K_model):
+        ang = np.linspace(10.0, -10.0, K_angles)[None, :]
+        det = np.full_like(ang, 0.9)
+        with pytest.raises(ValueError, match=f"angles_deg has {K_angles} paths, the model {K_model}"):
+            marginal_likelihood_batch(np.array([1.0]), ang, det, params(K_model))
+
     def test_scratch_never_leaks_between_calls(self):
         cases = [scratch_case(*c) for c in SCRATCH_SEQUENCE]
         sizes = [args[0].size * args[1].size for args, _ in cases]  # M * K * J

@@ -352,6 +352,17 @@ class TestTrackAndEvaluate:
         assert res.returncode == 1
         assert res.stderr == "error: the truth has no epochs\n"
 
+    @pytest.mark.parametrize("times", [(4.0, 0.0, 2.0), (0.0, 2.0, 2.0), (0.0, float("nan"), 4.0)])
+    def test_evaluate_truth_times_out_of_order_are_domain_error(self, tmp_path, times):
+        # the time join bisects the truth times, so unsorted ones match the wrong epochs
+        truth = tmp_path / "truth.csv"
+        est = tmp_path / "est.csv"
+        sio.write_track_csv(truth, [(t, 1000.0, 60.0, -2.5) for t in times])
+        sio.write_estimates_csv(est, [(t, 1000.0, 60.0, -2.5, 100.0) for t in (0.0, 2.0, 4.0)])
+        res = run_cli("evaluate", "--estimates", est, "--truth", truth)
+        assert res.returncode == 1
+        assert res.stderr == f"error: {truth}: truth times must be finite and strictly increasing\n"
+
     def test_track_missing_observations_is_domain_error(self, tiny_setup, tmp_path):
         root, cfg_path, cfg = tiny_setup
         cfg_bad = dict(cfg, observations_file=str(tmp_path / "missing.jsonl"))

@@ -9,6 +9,7 @@ from swfocal.environment import (
     SoundSpeedProfile,
     Waveguide,
     _path_range,
+    eigenray_angles,
     find_eigenrays,
 )
 
@@ -175,6 +176,21 @@ class TestEigenrays:
         wg = make_wg(((0.0, 1540.0), (216.5, 1453.4)))
         assert find_eigenrays(wg, (2400.0, 10.0), (PathKind.DP,))[PathKind.DP] is None
         assert find_eigenrays(wg, (300.0, 100.0), (PathKind.DP,))[PathKind.DP] is not None
+
+    def test_one_range_solve_agrees_with_a_many_range_solve(self, coastal_wg):
+        # a one-column slice-run sum takes another order than a many-column
+        # one, so the two agree to rounding, not bit for bit
+        ranges = np.linspace(100.0, 2500.0, 2400)
+        cols = np.random.default_rng(11).choice(ranges.size, 36, replace=False)
+        depths = [10.0, 37.5, 75.0, coastal_wg.receiver_depth, 160.0, 175.0, 200.0, 216.5]
+        impossible = 0
+        for depth in depths:
+            many = eigenray_angles(coastal_wg, depth, ranges)[:, cols]
+            one = np.hstack([eigenray_angles(coastal_wg, depth, [ranges[i]]) for i in cols])
+            assert np.array_equal(np.isnan(one), np.isnan(many)), f"at {depth} m"
+            impossible += np.isnan(many).sum()
+            np.testing.assert_allclose(one, many, rtol=0.0, atol=1e-12, err_msg=f"at {depth} m")
+        assert 0 < impossible < many.size * len(depths)
 
     def test_invalid_source_positions_rejected(self, iso_wg):
         with pytest.raises(ValueError):
