@@ -31,13 +31,13 @@ each step is a few whole-array operations.  Its cost is O(K^2 M) per
 state, and it skips three kinds of work whose result is known exactly:
 
 * The triangle.  Before path k, ``S[m, c]`` is 0 for c > min(m, k): c
-  detections need c observations, and only k paths came before.  So the
-  detection branch from row m adds into counts 1..min(m, k) + 1 of row
-  m + 1 only: row by row below row k, and as one block op over rows k
-  and up, which all take counts 1..k + 1.  The miss factor scales counts
-  0..k of every row, one contiguous block, in one op; the entries above
-  the triangle that it touches are exact zeros, and ``0 * (1 - d_k)`` is
-  +0.
+  detections need c observations, and only k paths came before.  So
+  path k reads counts 0..k and writes counts 0..k+1: the miss factor
+  scales counts 0..k of every row, and the detection branch adds counts
+  0..k of the prefix, as one block over the live rows, into counts
+  1..k+1 of the next row.  The entries above the triangle that these
+  touch are exact zeros: ``0 * (1 - d_k)`` and ``0 * r_k(m)`` are +0,
+  and adding +0 changes nothing.
 * Rows far from every state.  Many (path, observation) rows of densities
   are exactly 0, the observation lying far from the path's angle at every
   state: about two thirds of the SB and DP rows of the default tracking
@@ -63,7 +63,6 @@ Angles are degrees throughout; densities are per degree.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -226,11 +225,7 @@ def association_prior(
     for a_k in entries:
         if not 0 <= a_k <= M:
             raise ValueError(f"association entry {a_k} outside 0..{M}")
-    try:
-        valid = is_valid(entries, M)
-    except ValueError:
-        valid = False
-    if not valid:
+    if not is_valid(entries, M):
         return 0.0
     detected = [k for k, a_k in enumerate(entries) if a_k != 0]
     c = len(detected)
@@ -321,21 +316,25 @@ def marginal_likelihood_batch(
     associations that explain every observation.
 
     Path by path, only observations within 39 sigma of the span of the
-    path's angles get densities, and the detection branch updates only
-    the counts that can be nonzero (see the module docstring); the result
-    is the full DP's bit for bit.  The gate relies on the order, so
-    ``z_sorted`` out of order, or with a ``nan``, raises ``ValueError``,
-    as does a path count K other than ``params.n_paths``.  Any memory
-    layout is accepted; the transpose of a C-ordered (K, J) array, as
-    ``interpolate_doa_many`` returns, is read without a copy.
+    path's angles get densities, and path k touches counts 0..k+1 only
+    (see the module docstring); the result is the full DP's bit for bit.
+    The gate relies on the order, so ``z_sorted`` out of order, or with a
+    ``nan``, raises ``ValueError``, as do a path count K other than
+    ``params.n_paths`` and ``detect_probs`` of another shape than
+    ``angles_deg``.  Any memory layout is accepted; the transpose of a
+    C-ordered (K, J) array, as ``interpolate_doa_many`` returns, is read
+    without a copy.
     The prefix sums live in a per-thread scratch buffer that only grows,
     to the largest M * K * J float64 of any call on that thread (about
     3 MB at M = 10, K = 4, J = 10^4), and is kept between calls.
     """
     z = np.asarray(z_sorted, dtype=float).reshape(-1)
+    ang = np.atleast_2d(np.asarray(angles_deg, dtype=float))
+    det = np.atleast_2d(np.asarray(detect_probs, dtype=float))
+    if det.shape != ang.shape:
+        raise ValueError(f"detect_probs has shape {det.shape}, angles_deg {ang.shape}")
     # path-major: row k holds path k's angles at every state
-    ang = np.ascontiguousarray(np.atleast_2d(np.asarray(angles_deg, dtype=float)).T)
-    det = np.ascontiguousarray(np.atleast_2d(np.asarray(detect_probs, dtype=float)).T)
+    ang, det = np.ascontiguousarray(ang.T), np.ascontiguousarray(det.T)
     K, J = ang.shape
     M = z.size
     mu = params.mu_fa
@@ -378,29 +377,18 @@ def marginal_likelihood_batch(
             hit = _densities(z[s:e], ang[k], params.sigma_deg[k])
             hit *= scale[k]
             hit /= params.fa_density
-            # the detection from row m adds into counts 1..min(m, k) + 1 of
-            # row m + 1: one by one below row k, as one block from row k on
-            for m in range(s, min(k, e)):
-                h, Pm = hit[m - s], P[: m + 1, m]
-                S[1 : m + 2, m + 1] += np.multiply(h, Pm, out=Pm)
-            b = max(s, k)
-            if b < e:
-                Pb = P[:, b:]
-                Pb *= hit[b - s :]
-                S[1 : k + 2, b + 1 : e + 1] += Pb
+            # the detection from live row m adds counts 0..k of its prefix
+            # into counts 1..k + 1 of row m + 1, all rows in one block
+            Ps = P[:, s:]
+            Ps *= hit
+            S[1 : k + 2, s + 1 : e + 1] += Ps
 
     # each state's sums run along its own contiguous row, so its weight
     # does not depend on the batch; a gemv down the columns of the
-    # (counts, states) sums, ``_factorials(K) @ S.sum(axis=1)``, takes an
+    # (counts, states) sums, ``factorials @ S.sum(axis=1)``, takes an
     # order that the BLAS kernel picks by batch size and position
     if mu <= 0.0:
         return math.factorial(M) * np.ascontiguousarray(S[M].T).sum(axis=1)
-    return np.ascontiguousarray(S.sum(axis=1).T) @ _factorials(K)
+    factorials = np.array([math.factorial(c) for c in range(K + 1)], dtype=float)
+    return np.ascontiguousarray(S.sum(axis=1).T) @ factorials
 
-
-@functools.lru_cache(maxsize=None)
-def _factorials(K: int) -> np.ndarray:
-    """0!, 1!, ..., K! as a read-only float array."""
-    weights = np.array([math.factorial(c) for c in range(K + 1)], dtype=float)
-    weights.flags.writeable = False
-    return weights

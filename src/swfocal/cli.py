@@ -44,7 +44,6 @@ class RunConfig:
     output_dir: str
     observations_file: str | None
     truth_file: str | None
-    n_paths: int
     n_particles: int
     seed: int
     model: ModelParams
@@ -117,6 +116,9 @@ def load_config(path) -> RunConfig:
     )
     if "grid_file" not in doc:
         raise ConfigError(f"{path}: missing required key 'grid_file'")
+    for key in ("grid_file", "output_dir", "observations_file", "truth_file"):
+        if not isinstance(doc.get(key, ""), str):
+            raise ConfigError(f"{path}: {key} must be a string, got {doc[key]!r}")
 
     try:
         n_paths = _integer(doc, "K", 4, 0, path)
@@ -153,11 +155,10 @@ def load_config(path) -> RunConfig:
         )
 
         return RunConfig(
-            grid_file=str(doc["grid_file"]),
-            output_dir=str(doc.get("output_dir", "out")),
+            grid_file=doc["grid_file"],
+            output_dir=doc.get("output_dir", "out"),
             observations_file=doc.get("observations_file"),
             truth_file=doc.get("truth_file"),
-            n_paths=n_paths,
             n_particles=_integer(doc, "J", 10_000, 1, path),
             seed=_integer(doc, "seed", 0, 0, path),
             model=model,
@@ -175,6 +176,7 @@ def cmd_build_grid(args) -> int:
     wg = sio.read_environment(args.env)
     kinds = tuple(PathKind[name] for name in args.kinds)
     grid = build_doa_grid(wg, tuple(args.roi), args.nr, args.nd, kinds)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     sio.write_grid(args.out, grid)
     for kind, frac in grid.coverage().items():
         print(f"{kind.name}: {frac:.4f} of grid points geometrically impossible")
@@ -306,7 +308,7 @@ def _load_run(args) -> tuple[RunConfig, DoaGrid]:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = dataclasses.replace(cfg, output_dir=args.out)
-    return cfg, sio.read_grid(cfg.grid_file).select_kinds(KIND_SELECTIONS[cfg.n_paths])
+    return cfg, sio.read_grid(cfg.grid_file).select_kinds(KIND_SELECTIONS[cfg.model.n_paths])
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -91,10 +91,6 @@ class PathKind(Enum):
     BB = 3
     SBB = 4
 
-    @property
-    def index(self) -> int:
-        return self.value
-
 
 @dataclass(frozen=True)
 class SoundSpeedProfile:

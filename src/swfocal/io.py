@@ -29,7 +29,6 @@ __all__ = [
     "EnvFileError",
     "GridFileError",
     "read_environment",
-    "write_environment",
     "read_grid",
     "write_grid",
     "read_observations",
@@ -85,15 +84,6 @@ def read_environment(path) -> Waveguide:
         raise EnvFileError(f"{path}: {e}") from e
 
 
-def write_environment(path, wg: Waveguide) -> None:
-    doc = {
-        "ssp_knots": [[z, c] for z, c in wg.ssp.knots],
-        "bottom_depth_m": wg.bottom_depth,
-        "receiver_depth_m": wg.receiver_depth,
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
-
-
 def write_grid(path, grid: DoaGrid) -> None:
     """Write ``grid`` in the binary layout, straight from its values' memory."""
     with open(path, "wb") as f:
@@ -101,7 +91,7 @@ def write_grid(path, grid: DoaGrid) -> None:
         f.write(struct.pack("<I", GRID_VERSION))
         f.write(struct.pack("<4d", *grid.roi))
         f.write(struct.pack("<III", grid.n_r, grid.n_d, len(grid.kinds)))
-        f.write(bytes(k.index for k in grid.kinds))
+        f.write(bytes(k.value for k in grid.kinds))
         f.write(np.ascontiguousarray(grid.values, dtype="<f8"))  # a copy only if not C-ordered <f8
 
 

@@ -424,6 +424,13 @@ class TestMarginalLikelihood:
         with pytest.raises(ValueError, match=f"angles_deg has {K_angles} paths, the model {K_model}"):
             marginal_likelihood_batch(np.array([1.0]), ang, det, params(K_model))
 
+    @pytest.mark.parametrize("det_shape", [(1, 2), (2, 4)])
+    def test_detection_probabilities_must_match_the_angles(self, det_shape):
+        ang = np.linspace(10.0, -10.0, 4)[None, :]
+        det = np.full(det_shape, 0.9)
+        with pytest.raises(ValueError, match="detect_probs"):
+            marginal_likelihood_batch(np.array([1.0]), ang, det, params(4))
+
     def test_scratch_never_leaks_between_calls(self):
         cases = [scratch_case(*c) for c in SCRATCH_SEQUENCE]
         sizes = [args[0].size * args[1].size for args, _ in cases]  # M * K * J

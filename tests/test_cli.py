@@ -119,6 +119,14 @@ class TestLoadConfig:
             with pytest.raises(ConfigError, match=f"{key} must be an integer"):
                 load_config(p)
 
+    @pytest.mark.parametrize("value", [None, 5])
+    @pytest.mark.parametrize("key", ["grid_file", "output_dir", "observations_file", "truth_file"])
+    def test_path_keys_must_be_strings(self, tmp_path, key, value):
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps({"grid_file": "grid.bin", key: value}))
+        with pytest.raises(ConfigError, match=f"{key} must be a string"):
+            load_config(p)
+
     def test_environment_file_is_an_unknown_key(self, tmp_path):
         p = tmp_path / "run.json"
         p.write_text(json.dumps({"grid_file": "grid.bin", "environment_file": "env.json"}))
@@ -144,6 +152,14 @@ class TestBuildGrid:
         assert "geometrically impossible" in res.stdout
         grid = sio.read_grid(out)
         assert grid.values.shape == (13, 11, 4)
+
+    def test_creates_the_parent_of_a_relative_out(self, tmp_path):
+        res = run_cli(
+            "build-grid", "--env", ENV_FILE, "--out", "out/grid.bin", "--nr", 5, "--nd", 5,
+            cwd=tmp_path,
+        )
+        assert res.returncode == 0, res.stderr
+        assert sio.read_grid(tmp_path / "out" / "grid.bin").values.shape == (5, 5, 4)
 
     def test_single_point_axis_is_usage_error(self, tmp_path):
         res = run_cli(

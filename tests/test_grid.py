@@ -360,6 +360,38 @@ class TestInterpolation:
         assert n_none > 0
         assert not np.isnan(batch[-1]).any()  # the underflowed hole carries no weight
 
+    @pytest.mark.parametrize(
+        "grid_name, max_holes, max_phantoms, max_err_deg",
+        [
+            ("readme", [8, 76, 64, 0], [0, 3, 1, 0], 0.032),
+            ("full", [0, 36, 27, 0], [0, 0, 0, 0], 0.0097),
+        ],
+    )
+    def test_lookup_holes_and_phantoms_stay_bounded(
+        self, coastal_wg, full_grid, grid_name, max_holes, max_phantoms, max_err_deg
+    ):
+        # a hole is a nan lookup where the direct solve finds a ray, a phantom
+        # a value where it finds none; 100 random depths x 100 random ranges,
+        # one solve per depth.  The bounds are the counts and the worst
+        # error at the time of writing: a change may lower them, never raise
+        if grid_name == "readme":
+            grid = build_doa_grid(coastal_wg, (100.0, 3600.0, 10.0, 175.0), 876, 56)
+        else:
+            grid = full_grid[0]
+        rng = np.random.default_rng(16)
+        r0, r1, d0, d1 = grid.roi
+        ranges = rng.uniform(r0, r1, 100)
+        holes, phantoms, worst = np.zeros(4, int), np.zeros(4, int), 0.0
+        for depth in rng.uniform(d0, d1, 100):
+            exact = eigenray_angles(coastal_wg, depth, ranges, grid.kinds).T
+            looked = interpolate_doa_many(grid, np.column_stack([ranges, np.full(100, depth)]))
+            holes += (np.isnan(looked) & ~np.isnan(exact)).sum(axis=0)
+            phantoms += (np.isnan(exact) & ~np.isnan(looked)).sum(axis=0)
+            worst = np.fmax.reduce(np.abs(looked - exact), axis=None, initial=worst)
+        assert (holes <= max_holes).all(), holes
+        assert (phantoms <= max_phantoms).all(), phantoms
+        assert worst <= max_err_deg
+
     def test_select_kinds(self, iso_grid):
         sub = iso_grid.select_kinds((PathKind.SB, PathKind.DP))
         assert sub.kinds == (PathKind.SB, PathKind.DP)

@@ -1,3 +1,4 @@
+import json
 import struct
 import tracemalloc
 
@@ -12,7 +13,12 @@ from swfocal.grid import DoaGrid, build_doa_grid
 class TestEnvironmentFile:
     def test_round_trip(self, tmp_path, coastal_wg):
         path = tmp_path / "env.json"
-        sio.write_environment(path, coastal_wg)
+        doc = {
+            "ssp_knots": [list(knot) for knot in coastal_wg.ssp.knots],
+            "bottom_depth_m": coastal_wg.bottom_depth,
+            "receiver_depth_m": coastal_wg.receiver_depth,
+        }
+        path.write_text(json.dumps(doc))
         back = sio.read_environment(path)
         assert back.ssp.knots == coastal_wg.ssp.knots
         assert back.bottom_depth == coastal_wg.bottom_depth
@@ -108,7 +114,7 @@ class TestGridFile:
             + struct.pack("<I", sio.GRID_VERSION)
             + struct.pack("<4d", *roi)
             + struct.pack("<III", n_r, n_d, len(kinds))
-            + bytes(k.index for k in kinds)
+            + bytes(k.value for k in kinds)
             + np.zeros(n_r * n_d * len(kinds), dtype="<f8").tobytes()
         )
         with pytest.raises(sio.GridFileError, match=why) as err:
@@ -125,7 +131,7 @@ class TestGridFile:
             + struct.pack("<I", sio.GRID_VERSION)
             + struct.pack("<4d", 100.0, 200.0, 10.0, 20.0)
             + struct.pack("<III", n, n, 1)
-            + bytes([PathKind.DP.index])
+            + bytes([PathKind.DP.value])
             + np.zeros(6, dtype="<f8").tobytes()
         )
         assert path.stat().st_size < 120
