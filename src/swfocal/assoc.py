@@ -4,7 +4,7 @@ At each epoch the DOA estimator returns M angles, sorted descending.  Each
 modeled path is detected with probability ``d_k`` (zero where the path is
 geometrically impossible) and then contributes a Gaussian-perturbed copy
 of its modeled angle; the remaining observations are false alarms, Poisson
-in number and uniformly distributed in angle.  An association vector ``a``
+in number and uniform on [-90, 90) degrees.  An association vector ``a``
 of length K maps each path to an observation index (0 for a missed
 detection).  Because the modeled path angles are ordered and the
 observations sorted, a vector is valid only if its nonzero entries
@@ -93,7 +93,6 @@ class ModelParams:
     sigma_deg: tuple[float, ...]
     detect_prob: float = 0.9
     mu_fa: float = 2.0
-    fa_support_deg: tuple[float, float] = (-90.0, 90.0)
 
     def __post_init__(self):
         object.__setattr__(self, "sigma_deg", tuple(float(s) for s in self.sigma_deg))
@@ -108,15 +107,11 @@ class ModelParams:
             raise ValueError("detect_prob: detection probability must lie in [0, 1]")
         if not 0.0 <= self.mu_fa < np.inf:
             raise ValueError("mu_fa: mean false-alarm count must be finite and nonnegative")
-        lo, hi = self.fa_support_deg
-        if not -90.0 <= lo < hi <= 90.0:
-            raise ValueError("fa_support_deg: false-alarm support must be a nonempty sub-interval of [-90, 90]")
 
     @property
     def fa_density(self) -> float:
-        """Uniform false-alarm density per degree."""
-        lo, hi = self.fa_support_deg
-        return 1.0 / (hi - lo)
+        """False-alarm density per degree: clutter is uniform on [-90, 90)."""
+        return 1.0 / 180.0
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Command-line pipeline: build-grid, simulate, track, evaluate.
 
-Runs are driven by a strict JSON configuration (unknown keys are
-rejected so a config file fully determines a run).  ``simulate`` and
-``track`` take ``--seed`` to override the config seed; identical
+``build-grid`` tabulates all four paths; a run with ``K = 2`` tracks on
+the SB and DP layers of that grid.  Runs are driven by a strict JSON
+configuration: unknown keys are rejected so a config file fully
+determines a run, and numeric values must be JSON numbers.  ``simulate``
+and ``track`` take ``--seed`` to override the config seed; identical
 invocations produce byte-identical outputs.  Exit codes: 0 success,
 1 domain error (bad file contents, filter degeneracy, missing inputs),
 2 usage error.
@@ -20,7 +22,8 @@ import numpy as np
 
 from swfocal import io as sio
 from swfocal.assoc import ModelParams, ObservationSet
-from swfocal.grid import DoaGrid, PathKind, build_doa_grid
+from swfocal.environment import PathKind
+from swfocal.grid import DoaGrid, build_doa_grid
 from swfocal.simulator import ScenarioConfig, generate_observations, generate_truth
 from swfocal.tracking import DegeneracyError, MotionParams, PriorParams, run_tracker
 
@@ -30,6 +33,13 @@ KIND_SELECTIONS = {2: (PathKind.SB, PathKind.DP), 4: tuple(PathKind)}
 DEFAULT_SIGMA = {2: (0.5, 0.5), 4: (0.5, 0.5, 2.0, 2.0)}
 DEFAULT_MU_FA = {2: 4.0, 4: 2.0}
 DEFAULT_ROI = (100.0, 3600.0, 10.0, 175.0)
+DEFAULT_SCENARIO = {
+    "initial_range_m": 3500.0,
+    "initial_depth_m": 60.0,
+    "initial_speed_mps": -2.5,
+    "duration_s": 1200.0,
+    "dropouts": ((420.0, 494.0), (660.0, 734.0)),
+}
 
 
 class ConfigError(ValueError):
@@ -71,9 +81,18 @@ def _block(doc: dict, key: str, path, cls, skip: tuple[str, ...] = ()) -> dict:
     return block
 
 
-def _floats(block: dict) -> dict:
-    """The keys a block sets, as floats; a key it leaves out keeps its dataclass default."""
-    return {k: float(v) for k, v in block.items()}
+def _number(v, key: str, path):
+    """``v`` as a float, or a list as a tuple of them; each must be a JSON number, and a bool is none."""
+    if isinstance(v, list):
+        return tuple(_number(x, key, path) for x in v)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{path}: {key} must be a JSON number, got {v!r}")
+    return float(v)
+
+
+def _floats(block: dict, path, **defaults) -> dict:
+    """``defaults`` overridden by the keys ``block`` sets, each as ``_number``s."""
+    return {**defaults, **{k: _number(v, k, path) for k, v in block.items()}}
 
 
 def _integer(doc: dict, key: str, default: int, least: int, path) -> int:
@@ -97,26 +116,11 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    _take(
-        doc,
-        str(path),
-        {
-            "grid_file",
-            "output_dir",
-            "observations_file",
-            "truth_file",
-            "K",
-            "J",
-            "seed",
-            "model",
-            "motion",
-            "prior",
-            "scenario",
-        },
-    )
+    path_keys = ("grid_file", "output_dir", "observations_file", "truth_file")
+    _take(doc, str(path), {*path_keys, "K", "J", "seed", "model", "motion", "prior", "scenario"})
     if "grid_file" not in doc:
         raise ConfigError(f"{path}: missing required key 'grid_file'")
-    for key in ("grid_file", "output_dir", "observations_file", "truth_file"):
+    for key in path_keys:
         if not isinstance(doc.get(key, ""), str):
             raise ConfigError(f"{path}: {key} must be a string, got {doc[key]!r}")
 
@@ -125,30 +129,19 @@ def load_config(path) -> RunConfig:
         if n_paths not in KIND_SELECTIONS:
             raise ConfigError(f"{path}: K must be one of {sorted(KIND_SELECTIONS)}")
 
-        model_doc = _block(doc, "model", path, ModelParams, skip=("n_paths", "fa_support_deg"))
+        model_doc = _block(doc, "model", path, ModelParams, skip=("n_paths",))
         model = ModelParams(
             n_paths=n_paths,
-            sigma_deg=tuple(model_doc.pop("sigma_deg", DEFAULT_SIGMA[n_paths])),
-            mu_fa=float(model_doc.pop("mu_fa", DEFAULT_MU_FA[n_paths])),
-            **_floats(model_doc),
+            **_floats(model_doc, path, sigma_deg=DEFAULT_SIGMA[n_paths], mu_fa=DEFAULT_MU_FA[n_paths]),
         )
 
-        motion = MotionParams(**_floats(_block(doc, "motion", path, MotionParams)))
-        prior_doc = _block(doc, "prior", path, PriorParams)
-        prior = PriorParams(
-            roi=tuple(float(v) for v in prior_doc.pop("roi", DEFAULT_ROI)), **_floats(prior_doc)
-        )
+        motion = MotionParams(**_floats(_block(doc, "motion", path, MotionParams), path))
+        prior = PriorParams(**_floats(_block(doc, "prior", path, PriorParams), path, roi=DEFAULT_ROI))
 
         scen_doc = _block(doc, "scenario", path, ScenarioConfig, skip=("roi", "motion"))
-        given = {"truth_motion": str(scen_doc["truth_motion"])} if "truth_motion" in scen_doc else {}
+        given = {"truth_motion": scen_doc.pop("truth_motion")} if "truth_motion" in scen_doc else {}
         scenario = ScenarioConfig(
-            initial_range_m=float(scen_doc.get("initial_range_m", 3500.0)),
-            initial_depth_m=float(scen_doc.get("initial_depth_m", 60.0)),
-            initial_speed_mps=float(scen_doc.get("initial_speed_mps", -2.5)),
-            duration_s=float(scen_doc.get("duration_s", 1200.0)),
-            dropouts=tuple(
-                (float(a), float(b)) for a, b in scen_doc.get("dropouts", [[420.0, 494.0], [660.0, 734.0]])
-            ),
+            **_floats(scen_doc, path, **DEFAULT_SCENARIO),
             roi=prior.roi,
             motion=motion,
             **given,
@@ -174,8 +167,7 @@ def load_config(path) -> RunConfig:
 
 def cmd_build_grid(args) -> int:
     wg = sio.read_environment(args.env)
-    kinds = tuple(PathKind[name] for name in args.kinds)
-    grid = build_doa_grid(wg, tuple(args.roi), args.nr, args.nd, kinds)
+    grid = build_doa_grid(wg, tuple(args.roi), args.nr, args.nd)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     sio.write_grid(args.out, grid)
     for kind, frac in grid.coverage().items():
@@ -343,13 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     b.add_argument("--nr", type=positive_grid_count, default=2400, help="range grid points")
     b.add_argument("--nd", type=positive_grid_count, default=165, help="depth grid points")
-    b.add_argument(
-        "--kinds",
-        nargs="+",
-        default=[k.name for k in PathKind],
-        choices=[k.name for k in PathKind],
-        help="propagation paths to tabulate",
-    )
     b.set_defaults(func=cmd_build_grid)
 
     for name, fn, desc in (

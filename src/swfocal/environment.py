@@ -243,19 +243,14 @@ def _grazing_angle(c, weighted_dz, r):
     return phi, c_max
 
 
-def eigenray_angles(
-    wg: Waveguide,
-    source_depth: float,
-    ranges,
-    kinds: tuple[PathKind, ...] = tuple(PathKind),
-) -> np.ndarray:
+def eigenray_angles(wg: Waveguide, source_depth: float, ranges) -> np.ndarray:
     """Arrival angles of the eigenrays from sources at one depth.
 
     ``ranges`` holds positive source ranges.  Returns the arrival angles in
-    degrees, of shape ``(len(kinds), len(ranges))``, with ``nan`` where a
-    kind has no eigenray.  The direct path from a source at the receiver
-    depth is the horizontal ray, which stays at that depth only where the
-    profile is iso around it.
+    degrees, of shape ``(4, len(ranges))``, one row per ``PathKind`` in
+    canonical order, with ``nan`` where a kind has no eigenray.  The direct
+    path from a source at the receiver depth is the horizontal ray, which
+    stays at that depth only where the profile is iso around it.
     """
     zs, zr, b = float(source_depth), wg.receiver_depth, wg.bottom_depth
     r = np.atleast_1d(np.asarray(ranges, dtype=float))
@@ -268,8 +263,8 @@ def eigenray_angles(
     c = np.interp(z, kz, kc)
     ca, cb, dz = c[:-1], c[1:], np.diff(z)
     c_r = np.interp(zr, kz, kc)
-    arrival = np.empty((len(kinds), r.size))
-    for i, kind in enumerate(kinds):
+    arrival = np.empty((len(PathKind), r.size))
+    for i, kind in enumerate(PathKind):
         legs = _legs(kind, 0.5 * (z[:-1] + z[1:]), zs, zr)
         on = legs > 0
         if on.any():
@@ -284,12 +279,8 @@ def eigenray_angles(
     return arrival
 
 
-def find_eigenrays(
-    wg: Waveguide,
-    source: tuple[float, float],
-    kinds: tuple[PathKind, ...] = tuple(PathKind),
-) -> dict[PathKind, EigenRay | None]:
-    """Solve for the eigenrays from ``source`` to the receiver.
+def find_eigenrays(wg: Waveguide, source: tuple[float, float]) -> dict[PathKind, EigenRay | None]:
+    """Solve for the eigenrays of every path from ``source`` to the receiver.
 
     A kind with no boundary-guided eigenray is geometrically impossible
     there and maps to ``None``.  The arrivals agree with the same source in
@@ -297,5 +288,5 @@ def find_eigenrays(
     path's slice runs in another order.
     """
     r_s, z_s = float(source[0]), float(source[1])
-    arrival = eigenray_angles(wg, z_s, [r_s], kinds)[:, 0]
-    return {kind: None if np.isnan(a) else EigenRay(kind, float(a)) for kind, a in zip(kinds, arrival)}
+    arrival = eigenray_angles(wg, z_s, [r_s])[:, 0]
+    return {kind: None if np.isnan(a) else EigenRay(kind, float(a)) for kind, a in zip(PathKind, arrival)}

@@ -105,23 +105,17 @@ def _validate_roi(wg: Waveguide, roi) -> tuple[float, float, float, float]:
     return (r0, r1, d0, d1)
 
 
-def build_doa_grid(
-    wg: Waveguide,
-    roi,
-    n_r: int,
-    n_d: int,
-    kinds: tuple[PathKind, ...] = tuple(PathKind),
-) -> DoaGrid:
-    """Build the DOA grid for ``kinds`` over ``roi``, one depth row at a time.
+def build_doa_grid(wg: Waveguide, roi, n_r: int, n_d: int) -> DoaGrid:
+    """Build the DOA grid of all four paths over ``roi``, one depth row at a time.
 
+    A caller that tracks fewer paths takes them with ``select_kinds``.
     ``DoaGrid`` checks the header before any row is solved.
     Deterministic: the same inputs produce a bit-identical grid.
     """
-    kinds = tuple(kinds)
-    values = np.empty((n_r, n_d, len(kinds)))
-    grid = DoaGrid(roi=_validate_roi(wg, roi), n_r=n_r, n_d=n_d, kinds=kinds, values=values)
+    values = np.empty((n_r, n_d, len(PathKind)))
+    grid = DoaGrid(roi=_validate_roi(wg, roi), n_r=n_r, n_d=n_d, kinds=tuple(PathKind), values=values)
     for j, depth in enumerate(grid.depths):
-        arrival = eigenray_angles(wg, depth, grid.ranges, kinds)
+        arrival = eigenray_angles(wg, depth, grid.ranges)
         values[:, j] = np.where(np.isnan(arrival), IMPOSSIBLE, arrival).T
     return grid
 

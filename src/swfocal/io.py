@@ -53,12 +53,19 @@ class GridFileError(ValueError):
     """Malformed or truncated binary grid file."""
 
 
+def _number(v, key: str) -> float:
+    """``v`` as a float; it must be a JSON number, and a bool is none."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"{key} must be a JSON number, got {v!r}")
+    return float(v)
+
+
 def read_environment(path) -> Waveguide:
     """Load a waveguide from a JSON environment description.
 
     The file holds ``ssp_knots`` (list of [depth_m, speed_mps] pairs),
-    ``bottom_depth_m`` and ``receiver_depth_m``.  Unknown keys are
-    rejected; parse errors carry line context.
+    ``bottom_depth_m`` and ``receiver_depth_m``, all JSON numbers.  Unknown
+    keys are rejected; parse errors carry line context.
     """
     text = Path(path).read_text()
     try:
@@ -74,11 +81,11 @@ def read_environment(path) -> Waveguide:
     if missing:
         raise EnvFileError(f"{path}: missing keys {sorted(missing)}")
     try:
-        knots = tuple((float(z), float(c)) for z, c in doc["ssp_knots"])
+        knots = tuple((_number(z, "ssp_knots"), _number(c, "ssp_knots")) for z, c in doc["ssp_knots"])
         return Waveguide(
             ssp=SoundSpeedProfile(knots=knots),
-            bottom_depth=float(doc["bottom_depth_m"]),
-            receiver_depth=float(doc["receiver_depth_m"]),
+            bottom_depth=_number(doc["bottom_depth_m"], "bottom_depth_m"),
+            receiver_depth=_number(doc["receiver_depth_m"], "receiver_depth_m"),
         )
     except (TypeError, ValueError) as e:
         raise EnvFileError(f"{path}: {e}") from e
@@ -159,7 +166,10 @@ def write_observations(path, records) -> None:
 
 
 def read_observations(path) -> list[tuple[int, float, np.ndarray]]:
-    """Read (t_index, time_s, doas) records, each checked as an ``ObservationSet``."""
+    """Read (t_index, time_s, doas) records, each checked as an ``ObservationSet``.
+
+    ``t_index`` is a JSON integer, and ``time_s`` and the doas JSON numbers.
+    """
     records = []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -167,10 +177,13 @@ def read_observations(path) -> list[tuple[int, float, np.ndarray]]:
                 continue
             try:
                 doc = json.loads(line)
+                t_index = doc["t_index"]
+                if isinstance(t_index, bool) or not isinstance(t_index, int):
+                    raise TypeError(f"t_index must be a JSON integer, got {t_index!r}")
                 rec = (
-                    int(doc["t_index"]),
-                    float(doc["time_s"]),
-                    ObservationSet(z=[float(a) for a in doc["doas"]]).z,
+                    t_index,
+                    _number(doc["time_s"], "time_s"),
+                    ObservationSet(z=[_number(a, "doas") for a in doc["doas"]]).z,
                 )
                 if not math.isfinite(rec[1]):
                     raise ValueError(f"non-finite time_s {rec[1]}")
@@ -212,6 +225,8 @@ def _write_csv(path, header: list[str], rows) -> None:
 
 
 def _read_csv(path, expected_header: list[str]) -> np.ndarray:
+    """The rows under ``expected_header``, each with as many values as the header."""
+    n = len(expected_header)
     with open(path, newline="") as f:
         reader = csv.reader(f)
         try:
@@ -220,5 +235,9 @@ def _read_csv(path, expected_header: list[str]) -> np.ndarray:
             raise ValueError(f"{path}: empty file") from None
         if header != expected_header:
             raise ValueError(f"{path}: expected header {expected_header}, got {header}")
-        rows = [[float(v) for v in row] for row in reader if row]
-    return np.array(rows).reshape(-1, len(expected_header))
+        rows = []
+        for row in filter(None, reader):  # blank lines are skipped
+            if len(row) != n:
+                raise ValueError(f"{path}:{reader.line_num}: expected {n} values, got {len(row)}")
+            rows.append([float(v) for v in row])
+    return np.array(rows).reshape(-1, n)

@@ -27,15 +27,15 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A synthetic run: initial state, timing, dropouts and motion mode."""
+    """A synthetic run: initial state, timing, region of interest, dropouts and motion mode."""
 
     initial_range_m: float
     initial_depth_m: float
     initial_speed_mps: float
     duration_s: float
+    roi: tuple[float, float, float, float]  # range_min, range_max, depth_min, depth_max
     dropouts: tuple[tuple[float, float], ...] = ()
     truth_motion: str = "deterministic"  # or "stochastic"
-    roi: tuple[float, float, float, float] = (100.0, 2500.0, 10.0, 175.0)
     motion: MotionParams = field(default_factory=MotionParams)
 
     def __post_init__(self):
@@ -125,13 +125,11 @@ def generate_observations(
 
     Each geometrically possible path is detected with its detection
     probability and then observed at its modeled angle plus Gaussian
-    noise; a Poisson number of false alarms lands uniformly in the
-    false-alarm support; everything is clipped to [-90, 90) and sorted
-    descending.
+    noise; a Poisson number of false alarms lands uniformly on
+    [-90, 90); everything is clipped to [-90, 90) and sorted descending.
     """
     rng = np.random.default_rng(seed)
     angles = interpolate_doa_many(grid, truth.states[:, :2])
-    lo, hi = params.fa_support_deg
     upper = np.nextafter(90.0, -90.0)
     out: list[ObservationSet] = []
     for i in range(truth.times_s.size):
@@ -142,7 +140,7 @@ def generate_observations(
             params.sigma_deg
         )[detected]
         n_fa = rng.poisson(params.mu_fa)
-        fa = rng.uniform(lo, hi, n_fa)
+        fa = rng.uniform(-90.0, 90.0, n_fa)
         z = np.clip(np.concatenate([doas, fa]), -90.0, upper)
         z = np.sort(z, kind="stable")[::-1]
         out.append(ObservationSet(z=z))

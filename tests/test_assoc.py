@@ -392,22 +392,6 @@ class TestMarginalLikelihood:
         assert got[0].tobytes() == np.zeros(1).tobytes()
         assert got[1] == 1.0 / (0.5 * np.sqrt(2.0 * np.pi)) / FA
 
-    def test_false_alarm_density_rescaling_matches_enumeration(self):
-        # halving the false-alarm support doubles its density and rescales
-        # every detection factor; the marginal must track the enumeration
-        # under the same rescaling
-        rng = np.random.default_rng(3)
-        ang = np.array([8.0, 3.0, -6.0, -11.0])
-        det = np.full(4, 0.9)
-        z = np.sort(rng.uniform(-20, 20, 4))[::-1]
-        for support in ((-90.0, 90.0), (-45.0, 45.0)):
-            p = ModelParams(
-                n_paths=4, sigma_deg=(0.5, 0.5, 2.0, 2.0), mu_fa=2.0, fa_support_deg=support
-            )
-            got = marginal_likelihood(ObservationSet(z=z), PathPrediction(ang, det), p)
-            want = enum_marginal(z, ang, det, p.sigma_deg, p.mu_fa, fa_density=p.fa_density)
-            assert got == pytest.approx(want, rel=1e-12)
-
     def test_zero_clutter_limit_requires_full_association(self):
         p = params(2, d=1.0, mu=0.0)
         pr = pred([5.0, 1.0], detect=[1.0, 1.0])
@@ -539,7 +523,6 @@ class TestModelParams:
             ("detect_prob", float("nan")),
             ("mu_fa", float("nan")),
             ("mu_fa", float("inf")),
-            ("fa_support_deg", (float("nan"), 90.0)),
         ],
     )
     def test_non_finite_values_rejected_by_name(self, field, value):

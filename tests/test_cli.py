@@ -127,6 +127,24 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"{key} must be a string"):
             load_config(p)
 
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [
+            ("model", "detect_prob", True),
+            ("motion", "step_s", True),
+            ("model", "mu_fa", "2.5"),
+            ("prior", "roi", ["100", "3600", 10, 175]),
+            ("model", "sigma_deg", [0.5, 0.5, False, 2.0]),
+            ("scenario", "dropouts", [[420.0, "494"]]),
+            ("scenario", "initial_depth_m", None),
+        ],
+    )
+    def test_float_keys_must_be_json_numbers(self, tmp_path, block, key, value):
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps({"grid_file": "grid.bin", block: {key: value}}))
+        with pytest.raises(ConfigError, match=f"{key} must be a JSON number"):
+            load_config(p)
+
     def test_environment_file_is_an_unknown_key(self, tmp_path):
         p = tmp_path / "run.json"
         p.write_text(json.dumps({"grid_file": "grid.bin", "environment_file": "env.json"}))
@@ -203,15 +221,6 @@ class TestBuildGrid:
         assert res.returncode == 1
         assert res.stderr.startswith("error:") and name in res.stderr
         assert not out.exists()
-
-    def test_kind_subset(self, tmp_path):
-        out = tmp_path / "g2.bin"
-        res = run_cli(
-            "build-grid", "--env", ENV_FILE, "--out", out,
-            "--roi", 300, 900, 40, 140, "--nr", 5, "--nd", 5, "--kinds", "SB", "DP",
-        )
-        assert res.returncode == 0, res.stderr
-        assert len(sio.read_grid(out).kinds) == 2
 
     def test_iso_velocity_direct_path_covers_the_column(self, tmp_path):
         # straight-line propagation reaches everywhere: the direct-path

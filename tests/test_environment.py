@@ -138,14 +138,14 @@ class TestEigenrays:
             assert rays[kind].arrival_angle_deg == pytest.approx(expect[kind], abs=1e-3)
 
     def test_source_at_receiver_depth_gives_horizontal_direct_path(self, iso_wg):
-        ray = find_eigenrays(iso_wg, (800.0, 150.0), (PathKind.DP,))[PathKind.DP]
+        ray = find_eigenrays(iso_wg, (800.0, 150.0))[PathKind.DP]
         assert ray is not None
         assert ray.arrival_angle_deg == pytest.approx(0.0, abs=1e-3)
 
     def test_surface_bounce_equals_mirrored_direct_path(self, iso_wg):
         # in an iso-velocity channel the one-surface-bounce arrival equals
         # the straight line from the source mirrored above the surface
-        sb = find_eigenrays(iso_wg, (700.0, 45.0), (PathKind.SB,))[PathKind.SB]
+        sb = find_eigenrays(iso_wg, (700.0, 45.0))[PathKind.SB]
         mirrored = math.degrees(math.atan2(150.0 + 45.0, 700.0))
         assert sb.arrival_angle_deg == pytest.approx(mirrored, abs=1e-6)
 
@@ -174,8 +174,8 @@ class TestEigenrays:
 
     def test_direct_path_impossible_at_long_range_in_strong_gradient(self):
         wg = make_wg(((0.0, 1540.0), (216.5, 1453.4)))
-        assert find_eigenrays(wg, (2400.0, 10.0), (PathKind.DP,))[PathKind.DP] is None
-        assert find_eigenrays(wg, (300.0, 100.0), (PathKind.DP,))[PathKind.DP] is not None
+        assert find_eigenrays(wg, (2400.0, 10.0))[PathKind.DP] is None
+        assert find_eigenrays(wg, (300.0, 100.0))[PathKind.DP] is not None
 
     def test_one_range_solve_agrees_with_a_many_range_solve(self, coastal_wg):
         # a one-column slice-run sum takes another order than a many-column
@@ -194,9 +194,9 @@ class TestEigenrays:
 
     def test_invalid_source_positions_rejected(self, iso_wg):
         with pytest.raises(ValueError):
-            find_eigenrays(iso_wg, (0.0, 60.0), (PathKind.DP,))
+            find_eigenrays(iso_wg, (0.0, 60.0))
         with pytest.raises(ValueError):
-            find_eigenrays(iso_wg, (500.0, 400.0), (PathKind.DP,))
+            find_eigenrays(iso_wg, (500.0, 400.0))
 
 
 class TestRangeFunction:

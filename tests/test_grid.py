@@ -102,7 +102,7 @@ class TestBuild:
     @staticmethod
     def assert_rows_are_public_solves(wg, grid):
         for j, depth in enumerate(grid.depths):
-            arrival = eigenray_angles(wg, depth, grid.ranges, grid.kinds)
+            arrival = eigenray_angles(wg, depth, grid.ranges)
             want = np.where(np.isnan(arrival), IMPOSSIBLE, arrival).T
             assert grid.values[:, j, :].tobytes() == want.tobytes(), f"row {j} at {depth} m"
 
@@ -211,10 +211,6 @@ class TestBuild:
             build_doa_grid(iso_wg, (100.0, 2500.0, 10.0, 175.0), 1, 10)
         with pytest.raises(ValueError, match="range_min < range_max"):
             build_doa_grid(iso_wg, (2500.0, 100.0, 10.0, 175.0), 10, 10)
-        with pytest.raises(ValueError, match="distinct"):
-            build_doa_grid(iso_wg, (100.0, 2500.0, 10.0, 175.0), 10, 10, (PathKind.DP, PathKind.DP))
-        with pytest.raises(ValueError, match="non-empty"):
-            build_doa_grid(iso_wg, (100.0, 2500.0, 10.0, 175.0), 10, 10, ())
 
 
 class TestInterpolation:
@@ -383,7 +379,7 @@ class TestInterpolation:
         ranges = rng.uniform(r0, r1, 100)
         holes, phantoms, worst = np.zeros(4, int), np.zeros(4, int), 0.0
         for depth in rng.uniform(d0, d1, 100):
-            exact = eigenray_angles(coastal_wg, depth, ranges, grid.kinds).T
+            exact = eigenray_angles(coastal_wg, depth, ranges).T
             looked = interpolate_doa_many(grid, np.column_stack([ranges, np.full(100, depth)]))
             holes += (np.isnan(looked) & ~np.isnan(exact)).sum(axis=0)
             phantoms += (np.isnan(exact) & ~np.isnan(looked)).sum(axis=0)

@@ -45,6 +45,23 @@ class TestEnvironmentFile:
         with pytest.raises(sio.EnvFileError, match="missing keys"):
             sio.read_environment(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("receiver_depth_m", True),
+            ("bottom_depth_m", "216.5"),
+            ("ssp_knots", [[0, 1500], [220, "1480"]]),
+            ("ssp_knots", [[0, 1500], [220, False]]),
+        ],
+    )
+    def test_values_must_be_json_numbers(self, tmp_path, key, value):
+        doc = {"ssp_knots": [[0, 1500], [220, 1480]], "bottom_depth_m": 216.5, "receiver_depth_m": 150}
+        doc[key] = value
+        path = tmp_path / "env.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(sio.EnvFileError, match=f"{key} must be a JSON number"):
+            sio.read_environment(path)
+
 
 class TestGridFile:
     def test_round_trip_bit_identical(self, tmp_path, iso_wg):
@@ -241,6 +258,23 @@ class TestRecordFiles:
         with pytest.raises(ValueError, match=r":2:.*\[-90, 90\)"):
             sio.read_observations(path)
 
+    @pytest.mark.parametrize(
+        "record, key",
+        [
+            ('"t_index": 1, "time_s": "3", "doas": [1.0]', "time_s"),
+            ('"t_index": 1, "time_s": 2.0, "doas": ["10", true]', "doas"),
+            ('"t_index": 1, "time_s": 2.0, "doas": [true]', "doas"),
+            ('"t_index": 2.7, "time_s": 2.0, "doas": [1.0]', "t_index"),
+            ('"t_index": true, "time_s": 2.0, "doas": [1.0]', "t_index"),
+        ],
+        ids=["time_s-string", "doas-string-and-bool", "doas-bool", "t_index-fraction", "t_index-bool"],
+    )
+    def test_observation_values_must_be_json_numbers(self, tmp_path, record, key):
+        path = tmp_path / "obs.jsonl"
+        path.write_text('{"t_index": 0, "time_s": 0.0, "doas": [3.0]}\n{' + record + "}\n")
+        with pytest.raises(ValueError, match=f":2:.*{key} must be a JSON"):
+            sio.read_observations(path)
+
     def test_track_csv_round_trip(self, tmp_path):
         path = tmp_path / "truth.csv"
         rows = [(0.0, 2000.0, 60.0, -2.5), (2.048, 1994.88, 60.0, -2.5)]
@@ -260,3 +294,15 @@ class TestRecordFiles:
         path.write_text("time,range\n0,1\n")
         with pytest.raises(ValueError, match="header"):
             sio.read_estimates_csv(path)
+
+    def test_csv_row_width_must_match_the_header(self, tmp_path):
+        # four 3-value rows hold 12 values, which would reshape to three 4-value rows
+        path = tmp_path / "truth.csv"
+        path.write_text("time_s,range_m,depth_m,speed_mps\n0,1,2\n1,2,3\n2,3,4\n3,4,5\n")
+        with pytest.raises(ValueError, match=r"truth\.csv:2: expected 4 values, got 3"):
+            sio.read_track_csv(path)
+
+    def test_csv_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        path.write_text("time_s,range_m,depth_m,speed_mps\n0,1,2,3\n\n4,5,6,7\n")
+        assert sio.read_track_csv(path).tolist() == [[0, 1, 2, 3], [4, 5, 6, 7]]
