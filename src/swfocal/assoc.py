@@ -121,8 +121,10 @@ class ObservationSet:
     z: np.ndarray
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=float).reshape(-1)
+        z = np.asarray(self.z, dtype=float)
         object.__setattr__(self, "z", z)
+        if z.ndim != 1:
+            raise ValueError("observed angles must form a list")
         # array methods rather than np.any/np.diff: read_observations builds one set per line
         if not np.isfinite(z).all():
             raise ValueError("non-finite observed angle")

@@ -2,9 +2,11 @@
 
 ``build-grid`` tabulates all four paths; a run with ``K = 2`` tracks on
 the SB and DP layers of that grid.  Runs are driven by a strict JSON
-configuration: unknown keys are rejected so a config file fully
-determines a run, and numeric values must be JSON numbers.  ``simulate``
-and ``track`` take ``--seed`` to override the config seed; identical
+configuration, read with ``io``'s JSON rules: unknown keys are rejected
+so a config file fully determines a run, every block is a JSON object and
+numeric values must be JSON numbers.  Only ``simulate`` reads the
+``scenario`` block, and only from the file.  ``simulate`` and ``track``
+take ``--seed`` to override the config seed; identical
 invocations produce byte-identical outputs.  Exit codes: 0 success,
 1 domain error (bad file contents, filter degeneracy, missing inputs),
 2 usage error.
@@ -33,13 +35,7 @@ KIND_SELECTIONS = {2: (PathKind.SB, PathKind.DP), 4: tuple(PathKind)}
 DEFAULT_SIGMA = {2: (0.5, 0.5), 4: (0.5, 0.5, 2.0, 2.0)}
 DEFAULT_MU_FA = {2: 4.0, 4: 2.0}
 DEFAULT_ROI = (100.0, 3600.0, 10.0, 175.0)
-DEFAULT_SCENARIO = {
-    "initial_range_m": 3500.0,
-    "initial_depth_m": 60.0,
-    "initial_speed_mps": -2.5,
-    "duration_s": 1200.0,
-    "dropouts": ((420.0, 494.0), (660.0, 734.0)),
-}
+SCENARIO_REQUIRED = ("initial_range_m", "initial_depth_m", "initial_speed_mps", "duration_s")
 
 
 class ConfigError(ValueError):
@@ -59,7 +55,7 @@ class RunConfig:
     model: ModelParams
     motion: MotionParams
     prior: PriorParams
-    scenario: ScenarioConfig
+    scenario: ScenarioConfig | None  # only ``simulate`` reads it
 
     def obs_path(self) -> Path:
         return Path(self.observations_file or Path(self.output_dir) / "observations.jsonl")
@@ -68,99 +64,71 @@ class RunConfig:
         return Path(self.truth_file or Path(self.output_dir) / "truth.csv")
 
 
-def _take(doc: dict, context: str, known: set[str]) -> None:
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
+def _string(v, key: str) -> str:
+    if not isinstance(v, str):
+        raise TypeError(f"{key} must be a string, got {v!r}")
+    return v
 
 
-def _block(doc: dict, key: str, path, cls, skip: tuple[str, ...] = ()) -> dict:
-    """Config block ``key``: keys named after the fields of ``cls``, except ``skip``."""
-    block = dict(doc.get(key, {}))
-    _take(block, f"{path}: {key}", {f.name for f in dataclasses.fields(cls)} - set(skip))
-    return block
-
-
-def _number(v, key: str, path):
-    """``v`` as a float, or a list as a tuple of them; each must be a JSON number, and a bool is none."""
-    if isinstance(v, list):
-        return tuple(_number(x, key, path) for x in v)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}: {key} must be a JSON number, got {v!r}")
-    return float(v)
-
-
-def _floats(block: dict, path, **defaults) -> dict:
-    """``defaults`` overridden by the keys ``block`` sets, each as ``_number``s."""
-    return {**defaults, **{k: _number(v, k, path) for k, v in block.items()}}
-
-
-def _integer(doc: dict, key: str, default: int, least: int, path) -> int:
-    """``doc[key]`` as an int of at least ``least``; a float must be integral and a bool is no int."""
-    v = doc.get(key, default)
+def _integer(v, key: str, least: int = 0) -> int:
+    """``v`` as an int of at least ``least``; a float must be integral and a bool is no int."""
     if (
         isinstance(v, bool)
         or not isinstance(v, (int, float))
         or (isinstance(v, float) and not v.is_integer())  # nan and inf too
         or v < least
     ):
-        raise ConfigError(f"{path}: {key} must be an integer of at least {least}, got {v!r}")
+        raise ValueError(f"{key} must be an integer of at least {least}, got {v!r}")
     return int(v)
+
+
+def _block(cls, skip=(), required=(), **read):
+    """Reader of a config block: keys named after the fields of ``cls`` except ``skip``, JSON numbers
+    unless ``read`` names another reader, with every key of ``required``."""
+    read = {**dict.fromkeys({f.name for f in dataclasses.fields(cls)} - set(skip), sio.number), **read}
+    return lambda v, key: sio.json_object(v, key, read, required)
+
+
+CONFIG_KEYS = {
+    **dict.fromkeys(("grid_file", "output_dir", "observations_file", "truth_file"), _string),
+    "K": _integer,
+    "J": lambda v, key: _integer(v, key, least=1),
+    "seed": _integer,
+    "model": _block(ModelParams, skip=("n_paths",)),
+    "motion": _block(MotionParams),
+    "prior": _block(PriorParams),
+    "scenario": _block(
+        ScenarioConfig, skip=("roi", "motion"), required=SCENARIO_REQUIRED, truth_motion=_string
+    ),
+}
 
 
 def load_config(path) -> RunConfig:
     """Parse and validate a run configuration file."""
+    doc = sio.read_json(path, ConfigError)
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    path_keys = ("grid_file", "output_dir", "observations_file", "truth_file")
-    _take(doc, str(path), {*path_keys, "K", "J", "seed", "model", "motion", "prior", "scenario"})
-    if "grid_file" not in doc:
-        raise ConfigError(f"{path}: missing required key 'grid_file'")
-    for key in path_keys:
-        if not isinstance(doc.get(key, ""), str):
-            raise ConfigError(f"{path}: {key} must be a string, got {doc[key]!r}")
-
-    try:
-        n_paths = _integer(doc, "K", 4, 0, path)
+        doc = sio.json_object(doc, "config", CONFIG_KEYS, required=("grid_file",))
+        n_paths = doc.get("K", 4)
         if n_paths not in KIND_SELECTIONS:
-            raise ConfigError(f"{path}: K must be one of {sorted(KIND_SELECTIONS)}")
-
-        model_doc = _block(doc, "model", path, ModelParams, skip=("n_paths",))
-        model = ModelParams(
-            n_paths=n_paths,
-            **_floats(model_doc, path, sigma_deg=DEFAULT_SIGMA[n_paths], mu_fa=DEFAULT_MU_FA[n_paths]),
-        )
-
-        motion = MotionParams(**_floats(_block(doc, "motion", path, MotionParams), path))
-        prior = PriorParams(**_floats(_block(doc, "prior", path, PriorParams), path, roi=DEFAULT_ROI))
-
-        scen_doc = _block(doc, "scenario", path, ScenarioConfig, skip=("roi", "motion"))
-        given = {"truth_motion": scen_doc.pop("truth_motion")} if "truth_motion" in scen_doc else {}
-        scenario = ScenarioConfig(
-            **_floats(scen_doc, path, **DEFAULT_SCENARIO),
-            roi=prior.roi,
-            motion=motion,
-            **given,
-        )
-
+            raise ValueError(f"K must be one of {sorted(KIND_SELECTIONS)}")
+        given = {"sigma_deg": DEFAULT_SIGMA[n_paths], "mu_fa": DEFAULT_MU_FA[n_paths], **doc.get("model", {})}
+        model = ModelParams(n_paths=n_paths, **given)
+        motion = MotionParams(**doc.get("motion", {}))
+        prior = PriorParams(**{"roi": DEFAULT_ROI, **doc.get("prior", {})})
+        if "scenario" in doc:
+            doc["scenario"] = ScenarioConfig(**doc["scenario"], roi=prior.roi, motion=motion)
         return RunConfig(
             grid_file=doc["grid_file"],
             output_dir=doc.get("output_dir", "out"),
             observations_file=doc.get("observations_file"),
             truth_file=doc.get("truth_file"),
-            n_particles=_integer(doc, "J", 10_000, 1, path),
-            seed=_integer(doc, "seed", 0, 0, path),
+            n_particles=doc.get("J", 10_000),
+            seed=doc.get("seed", 0),
             model=model,
             motion=motion,
             prior=prior,
-            scenario=scenario,
+            scenario=doc.get("scenario"),
         )
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{path}: {e}") from e
 
@@ -178,6 +146,8 @@ def cmd_build_grid(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg, grid = _load_run(args)
+    if cfg.scenario is None:
+        raise ConfigError(f"{args.config}: simulate needs a scenario block")
     truth = generate_truth(cfg.scenario, seed=cfg.seed)
     obs = generate_observations(truth, grid, cfg.model, seed=cfg.seed)
 
@@ -275,7 +245,7 @@ def evaluate_run(estimates: np.ndarray, truth: np.ndarray) -> dict:
 def cmd_evaluate(args) -> int:
     truth = sio.read_track_csv(args.truth)
     t = truth[:, 0]
-    if not (np.isfinite(t).all() and (t[1:] > t[:-1]).all()):
+    if not (t[1:] > t[:-1]).all():  # the reader has checked that they are finite
         raise ValueError(f"{args.truth}: truth times must be finite and strictly increasing")
     report = {"truth_file": str(args.truth), "runs": []}
     for est_path in args.estimates:
@@ -283,7 +253,7 @@ def cmd_evaluate(args) -> int:
         run = {"estimates_file": str(est_path)}
         run.update(evaluate_run(est, truth))
         report["runs"].append(run)
-    text = json.dumps(report, indent=2)
+    text = json.dumps(report, indent=2, allow_nan=False)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(text + "\n")

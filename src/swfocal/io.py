@@ -1,5 +1,7 @@
 """File formats: environment JSON, binary DOA grids, observation JSONL,
-truth and estimate CSVs, and evaluation reports.
+truth and estimate CSVs, and evaluation reports.  The JSON input rules,
+the run configuration's included, live here alone: ``read_json``,
+``json_object`` and ``number``.  CSV values must be finite numbers.
 
 All angles in files are degrees, all distances meters, all times seconds.
 The binary grid layout is little-endian: an 8-byte magic, a u32 version,
@@ -26,6 +28,9 @@ from swfocal.environment import PathKind, SoundSpeedProfile, Waveguide
 from swfocal.grid import DoaGrid
 
 __all__ = [
+    "number",
+    "json_object",
+    "read_json",
     "EnvFileError",
     "GridFileError",
     "read_environment",
@@ -53,11 +58,34 @@ class GridFileError(ValueError):
     """Malformed or truncated binary grid file."""
 
 
-def _number(v, key: str) -> float:
-    """``v`` as a float; it must be a JSON number, and a bool is none."""
+def number(v, key: str):
+    """``v`` as a float, or a list as a tuple of them; each must be a JSON number, and a bool is none."""
+    if isinstance(v, list):
+        return tuple(number(x, key) for x in v)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise TypeError(f"{key} must be a JSON number, got {v!r}")
     return float(v)
+
+
+def json_object(doc, what: str, read: dict, required=()) -> dict:
+    """JSON object ``doc`` with each value as ``read[key](value, key)``: unknown
+    keys are checked first, then each value, then the ``required`` keys."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"{what} must be a JSON object, got {doc!r}")
+    if unknown := set(doc) - set(read):
+        raise ValueError(f"{what}: unknown keys {sorted(unknown)}")
+    values = {k: read[k](v, k) for k, v in doc.items()}
+    if missing := set(required) - set(doc):
+        raise ValueError(f"{what}: missing keys {sorted(missing)}")
+    return values
+
+
+def read_json(path, error):
+    """The JSON value that file ``path`` holds; a decode error raises ``error`` naming ``path:line:col``."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise error(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
 
 
 def read_environment(path) -> Waveguide:
@@ -67,25 +95,13 @@ def read_environment(path) -> Waveguide:
     ``bottom_depth_m`` and ``receiver_depth_m``, all JSON numbers.  Unknown
     keys are rejected; parse errors carry line context.
     """
-    text = Path(path).read_text()
+    doc = read_json(path, EnvFileError)
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise EnvFileError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
-    if not isinstance(doc, dict):
-        raise EnvFileError(f"{path}: environment file must hold a JSON object")
-    unknown = set(doc) - _ENV_KEYS
-    if unknown:
-        raise EnvFileError(f"{path}: unknown keys {sorted(unknown)}")
-    missing = _ENV_KEYS - set(doc)
-    if missing:
-        raise EnvFileError(f"{path}: missing keys {sorted(missing)}")
-    try:
-        knots = tuple((_number(z, "ssp_knots"), _number(c, "ssp_knots")) for z, c in doc["ssp_knots"])
+        doc = json_object(doc, "environment", dict.fromkeys(_ENV_KEYS, number), required=_ENV_KEYS)
         return Waveguide(
-            ssp=SoundSpeedProfile(knots=knots),
-            bottom_depth=_number(doc["bottom_depth_m"], "bottom_depth_m"),
-            receiver_depth=_number(doc["receiver_depth_m"], "receiver_depth_m"),
+            ssp=SoundSpeedProfile(knots=doc["ssp_knots"]),
+            bottom_depth=doc["bottom_depth_m"],
+            receiver_depth=doc["receiver_depth_m"],
         )
     except (TypeError, ValueError) as e:
         raise EnvFileError(f"{path}: {e}") from e
@@ -165,10 +181,20 @@ def write_observations(path, records) -> None:
             )
 
 
+def _index(v, key: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"{key} must be a JSON integer, got {v!r}")
+    return v
+
+
+_RECORD = {"t_index": _index, "time_s": number, "doas": lambda v, key: ObservationSet(number(v, key)).z}
+
+
 def read_observations(path) -> list[tuple[int, float, np.ndarray]]:
     """Read (t_index, time_s, doas) records, each checked as an ``ObservationSet``.
 
-    ``t_index`` is a JSON integer, and ``time_s`` and the doas JSON numbers.
+    ``t_index`` is a JSON integer, and ``time_s`` and the doas JSON numbers;
+    ``time_s`` is finite and strictly increasing from line to line.
     """
     records = []
     with open(path) as f:
@@ -176,20 +202,15 @@ def read_observations(path) -> list[tuple[int, float, np.ndarray]]:
             if not line.strip():
                 continue
             try:
-                doc = json.loads(line)
-                t_index = doc["t_index"]
-                if isinstance(t_index, bool) or not isinstance(t_index, int):
-                    raise TypeError(f"t_index must be a JSON integer, got {t_index!r}")
-                rec = (
-                    t_index,
-                    _number(doc["time_s"], "time_s"),
-                    ObservationSet(z=[_number(a, "doas") for a in doc["doas"]]).z,
-                )
-                if not math.isfinite(rec[1]):
-                    raise ValueError(f"non-finite time_s {rec[1]}")
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+                doc = json_object(json.loads(line), "record", _RECORD, required=_RECORD)
+                t = doc["time_s"]
+                if not math.isfinite(t):
+                    raise ValueError(f"non-finite time_s {t}")
+                if records and not t > records[-1][1]:
+                    raise ValueError(f"time_s {t} does not increase on {records[-1][1]}")
+            except (json.JSONDecodeError, TypeError, ValueError) as e:
                 raise ValueError(f"{path}:{lineno}: bad observation record: {e}") from e
-            records.append(rec)
+            records.append((doc["t_index"], t, doc["doas"]))
     return records
 
 
@@ -225,7 +246,7 @@ def _write_csv(path, header: list[str], rows) -> None:
 
 
 def _read_csv(path, expected_header: list[str]) -> np.ndarray:
-    """The rows under ``expected_header``, each with as many values as the header."""
+    """The rows under ``expected_header``, each with as many values as the header, all finite."""
     n = len(expected_header)
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -239,5 +260,11 @@ def _read_csv(path, expected_header: list[str]) -> np.ndarray:
         for row in filter(None, reader):  # blank lines are skipped
             if len(row) != n:
                 raise ValueError(f"{path}:{reader.line_num}: expected {n} values, got {len(row)}")
-            rows.append([float(v) for v in row])
+            try:
+                values = [float(v) for v in row]
+                if not all(map(math.isfinite, values)):
+                    raise ValueError(f"values must be finite numbers, got {row}")
+            except ValueError as e:
+                raise ValueError(f"{path}:{reader.line_num}: {e}") from None
+            rows.append(values)
     return np.array(rows).reshape(-1, n)

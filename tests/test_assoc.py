@@ -543,6 +543,11 @@ class TestObservationSet:
         with pytest.raises(ValueError):
             ObservationSet(z=np.array([90.0]))  # right-open interval
 
+    @pytest.mark.parametrize("z", [5.0, [[5.0], [1.0]]], ids=["scalar", "column"])
+    def test_angles_must_form_a_list(self, z):
+        with pytest.raises(ValueError, match="must form a list"):
+            ObservationSet(z=np.array(z))
+
     def test_non_finite_angles_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             ObservationSet(z=np.array([np.nan, 5.0]))

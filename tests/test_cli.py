@@ -16,6 +16,7 @@ from swfocal.tracking import MotionParams
 
 REPO = Path(__file__).resolve().parent.parent
 ENV_FILE = REPO / "configs" / "coastal_216m_env.json"
+SCENARIO = {"initial_range_m": 3000.0, "initial_depth_m": 60.0, "initial_speed_mps": -2.5, "duration_s": 100.0}
 
 
 def run_cli(*args, cwd=None):
@@ -70,7 +71,7 @@ class TestLoadConfig:
 
     def test_scenario_without_truth_motion_takes_the_dataclass_default(self, tmp_path):
         p = tmp_path / "run.json"
-        p.write_text(json.dumps({"grid_file": "grid.bin", "scenario": {"initial_range_m": 3000.0}}))
+        p.write_text(json.dumps({"grid_file": "grid.bin", "scenario": SCENARIO}))
         scenario = load_config(p).scenario
         default = {f.name: f.default for f in dataclasses.fields(ScenarioConfig)}
         assert scenario.truth_motion == default["truth_motion"]
@@ -90,7 +91,8 @@ class TestLoadConfig:
     def test_non_finite_parameter_is_a_config_error(self, tmp_path, block, key, value):
         # Python's json reads the NaN and Infinity literals that it writes
         p = tmp_path / "run.json"
-        p.write_text(json.dumps({"grid_file": "grid.bin", block: {key: value}}))
+        given = SCENARIO if block == "scenario" else {}  # a scenario block must be complete
+        p.write_text(json.dumps({"grid_file": "grid.bin", block: {**given, key: value}}))
         with pytest.raises(ConfigError, match=key):
             load_config(p)
 
@@ -156,6 +158,48 @@ class TestLoadConfig:
         p = tmp_path / "run.json"
         p.write_text(json.dumps({"grid_file": "grid.bin", "scenario": {"step_s": 2.048}}))
         with pytest.raises(ConfigError, match="unknown keys"):
+            load_config(p)
+
+    def test_without_a_scenario_block_there_is_no_scenario(self, tmp_path):
+        # the acceptance roi does not hold the default run's 3500 m start, and need not
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps({"grid_file": "grid.bin", "prior": {"roi": [100, 2500, 10, 175]}}))
+        cfg = load_config(p)
+        assert cfg.scenario is None
+        assert cfg.prior.roi == (100.0, 2500.0, 10.0, 175.0)
+
+    def test_scenario_without_dropouts_has_none(self, tmp_path):
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps({"grid_file": "grid.bin", "scenario": dict(SCENARIO, duration_s=10.0)}))
+        scenario = load_config(p).scenario
+        assert scenario.dropouts == ()
+        assert scenario.duration_s == 10.0
+
+    def test_scenario_block_must_be_complete(self, tmp_path):
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps({"grid_file": "grid.bin", "scenario": {"initial_range_m": 3000.0}}))
+        with pytest.raises(ConfigError, match=r"scenario: missing keys \['duration_s', 'initial_depth_m'"):
+            load_config(p)
+
+    @pytest.mark.parametrize("value", [[["mu_fa", 3.0]], 5, "mu_fa"], ids=["pairs", "number", "string"])
+    @pytest.mark.parametrize("block", ["model", "motion", "prior", "scenario"])
+    def test_a_block_must_be_a_json_object(self, tmp_path, block, value):
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps({"grid_file": "grid.bin", block: value}))
+        with pytest.raises(ConfigError, match=f"{block} must be a JSON object"):
+            load_config(p)
+
+    @pytest.mark.parametrize("doc", ["[1, 2]", "{", '{"grid_file": "grid.bin"} 1'])
+    def test_config_must_be_one_json_object(self, tmp_path, doc):
+        p = tmp_path / "run.json"
+        p.write_text(doc)
+        with pytest.raises(ConfigError, match=f"^{p}"):
+            load_config(p)
+
+    def test_grid_file_is_required(self, tmp_path):
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps({"J": 100}))
+        with pytest.raises(ConfigError, match=r"missing keys \['grid_file'\]"):
             load_config(p)
 
 
@@ -288,6 +332,16 @@ class TestSimulate:
         res = run_cli("simulate", "--config", p)
         assert res.returncode == 1
 
+    def test_without_a_scenario_block_is_domain_error(self, tiny_setup, tmp_path):
+        root, cfg_path, cfg = tiny_setup
+        cfg_n = {k: v for k, v in cfg.items() if k != "scenario"}
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(dict(cfg_n, output_dir=str(tmp_path / "out"))))
+        res = run_cli("simulate", "--config", p)
+        assert res.returncode == 1
+        assert res.stderr == f"error: {p}: simulate needs a scenario block\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_config_key_rejected(self, tiny_setup, tmp_path):
         root, cfg_path, cfg = tiny_setup
         p = tmp_path / "c.json"
@@ -386,7 +440,40 @@ class TestTrackAndEvaluate:
         sio.write_estimates_csv(est, [(t, 1000.0, 60.0, -2.5, 100.0) for t in (0.0, 2.0, 4.0)])
         res = run_cli("evaluate", "--estimates", est, "--truth", truth)
         assert res.returncode == 1
-        assert res.stderr == f"error: {truth}: truth times must be finite and strictly increasing\n"
+        if np.isnan(times).any():  # the reader rejects a non-finite value before the order is looked at
+            assert res.stderr == f"error: {truth}:3: values must be finite numbers, got ['nan', '1000.0', '60.0', '-2.5']\n"
+        else:
+            assert res.stderr == f"error: {truth}: truth times must be finite and strictly increasing\n"
+
+    def test_track_needs_no_scenario_block(self, tiny_setup, tmp_path):
+        root, cfg_path, cfg = tiny_setup
+        assert run_cli("simulate", "--config", cfg_path).returncode == 0
+        cfg_t = {k: v for k, v in cfg.items() if k != "scenario"}
+        cfg_t.update(output_dir=str(tmp_path / "out"), observations_file=str(root / "out" / "observations.jsonl"))
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(cfg_t))
+        res = run_cli("track", "--config", p)
+        assert res.returncode == 0, res.stderr
+        assert (tmp_path / "out" / "estimates.csv").exists()
+
+    @pytest.mark.parametrize(
+        "which, row, bad",
+        [("est", 1, "nan"), ("truth", 2, "inf"), ("est", 2, "1.0.0")],
+        ids=["estimate-nan", "truth-inf", "estimate-unparsable"],
+    )
+    def test_evaluate_rejects_a_value_that_is_no_finite_number(self, tmp_path, which, row, bad):
+        # the report would otherwise carry NaN or Infinity, which are not JSON
+        rows = [(i * 2.048, 1000.0 - i, 60.0, -2.5) for i in range(3)]
+        files = {"truth": tmp_path / "truth.csv", "est": tmp_path / "est.csv"}
+        sio.write_track_csv(files["truth"], rows)
+        sio.write_estimates_csv(files["est"], [(*r, 100.0) for r in rows])
+        lines = files[which].read_text().splitlines()
+        lines[row] = lines[row].replace("60.0", bad)
+        files[which].write_text("\n".join(lines) + "\n")
+        res = run_cli("evaluate", "--estimates", files["est"], "--truth", files["truth"])
+        assert res.returncode == 1
+        assert res.stderr.startswith(f"error: {files[which]}:{row + 1}: ") and repr(bad) in res.stderr
+        assert res.stdout == ""
 
     def test_track_missing_observations_is_domain_error(self, tiny_setup, tmp_path):
         root, cfg_path, cfg = tiny_setup

@@ -4,17 +4,53 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "swfocal"
 
 
+def own(module: str) -> bool:
+    return module.startswith(".") or module == "swfocal" or module.startswith("swfocal.")
+
+
+def module_reads(tree: ast.AST) -> list[str]:
+    """``module.name`` of every attribute read through a name bound to a swfocal module.
+
+    ``import swfocal.grid`` binds ``swfocal``, ``from swfocal import io as sio``
+    binds ``sio``; ``swfocal.grid`` then names the module ``swfocal.grid``.
+    """
+    modules = {p.stem for p in SRC.glob("*.py")}
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or "swfocal": a.name if a.asname else "swfocal" for a in node.names if own(a.name)}
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if own(module) and not module.strip(".").removeprefix("swfocal"):  # the package itself
+                sep = "" if module.endswith(".") else "."
+                bound |= {a.asname or a.name: module + sep + a.name for a in node.names if a.name in modules}
+
+    def resolve(node):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if isinstance(node, ast.Attribute) and (module := resolve(node.value)):
+            is_package = not module.strip(".").removeprefix("swfocal")
+            return f"{module}.{node.attr}" if is_package and node.attr in modules else None
+        return None
+
+    return [
+        f"{module}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and (module := resolve(node.value))
+    ]
+
+
 def private_imports(path: Path) -> list[str]:
-    """``module.name`` of every underscore name ``path`` imports from another swfocal module."""
+    """``module.name`` of every underscore name ``path`` imports from, or reads through, another swfocal module."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             module = "." * node.level + (node.module or "")
-            own = node.level > 0 or module == "swfocal" or module.startswith("swfocal.")
-            found += [f"{module}.{a.name}" for a in node.names if own and a.name.startswith("_")]
+            found += [f"{module}.{a.name}" for a in node.names if own(module) and a.name.startswith("_")]
         elif isinstance(node, ast.Import):
             found += [a.name for a in node.names if a.name.startswith("swfocal.") and "._" in a.name]
-    return found
+    return found + [name for name in module_reads(tree) if name.rpartition(".")[2].startswith("_")]
 
 
 def exported(module: str) -> set[str]:
@@ -29,15 +65,17 @@ def exported(module: str) -> set[str]:
 
 
 def unexported_imports(path: Path) -> list[str]:
-    """``module.name`` of every name ``path`` imports from a swfocal module that does not export it."""
+    """``module.name`` of every name ``path`` imports from, or reads through, a swfocal module that does not export it."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             module = "." * node.level + (node.module or "")
-            if node.level > 0 or module == "swfocal" or module.startswith("swfocal."):
+            if own(module):
                 allowed = exported(module)
                 found += [f"{module}.{a.name}" for a in node.names if a.name not in allowed]
-    return found
+    reads = [name.rpartition(".") for name in module_reads(tree)]
+    return found + [f"{module}.{name}" for module, _, name in reads if name not in exported(module)]
 
 
 def test_no_module_imports_a_private_name_of_another():
@@ -85,4 +123,31 @@ def test_the_scan_sees_unexported_imports(tmp_path):
         "swfocal.nonexistent",
         ".environment._FAN",
         "swfocal.missing.anything",
+    ]
+
+
+def test_the_scan_sees_names_read_through_a_module(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "from swfocal import io as sio, grid\n"
+        "import swfocal.environment\n"
+        "import swfocal.tracking as tr\n"
+        "from . import assoc\n"
+        "import numpy as np\n"
+        "sio._number(1, 'x')\n"
+        "sio.read_grid('g.bin')\n"
+        "grid.np.inf\n"
+        "swfocal.environment._FAN\n"
+        "swfocal.grid.DoaGrid\n"
+        "tr.PathKind\n"
+        "assoc._logsumexp\n"
+        "np._core\n"
+    )
+    assert sorted(private_imports(src)) == [".assoc._logsumexp", "swfocal.environment._FAN", "swfocal.io._number"]
+    assert sorted(unexported_imports(src)) == [
+        ".assoc._logsumexp",
+        "swfocal.environment._FAN",
+        "swfocal.grid.np",
+        "swfocal.io._number",
+        "swfocal.tracking.PathKind",
     ]

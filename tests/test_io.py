@@ -240,6 +240,34 @@ class TestRecordFiles:
         with pytest.raises(ValueError, match=":2:.*non-finite time_s"):
             sio.read_observations(path)
 
+    @pytest.mark.parametrize("second", [2.048, 0.0])
+    def test_observation_times_must_increase_from_line_to_line(self, tmp_path, second):
+        path = tmp_path / "obs.jsonl"
+        path.write_text(
+            '{"t_index": 0, "time_s": 0.0, "doas": [3.0]}\n'
+            '{"t_index": 2, "time_s": 4.096, "doas": [3.0]}\n'
+            f'{{"t_index": 1, "time_s": {second}, "doas": [1.0]}}\n'
+        )
+        with pytest.raises(ValueError, match=f":3: bad observation record: time_s {second} does not increase"):
+            sio.read_observations(path)
+
+    @pytest.mark.parametrize(
+        "line, why",
+        [
+            ("[0, 0.0, [3.0]]", "record must be a JSON object"),
+            ('{"t_index": 0, "time_s": 0.0}', r"missing keys \['doas'\]"),
+            ('{"t_index": 0, "time_s": 0.0, "doas": [3.0], "snr": 1}', r"unknown keys \['snr'\]"),
+            ('{"t_index": 0, "time_s": 0.0, "doas": 3.0}', "observed angles must form a list"),
+            ('{"t_index": 0, "time_s": 0.0, "doas": [[3.0], [1.0]]}', "observed angles must form a list"),
+        ],
+        ids=["array", "missing-doas", "unknown-key", "doas-number", "doas-nested"],
+    )
+    def test_observation_record_is_an_object_of_its_three_keys(self, tmp_path, line, why):
+        path = tmp_path / "obs.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match=f":1: bad observation record: .*{why}"):
+            sio.read_observations(path)
+
     def test_observation_unsorted_record_rejected(self, tmp_path):
         path = tmp_path / "obs.jsonl"
         path.write_text(
@@ -301,6 +329,13 @@ class TestRecordFiles:
         path.write_text("time_s,range_m,depth_m,speed_mps\n0,1,2\n1,2,3\n2,3,4\n3,4,5\n")
         with pytest.raises(ValueError, match=r"truth\.csv:2: expected 4 values, got 3"):
             sio.read_track_csv(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity", "", "1e", "0x10"])
+    def test_csv_values_must_be_finite_numbers(self, tmp_path, bad):
+        path = tmp_path / "est.csv"
+        path.write_text(f"time_s,range_m,depth_m,speed_mps,ess\n0,1,2,3,4\n\n2,{bad},2,3,4\n")
+        with pytest.raises(ValueError, match=r"est\.csv:4: values must be finite numbers|est\.csv:4: could not convert"):
+            sio.read_estimates_csv(path)
 
     def test_csv_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "truth.csv"
