@@ -31,8 +31,7 @@ from swfocal.tracking import DegeneracyError, MotionParams, PriorParams, run_tra
 
 __all__ = ["main", "RunConfig", "ConfigError", "load_config"]
 
-KIND_SELECTIONS = {2: (PathKind.SB, PathKind.DP), 4: tuple(PathKind)}
-DEFAULT_SIGMA = {2: (0.5, 0.5), 4: (0.5, 0.5, 2.0, 2.0)}
+DEFAULT_SIGMA = (0.5, 0.5, 2.0, 2.0)  # per path; K = 2 takes the first two
 DEFAULT_MU_FA = {2: 4.0, 4: 2.0}
 DEFAULT_ROI = (100.0, 3600.0, 10.0, 175.0)
 SCENARIO_REQUIRED = ("initial_range_m", "initial_depth_m", "initial_speed_mps", "duration_s")
@@ -109,9 +108,9 @@ def load_config(path) -> RunConfig:
     try:
         doc = sio.json_object(doc, "config", CONFIG_KEYS, required=("grid_file",))
         n_paths = doc.get("K", 4)
-        if n_paths not in KIND_SELECTIONS:
-            raise ValueError(f"K must be one of {sorted(KIND_SELECTIONS)}")
-        given = {"sigma_deg": DEFAULT_SIGMA[n_paths], "mu_fa": DEFAULT_MU_FA[n_paths], **doc.get("model", {})}
+        if n_paths not in DEFAULT_MU_FA:
+            raise ValueError(f"K must be one of {sorted(DEFAULT_MU_FA)}")
+        given = {"sigma_deg": DEFAULT_SIGMA[:n_paths], "mu_fa": DEFAULT_MU_FA[n_paths], **doc.get("model", {})}
         model = ModelParams(n_paths=n_paths, **given)
         motion = MotionParams(**doc.get("motion", {}))
         prior = PriorParams(**{"roi": DEFAULT_ROI, **doc.get("prior", {})})
@@ -264,13 +263,13 @@ def cmd_evaluate(args) -> int:
 
 
 def _load_run(args) -> tuple[RunConfig, DoaGrid]:
-    """The config with the command line's overrides, and its grid's selected kinds."""
+    """The config with the command line's overrides, and the first K path layers of its grid."""
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = dataclasses.replace(cfg, output_dir=args.out)
-    return cfg, sio.read_grid(cfg.grid_file).select_kinds(KIND_SELECTIONS[cfg.model.n_paths])
+    return cfg, sio.read_grid(cfg.grid_file).select_kinds(tuple(PathKind)[: cfg.model.n_paths])
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -3,10 +3,13 @@
 The tracker needs the modeled arrival angle of every propagation path at
 many candidate source positions per time step.  Solving eigenrays on the
 fly is far too slow, so the arrival angles are precomputed on a regular
-range/depth grid and bilinearly interpolated at runtime.  Grid cells where
-a path is geometrically impossible hold ``-inf``.  Each grid keeps its two
-node tables, the ``linspace`` positions of its range and depth nodes, as
-read-only arrays built with it, so a lookup makes no node array of its own.
+range/depth grid and bilinearly interpolated at runtime.  A grid is its
+region of interest and its values, exactly what the solver returns: ``nan``
+marks a path that is geometrically impossible, and its K layers are the
+first K paths in canonical order.  The counts, the paths and the two node
+tables, the ``linspace`` positions of its range and depth nodes, are read
+off the roi and the values' shape; the node tables are read-only arrays
+built with the grid, so a lookup makes no node array of its own.
 
 The grid is built one depth row at a time with the closed-form solver of
 ``swfocal.environment``: a row is one ``eigenray_angles`` call for all
@@ -22,29 +25,29 @@ import numpy as np
 
 from swfocal.environment import PathKind, Waveguide, eigenray_angles
 
-__all__ = ["IMPOSSIBLE", "DoaGrid", "build_doa_grid", "interpolate_doa_many"]
-
-IMPOSSIBLE = -np.inf
+__all__ = ["DoaGrid", "build_doa_grid", "interpolate_doa_many"]
 
 
 @dataclass(frozen=True)
 class DoaGrid:
     """Modeled DOAs on a regular grid, one layer per propagation path.
 
-    ``values`` has shape (n_r, n_d, K) in degrees with ``-inf`` marking
-    geometrically impossible eigenrays.  Grid points are uniformly spaced
-    and include both ends of the region of interest.
+    ``values`` has shape (n_r, n_d, K) in degrees with ``nan`` marking
+    geometrically impossible eigenrays; its K layers are ``kinds``, the
+    first K paths of ``PathKind``.  Grid points are uniformly spaced and
+    include both ends of the region of interest.
 
+    ``n_r``, ``n_d`` and ``kinds`` are read off the values' shape.
     ``ranges`` and ``depths`` are the node tables, ``np.linspace`` over
     the roi: built once with the grid, read by every lookup, and therefore
     read-only arrays.
     """
 
     roi: tuple[float, float, float, float]
-    n_r: int
-    n_d: int
-    kinds: tuple[PathKind, ...]
     values: np.ndarray
+    n_r: int = field(init=False, compare=False)
+    n_d: int = field(init=False, compare=False)
+    kinds: tuple[PathKind, ...] = field(init=False, compare=False)
     ranges: np.ndarray = field(init=False, repr=False, compare=False)
     depths: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -54,39 +57,33 @@ class DoaGrid:
             raise ValueError("grid roi must satisfy range_min < range_max and depth_min < depth_max")
         if not (r1 - r0 < np.inf and d1 - d0 < np.inf):
             raise ValueError("grid roi must be finite")
-        if self.n_r < 2 or self.n_d < 2:
+        if self.values.ndim != 3 or not 1 <= self.values.shape[2] <= len(PathKind):
+            raise ValueError(f"grid values must have shape (n_r, n_d, K) with K in 1..4, got {self.values.shape}")
+        n_r, n_d, n_k = self.values.shape
+        if n_r < 2 or n_d < 2:
             raise ValueError("grid needs at least 2 points per axis")
-        if not self.kinds or len(set(self.kinds)) != len(self.kinds):
-            raise ValueError("kinds must be a non-empty set of distinct paths")
-        if self.values.shape != (self.n_r, self.n_d, len(self.kinds)):
-            raise ValueError("grid value array shape does not match header")
-        object.__setattr__(self, "ranges", _nodes(r0, r1, self.n_r))
-        object.__setattr__(self, "depths", _nodes(d0, d1, self.n_d))
+        object.__setattr__(self, "n_r", n_r)
+        object.__setattr__(self, "n_d", n_d)
+        object.__setattr__(self, "kinds", tuple(PathKind)[:n_k])
+        object.__setattr__(self, "ranges", _nodes(r0, r1, n_r))
+        object.__setattr__(self, "depths", _nodes(d0, d1, n_d))
 
     def coverage(self) -> dict[PathKind, float]:
         """Fraction of grid points where each path is impossible."""
-        frac = np.mean(np.isneginf(self.values), axis=(0, 1))
+        frac = np.mean(np.isnan(self.values), axis=(0, 1))
         return {k: float(f) for k, f in zip(self.kinds, frac)}
 
     def select_kinds(self, kinds: tuple[PathKind, ...]) -> "DoaGrid":
-        """Restrict the grid to a subset of its path layers.
+        """The grid of the first ``len(kinds)`` layers, which must be ``kinds``.
 
-        Every layer in the grid's own order shares the grid's C-ordered
-        values; any other selection copies them.
+        Every layer shares the grid's values; fewer copies them once, in
+        C order, as the lookup reads them.
         """
-        idx = []
-        for k in kinds:
-            if k not in self.kinds:
-                raise ValueError(f"grid has no layer for path {k.name}")
-            idx.append(self.kinds.index(k))
-        values = self.values if idx == list(range(len(self.kinds))) else self.values[:, :, idx]
-        return DoaGrid(
-            roi=self.roi,
-            n_r=self.n_r,
-            n_d=self.n_d,
-            kinds=tuple(kinds),
-            values=np.ascontiguousarray(values),
-        )
+        if tuple(kinds) != self.kinds[: len(kinds)]:
+            raise ValueError(
+                f"select the first paths of {[k.name for k in self.kinds]} in order, got {[k.name for k in kinds]}"
+            )
+        return DoaGrid(self.roi, np.ascontiguousarray(self.values[:, :, : len(kinds)]))
 
 
 def _nodes(lo: float, hi: float, n: int) -> np.ndarray:
@@ -109,14 +106,13 @@ def build_doa_grid(wg: Waveguide, roi, n_r: int, n_d: int) -> DoaGrid:
     """Build the DOA grid of all four paths over ``roi``, one depth row at a time.
 
     A caller that tracks fewer paths takes them with ``select_kinds``.
-    ``DoaGrid`` checks the header before any row is solved.
+    ``DoaGrid`` checks the roi and the counts before any row is solved.
     Deterministic: the same inputs produce a bit-identical grid.
     """
     values = np.empty((n_r, n_d, len(PathKind)))
-    grid = DoaGrid(roi=_validate_roi(wg, roi), n_r=n_r, n_d=n_d, kinds=tuple(PathKind), values=values)
+    grid = DoaGrid(_validate_roi(wg, roi), values)
     for j, depth in enumerate(grid.depths):
-        arrival = eigenray_angles(wg, depth, grid.ranges)
-        values[:, j] = np.where(np.isnan(arrival), IMPOSSIBLE, arrival).T
+        values[:, j] = eigenray_angles(wg, depth, grid.ranges).T
     return grid
 
 
@@ -198,8 +194,8 @@ def interpolate_doa_many(grid: DoaGrid, points: np.ndarray) -> np.ndarray:
     flat = grid.values.reshape(-1, len(grid.kinds))
     corners = flat.take(cell + steps[:, None], axis=0).transpose(0, 2, 1).copy()
     # inside a cell every corner has weight, and an impossible one makes
-    # the sum -inf.  On a cell edge a corner of zero weight is ignored, also
-    # where impossible (0 * -inf would be nan), so it is zeroed first.
+    # the sum nan.  On a cell edge a corner of zero weight is ignored, also
+    # where impossible (0 * nan is nan too), so it is zeroed first.
     # Random points are almost never on an edge: skip the four selections.
     edge = _edge_rows(fx, gx, fy, gy)
     if edge.size:
@@ -209,6 +205,4 @@ def interpolate_doa_many(grid: DoaGrid, points: np.ndarray) -> np.ndarray:
     for w, v in zip(weights[1:], corners[1:]):
         v *= w
         out += v
-    with np.errstate(invalid="ignore"):
-        out += 0.0 * out  # -inf (an impossible corner) to nan
     return out.T

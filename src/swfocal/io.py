@@ -4,11 +4,12 @@ the run configuration's included, live here alone: ``read_json``,
 ``json_object`` and ``number``.  CSV values must be finite numbers.
 
 All angles in files are degrees, all distances meters, all times seconds.
-The binary grid layout is little-endian: an 8-byte magic, a u32 version,
-the region of interest as four f64 (range_min, range_max, depth_min,
-depth_max), u32 counts N_r, N_d and K, K path-kind codes (u8 each), then
-N_r x N_d x K f64 values in row-major order with ``-inf`` marking
-geometrically impossible entries.
+The binary grid layout, version 2, is little-endian: an 8-byte magic, a
+u32 version, the region of interest as four f64 (range_min, range_max,
+depth_min, depth_max), u32 counts N_r, N_d and K, then N_r x N_d x K f64
+values in row-major order with ``nan`` marking geometrically impossible
+entries.  The K layers are the first K paths in canonical order (SB, DP,
+BB, SBB), so the file names no path.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from swfocal.assoc import ObservationSet
-from swfocal.environment import PathKind, SoundSpeedProfile, Waveguide
+from swfocal.environment import SoundSpeedProfile, Waveguide
 from swfocal.grid import DoaGrid
 
 __all__ = [
@@ -45,7 +46,7 @@ __all__ = [
 ]
 
 GRID_MAGIC = b"SWFOCGRD"
-GRID_VERSION = 1
+GRID_VERSION = 2
 
 _ENV_KEYS = {"ssp_knots", "bottom_depth_m", "receiver_depth_m"}
 
@@ -64,7 +65,10 @@ def number(v, key: str):
         return tuple(number(x, key) for x in v)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise TypeError(f"{key} must be a JSON number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{key} must be a JSON number in the float range") from None
 
 
 def json_object(doc, what: str, read: dict, required=()) -> dict:
@@ -81,11 +85,14 @@ def json_object(doc, what: str, read: dict, required=()) -> dict:
 
 
 def read_json(path, error):
-    """The JSON value that file ``path`` holds; a decode error raises ``error`` naming ``path:line:col``."""
+    """The JSON value that file ``path`` holds; a decode error raises ``error`` naming ``path:line:col``,
+    and any other, such as an integer of more digits than ``int`` converts, ``error`` naming ``path``."""
     try:
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
         raise error(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
+    except ValueError as e:
+        raise error(f"{path}: {e}") from e
 
 
 def read_environment(path) -> Waveguide:
@@ -113,8 +120,7 @@ def write_grid(path, grid: DoaGrid) -> None:
         f.write(GRID_MAGIC)
         f.write(struct.pack("<I", GRID_VERSION))
         f.write(struct.pack("<4d", *grid.roi))
-        f.write(struct.pack("<III", grid.n_r, grid.n_d, len(grid.kinds)))
-        f.write(bytes(k.value for k in grid.kinds))
+        f.write(struct.pack("<III", *grid.values.shape))
         f.write(np.ascontiguousarray(grid.values, dtype="<f8"))  # a copy only if not C-ordered <f8
 
 
@@ -136,13 +142,9 @@ def read_grid(path) -> DoaGrid:
             raise GridFileError(f"{path}: not a DOA grid file (bad magic)")
         (version,) = struct.unpack("<I", take(4, "version"))
         if version != GRID_VERSION:
-            raise GridFileError(f"{path}: unsupported grid version {version}")
+            raise GridFileError(f"{path}: unsupported grid version {version}; rebuild the grid with `swfocal build-grid`")
         roi = struct.unpack("<4d", take(32, "roi"))
         n_r, n_d, n_k = struct.unpack("<III", take(12, "counts"))
-        try:
-            kinds = tuple(PathKind(b) for b in take(n_k, "path kinds"))
-        except ValueError as e:
-            raise GridFileError(f"{path}: {e}") from e
         size, left = 8 * n_r * n_d * n_k, os.fstat(f.fileno()).st_size - f.tell()
         if left < size:
             raise GridFileError(f"{path}: truncated while reading values")
@@ -153,10 +155,10 @@ def read_grid(path) -> DoaGrid:
             raise GridFileError(f"{path}: truncated while reading values")
     if sys.byteorder != "little":
         values.byteswap(inplace=True)
-    if not (values < np.inf).all():  # nan and +inf fail the comparison
-        raise GridFileError(f"{path}: grid values must be finite or -inf")
+    if np.isinf(values).any():
+        raise GridFileError(f"{path}: grid values must be finite or nan")
     try:
-        return DoaGrid(roi=roi, n_r=n_r, n_d=n_d, kinds=kinds, values=values)
+        return DoaGrid(roi, values)
     except ValueError as e:
         raise GridFileError(f"{path}: {e}") from e
 

@@ -175,7 +175,7 @@ def bilinear_doa(grid, r: float, d: float) -> list:
             v = float(grid.values[a, b, k])
             term = 0.0
             if w > 0.0:
-                if v == -math.inf:
+                if math.isnan(v):
                     total = None
                     break
                 term = w * v

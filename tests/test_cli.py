@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from swfocal import io as sio
+from swfocal.assoc import ModelParams, ObservationSet
 from swfocal.cli import ConfigError, load_config
+from swfocal.environment import PathKind
 from swfocal.grid import build_doa_grid
 from swfocal.simulator import ScenarioConfig
-from swfocal.tracking import MotionParams
+from swfocal.tracking import MotionParams, PriorParams, run_tracker
 
 REPO = Path(__file__).resolve().parent.parent
 ENV_FILE = REPO / "configs" / "coastal_216m_env.json"
@@ -384,6 +386,33 @@ class TestTrackAndEvaluate:
             blobs.append((out / "estimates.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_track_with_two_paths_runs_on_the_sb_and_dp_layers(self, tiny_setup, tmp_path):
+        # "K": 2 with no model block: the first two layers of the four-path
+        # grid file and the first two default noise levels
+        root, cfg_path, cfg = tiny_setup
+        assert run_cli("simulate", "--config", cfg_path).returncode == 0
+        obs_path = root / "out" / "observations.jsonl"
+        cfg_2 = dict(cfg, K=2, output_dir=str(tmp_path / "out"), observations_file=str(obs_path))
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(cfg_2))
+        res = run_cli("track", "--config", p, "--seed", 5)
+        assert res.returncode == 0, res.stderr
+
+        grid = sio.read_grid(cfg["grid_file"])
+        assert len(grid.kinds) == 4
+        estimates = run_tracker(
+            grid.select_kinds((PathKind.SB, PathKind.DP)),
+            [(t, ObservationSet(z=doas)) for _, t, doas in sio.read_observations(obs_path)],
+            ModelParams(2, (0.5, 0.5), 0.9, 4.0),
+            MotionParams(),
+            PriorParams(roi=tuple(cfg["prior"]["roi"]), speed_std=5.0),
+            J=cfg["J"],
+            seed=5,
+        )
+        want = tmp_path / "want.csv"
+        sio.write_estimates_csv(want, ((t, e.range_m, e.depth_m, e.speed_mps, ess) for t, e, ess in estimates))
+        assert (tmp_path / "out" / "estimates.csv").read_bytes() == want.read_bytes()
+
     def test_evaluate_perfect_estimates_have_zero_rmse(self, tmp_path):
         truth = tmp_path / "truth.csv"
         est = tmp_path / "est.csv"
@@ -507,6 +536,36 @@ class TestTrackAndEvaluate:
         assert "at epoch t = 6.144 s: every likelihood inside the region of interest is zero" in res.stderr
         est = sio.read_estimates_csv(tmp_path / "out" / "estimates.csv")
         assert est[:, 0].tolist() == [2.048, 4.096]
+
+
+class TestHugeJsonIntegers:
+    @pytest.mark.parametrize(
+        "digits",
+        ["1" + "0" * 400, "1" * 5000],
+        ids=["beyond-the-float-range", "over-the-int-digit-limit"],
+    )
+    @pytest.mark.parametrize("kind", ["config", "environment", "observations"])
+    def test_is_a_domain_error_naming_the_file(self, tiny_setup, tmp_path, kind, digits):
+        # float() overflows on the first, and json.loads refuses the second
+        root, cfg_path, cfg = tiny_setup
+        bad = tmp_path / "bad.json"
+        if kind == "environment":
+            doc = json.loads(ENV_FILE.read_text())
+            doc["ssp_knots"][1][1] = 0
+            bad.write_text(json.dumps(doc).replace(", 0]", f", {digits}]", 1))
+            args, prefix = ("build-grid", "--env", bad, "--out", tmp_path / "g.bin", "--nr", 5, "--nd", 5), f"{bad}: "
+        elif kind == "config":
+            bad.write_text(json.dumps(dict(cfg, model={"mu_fa": 0})).replace('"mu_fa": 0', f'"mu_fa": {digits}'))
+            args, prefix = ("track", "--config", bad), f"{bad}: "
+        else:
+            bad.write_text(f'{{"t_index": 0, "time_s": 0.0, "doas": []}}\n{{"t_index": 1, "time_s": {digits}, "doas": []}}\n')
+            p = tmp_path / "c.json"
+            p.write_text(json.dumps(dict(cfg, output_dir=str(tmp_path / "out"), observations_file=str(bad))))
+            args, prefix = ("track", "--config", p), f"{bad}:2: "
+        res = run_cli(*args)
+        assert res.returncode == 1
+        assert res.stderr.startswith(f"error: {prefix}"), res.stderr
+        assert "Traceback" not in res.stderr
 
 
 class TestDefaultConfigRoundTrip:

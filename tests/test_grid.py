@@ -10,7 +10,6 @@ from swfocal.environment import (
 )
 from swfocal import io as sio
 from swfocal.grid import (
-    IMPOSSIBLE,
     DoaGrid,
     _axis_cells,
     _edge_rows,
@@ -39,11 +38,11 @@ def lookup_case():
     rng = np.random.default_rng(23)
     roi = (100.0, 2500.0, 0.0, 175.0)
     values = rng.uniform(-30.0, 30.0, (2400, 165, 2))
-    values[rng.random(values.shape) < 0.1] = IMPOSSIBLE
+    values[rng.random(values.shape) < 0.1] = np.nan
     values[7, 3, 0] = -0.0
     values[100:102, :2, :] = 1.5
-    values[101, 1, :] = IMPOSSIBLE
-    grid = DoaGrid(roi=roi, n_r=2400, n_d=165, kinds=(PathKind.SB, PathKind.DP), values=values)
+    values[101, 1, :] = np.nan
+    grid = DoaGrid(roi, values)
     r0, r1, d0, d1 = roi
     i = rng.integers(0, grid.n_r, 300)
     j = rng.integers(0, grid.n_d, 300)
@@ -102,8 +101,7 @@ class TestBuild:
     @staticmethod
     def assert_rows_are_public_solves(wg, grid):
         for j, depth in enumerate(grid.depths):
-            arrival = eigenray_angles(wg, depth, grid.ranges)
-            want = np.where(np.isnan(arrival), IMPOSSIBLE, arrival).T
+            want = eigenray_angles(wg, depth, grid.ranges).T
             assert grid.values[:, j, :].tobytes() == want.tobytes(), f"row {j} at {depth} m"
 
     def test_rows_are_public_solves_coastal(self, coastal_wg):
@@ -123,7 +121,7 @@ class TestBuild:
             receiver_depth=150.0,
         )
         grid = build_doa_grid(wg, (100.0, 2500.0, 10.0, 175.0), 120, 34)
-        assert np.isneginf(grid.values).any() and np.isfinite(grid.values).any()
+        assert np.isnan(grid.values).any() and np.isfinite(grid.values).any()
         self.assert_rows_are_public_solves(wg, grid)
 
     def test_rows_are_public_solves_across_builds(self, coastal_wg):
@@ -145,7 +143,7 @@ class TestBuild:
         # cells one range step short of an impossible cell and the impossible
         # cells there are the hardest: their rays are nearly the flattest
         edge = np.zeros(v.shape, dtype=bool)
-        edge[1:] = np.isneginf(v[1:]) & np.isfinite(v[:-1])
+        edge[1:] = np.isnan(v[1:]) & np.isfinite(v[:-1])
         last_finite = np.roll(edge, -1, axis=0)
 
         def sample(mask, n):
@@ -166,7 +164,7 @@ class TestBuild:
         # this profile the fastest depth such a path crosses is its
         # shallower end, where the flattest ray is horizontal, so it is
         # marched from there, reversed when that end is the receiver.
-        cells = np.concatenate([sample(np.isneginf(v), 40), sample(edge, 40)])
+        cells = np.concatenate([sample(np.isnan(v), 40), sample(edge, 40)])
         i, j, k = cells.T
         kinds = [grid.kinds[kk] for kk in k]
         assert set(kinds) <= {PathKind.DP, PathKind.BB}
@@ -200,7 +198,7 @@ class TestBuild:
         grid = build_doa_grid(wg, (200.0, 2400.0, 10.0, 170.0), 56, 17)
         cov = grid.coverage()
         assert cov[PathKind.DP] > 0.3  # direct path dies at long range here
-        assert np.any(np.isneginf(grid.values))
+        assert np.any(np.isnan(grid.values))
 
     def test_bad_roi_rejected(self, iso_wg):
         with pytest.raises(ValueError):
@@ -232,8 +230,8 @@ class TestInterpolation:
 
     def test_partially_impossible_cell_returns_impossible(self):
         values = np.zeros((2, 2, 1))
-        values[1, 1, 0] = IMPOSSIBLE
-        grid = DoaGrid(roi=(0.0, 10.0, 0.0, 10.0), n_r=2, n_d=2, kinds=(PathKind.DP,), values=values)
+        values[1, 1, 0] = np.nan
+        grid = DoaGrid((0.0, 10.0, 0.0, 10.0), values)
         assert interpolate_doa(grid, (5.0, 5.0), 0) is None
         assert np.isnan(interpolate_doa_many(grid, np.array([[5.0, 5.0]]))[0, 0])
 
@@ -241,8 +239,8 @@ class TestInterpolation:
         # querying exactly on a valid node must return its value even if a
         # neighboring cell corner is impossible
         values = np.arange(8, dtype=float).reshape(2, 4, 1)
-        values[1, 3, 0] = IMPOSSIBLE
-        grid = DoaGrid(roi=(0.0, 10.0, 0.0, 30.0), n_r=2, n_d=4, kinds=(PathKind.DP,), values=values)
+        values[1, 3, 0] = np.nan
+        grid = DoaGrid((0.0, 10.0, 0.0, 30.0), values)
         assert interpolate_doa(grid, (0.0, 30.0), 0) == values[0, 3, 0]
         assert interpolate_doa(grid, (5.0, 25.0), 0) is None
 
@@ -268,7 +266,7 @@ class TestInterpolation:
         for g in (refr_grid, full_grid[0]):
             r0, r1, d0, d1 = g.roi
             dp = g.values[:, :, g.kinds.index(PathKind.DP)]
-            i, j = np.nonzero(np.isfinite(dp[:-1]) & np.isneginf(dp[1:]))
+            i, j = np.nonzero(np.isfinite(dp[:-1]) & np.isnan(dp[1:]))
             pick = rng.choice(len(i), min(len(i), 40), replace=False)
             i, j = i[pick], j[pick]
             nodes = np.concatenate(
@@ -308,7 +306,7 @@ class TestInterpolation:
         for g in (
             iso_grid,
             iso_grid.select_kinds(iso_grid.kinds),
-            iso_grid.select_kinds(iso_grid.kinds[::-1]),
+            iso_grid.select_kinds(iso_grid.kinds[:2]),
             sio.read_grid(path),
         ):
             r0, r1, d0, d1 = g.roi
@@ -326,7 +324,7 @@ class TestInterpolation:
         values = np.zeros((2, 2, 1))
         for roi in ((0.0, np.inf, 0.0, 10.0), (-1e308, 1e308, 0.0, 10.0)):
             with pytest.raises(ValueError, match="finite"):
-                DoaGrid(roi=roi, n_r=2, n_d=2, kinds=(PathKind.DP,), values=values)
+                DoaGrid(roi, values)
 
     def test_edge_rule_marks_the_zero_weight_rows(self):
         grid, pts, groups = lookup_case()
@@ -391,19 +389,28 @@ class TestInterpolation:
     def test_select_kinds(self, iso_grid):
         sub = iso_grid.select_kinds((PathKind.SB, PathKind.DP))
         assert sub.kinds == (PathKind.SB, PathKind.DP)
+        assert sub.values.flags.c_contiguous
         assert np.array_equal(sub.values, iso_grid.values[:, :, :2])
-        with pytest.raises(ValueError):
-            sub.select_kinds((PathKind.BB,))
+        for kinds in ((PathKind.BB,), (PathKind.SB, PathKind.DP, PathKind.BB)):
+            with pytest.raises(ValueError, match="first paths"):
+                sub.select_kinds(kinds)
 
     def test_select_kinds_shares_every_layer_in_order(self, iso_grid):
         same = iso_grid.select_kinds(iso_grid.kinds)
         assert same.kinds == iso_grid.kinds
         assert np.shares_memory(same.values, iso_grid.values)
         assert np.array_equal(same.values, iso_grid.values)
-        reordered = iso_grid.select_kinds(iso_grid.kinds[::-1])
-        assert not np.shares_memory(reordered.values, iso_grid.values)
-        assert np.array_equal(reordered.values, iso_grid.values[:, :, ::-1])
+        for kinds in (iso_grid.kinds[::-1], (PathKind.DP,), (PathKind.SB, PathKind.BB)):
+            with pytest.raises(ValueError, match="first paths"):
+                iso_grid.select_kinds(kinds)
 
     def test_select_kinds_rejects_duplicates(self, iso_grid):
-        with pytest.raises(ValueError, match="distinct"):
-            iso_grid.select_kinds((PathKind.DP, PathKind.DP))
+        with pytest.raises(ValueError, match="first paths"):
+            iso_grid.select_kinds((PathKind.SB, PathKind.SB))
+
+    def test_counts_and_paths_are_read_off_the_values(self):
+        grid = DoaGrid((0.0, 10.0, 0.0, 30.0), np.zeros((3, 4, 2)))
+        assert (grid.n_r, grid.n_d, grid.kinds) == (3, 4, (PathKind.SB, PathKind.DP))
+        for shape in ((3, 4), (3, 4, 2, 1), (3, 4, 0), (3, 4, 5)):
+            with pytest.raises(ValueError, match="K in 1..4"):
+                DoaGrid((0.0, 10.0, 0.0, 30.0), np.zeros(shape))

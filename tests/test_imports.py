@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "swfocal"
@@ -83,6 +84,18 @@ def test_no_module_imports_a_private_name_of_another():
     assert len(sources) > 5
     found = {p.name: private_imports(p) for p in sources}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_every_exported_name_exists():
+    # a stale ``__all__`` entry passes every other test but breaks ``from module import *``
+    stems = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__main__")  # importing it runs the CLI
+    assert len(stems) > 5
+    missing = {}
+    for stem in stems:
+        module = importlib.import_module("swfocal" if stem == "__init__" else f"swfocal.{stem}")
+        if gone := [name for name in module.__all__ if not hasattr(module, name)]:
+            missing[module.__name__] = gone
+    assert missing == {}
 
 
 def test_the_scan_sees_private_imports(tmp_path):

@@ -78,8 +78,31 @@ class TestGridFile:
         path = tmp_path / "grid.bin"
         sio.write_grid(path, grid)
         back = sio.read_grid(path)
-        assert np.any(np.isneginf(back.values))
-        assert np.array_equal(np.isneginf(back.values), np.isneginf(grid.values))
+        assert np.any(np.isnan(back.values))
+        assert np.array_equal(np.isnan(back.values), np.isnan(grid.values))
+
+    def test_layers_are_the_first_paths_and_the_header_names_none(self, tmp_path, iso_wg):
+        grid = build_doa_grid(iso_wg, (400.0, 900.0, 40.0, 160.0), 4, 3)
+        path = tmp_path / "grid.bin"
+        for k in (1, 2, 4):
+            sio.write_grid(path, grid.select_kinds(tuple(PathKind)[:k]))
+            assert path.stat().st_size == 8 + 4 + 32 + 12 + 8 * 4 * 3 * k
+            back = sio.read_grid(path)
+            assert back.kinds == tuple(PathKind)[:k]
+            assert back.values.tobytes() == grid.values[:, :, :k].tobytes()
+
+    def test_version_1_file_asks_for_a_rebuild(self, tmp_path):
+        path = tmp_path / "grid.bin"
+        path.write_bytes(
+            sio.GRID_MAGIC
+            + struct.pack("<I", 1)
+            + struct.pack("<4d", 100.0, 200.0, 10.0, 20.0)
+            + struct.pack("<III", 2, 2, 1)
+            + bytes([PathKind.DP.value])
+            + np.zeros(4, dtype="<f8").tobytes()
+        )
+        with pytest.raises(sio.GridFileError, match="grid version 1.*rebuild the grid with `swfocal build-grid`"):
+            sio.read_grid(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "grid.bin"
@@ -96,43 +119,42 @@ class TestGridFile:
         with pytest.raises(sio.GridFileError, match="truncated"):
             sio.read_grid(path)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_nan_and_positive_inf_values_rejected(self, tmp_path, bad):
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_values_rejected(self, tmp_path, bad):
         path = tmp_path / "grid.bin"
         values = np.zeros((2, 2, 1))
-        values[0, 1, 0] = -np.inf  # the impossible sentinel is legal
+        values[0, 1, 0] = np.nan  # the impossible marker is legal
 
         def write():
-            sio.write_grid(path, DoaGrid((1.0, 2.0, 1.0, 2.0), 2, 2, (PathKind.DP,), values))
+            sio.write_grid(path, DoaGrid((1.0, 2.0, 1.0, 2.0), values))
 
         write()
-        assert np.array_equal(sio.read_grid(path).values, values)
+        assert np.array_equal(sio.read_grid(path).values, values, equal_nan=True)
         values[1, 0, 0] = bad
         write()
-        with pytest.raises(sio.GridFileError, match="finite"):
+        with pytest.raises(sio.GridFileError, match="finite or nan"):
             sio.read_grid(path)
 
     @pytest.mark.parametrize(
-        "roi, n_r, n_d, kinds, why",
+        "roi, n_r, n_d, n_k, why",
         [
-            ((100.0, 200.0, 10.0, 20.0), 2, 2, (PathKind.DP, PathKind.DP), "distinct"),
-            ((100.0, 200.0, 10.0, 20.0), 2, 2, (), "non-empty"),
-            ((200.0, 100.0, 10.0, 20.0), 2, 2, (PathKind.DP,), "range_min < range_max"),
-            ((100.0, 200.0, 20.0, 10.0), 2, 2, (PathKind.DP,), "depth_min < depth_max"),
-            ((100.0, 200.0, 10.0, 20.0), 1, 2, (PathKind.DP,), "2 points"),
-            ((100.0, 200.0, 10.0, 20.0), 2, 1, (PathKind.DP,), "2 points"),
+            ((100.0, 200.0, 10.0, 20.0), 2, 2, 5, "K in 1..4"),
+            ((100.0, 200.0, 10.0, 20.0), 2, 2, 0, "K in 1..4"),
+            ((200.0, 100.0, 10.0, 20.0), 2, 2, 1, "range_min < range_max"),
+            ((100.0, 200.0, 20.0, 10.0), 2, 2, 1, "depth_min < depth_max"),
+            ((100.0, 200.0, 10.0, 20.0), 1, 2, 1, "2 points"),
+            ((100.0, 200.0, 10.0, 20.0), 2, 1, 1, "2 points"),
         ],
-        ids=["duplicate-kinds", "no-kinds", "reversed-range", "reversed-depth", "one-range", "one-depth"],
+        ids=["too-many-kinds", "no-kinds", "reversed-range", "reversed-depth", "one-range", "one-depth"],
     )
-    def test_bad_header_rejected(self, tmp_path, roi, n_r, n_d, kinds, why):
+    def test_bad_header_rejected(self, tmp_path, roi, n_r, n_d, n_k, why):
         path = tmp_path / "grid.bin"
         path.write_bytes(
             sio.GRID_MAGIC
             + struct.pack("<I", sio.GRID_VERSION)
             + struct.pack("<4d", *roi)
-            + struct.pack("<III", n_r, n_d, len(kinds))
-            + bytes(k.value for k in kinds)
-            + np.zeros(n_r * n_d * len(kinds), dtype="<f8").tobytes()
+            + struct.pack("<III", n_r, n_d, n_k)
+            + np.zeros(n_r * n_d * n_k, dtype="<f8").tobytes()
         )
         with pytest.raises(sio.GridFileError, match=why) as err:
             sio.read_grid(path)
@@ -148,7 +170,6 @@ class TestGridFile:
             + struct.pack("<I", sio.GRID_VERSION)
             + struct.pack("<4d", 100.0, 200.0, 10.0, 20.0)
             + struct.pack("<III", n, n, 1)
-            + bytes([PathKind.DP.value])
             + np.zeros(6, dtype="<f8").tobytes()
         )
         assert path.stat().st_size < 120
@@ -182,14 +203,14 @@ class TestGridMemory:
     def grid(self):
         rng = np.random.default_rng(3)
         values = rng.uniform(-40.0, 40.0, (600, 165, 4))
-        values[values > 35.0] = -np.inf
-        return DoaGrid((100.0, 2500.0, 10.0, 175.0), 600, 165, tuple(PathKind), values)
+        values[values > 35.0] = np.nan
+        return DoaGrid((100.0, 2500.0, 10.0, 175.0), values)
 
     def test_write_makes_no_copy(self, tmp_path, grid):
         path = tmp_path / "grid.bin"
         _, peak = traced_peak(lambda: sio.write_grid(path, grid))
         assert peak < 0.01 * grid.values.nbytes + 8192
-        assert np.array_equal(sio.read_grid(path).values, grid.values)
+        assert sio.read_grid(path).values.tobytes() == grid.values.tobytes()
 
     def test_read_holds_one_array(self, tmp_path, grid):
         path = tmp_path / "grid.bin"
