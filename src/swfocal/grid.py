@@ -58,7 +58,7 @@ class DoaGrid:
         if not (r1 - r0 < np.inf and d1 - d0 < np.inf):
             raise ValueError("grid roi must be finite")
         if self.values.ndim != 3 or not 1 <= self.values.shape[2] <= len(PathKind):
-            raise ValueError(f"grid values must have shape (n_r, n_d, K) with K in 1..4, got {self.values.shape}")
+            raise ValueError(f"grid values must have shape (n_r, n_d, K), K in 1..{len(PathKind)}, got {self.values.shape}")
         n_r, n_d, n_k = self.values.shape
         if n_r < 2 or n_d < 2:
             raise ValueError("grid needs at least 2 points per axis")
