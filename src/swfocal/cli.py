@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -102,14 +103,37 @@ CONFIG_KEYS = {
 }
 
 
+def _max_particles(n_paths: int) -> int:
+    """The largest J whose particles and one epoch's arrays fit in physical memory.
+
+    Per particle a tracking epoch holds at least 9 + 7K doubles: the
+    (range, depth, speed) state and its weight, twice across the motion
+    step; the lookup's (4, K) corner block and its K angles; the K
+    detection probabilities; and the association DP's K + 1 counts at
+    M = 0.
+    """
+    phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    return phys // (8 * (9 + 7 * n_paths))
+
+
 def load_config(path) -> RunConfig:
-    """Parse and validate a run configuration file."""
+    """Parse and validate a run configuration file.
+
+    A ``J`` whose particles would not fit in physical memory is refused
+    here, before anything of that size is allocated.
+    """
     doc = sio.read_json(path, ConfigError)
     try:
         doc = sio.json_object(doc, "config", CONFIG_KEYS, required=("grid_file",))
         n_paths = doc.get("K", 4)
         if n_paths not in DEFAULT_MU_FA:
             raise ValueError(f"K must be one of {sorted(DEFAULT_MU_FA)}")
+        n_particles, most = doc.get("J", 10_000), _max_particles(n_paths)
+        if n_particles > most:
+            raise ValueError(
+                f"J = {n_particles} particles need more than this machine's physical memory; "
+                f"at K = {n_paths} at most {most} fit"
+            )
         given = {"sigma_deg": DEFAULT_SIGMA[:n_paths], "mu_fa": DEFAULT_MU_FA[n_paths], **doc.get("model", {})}
         model = ModelParams(n_paths=n_paths, **given)
         motion = MotionParams(**doc.get("motion", {}))
@@ -121,7 +145,7 @@ def load_config(path) -> RunConfig:
             output_dir=doc.get("output_dir", "out"),
             observations_file=doc.get("observations_file"),
             truth_file=doc.get("truth_file"),
-            n_particles=doc.get("J", 10_000),
+            n_particles=n_particles,
             seed=doc.get("seed", 0),
             model=model,
             motion=motion,

@@ -3,12 +3,13 @@
 Everything here is written from the model definitions directly, with
 brute-force enumeration and a dense dynamic program instead of the gated
 one, a row-by-row gate mask instead of the search on sorted
-observations, image-source geometry and a fixed-step ray march instead
-of closed-form layer sums, the row-major range sum instead of the
-node-major one, and a binary-search, one-point bilinear interpolation
-and the minimum of the four corner weights instead of vectorized cell
-arithmetic and the fraction-based edge rule, so the tests never share
-code with the implementations they verify.  The last section holds small
+observations, the gate's width written out from its definition,
+image-source geometry and a fixed-step ray march instead of closed-form
+layer sums, the row-major range sum instead of the node-major one, and a
+binary-search, one-point bilinear interpolation and the minimum of the
+four corner weights instead of vectorized cell arithmetic and the
+fraction-based edge rule, so the tests never share code with the
+implementations they verify.  The last section holds small
 one-value helpers that only the tests use.
 """
 
@@ -100,16 +101,37 @@ def dense_dp_marginal(z, angles, detect, sigma, mu, fa_density=1.0 / 180.0) -> n
     return np.ascontiguousarray(S.sum(axis=0).T) @ weights
 
 
-def gate_mask(z, angles, sigma: float) -> np.ndarray:
-    """The observations within 39 sigma of the span of one path's angles.
+def gate_mask(z, angles, sigma: float, gate: float) -> np.ndarray:
+    """The observations within ``gate`` sigma of the span of one path's angles.
 
     A boolean mask over ``z``, tested row by row: ``nan`` angles are
     ignored, and all ``nan`` selects no row.
     """
     lo = np.fmin.reduce(angles, initial=np.inf)
     hi = np.fmax.reduce(angles, initial=-np.inf)
-    reach = 39.0 * sigma
+    reach = gate * sigma
     return (z >= lo - reach) & (z <= hi + reach)
+
+
+def gate_width(detect, sigma, mu, M, fa_density=1.0 / 180.0) -> float:
+    """The association gate's half-width in sigmas, from its definition.
+
+    ``detect`` is (J, K).  With clutter and every probability in [0, 1),
+    path k's largest probability d_k gives the floor F = prod (1 - d_k)
+    and the detection-factor bound A_k = (d_k / mu) / (sigma_k sqrt(2 pi)
+    f_fa); with R = max(1, A_k) the gate is
+    sqrt(2 (ln K! + K ln((M + 1) R) - ln F + 100 ln 2)), capped at 39.
+    Otherwise it is 39.
+    """
+    detect = np.asarray(detect, dtype=float)
+    K = detect.shape[1]
+    if not (mu > 0.0 and ((detect >= 0.0) & (detect < 1.0)).all()):
+        return 39.0
+    d = [max(detect[:, k], default=0.0) for k in range(K)]
+    floor = math.prod(1.0 - d_k for d_k in d)
+    R = max([1.0] + [d_k / mu / (s * math.sqrt(2.0 * math.pi) * fa_density) for d_k, s in zip(d, sigma)])
+    g2 = 2.0 * (math.log(math.factorial(K)) + K * math.log((M + 1) * R) - math.log(floor) + 100.0 * math.log(2.0))
+    return min(39.0, math.sqrt(g2))
 
 
 class EnumTable:

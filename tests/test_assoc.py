@@ -11,6 +11,7 @@ from swfocal.assoc import (
     ModelParams,
     ObservationSet,
     PathPrediction,
+    _gate_width,
     _live_spans,
     association_prior,
     conditional_pdf,
@@ -25,6 +26,7 @@ from oracles import (
     dense_dp_marginal,
     enum_marginal,
     gate_mask,
+    gate_width,
     unnormalized_factor_r,
     valid_vectors,
 )
@@ -454,14 +456,15 @@ class TestMarginalLikelihood:
             unnormalized_factor_r(z, pred([3.0]), 0, 1, params(1, mu=0.0))
 
 
-def on_gate_edges(z, ang, sigma, seed):
-    """``z`` with up to three observations exactly 39 sigma beyond the span
-    of a path's angles, on either side, the first of them twice (a tie)."""
+def on_gate_edges(z, ang, sigma, seed, gate):
+    """``z`` with up to three observations exactly ``gate`` sigma beyond the
+    span of a path's angles, on either side, the first of them twice (a tie).
+    Which edges are picked depends on ``seed`` and the paths, not on ``gate``."""
     edges = []
     for k in range(ang.shape[1]):
         col = ang[:, k]
         if not np.isnan(col).all():
-            reach = 39.0 * sigma[k]
+            reach = gate * sigma[k]
             edges += [np.nanmin(col) - reach, np.nanmax(col) + reach]
     if not edges:
         return z
@@ -469,12 +472,20 @@ def on_gate_edges(z, ang, sigma, seed):
     return np.sort(np.concatenate([z, picked, picked[:1]]))[::-1]
 
 
+def batch_gate(z, det, p):
+    """The gate ``marginal_likelihood_batch`` uses for (J, K) ``det``, checked
+    against the oracle's."""
+    gate = _gate_width(np.ascontiguousarray(det.T), p, z.size)
+    assert gate == pytest.approx(gate_width(det, p.sigma_deg, p.mu_fa, z.size), rel=1e-12)
+    return gate
+
+
 class TestGate:
     @staticmethod
-    def assert_spans_are_mask_rows(z, ang, sigma):
-        first, stop = _live_spans(z, np.ascontiguousarray(ang.T), sigma)
+    def assert_spans_are_mask_rows(z, ang, sigma, gate):
+        first, stop = _live_spans(z, np.ascontiguousarray(ang.T), sigma, gate)
         for k in range(ang.shape[1]):
-            want = np.flatnonzero(gate_mask(z, ang[:, k], sigma[k]))
+            want = np.flatnonzero(gate_mask(z, ang[:, k], sigma[k], gate))
             assert np.array_equal(np.arange(first[k], stop[k]), want), f"path {k}"
 
     @given(**CASES)
@@ -483,28 +494,118 @@ class TestGate:
     @settings(max_examples=150, deadline=None)
     def test_spans_select_exactly_the_mask_rows(self, K, M, d, mu, seed):
         # observations as drawn, and with some exactly on a gate's edge and
-        # tied; path angles as drawn, and with path 0 impossible at every state
+        # tied; path angles as drawn, and with path 0 impossible at every
+        # state; at the cap of 39 sigma and at the width computed for the call
         p, z, ang, det = random_case(K, M, d, mu, seed)
         all_nan = ang.copy()
         all_nan[:, 0] = np.nan
-        edged = on_gate_edges(z, ang, p.sigma_deg, seed)
-        for obs in (z, edged):
-            for a in (ang, all_nan):
-                self.assert_spans_are_mask_rows(obs, a, p.sigma_deg)
-        # the marginal on the edge observations is the plain DP's, bit for bit
         for a in (ang, all_nan):
             dt = np.where(np.isnan(a), 0.0, d)
-            want = dense_dp_marginal(edged, a, dt, p.sigma_deg, p.mu_fa)
-            assert marginal_likelihood_batch(edged, a, dt, p).tobytes() == want.tobytes()
+            n_edged = on_gate_edges(z, a, p.sigma_deg, seed, 39.0).size
+            for gate in (39.0, batch_gate(z, dt, p), batch_gate(np.zeros(n_edged), dt, p)):
+                edged = on_gate_edges(z, a, p.sigma_deg, seed, gate)
+                for obs in (z, edged):
+                    self.assert_spans_are_mask_rows(obs, a, p.sigma_deg, gate)
+                # the marginal on the edge observations is the plain DP's, bit
+                # for bit: rows at the computed width are live, at 39 exactly 0
+                want = dense_dp_marginal(edged, a, dt, p.sigma_deg, p.mu_fa)
+                assert marginal_likelihood_batch(edged, a, dt, p).tobytes() == want.tobytes()
 
     def test_edge_observations_are_live(self):
-        # exactly 39 sigma beyond either end of the span: live, and exactly 0
+        # exactly the gate's width beyond either end of the span: live, and
+        # exactly 0 at 39 sigma; with clutter the width is the floor's
         sigma = (0.5,)
         ang = np.array([[12.0], [10.0], [np.nan]])
-        z = np.array([12.0 + 19.5, np.nextafter(10.0 - 19.5, -np.inf), 10.0 - 19.5])
-        z = np.sort(np.append(z, np.nextafter(12.0 + 19.5, np.inf)))[::-1]
-        assert _live_spans(z, np.ascontiguousarray(ang.T), sigma) == ([1], [3])
-        self.assert_spans_are_mask_rows(z, ang, sigma)
+        det = np.where(np.isnan(ang), 0.0, 0.9)
+        for mu in (2.0, 0.0):
+            p = params(1, sigma=sigma, mu=mu)
+            gate = batch_gate(np.zeros(4), det, p)
+            assert (gate < 13.0) == (mu > 0.0)
+            z = np.array([12.0 + gate * 0.5, np.nextafter(10.0 - gate * 0.5, -np.inf), 10.0 - gate * 0.5])
+            z = np.sort(np.append(z, np.nextafter(12.0 + gate * 0.5, np.inf)))[::-1]
+            assert _live_spans(z, np.ascontiguousarray(ang.T), sigma, gate) == ([1], [3])
+            self.assert_spans_are_mask_rows(z, ang, sigma, gate)
+            want = dense_dp_marginal(z, ang, det, sigma, mu)
+            assert marginal_likelihood_batch(z, ang, det, p).tobytes() == want.tobytes()
+
+    def test_width_for_the_default_models(self):
+        # 14.0-15.0 sigma at K = 4 and 12.77-13.3 at K = 2 for M = 0..30,
+        # growing with M
+        for K, sigma, mu, lo, hi in [(4, (0.5, 0.5, 2.0, 2.0), 2.0, 14.0, 15.0), (2, (0.5, 0.5), 4.0, 12.7, 13.3)]:
+            p = params(K, sigma=sigma, mu=mu)
+            det = np.full((10, K), 0.9)
+            det[::3, -1] = 0.0
+            widths = [batch_gate(np.zeros(M), det, p) for M in range(31)]
+            assert lo <= widths[0] and widths[-1] <= hi
+            assert widths == sorted(widths)
+
+    @given(
+        K=st.integers(min_value=1, max_value=4),
+        M=st.integers(min_value=0, max_value=30),
+        d=st.sampled_from([0.0, 0.05, 0.5, 0.9, 0.999, 1.0 - 2.0**-53, 1.0, 1.5, -0.1, np.nan]),
+        mu=st.sampled_from([0.0, 1e-300, 0.05, 2.0, 50.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_width_matches_its_definition(self, K, M, d, mu, seed):
+        # one path's probabilities at d, the others drawn in [0, 1); no
+        # floor without clutter or at a probability of 1 or outside [0, 1],
+        # which is found before any division by 0 or log of 0
+        rng = np.random.default_rng(seed)
+        p = params(K, sigma=tuple(rng.uniform(0.3, 3.0, K)), mu=mu)
+        det = rng.uniform(0.0, 0.99, (5, K))
+        det[:, rng.integers(K)] = d
+        with np.errstate(all="raise"):
+            gate = batch_gate(np.zeros(M), det, p)
+        floorless = mu == 0.0 or not 0.0 <= d < 1.0
+        assert gate == 39.0 if floorless else 0.0 < gate <= 39.0
+
+    @given(
+        M=st.integers(min_value=0, max_value=11),
+        d=st.floats(min_value=0.05, max_value=0.999),
+        mu=st.floats(min_value=0.05, max_value=10.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(M=11, d=0.999, mu=0.05, seed=0)
+    @example(M=0, d=0.999, mu=0.05, seed=1)
+    @settings(max_examples=100, deadline=None)
+    def test_rows_beyond_the_width_move_the_marginal_by_under_2_pow_minus_100(self, M, d, mu, seed):
+        # K = 4 paths near the observations, and one more observation just
+        # beyond the gate of the narrowest path at every state: its row is
+        # skipped for that path, which changes every state's marginal by less
+        # than 2**-100 of it against the dense DP over every row
+        rng = np.random.default_rng(seed)
+        sigma = tuple(rng.uniform(0.3, 3.0, 4))
+        p = params(4, sigma=sigma, d=d, mu=mu)
+        ang = np.sort(rng.uniform(-20.0, 20.0, (6, 4)), axis=1)[:, ::-1].copy()
+        det = np.full(ang.shape, d)
+        narrow = int(np.argmin(sigma))
+        near = rng.choice(ang.reshape(-1), M) + rng.normal(0.0, 1.0, M)
+        gate = batch_gate(np.zeros(M + 1), det, p)
+        beyond = np.nextafter(ang[:, narrow].max() + gate * sigma[narrow], np.inf)
+        z = np.sort(np.append(near, beyond))[::-1]
+        first, stop = _live_spans(z, np.ascontiguousarray(ang.T), sigma, gate)
+        assert not first[narrow] <= int(np.flatnonzero(z == beyond)[0]) < stop[narrow]
+        dense = dense_dp_marginal(z, ang, det, sigma, mu)
+        batch = marginal_likelihood_batch(z, ang, det, p)
+        assert (dense > 0.0).all()
+        assert (np.abs(dense - batch) <= 2.0**-100 * dense).all()
+
+    @pytest.mark.parametrize("mu, d1", [(0.0, 0.9), (2.0, 1.0)])
+    def test_no_floor_keeps_rows_up_to_39_sigma(self, mu, d1):
+        # without clutter, or with a path that is always detected, no floor
+        # bounds the marginal: a row 20 sigma from every state stays live
+        # and is all that keeps the marginal above 0
+        p = params(2, d=0.9, mu=mu)
+        ang = np.array([[5.0, -5.0], [5.2, -5.1]])
+        det = np.array([[0.9, d1], [0.9, d1]])
+        z = np.array([5.1, -5.0 - 20.0 * 0.5 - 0.2])
+        assert batch_gate(z, det, p) == 39.0
+        assert _live_spans(z, np.ascontiguousarray(ang.T), p.sigma_deg, 39.0)[1][1] == 2
+        want = dense_dp_marginal(z, ang, det, p.sigma_deg, mu)
+        got = marginal_likelihood_batch(z, ang, det, p)
+        assert got.tobytes() == want.tobytes()
+        assert (got > 0.0).all() and (got < 1e-80).all()
 
     def test_unsorted_observations_rejected(self):
         ang, det = np.array([[3.0]]), np.array([[0.9]])

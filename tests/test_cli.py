@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 
 from swfocal import io as sio
 from swfocal.assoc import ModelParams, ObservationSet
-from swfocal.cli import ConfigError, load_config
+import swfocal.cli
+from swfocal.cli import ConfigError, _max_particles, load_config
 from swfocal.environment import PathKind
 from swfocal.grid import build_doa_grid
 from swfocal.simulator import ScenarioConfig
@@ -197,6 +199,37 @@ class TestLoadConfig:
         p.write_text(doc)
         with pytest.raises(ConfigError, match=f"^{p}"):
             load_config(p)
+
+    @pytest.mark.parametrize("K", [2, 4])
+    def test_particles_beyond_physical_memory_are_refused_before_any_allocation(
+        self, tiny_setup, tmp_path, monkeypatch, capsys, K
+    ):
+        # the bound itself loads; one more particle, or 10**31, is a config
+        # error naming J and the file, raised before the tracker runs and
+        # with nothing of the particles' size allocated
+        _, _, cfg = tiny_setup
+        most = _max_particles(K)
+        assert 10**6 < most < 10**31
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps(dict(cfg, K=K, J=most)))
+        assert load_config(p).n_particles == most
+
+        def no_tracking(*args, **kwargs):
+            raise AssertionError("the tracker ran")
+
+        monkeypatch.setattr(swfocal.cli, "run_tracker", no_tracking)
+        for J in (most + 1, 10**31):
+            p.write_text(json.dumps(dict(cfg, K=K, J=J)))
+            tracemalloc.start()
+            try:
+                with pytest.raises(ConfigError, match=f"^{p}: J = {J} particles need more"):
+                    load_config(p)
+                assert swfocal.cli.main(["track", "--config", str(p)]) == 1
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+            assert capsys.readouterr().err.startswith(f"error: {p}: J = {J}")
 
     def test_grid_file_is_required(self, tmp_path):
         p = tmp_path / "run.json"
@@ -565,6 +598,7 @@ class TestHugeJsonIntegers:
         res = run_cli(*args)
         assert res.returncode == 1
         assert res.stderr.startswith(f"error: {prefix}"), res.stderr
+        assert "Traceback" not in res.stderr
 
 
 class TestDefaultConfigRoundTrip:
