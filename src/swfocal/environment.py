@@ -48,11 +48,14 @@ depth.  So a kind has at most one eigenray, and it exists iff the source
 range is no more than the path range at ``xi_max``.
 
 The solver brackets each eigenray between two rays of a fixed fan, then
-refines it by Illinois false position.  The range function is evaluated
-node-major, as a (nodes, rays) array, so each numpy step runs over the
-many rays rather than the dozen or so nodes of a path.  The Illinois loop
-carries only the unconverged brackets, as compact arrays that are
-compressed when some of them converge.
+refines it by Anderson–Björck false position (Anderson & Björck, BIT 13,
+1973).  The fan's grazing angles grow quadratically, so its rays lie
+densest near grazing, where a small angle covers the long ranges.  The
+range function is evaluated node-major, as a (nodes, rays) array, so each
+numpy step runs over the many rays rather than the dozen or so nodes of a
+path.  The refinement carries only the unconverged brackets, as compact
+arrays updated in place where they move and compressed when some of them
+converge.
 """
 
 from __future__ import annotations
@@ -72,8 +75,9 @@ __all__ = [
 ]
 
 # Grazing angles at the fastest depth of a path that bracket each eigenray
-# before the Illinois steps refine it.
-_FAN = np.linspace(0.0, 0.5 * np.pi, 257)
+# before the Anderson–Björck steps refine it: from 0, as existence is
+# r <= R(0), to pi/2, spaced quadratically so densest near grazing.
+_FAN = 0.5 * np.pi * np.linspace(0.0, 1.0, 257) ** 2
 _MAX_STEPS = 60
 
 
@@ -201,16 +205,18 @@ def _grazing_angle(c, weighted_dz, r):
     (one more than slices), each slice ``weighted_dz`` meters thick times
     its number of legs.  The ray is ``xi = cos(phi) / c_max``; ``phi`` is
     ``nan`` where ``r`` is beyond the flattest ray's range.  Returns
-    ``(phi, c_max)``.
+    ``(phi, c_max)``; raises ``RuntimeError`` where a bracket is still open
+    after ``_MAX_STEPS`` steps.
     """
     c_max = float(c.max())
     num = weighted_dz * (c[:-1] + c[1:])
     base = (c_max - c) * (c_max + c)  # the phi-independent part of _slant
 
-    # Bracket each range between two fan rays, then refine by Illinois
-    # false position on r / R(phi) - 1, which increases with phi and stays
-    # finite where an iso layer at c_max makes R(0) unbounded.  Only the
-    # unconverged brackets are carried, compacted when some converge.
+    # Bracket each range between two fan rays, then refine by
+    # Anderson–Björck false position on r / R(phi) - 1, which increases
+    # with phi and stays finite where an iso layer at c_max makes R(0)
+    # unbounded.  Only the unconverged brackets are carried, compacted when
+    # some converge; x is written as each one leaves.
     fan_r = _path_range(_FAN, c, num, base)
     n_reach = np.searchsorted(-fan_r, -r, side="right")
     ok = n_reach > 0
@@ -222,22 +228,43 @@ def _grazing_angle(c, weighted_dz, r):
     a, fa, ra = x[act], f_lo[act], rr[act]
     b = _FAN[j[act]]
     fb = ra / fan_r[j[act]] - 1.0
-    side = np.zeros(act.size)
+    last_up = None  # where the previous step moved a
     for _ in range(_MAX_STEPS):
         if not act.size:
             break
         xm = (a * fb - b * fa) / (fb - fa)
+        # where f is steep at one end, as near pi/2, the step can round onto
+        # the other end: bisect there, and stop once a bracket cannot split
+        out = (xm <= a) | (xm >= b)
+        if out.any():
+            np.copyto(xm, 0.5 * (a + b), where=out)
+            out = (xm <= a) | (xm >= b)
         fm = ra / _path_range(xm, c, num, base) - 1.0
-        x[act] = xm
-        keep = (np.abs(fm) > 1e-13) & (xm > a) & (xm < b)
+        done = (np.abs(fm) <= 1e-13) | out
         up = fm < 0.0
-        # Illinois: halve the value at an end kept twice in a row
-        a, b = np.where(up, xm, a), np.where(up, b, xm)
-        fa = np.where(up, fm, np.where(side > 0, 0.5 * fa, fa))
-        fb = np.where(up, np.where(side < 0, 0.5 * fb, fb), fm)
-        side = np.where(up, -1.0, 1.0)
-        if not keep.all():
-            act, a, b, fa, fb, ra, side = (v[keep] for v in (act, a, b, fa, fb, ra, side))
+        # Anderson–Björck: scale the value at an end kept twice in a row by
+        # 1 - fm / (the moving end's value), or by 1/2 where that is not positive
+        if last_up is not None:
+            twice = np.flatnonzero(up == last_up)
+            if twice.size:
+                t_up = up[twice]
+                keep_b, keep_a = twice[t_up], twice[~t_up]
+                scale = 1.0 - fm[twice] / np.where(t_up, fa[twice], fb[twice])
+                scale[scale <= 0.0] = 0.5
+                fb[keep_b] *= scale[t_up]
+                fa[keep_a] *= scale[~t_up]
+        np.copyto(a, xm, where=up)
+        np.copyto(fa, fm, where=up)
+        down = ~up
+        np.copyto(b, xm, where=down)
+        np.copyto(fb, fm, where=down)
+        if done.any():
+            x[act[done]] = xm[done]
+            live = ~done
+            act, a, b, fa, fb, ra, up = (v[live] for v in (act, a, b, fa, fb, ra, up))
+        last_up = up
+    if act.size:
+        raise RuntimeError(f"{act.size} of {r.size} eigenray brackets still open after {_MAX_STEPS} steps")
     phi = np.full(r.shape, np.nan)
     phi[ok] = x
     return phi, c_max

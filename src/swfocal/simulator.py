@@ -127,7 +127,10 @@ def generate_observations(
     probability and then observed at its modeled angle plus Gaussian
     noise; a Poisson number of false alarms lands uniformly on
     [-90, 90); everything is clipped to [-90, 90) and sorted descending.
+    The grid's layers must be the model's ``params.n_paths`` paths.
     """
+    if len(grid.kinds) != params.n_paths:
+        raise ValueError(f"the grid has {len(grid.kinds)} paths, the model {params.n_paths}")
     rng = np.random.default_rng(seed)
     angles = interpolate_doa_many(grid, truth.states[:, :2])
     upper = np.nextafter(90.0, -90.0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from swfocal import environment
 from swfocal.environment import (
     _FAN,
     PathKind,
@@ -192,6 +193,15 @@ class TestEigenrays:
             np.testing.assert_allclose(one, many, rtol=0.0, atol=1e-12, err_msg=f"at {depth} m")
         assert 0 < impossible < many.size * len(depths)
 
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 5.0, 10.0])
+    def test_steep_rays_at_short_range_match_image_sources(self, iso_wg, r):
+        # these brackets end at the vertical fan ray, where R(phi) -> 0 makes
+        # f so steep that a false-position step rounds onto the other end
+        rays = find_eigenrays(iso_wg, (r, 60.0))
+        expect = image_source_angles(216.5, 150.0, r, 60.0)
+        for kind in PathKind:
+            assert rays[kind].arrival_angle_deg == pytest.approx(expect[kind], abs=1e-9)
+
     def test_invalid_source_positions_rejected(self, iso_wg):
         with pytest.raises(ValueError):
             find_eigenrays(iso_wg, (0.0, 60.0))
@@ -236,3 +246,53 @@ class TestRangeFunction:
         got = _path_range(phi, c, num, base)
         assert np.array_equal(np.isinf(got), phi == 0.0)
         assert got.tobytes() == row_major_path_range(phi, c, num, base).tobytes()
+
+
+# the profiles the solver's roots are checked on, besides the bundled coastal one
+PROFILES = {
+    "iso": ((0.0, 1500.0), (216.5, 1500.0)),
+    "strong gradient": ((0.0, 1540.0), (216.5, 1453.4)),
+    "iso layer at the top speed": ((0.0, 1500.0), (30.0, 1510.0), (60.0, 1510.0), (216.5, 1490.0)),
+    "upward-refracting": ((0.0, 1480.0), (216.5, 1520.0)),
+}
+
+
+class TestGrazingAngle:
+    """The solver's roots, checked by what they solve rather than by their bits."""
+
+    DEPTHS = (0.0, 10.0, 37.5, 75.0, 150.0, 160.0, 200.0, 216.5)
+    RANGES = np.geomspace(1.0, 2e4, 2400)
+
+    def test_fan_rises_strictly_from_grazing_to_vertical(self):
+        assert _FAN[0] == 0.0 and _FAN[-1] == 0.5 * np.pi
+        assert np.all(np.diff(_FAN) > 0.0)
+
+    @pytest.mark.parametrize("profile", ["coastal", *PROFILES])
+    def test_every_root_meets_the_stopping_rule_and_nan_marks_no_ray(self, profile, coastal_wg, monkeypatch):
+        wg = coastal_wg if profile == "coastal" else make_wg(PROFILES[profile])
+        solves = []
+        solve = environment._grazing_angle
+
+        def spy(c, weighted_dz, r):
+            phi, c_max = solve(c, weighted_dz, r)
+            solves.append((c, weighted_dz, r, phi))
+            return phi, c_max
+
+        monkeypatch.setattr(environment, "_grazing_angle", spy)
+        for depth in self.DEPTHS:
+            eigenray_angles(wg, depth, self.RANGES)
+        assert len(solves) >= 3 * len(self.DEPTHS)
+        found = 0
+        for c, weighted_dz, r, phi in solves:
+            num, base = TestRangeFunction.terms(c, weighted_dz)
+            assert np.array_equal(np.isnan(phi), r > row_major_path_range(0.0, c, num, base))
+            ray = ~np.isnan(phi)
+            residual = np.abs(r[ray] / row_major_path_range(phi[ray], c, num, base) - 1.0)
+            assert residual.max(initial=0.0) <= 1e-13 + 4 * np.finfo(float).eps
+            found += ray.sum()
+        assert found > 0
+
+    def test_brackets_still_open_after_the_last_step_raise(self, coastal_wg, monkeypatch):
+        monkeypatch.setattr(environment, "_MAX_STEPS", 1)
+        with pytest.raises(RuntimeError, match=r"^[1-9]\d* of 2400 eigenray brackets still open after 1 steps$"):
+            eigenray_angles(coastal_wg, 60.0, np.linspace(100.0, 2500.0, 2400))

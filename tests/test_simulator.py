@@ -146,3 +146,11 @@ class TestObservations:
         a = generate_observations(truth, refr_grid, params, seed=9)
         b = generate_observations(truth, refr_grid, params, seed=9)
         assert all(np.array_equal(x.z, y.z) for x, y in zip(a, b))
+
+    @pytest.mark.parametrize("grid_paths, model_paths", [(4, 2), (2, 4)])
+    def test_path_count_must_match_the_model(self, refr_grid, grid_paths, model_paths):
+        grid = refr_grid.select_kinds(refr_grid.kinds[:grid_paths])
+        truth = generate_truth(scenario(duration_s=20.0))
+        params = ModelParams(n_paths=model_paths, sigma_deg=(0.5,) * model_paths)
+        with pytest.raises(ValueError, match=f"grid has {grid_paths} paths, the model {model_paths}"):
+            generate_observations(truth, grid, params, seed=0)
