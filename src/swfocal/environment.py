@@ -47,14 +47,20 @@ largest speed at the depths the path crosses, where the ray grazes that
 depth.  So a kind has at most one eigenray, and it exists iff the source
 range is no more than the path range at ``xi_max``.
 
-The solver brackets each eigenray between two rays of a fixed fan, then
-refines it by Anderson–Björck false position (Anderson & Björck, BIT 13,
-1973).  The fan's grazing angles grow quadratically, so its rays lie
-densest near grazing, where a small angle covers the long ranges.  The
-range function is evaluated node-major, as a (nodes, rays) array, so each
-numpy step runs over the many rays rather than the dozen or so nodes of a
-path.  The refinement carries only the unconverged brackets, as compact
-arrays updated in place where they move and compressed when some of them
+The solver brackets each eigenray between two rays of a fixed fan of 513
+grazing angles, which grow quadratically, so its rays lie densest near
+grazing, where a small angle covers the long ranges.  The first trial ray
+is the degree-7 inverse interpolant of the angle in log range through the
+eight fan rays around the bracket.  The range function is smooth, so at
+grid ranges, 100 m and beyond, almost every eigenray meets the stopping
+rule there, after one range evaluation.  Anderson–Björck false position
+(Anderson & Björck, BIT 13, 1973) refines the rest.  It starts from the
+secant point where the interpolant is not finite or falls outside the
+bracket, as next to an unbounded ``R(0)``.  The range function is
+evaluated node-major, as a (nodes, rays) array, so each numpy step runs
+over the many rays rather than the dozen or so nodes of a path.  The
+refinement carries only the unconverged brackets, as compact arrays
+updated in place where they move and compressed when some of them
 converge.
 """
 
@@ -75,9 +81,10 @@ __all__ = [
 ]
 
 # Grazing angles at the fastest depth of a path that bracket each eigenray
-# before the Anderson–Björck steps refine it: from 0, as existence is
-# r <= R(0), to pi/2, spaced quadratically so densest near grazing.
-_FAN = 0.5 * np.pi * np.linspace(0.0, 1.0, 257) ** 2
+# and start its refinement: from 0, as existence is r <= R(0), to pi/2,
+# spaced quadratically so densest near grazing.
+_FAN = 0.5 * np.pi * np.linspace(0.0, 1.0, 513) ** 2
+_WINDOW = 8  # fan rays per inverse interpolant, which is of degree 7
 _MAX_STEPS = 60
 
 
@@ -198,6 +205,32 @@ def _path_range(phi, c, num, base) -> np.ndarray:
     return np.cos(phi) * runs.sum(axis=0)
 
 
+def _fan_start(fan_r, j, r):
+    """Inverse interpolant of ``phi`` in log range at each range ``r``.
+
+    It runs through the ``_WINDOW`` fan rays around the bracket
+    ``(j - 1, j)``, or the first or last ``_WINDOW`` at the ends of the fan.
+    The Newton divided differences of every window come from one table over
+    the fan, and one Horner pass evaluates them.  Where a window holds the
+    unbounded ``R(0)`` of an iso layer at ``c_max``, the value is ``nan`` or
+    infinite; the caller keeps the secant point wherever the value is not
+    strictly inside the bracket.
+    """
+    with np.errstate(all="ignore"):
+        u = np.log(fan_r)
+        dd = [_FAN]  # dd[k][i]: phi[u_i, ..., u_i+k]
+        for k in range(1, _WINDOW):
+            dd.append((dd[-1][1:] - dd[-1][:-1]) / (u[k:] - u[:-k]))
+        half = _WINDOW // 2  # window starts, clipped to [0, _FAN.size - _WINDOW]
+        w = np.maximum(np.minimum(j, _FAN.size - half) - half, 0)
+        x = np.log(r)
+        p = dd[-1].take(w)
+        for k in range(_WINDOW - 2, -1, -1):
+            p *= x - u[k:].take(w)
+            p += dd[k].take(w)
+    return p
+
+
 def _grazing_angle(c, weighted_dz, r):
     """Angle ``phi`` at the fastest depth of the eigenray reaching each range.
 
@@ -215,8 +248,10 @@ def _grazing_angle(c, weighted_dz, r):
     # Bracket each range between two fan rays, then refine by
     # Anderson–Björck false position on r / R(phi) - 1, which increases
     # with phi and stays finite where an iso layer at c_max makes R(0)
-    # unbounded.  Only the unconverged brackets are carried, compacted when
-    # some converge; x is written as each one leaves.
+    # unbounded.  The first step is the fan's inverse interpolant where it
+    # lies inside the bracket, and the secant point elsewhere.  Only the
+    # unconverged brackets are carried, compacted when some converge; x is
+    # written as each one leaves.
     fan_r = _path_range(_FAN, c, num, base)
     n_reach = np.searchsorted(-fan_r, -r, side="right")
     ok = n_reach > 0
@@ -228,11 +263,14 @@ def _grazing_angle(c, weighted_dz, r):
     a, fa, ra = x[act], f_lo[act], rr[act]
     b = _FAN[j[act]]
     fb = ra / fan_r[j[act]] - 1.0
+    start = _fan_start(fan_r, j[act], ra)
     last_up = None  # where the previous step moved a
     for _ in range(_MAX_STEPS):
         if not act.size:
             break
         xm = (a * fb - b * fa) / (fb - fa)
+        if last_up is None:  # the first step
+            np.copyto(xm, start, where=(start > a) & (start < b))
         # where f is steep at one end, as near pi/2, the step can round onto
         # the other end: bisect there, and stop once a bracket cannot split
         out = (xm <= a) | (xm >= b)

@@ -293,6 +293,61 @@ class TestGrazingAngle:
         assert found > 0
 
     def test_brackets_still_open_after_the_last_step_raise(self, coastal_wg, monkeypatch):
+        # the interpolated start settles a row of grid ranges in one step, but
+        # not the steep rays at a few meters, where the fan's log ranges lie
+        # far apart
         monkeypatch.setattr(environment, "_MAX_STEPS", 1)
         with pytest.raises(RuntimeError, match=r"^[1-9]\d* of 2400 eigenray brackets still open after 1 steps$"):
-            eigenray_angles(coastal_wg, 60.0, np.linspace(100.0, 2500.0, 2400))
+            eigenray_angles(coastal_wg, 60.0, self.RANGES)
+
+    def test_a_coastal_eigenray_costs_about_one_range_evaluation(self, coastal_wg, monkeypatch):
+        # the rays evaluated after the fan, against the roots they found
+        count = {"refine": 0, "roots": 0}
+        path_range, solve = environment._path_range, environment._grazing_angle
+
+        def counted_range(phi, *args):
+            if phi is not _FAN:
+                count["refine"] += phi.size
+            return path_range(phi, *args)
+
+        def counted_solve(c, weighted_dz, r):
+            phi, c_max = solve(c, weighted_dz, r)
+            count["roots"] += np.count_nonzero(~np.isnan(phi))
+            return phi, c_max
+
+        monkeypatch.setattr(environment, "_path_range", counted_range)
+        monkeypatch.setattr(environment, "_grazing_angle", counted_solve)
+        for depth in (10.0, 37.5, 75.0, 120.0, 160.0, 175.0):
+            eigenray_angles(coastal_wg, depth, np.linspace(100.0, 2500.0, 2400))
+        assert count["roots"] > 0
+        assert count["refine"] <= 1.01 * count["roots"]
+
+    def test_the_secant_start_converges_where_the_interpolant_is_not_finite(self, monkeypatch):
+        # with an iso layer at c_max, R(0) is unbounded and the first fan
+        # window's interpolant is not finite, so those brackets start at the
+        # secant point; the long ranges reach into that window
+        wg = make_wg(PROFILES["iso layer at the top speed"])
+        not_finite, solves = [], []
+        fan_start, solve = environment._fan_start, environment._grazing_angle
+
+        def spy_start(fan_r, j, r):
+            start = fan_start(fan_r, j, r)
+            not_finite.append(np.count_nonzero(~np.isfinite(start)))
+            return start
+
+        def spy_solve(c, weighted_dz, r):
+            phi, c_max = solve(c, weighted_dz, r)
+            solves.append((c, weighted_dz, r, phi))
+            return phi, c_max
+
+        monkeypatch.setattr(environment, "_fan_start", spy_start)
+        monkeypatch.setattr(environment, "_grazing_angle", spy_solve)
+        for depth in (10.0, 45.0, 100.0, 200.0):
+            eigenray_angles(wg, depth, np.geomspace(1e2, 1e8, 2400))
+        assert sum(not_finite) > 0
+        for c, weighted_dz, r, phi in solves:
+            num, base = TestRangeFunction.terms(c, weighted_dz)
+            assert np.array_equal(np.isnan(phi), r > row_major_path_range(0.0, c, num, base))
+            ray = ~np.isnan(phi)
+            residual = np.abs(r[ray] / row_major_path_range(phi[ray], c, num, base) - 1.0)
+            assert residual.max(initial=0.0) <= 1e-13 + 4 * np.finfo(float).eps

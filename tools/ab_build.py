@@ -12,6 +12,11 @@ with ``build_doa_grid`` on both sides, alternating which side goes first.
 
 Per side it prints the median build time, and the range-function rays and
 calls of one more build, counted by wrapping ``environment._path_range``.
+From the same build it prints the evaluations per eigenray (the rays
+outside the bracketing fan over the finite roots) and a histogram of the
+refinement steps per solve, counted by also wrapping
+``environment._grazing_angle``: a solve's steps are its range-function
+calls after the first, which evaluates the fan.
 It then compares the two sides' grids: the largest |difference| of their
 values and whether their ``nan`` patterns are equal.  Last, each side runs
 the README pipeline on its own: the 876x56 README grid, then
@@ -34,6 +39,7 @@ import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+from collections import Counter  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -55,21 +61,36 @@ def build(side, wg, roi, shape):
 
 
 def counted_build(side, wg, roi, shape):
-    """One build with ``environment._path_range`` wrapped: (grid, rays, calls)."""
-    env = side.environment
-    original, count = env._path_range, {"rays": 0, "calls": 0}
+    """One build with the range function and the solve wrapped: (grid, counts).
 
-    def wrapper(phi, *args):
+    ``counts`` holds the range-function ``rays`` and ``calls``, the
+    ``refine_rays`` after each solve's first (fan) call, the finite
+    ``roots`` and ``steps``, a {steps: solves} histogram.
+    """
+    env = side.environment
+    path_range, solve = env._path_range, env._grazing_angle
+    count = {"rays": 0, "calls": 0, "refine_rays": 0, "roots": 0, "steps": Counter()}
+
+    def counted_range(phi, *args):
         count["rays"] += phi.size
         count["calls"] += 1
-        return original(phi, *args)
+        return path_range(phi, *args)
 
-    env._path_range = wrapper
+    def counted_solve(c, weighted_dz, r):
+        calls, rays = count["calls"], count["rays"]
+        phi, c_max = solve(c, weighted_dz, r)
+        count["steps"][count["calls"] - calls - 1] += 1
+        count["refine_rays"] += count["rays"] - rays - len(env._FAN)
+        count["roots"] += int(np.count_nonzero(~np.isnan(phi)))
+        return phi, c_max
+
+    env._path_range, env._grazing_angle = counted_range, counted_solve
     try:
         grid = side.grid.build_doa_grid(wg, roi, *shape)
     finally:
-        env._path_range = original
-    return grid, count["rays"], count["calls"]
+        env._path_range, env._grazing_angle = path_range, solve
+    count["steps"] = dict(sorted(count["steps"].items()))
+    return grid, count
 
 
 def readme_estimates(side, seed: int) -> np.ndarray:
@@ -105,8 +126,8 @@ def main(argv=None) -> int:
 
     grids, counts = {}, {}
     for name, side in sides.items():
-        grid, rays, calls = counted_build(side, wgs[name], FULL_ROI, FULL_SHAPE)
-        grids[name], counts[name] = grid.values, {"rays": rays, "calls": calls}
+        grid, counts[name] = counted_build(side, wgs[name], FULL_ROI, FULL_SHAPE)
+        grids[name] = grid.values
     nan_equal = bool(np.array_equal(np.isnan(grids["base"]), np.isnan(grids["change"])))
     grid_max = float(np.nanmax(np.abs(grids["base"] - grids["change"])))
 
@@ -115,9 +136,13 @@ def main(argv=None) -> int:
     print(f"{'':<22}{'base':>12}{'change':>12}{'ratio':>8}")
     rows = [("median build s", *(statistics.median(seconds[n]) for n in ("base", "change")))]
     rows += [(f"range-function {k}", counts["base"][k], counts["change"][k]) for k in ("rays", "calls")]
+    rows += [("evaluations/eigenray", *(counts[n]["refine_rays"] / counts[n]["roots"] for n in ("base", "change")))]
     for k, b, c in rows:
         fmt = "12.3f" if isinstance(b, float) else "12d"
         print(f"{k:<22}{b:{fmt}}{c:{fmt}}{c / b:8.3f}")
+    for name in ("base", "change"):
+        hist = ", ".join(f"{n} steps: {solves}" for n, solves in counts[name]["steps"].items())
+        print(f"{name} solves by refinement steps: {hist}")
     print(f"wins: {wins} of {args.rounds} builds were faster with the change")
     print(f"grid values: max |diff| {grid_max:.3g} deg, nan patterns {'equal' if nan_equal else 'DIFFER'}")
     failed = not (nan_equal and grid_max <= GRID_TOL_DEG)
