@@ -103,6 +103,11 @@ CONFIG_KEYS = {
 }
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _max_particles(n_paths: int) -> int:
     """The largest J whose particles and one epoch's arrays fit in physical memory.
 
@@ -112,8 +117,7 @@ def _max_particles(n_paths: int) -> int:
     detection probabilities; and the association DP's K + 1 counts at
     M = 0.
     """
-    phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    return phys // (8 * (9 + 7 * n_paths))
+    return _physical_memory() // (8 * (9 + 7 * n_paths))
 
 
 def load_config(path) -> RunConfig:
@@ -157,6 +161,12 @@ def load_config(path) -> RunConfig:
 
 
 def cmd_build_grid(args) -> int:
+    # the values alone must fit in physical memory: refused before anything is read or allocated
+    need = 8 * len(PathKind) * args.nr * args.nd
+    if need > _physical_memory():
+        raise ValueError(
+            f"a {args.nr} x {args.nd} grid needs {need} bytes of values, more than this machine's physical memory"
+        )
     wg = sio.read_environment(args.env)
     grid = build_doa_grid(wg, tuple(args.roi), args.nr, args.nd)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)

@@ -12,7 +12,7 @@ import pytest
 from swfocal import io as sio
 from swfocal.assoc import ModelParams, ObservationSet
 import swfocal.cli
-from swfocal.cli import ConfigError, _max_particles, load_config
+from swfocal.cli import ConfigError, _max_particles, _physical_memory, load_config
 from swfocal.environment import PathKind
 from swfocal.grid import build_doa_grid
 from swfocal.simulator import ScenarioConfig
@@ -257,6 +257,37 @@ class TestBuildGrid:
         )
         assert res.returncode == 0, res.stderr
         assert sio.read_grid(tmp_path / "out" / "grid.bin").values.shape == (5, 5, 4)
+
+    def test_a_grid_beyond_physical_memory_is_refused_before_any_allocation(self, tmp_path, monkeypatch, capsys):
+        # one grid point more than the values' bound, or 10**12 ranges, is one
+        # error line and exit 1, before any row is solved and with nothing of
+        # the grid's size allocated
+        n_d = 165
+        n_r = _physical_memory() // (8 * len(PathKind) * n_d) + 1
+        out = tmp_path / "g.bin"
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(swfocal.cli, "build_doa_grid", no_build)
+        for nr in (n_r, 10**12):
+            argv = ["build-grid", "--env", str(ENV_FILE), "--out", str(out), "--nr", str(nr), "--nd", str(n_d)]
+            tracemalloc.start()
+            try:
+                assert swfocal.cli.main(argv) == 1
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+            assert capsys.readouterr().err == (
+                f"error: a {nr} x {n_d} grid needs {32 * nr * n_d} bytes of values, "
+                "more than this machine's physical memory\n"
+            )
+        res = run_cli("build-grid", "--env", ENV_FILE, "--out", out, "--nr", 10**12, "--nd", n_d)
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert not out.exists()
 
     def test_single_point_axis_is_usage_error(self, tmp_path):
         res = run_cli(

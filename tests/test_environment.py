@@ -6,6 +6,7 @@ import pytest
 from swfocal import environment
 from swfocal.environment import (
     _FAN,
+    _FAN_SIN,
     PathKind,
     SoundSpeedProfile,
     Waveguide,
@@ -233,7 +234,7 @@ class TestRangeFunction:
         weighted_dz = rng.uniform(0.1, 30.0, n_slices) * rng.integers(1, 3, n_slices)
         num, base = self.terms(c, weighted_dz)
         phi = self.angles(rng)
-        got, want = _path_range(phi, c, num, base), row_major_path_range(phi, c, num, base)
+        got, want = _path_range(np.sin(phi), np.cos(phi), c, num, base), row_major_path_range(phi, c, num, base)
         assert np.array_equal(np.isinf(got), np.isinf(want))
         finite = np.isfinite(want)
         np.testing.assert_allclose(got[finite], want[finite], rtol=1e-14, atol=0.0)
@@ -243,7 +244,7 @@ class TestRangeFunction:
         c = np.array([1500.0, 1505.0, 1510.0, 1510.0, 1495.0, 1490.0])
         num, base = self.terms(c, np.array([10.0, 20.0, 15.0, 30.0, 12.0]))
         phi = self.angles(rng)
-        got = _path_range(phi, c, num, base)
+        got = _path_range(np.sin(phi), np.cos(phi), c, num, base)
         assert np.array_equal(np.isinf(got), phi == 0.0)
         assert got.tobytes() == row_major_path_range(phi, c, num, base).tobytes()
 
@@ -273,10 +274,10 @@ class TestGrazingAngle:
         solves = []
         solve = environment._grazing_angle
 
-        def spy(c, weighted_dz, r):
-            phi, c_max = solve(c, weighted_dz, r)
+        def spy(c, weighted_dz, r, *hoisted):
+            phi, c_max, *trig = solve(c, weighted_dz, r, *hoisted)
             solves.append((c, weighted_dz, r, phi))
-            return phi, c_max
+            return phi, c_max, *trig
 
         monkeypatch.setattr(environment, "_grazing_angle", spy)
         for depth in self.DEPTHS:
@@ -292,6 +293,41 @@ class TestGrazingAngle:
             found += ray.sum()
         assert found > 0
 
+    @pytest.mark.parametrize("profile", ["coastal", *PROFILES])
+    def test_a_range_solves_alike_whatever_ranges_are_solved_with_it(self, profile, coastal_wg):
+        # the brackets that settle at the first evaluation and those refined
+        # after it must take the same bits in any company and order; chunks
+        # hold at least 2 ranges, as a one-range solve sums its slice runs in
+        # another order (test_one_range_solve_agrees_with_a_many_range_solve)
+        wg = coastal_wg if profile == "coastal" else make_wg(PROFILES[profile])
+        rng = np.random.default_rng(2024)
+        for ranges in (self.RANGES, np.linspace(100.0, 2500.0, 2400)):
+            cuts = np.cumsum(rng.integers(2, 200, ranges.size))
+            chunks = np.split(ranges, cuts[cuts <= ranges.size - 2])
+            shuffle = rng.permutation(ranges.size)
+            for depth in (*self.DEPTHS, wg.receiver_depth):
+                whole = eigenray_angles(wg, depth, ranges)
+                split = np.hstack([eigenray_angles(wg, depth, chunk) for chunk in chunks])
+                assert whole.tobytes() == split.tobytes(), f"at {depth} m"
+                shuffled = eigenray_angles(wg, depth, ranges[shuffle])
+                assert whole[:, shuffle].tobytes() == shuffled.tobytes(), f"at {depth} m, shuffled"
+
+    def test_the_sine_and_cosine_returned_are_those_of_the_root(self, coastal_wg, monkeypatch):
+        solves = []
+        solve = environment._grazing_angle
+
+        def spy(c, weighted_dz, r, *hoisted):
+            phi, c_max, sin_phi, cos_phi = solve(c, weighted_dz, r, *hoisted)
+            solves.append((phi, sin_phi, cos_phi))
+            return phi, c_max, sin_phi, cos_phi
+
+        monkeypatch.setattr(environment, "_grazing_angle", spy)
+        for depth in self.DEPTHS:
+            eigenray_angles(coastal_wg, depth, self.RANGES)
+        for phi, sin_phi, cos_phi in solves:
+            assert sin_phi.tobytes() == np.sin(phi).tobytes()
+            assert cos_phi.tobytes() == np.cos(phi).tobytes()
+
     def test_brackets_still_open_after_the_last_step_raise(self, coastal_wg, monkeypatch):
         # the interpolated start settles a row of grid ranges in one step, but
         # not the steep rays at a few meters, where the fan's log ranges lie
@@ -305,15 +341,15 @@ class TestGrazingAngle:
         count = {"refine": 0, "roots": 0}
         path_range, solve = environment._path_range, environment._grazing_angle
 
-        def counted_range(phi, *args):
-            if phi is not _FAN:
-                count["refine"] += phi.size
-            return path_range(phi, *args)
+        def counted_range(sin_phi, *args):
+            if sin_phi is not _FAN_SIN:
+                count["refine"] += sin_phi.size
+            return path_range(sin_phi, *args)
 
-        def counted_solve(c, weighted_dz, r):
-            phi, c_max = solve(c, weighted_dz, r)
+        def counted_solve(c, weighted_dz, r, *hoisted):
+            phi, c_max, *trig = solve(c, weighted_dz, r, *hoisted)
             count["roots"] += np.count_nonzero(~np.isnan(phi))
-            return phi, c_max
+            return phi, c_max, *trig
 
         monkeypatch.setattr(environment, "_path_range", counted_range)
         monkeypatch.setattr(environment, "_grazing_angle", counted_solve)
@@ -330,15 +366,15 @@ class TestGrazingAngle:
         not_finite, solves = [], []
         fan_start, solve = environment._fan_start, environment._grazing_angle
 
-        def spy_start(fan_r, j, r):
-            start = fan_start(fan_r, j, r)
+        def spy_start(fan_r, j, log_r):
+            start = fan_start(fan_r, j, log_r)
             not_finite.append(np.count_nonzero(~np.isfinite(start)))
             return start
 
-        def spy_solve(c, weighted_dz, r):
-            phi, c_max = solve(c, weighted_dz, r)
+        def spy_solve(c, weighted_dz, r, *hoisted):
+            phi, c_max, *trig = solve(c, weighted_dz, r, *hoisted)
             solves.append((c, weighted_dz, r, phi))
-            return phi, c_max
+            return phi, c_max, *trig
 
         monkeypatch.setattr(environment, "_fan_start", spy_start)
         monkeypatch.setattr(environment, "_grazing_angle", spy_solve)

@@ -8,15 +8,29 @@ Usage, from the root of a source checkout:
 Both copies of swfocal are imported into this one process, as in
 ``tools/ab_epoch.py`` (its ``extract_src`` and ``import_side``).  Each
 round builds the coastal 2400x165 grid of ``perfbench``'s ``grid_full``
-with ``build_doa_grid`` on both sides, alternating which side goes first.
+with ``build_doa_grid`` on both sides, alternating which side goes first,
+then builds it once more per side with the solver instrumented.
 
-Per side it prints the median build time, and the range-function rays and
-calls of one more build, counted by wrapping ``environment._path_range``.
-From the same build it prints the evaluations per eigenray (the rays
-outside the bracketing fan over the finite roots) and a histogram of the
-refinement steps per solve, counted by also wrapping
-``environment._grazing_angle``: a solve's steps are its range-function
-calls after the first, which evaluates the fan.
+Per side it prints the median build time of the plain builds.  The
+instrumented builds wrap ``environment._grazing_angle``, the range function
+``environment._path_range`` and the bracket start ``environment._fan_start``.
+They count the range-function rays and calls, the evaluations per eigenray
+(the rays outside the bracketing fan over the finite roots) and a histogram
+of the refinement steps per solve (its range-function calls after the
+first, which evaluates the fan).  They also time the solve's stages, as
+median ms per build:
+
+* fan: the range function on the fan;
+* first evaluation: from the return of ``_fan_start`` to the end of the
+  second range-function call, which evaluates every bracket once (trial
+  angle, its sine and cosine, range function);
+* leftovers: in solves with a third range-function call, from the end of
+  the second to the solve's return, with the brackets that entered this
+  refinement and the bracket evaluations it took;
+* rest: the instrumented build less those three: bracketing, the start,
+  the arrival-angle conversion, the bookkeeping of solves without
+  leftovers, the grid's depth loop and the wrappers' own cost.
+
 It then compares the two sides' grids: the largest |difference| of their
 values and whether their ``nan`` patterns are equal.  Last, each side runs
 the README pipeline on its own: the 876x56 README grid, then
@@ -60,37 +74,70 @@ def build(side, wg, roi, shape):
     return grid, time.perf_counter() - t0
 
 
-def counted_build(side, wg, roi, shape):
-    """One build with the range function and the solve wrapped: (grid, counts).
+STAGES = ("fan", "first evaluation", "leftovers", "rest")
+
+
+def instrumented_build(side, wg, roi, shape):
+    """One build with the solve wrapped: (grid, counts, {stage: seconds}).
 
     ``counts`` holds the range-function ``rays`` and ``calls``, the
     ``refine_rays`` after each solve's first (fan) call, the finite
-    ``roots`` and ``steps``, a {steps: solves} histogram.
+    ``roots``, ``steps``, a {steps: solves} histogram, and the
+    ``leftover_brackets`` and ``leftover_evaluations`` (rays from each
+    solve's third range-function call on).
     """
     env = side.environment
-    path_range, solve = env._path_range, env._grazing_angle
-    count = {"rays": 0, "calls": 0, "refine_rays": 0, "roots": 0, "steps": Counter()}
+    path_range, solve, fan_start = env._path_range, env._grazing_angle, env._fan_start
+    clock = time.perf_counter
+    count = {"rays": 0, "calls": 0, "refine_rays": 0, "roots": 0, "steps": Counter(),
+             "leftover_brackets": 0, "leftover_evaluations": 0}
+    seconds = dict.fromkeys(STAGES, 0.0)
+    solve_state = {"calls": 0, "mark": 0.0, "first_end": 0.0}
 
-    def counted_range(phi, *args):
-        count["rays"] += phi.size
+    def timed_range(x, *args):
+        t0 = clock()
+        out = path_range(x, *args)
+        t1 = clock()
+        k = solve_state["calls"]
+        solve_state["calls"] += 1
+        count["rays"] += x.size
         count["calls"] += 1
-        return path_range(phi, *args)
+        if k == 0:
+            seconds["fan"] += t1 - t0
+        else:
+            count["refine_rays"] += x.size
+        if k == 1:
+            seconds["first evaluation"] += t1 - solve_state["mark"]
+            solve_state["first_end"] = t1
+        if k == 2:
+            count["leftover_brackets"] += x.size
+        if k >= 2:
+            count["leftover_evaluations"] += x.size
+        solve_state["mark"] = t1
+        return out
 
-    def counted_solve(c, weighted_dz, r):
-        calls, rays = count["calls"], count["rays"]
-        phi, c_max = solve(c, weighted_dz, r)
-        count["steps"][count["calls"] - calls - 1] += 1
-        count["refine_rays"] += count["rays"] - rays - len(env._FAN)
-        count["roots"] += int(np.count_nonzero(~np.isnan(phi)))
-        return phi, c_max
+    def timed_start(*args):
+        out = fan_start(*args)
+        solve_state["mark"] = clock()
+        return out
 
-    env._path_range, env._grazing_angle = counted_range, counted_solve
+    def timed_solve(*args):
+        solve_state["calls"] = 0
+        out = solve(*args)
+        if solve_state["calls"] > 2:
+            seconds["leftovers"] += clock() - solve_state["first_end"]
+        count["steps"][solve_state["calls"] - 1] += 1
+        count["roots"] += int(np.count_nonzero(~np.isnan(out[0])))
+        return out
+
+    env._path_range, env._grazing_angle, env._fan_start = timed_range, timed_solve, timed_start
     try:
-        grid = side.grid.build_doa_grid(wg, roi, *shape)
+        grid, total = build(side, wg, roi, shape)
     finally:
-        env._path_range, env._grazing_angle = path_range, solve
+        env._path_range, env._grazing_angle, env._fan_start = path_range, solve, fan_start
+    seconds["rest"] = total - sum(seconds.values())
     count["steps"] = dict(sorted(count["steps"].items()))
-    return grid, count
+    return grid, count, seconds
 
 
 def readme_estimates(side, seed: int) -> np.ndarray:
@@ -109,12 +156,16 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", type=int, nargs="*", default=[0], help="README pipeline seeds (none: skip it)")
     p.add_argument("--json", type=Path, help="also write the results and every build's time here")
     args = p.parse_args(argv)
+    if args.rounds < 1:
+        p.error("--rounds must be at least 1")
 
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"base": import_side(extract_src(args.base, Path(tmp) / "base")), "change": import_side(ROOT / "src")}
     wgs = {name: side.io.read_environment(ENV_FILE) for name, side in sides.items()}
 
     seconds = {"base": [], "change": []}
+    stage_s = {"base": [], "change": []}
+    grids, counts = {}, {}
     wins = 0
     for r in range(args.rounds):
         order = ("base", "change") if r % 2 == 0 else ("change", "base")
@@ -122,24 +173,28 @@ def main(argv=None) -> int:
         wins += got["change"] < got["base"]
         for name in order:
             seconds[name].append(got[name])
+            grid, counts[name], stages = instrumented_build(sides[name], wgs[name], FULL_ROI, FULL_SHAPE)
+            grids[name] = grid.values
+            stage_s[name].append(stages)
         print(f"round {r}: base {got['base']:.3f} s, change {got['change']:.3f} s", file=sys.stderr)
 
-    grids, counts = {}, {}
-    for name, side in sides.items():
-        grid, counts[name] = counted_build(side, wgs[name], FULL_ROI, FULL_SHAPE)
-        grids[name] = grid.values
     nan_equal = bool(np.array_equal(np.isnan(grids["base"]), np.isnan(grids["change"])))
     grid_max = float(np.nanmax(np.abs(grids["base"] - grids["change"])))
+    stage_ms = {name: {k: 1e3 * statistics.median(s[k] for s in stage_s[name]) for k in STAGES}
+                for name in sides}
 
     shape = f"{FULL_SHAPE[0]}x{FULL_SHAPE[1]}"
     print(f"build_doa_grid, coastal {shape}, {args.rounds} rounds")
-    print(f"{'':<22}{'base':>12}{'change':>12}{'ratio':>8}")
+    print(f"{'':<26}{'base':>12}{'change':>12}{'ratio':>8}")
     rows = [("median build s", *(statistics.median(seconds[n]) for n in ("base", "change")))]
     rows += [(f"range-function {k}", counts["base"][k], counts["change"][k]) for k in ("rays", "calls")]
     rows += [("evaluations/eigenray", *(counts[n]["refine_rays"] / counts[n]["roots"] for n in ("base", "change")))]
+    rows += [(f"{k} ms", stage_ms["base"][k], stage_ms["change"][k]) for k in STAGES]
+    rows += [(k.replace("_", " "), counts["base"][k], counts["change"][k])
+             for k in ("leftover_brackets", "leftover_evaluations")]
     for k, b, c in rows:
         fmt = "12.3f" if isinstance(b, float) else "12d"
-        print(f"{k:<22}{b:{fmt}}{c:{fmt}}{c / b:8.3f}")
+        print(f"{k:<26}{b:{fmt}}{c:{fmt}}{c / b:8.3f}")
     for name in ("base", "change"):
         hist = ", ".join(f"{n} steps: {solves}" for n, solves in counts[name]["steps"].items())
         print(f"{name} solves by refinement steps: {hist}")
@@ -167,6 +222,7 @@ def main(argv=None) -> int:
         args.json.write_text(json.dumps(
             {"base": args.base, "grid": shape, "rounds": args.rounds, "machine": machine,
              "median_s": {n: statistics.median(s) for n, s in seconds.items()}, "wins": wins,
+             "stage_median_ms": stage_ms,
              "range_function": counts, "grid_max_abs_diff_deg": grid_max, "nan_equal": nan_equal,
              "readme_pipeline_max_abs_diff": pipeline, "build_s": seconds}, indent=1))
     if failed:
