@@ -182,18 +182,18 @@ def is_valid(a: AssociationVector, M: int) -> bool:
 
     Invalid exactly when some later path maps to an observation index not
     larger than an earlier path's nonzero index, i.e. the nonzero entries
-    must strictly increase with the path index.
+    must strictly increase with the path index.  Every entry is checked
+    first: one outside 0..M raises ``ValueError``, wherever it stands.
     """
-    last = 0
+    last, valid = 0, True
     for a_k in a:
         a_k = int(a_k)
         if not 0 <= a_k <= M:
             raise ValueError(f"association entry {a_k} outside 0..{M}")
         if a_k != 0:
-            if a_k <= last:
-                return False
+            valid = valid and a_k > last
             last = a_k
-    return True
+    return valid
 
 
 def path_likelihood(z_m: float, angle_deg: float, sigma_deg: float) -> float:
@@ -230,9 +230,6 @@ def association_prior(
 ) -> float:
     """Joint prior probability of an association vector and the count M."""
     entries = [int(a_k) for a_k in a]
-    for a_k in entries:
-        if not 0 <= a_k <= M:
-            raise ValueError(f"association entry {a_k} outside 0..{M}")
     if not is_valid(entries, M):
         return 0.0
     detected = [k for k, a_k in enumerate(entries) if a_k != 0]
@@ -428,12 +425,12 @@ def marginal_likelihood_batch(
             Ps *= hit
             S[1 : k + 2, s + 1 : e + 1] += Ps
 
-    # each state's sums run along its own contiguous row, so its weight
+    # the weight of c detections is c!; without clutter only c = M explains
+    # every observation, and S[M, m] is 0 for m < M, so its sum is exact.
+    # Each state's sums run along its own contiguous row, so its weight
     # does not depend on the batch; a gemv down the columns of the
-    # (counts, states) sums, ``factorials @ S.sum(axis=1)``, takes an
-    # order that the BLAS kernel picks by batch size and position
-    if mu <= 0.0:
-        return math.factorial(M) * np.ascontiguousarray(S[M].T).sum(axis=1)
-    factorials = np.array([math.factorial(c) for c in range(K + 1)], dtype=float)
-    return np.ascontiguousarray(S.sum(axis=1).T) @ factorials
+    # (counts, states) sums, ``weights @ S.sum(axis=1)``, takes an order
+    # that the BLAS kernel picks by batch size and position
+    weights = np.array([math.factorial(c) if mu > 0.0 or c == M else 0 for c in range(K + 1)], dtype=float)
+    return np.ascontiguousarray(S.sum(axis=1).T) @ weights
 

@@ -64,24 +64,6 @@ class RunConfig:
         return Path(self.truth_file or Path(self.output_dir) / "truth.csv")
 
 
-def _string(v, key: str) -> str:
-    if not isinstance(v, str):
-        raise TypeError(f"{key} must be a string, got {v!r}")
-    return v
-
-
-def _integer(v, key: str, least: int = 0) -> int:
-    """``v`` as an int of at least ``least``; a float must be integral and a bool is no int."""
-    if (
-        isinstance(v, bool)
-        or not isinstance(v, (int, float))
-        or (isinstance(v, float) and not v.is_integer())  # nan and inf too
-        or v < least
-    ):
-        raise ValueError(f"{key} must be an integer of at least {least}, got {v!r}")
-    return int(v)
-
-
 def _block(cls, skip=(), required=(), **read):
     """Reader of a config block: keys named after the fields of ``cls`` except ``skip``, JSON numbers
     unless ``read`` names another reader, with every key of ``required``."""
@@ -90,15 +72,15 @@ def _block(cls, skip=(), required=(), **read):
 
 
 CONFIG_KEYS = {
-    **dict.fromkeys(("grid_file", "output_dir", "observations_file", "truth_file"), _string),
-    "K": _integer,
-    "J": lambda v, key: _integer(v, key, least=1),
-    "seed": _integer,
+    **dict.fromkeys(("grid_file", "output_dir", "observations_file", "truth_file"), sio.string),
+    "K": sio.integer,
+    "J": lambda v, key: sio.integer(v, key, least=1),
+    "seed": sio.integer,
     "model": _block(ModelParams, skip=("n_paths",)),
     "motion": _block(MotionParams),
     "prior": _block(PriorParams),
     "scenario": _block(
-        ScenarioConfig, skip=("roi", "motion"), required=SCENARIO_REQUIRED, truth_motion=_string
+        ScenarioConfig, skip=("roi", "motion"), required=SCENARIO_REQUIRED, truth_motion=sio.string
     ),
 }
 
@@ -120,11 +102,22 @@ def _max_particles(n_paths: int) -> int:
     return _physical_memory() // (8 * (9 + 7 * n_paths))
 
 
+def _max_epochs(n_paths: int) -> int:
+    """The largest epoch count whose simulated arrays fit in physical memory.
+
+    Per epoch ``generate_truth`` holds at least 4 doubles, the time and the
+    (range, depth, speed) state, and ``generate_observations`` at least 5K:
+    the lookup's (4, K) corner block and its K angles.
+    """
+    return _physical_memory() // (8 * (4 + 5 * n_paths))
+
+
 def load_config(path) -> RunConfig:
     """Parse and validate a run configuration file.
 
-    A ``J`` whose particles would not fit in physical memory is refused
-    here, before anything of that size is allocated.
+    A ``J`` whose particles, or a scenario whose epochs, would not fit in
+    physical memory is refused here, before anything of that size is
+    allocated.
     """
     doc = sio.read_json(path, ConfigError)
     try:
@@ -143,7 +136,13 @@ def load_config(path) -> RunConfig:
         motion = MotionParams(**doc.get("motion", {}))
         prior = PriorParams(**{"roi": DEFAULT_ROI, **doc.get("prior", {})})
         if "scenario" in doc:
-            doc["scenario"] = ScenarioConfig(**doc["scenario"], roi=prior.roi, motion=motion)
+            scenario = doc["scenario"] = ScenarioConfig(**doc["scenario"], roi=prior.roi, motion=motion)
+            most = _max_epochs(n_paths)
+            if scenario.duration_s / motion.step_s > most:  # more than ``most`` epochs
+                raise ValueError(
+                    f"duration_s = {scenario.duration_s} s in steps of {motion.step_s} s needs more than this "
+                    f"machine's physical memory; at K = {n_paths} at most {most} epochs fit"
+                )
         return RunConfig(
             grid_file=doc["grid_file"],
             output_dir=doc.get("output_dir", "out"),
@@ -205,6 +204,15 @@ def cmd_simulate(args) -> int:
 def cmd_track(args) -> int:
     cfg, grid = _load_run(args)
     records = sio.read_observations(cfg.obs_path())
+    # the association DP holds a (K + 1, M + 1, J) state and an M K J prefix
+    # buffer for a record of M angles: refused before the tracker allocates them
+    M, K, J = max((doas.size for *_, doas in records), default=0), cfg.model.n_paths, cfg.n_particles
+    need = 8 * J * ((K + 1) * (M + 1) + M * K)
+    if need > _physical_memory():
+        raise ValueError(
+            f"{cfg.obs_path()}: a record of {M} angles at K = {K} and J = {J} needs {need} bytes "
+            "for the association DP, more than this machine's physical memory"
+        )
     stream = ((time_s, ObservationSet(z=doas)) for _, time_s, doas in records)
     failure = None
     try:

@@ -1,7 +1,8 @@
 """File formats: environment JSON, binary DOA grids, observation JSONL,
 truth and estimate CSVs, and evaluation reports.  The JSON input rules,
 the run configuration's included, live here alone: ``read_json``,
-``json_object`` and ``number``.  CSV values must be finite numbers.
+``json_object``, ``number``, ``integer`` and ``string``.  CSV values must
+be finite numbers.
 
 All angles in files are degrees, all distances meters, all times seconds.
 The binary grid layout, version 2, is little-endian: an 8-byte magic, a
@@ -30,6 +31,8 @@ from swfocal.grid import DoaGrid
 
 __all__ = [
     "number",
+    "integer",
+    "string",
     "json_object",
     "read_json",
     "EnvFileError",
@@ -69,6 +72,25 @@ def number(v, key: str):
         return float(v)
     except OverflowError:
         raise ValueError(f"{key} must be a JSON number in the float range") from None
+
+
+def integer(v, key: str, least: int = 0) -> int:
+    """``v`` as an int of at least ``least``; a float must be integral and a bool is no int."""
+    if (
+        isinstance(v, bool)
+        or not isinstance(v, (int, float))
+        or (isinstance(v, float) and not v.is_integer())  # nan and inf too
+        or v < least
+    ):
+        raise ValueError(f"{key} must be an integer of at least {least}, got {v!r}")
+    return int(v)
+
+
+def string(v, key: str) -> str:
+    """``v``, which must be a JSON string."""
+    if not isinstance(v, str):
+        raise TypeError(f"{key} must be a string, got {v!r}")
+    return v
 
 
 def json_object(doc, what: str, read: dict, required=()) -> dict:

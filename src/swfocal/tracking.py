@@ -202,8 +202,7 @@ def update(
         like = likelihood(s[:, :2])
     else:
         like = np.zeros(ps.J)
-        if inside.any():
-            like[inside] = likelihood(s[inside, :2])
+        like[inside] = likelihood(s[inside, :2])
 
     with np.errstate(divide="ignore"):
         logw = np.log(ps.weights) + np.log(like)

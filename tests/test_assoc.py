@@ -135,8 +135,12 @@ class TestValidity:
         assert not is_valid([2, 1], 2)
 
     def test_out_of_range_entry_rejected(self):
-        with pytest.raises(ValueError):
-            is_valid([3], 2)
+        # wherever it stands, also after an order fault; the prior shares the check
+        for a in ([3], [2, 1, 3], [0, 3, 1]):
+            with pytest.raises(ValueError, match=r"association entry 3 outside 0\.\.2"):
+                is_valid(a, 2)
+            with pytest.raises(ValueError, match=r"association entry 3 outside 0\.\.2"):
+                association_prior(a, 2, pred(np.linspace(5.0, 1.0, len(a))), params(len(a)))
 
     @given(
         st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=4),

@@ -12,7 +12,7 @@ import pytest
 from swfocal import io as sio
 from swfocal.assoc import ModelParams, ObservationSet
 import swfocal.cli
-from swfocal.cli import ConfigError, _max_particles, _physical_memory, load_config
+from swfocal.cli import ConfigError, _max_epochs, _max_particles, _physical_memory, load_config
 from swfocal.environment import PathKind
 from swfocal.grid import build_doa_grid
 from swfocal.simulator import ScenarioConfig
@@ -416,6 +416,46 @@ class TestSimulate:
         assert res.returncode == 1
         assert "unknown keys" in res.stderr
 
+    def test_a_duration_beyond_physical_memory_is_refused_before_any_allocation(
+        self, tiny_setup, tmp_path, monkeypatch, capsys
+    ):
+        # the bound's epochs load; one epoch more, or 1e15 s, is a config
+        # error naming duration_s and the file, raised before the truth is
+        # made and with nothing of the epochs' size allocated
+        root, cfg_path, cfg = tiny_setup
+        most, step = _max_epochs(4), MotionParams().step_s
+        assert 10**6 < most < 10**31
+        p = tmp_path / "run.json"
+
+        def write(duration):
+            scenario = dict(cfg["scenario"], duration_s=duration)
+            p.write_text(json.dumps(dict(cfg, output_dir=str(tmp_path / "out"), scenario=scenario)))
+
+        write((most - 1) * step)
+        assert load_config(p).scenario.duration_s == (most - 1) * step
+
+        def no_truth(*args, **kwargs):
+            raise AssertionError("the truth was made")
+
+        monkeypatch.setattr(swfocal.cli, "generate_truth", no_truth)
+        for duration in ((most + 1) * step, 1e15):
+            write(duration)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ConfigError, match=f"^{p}: duration_s = {duration} s in steps of {step} s"):
+                    load_config(p)
+                assert swfocal.cli.main(["simulate", "--config", str(p)]) == 1
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+            assert capsys.readouterr().err.startswith(f"error: {p}: duration_s = {duration} s")
+        res = run_cli("simulate", "--config", p)
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrackAndEvaluate:
     def test_round_trip_pipeline(self, tiny_setup):
@@ -583,6 +623,43 @@ class TestTrackAndEvaluate:
         res = run_cli("track", "--config", p)
         assert res.returncode == 1
         assert "mu_fa" in res.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_a_record_beyond_physical_memory_is_refused_before_tracking(
+        self, tiny_setup, tmp_path, monkeypatch, capsys
+    ):
+        # at the largest J that loads, a record of six angles needs more than
+        # physical memory for the association DP's state and prefix buffer:
+        # one error line naming the file, before the tracker runs and with
+        # nothing of that size allocated
+        root, cfg_path, cfg = tiny_setup
+        J = _max_particles(4)
+        need = 8 * J * (5 * 7 + 6 * 4)
+        assert need > _physical_memory()
+        obs = tmp_path / "obs.jsonl"
+        sio.write_observations(obs, [(0, 2.048, [5.0]), (1, 4.096, [40.0, 30.0, 20.0, 10.0, 0.0, -10.0])])
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(dict(cfg, J=J, output_dir=str(tmp_path / "out"), observations_file=str(obs))))
+
+        def no_tracking(*args, **kwargs):
+            raise AssertionError("the tracker ran")
+
+        monkeypatch.setattr(swfocal.cli, "run_tracker", no_tracking)
+        tracemalloc.start()
+        try:
+            assert swfocal.cli.main(["track", "--config", str(p)]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert capsys.readouterr().err == (
+            f"error: {obs}: a record of 6 angles at K = 4 and J = {J} needs {need} bytes "
+            "for the association DP, more than this machine's physical memory\n"
+        )
+        res = run_cli("track", "--config", p)
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_degenerate_track_writes_the_epochs_before_it(self, tiny_setup, tmp_path):
