@@ -204,8 +204,9 @@ def cmd_simulate(args) -> int:
 def cmd_track(args) -> int:
     cfg, grid = _load_run(args)
     records = sio.read_observations(cfg.obs_path())
-    # the association DP holds a (K + 1, M + 1, J) state and an M K J prefix
-    # buffer for a record of M angles: refused before the tracker allocates them
+    # the association DP holds up to a (K + 1, M + 1, J) state and an M K J
+    # prefix buffer for a record of M angles: refused before the tracker
+    # allocates them
     M, K, J = max((doas.size for *_, doas in records), default=0), cfg.model.n_paths, cfg.n_particles
     need = 8 * J * ((K + 1) * (M + 1) + M * K)
     if need > _physical_memory():

@@ -172,8 +172,11 @@ def predict_particles(
     ps: ParticleSet, T: float, motion: MotionParams, rng: np.random.Generator
 ) -> ParticleSet:
     """Propagate all particles one step, sampling the driving noise."""
-    u1 = rng.normal(0.0, np.sqrt(motion.accel_var), ps.J)
-    u2 = rng.normal(0.0, np.sqrt(motion.depth_var), ps.J)
+    # the values and generator state of rng.normal(0.0, sd, J), which draws
+    # the same standard normals z and returns 0.0 + sd * z: that is sd * z,
+    # up to the sign of a zero product at sd = 0
+    u1 = rng.standard_normal(ps.J) * np.sqrt(motion.accel_var)
+    u2 = rng.standard_normal(ps.J) * np.sqrt(motion.depth_var)
     return ParticleSet(states=predict(ps.states, T, u1, u2), weights=ps.weights)
 
 
@@ -227,7 +230,8 @@ def resample(ps: ParticleSet, rng: np.random.Generator) -> ParticleSet:
     positions = (rng.random() + np.arange(J)) / J
     idx = np.searchsorted(np.cumsum(ps.weights), positions)
     idx = np.minimum(idx, J - 1)
-    return ParticleSet(states=ps.states[idx], weights=np.full(J, 1.0 / J))
+    # the rows of ps.states[idx], gathered without fancy indexing's overhead
+    return ParticleSet(states=ps.states.take(idx, axis=0), weights=np.full(J, 1.0 / J))
 
 
 def mmse_estimate(ps: ParticleSet) -> SourceState:

@@ -11,6 +11,7 @@ from swfocal.assoc import (
     ModelParams,
     ObservationSet,
     PathPrediction,
+    _densities,
     _gate_width,
     _live_spans,
     association_prior,
@@ -617,6 +618,120 @@ class TestGate:
             marginal_likelihood_batch(np.array([1.0, 2.0]), ang, det, params(1))
         with pytest.raises(ValueError, match="descending"):
             marginal_likelihood_batch(np.array([2.0, np.nan]), ang, det, params(1))
+
+
+def split_case(K, M, d, mu, seed):
+    """Three states with the paths' angles in two clusters, 25..35 and
+    -35..-25 degrees (the first ceil(K / 2) paths in the upper one), sigma
+    at most 0.25 and some angles ``nan``; M observations near state 0's
+    angles, and one to three more in -5..5, over 80 sigma from every angle,
+    which no path's gate reaches."""
+    rng = np.random.default_rng(seed)
+    p = params(K, sigma=tuple(rng.uniform(0.05, 0.25, K)), d=d, mu=mu)
+    n_hi = (K + 1) // 2
+    ang = np.hstack([rng.uniform(25.0, 35.0, (3, n_hi)), rng.uniform(-35.0, -25.0, (3, K - n_hi))])
+    ang = np.sort(ang, axis=1)[:, ::-1].copy()
+    ang[1:][rng.random((2, K)) < 0.3] = np.nan
+    det = np.where(np.isnan(ang), 0.0, d)
+    near = rng.choice(ang[0], M) + rng.normal(0.0, 0.2, M)
+    mid = rng.uniform(-5.0, 5.0, rng.integers(1, 4))
+    z = np.sort(np.concatenate([near, mid]))[::-1]
+    return p, z, ang, det, mid
+
+
+def live_rows(z, ang, det, p) -> set:
+    """The union of the rows that ``marginal_likelihood_batch`` computes."""
+    first, stop = _live_spans(z, np.ascontiguousarray(ang.T), p.sigma_deg, batch_gate(z, det, p))
+    return {m for f, e in zip(first, stop) for m in range(f, e)}
+
+
+class TestUnreachedRows:
+    """Observations that no path's gate reaches: the DP runs on the union of
+    the live rows alone, and the result is still the dense DP's bit for bit."""
+
+    @given(
+        K=st.integers(min_value=1, max_value=4),
+        M=st.integers(min_value=0, max_value=5),
+        d=st.sampled_from([0.9, 1.0]),
+        mu=st.sampled_from([0.0, 0.5, 2.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(K=4, M=4, d=0.9, mu=2.0, seed=0)
+    @example(K=4, M=2, d=0.9, mu=0.0, seed=1)
+    @settings(max_examples=150, deadline=None)
+    def test_rows_no_gate_reaches_change_no_bit(self, K, M, d, mu, seed):
+        p, z, ang, det, mid = split_case(K, M, d, mu, seed)
+        unreached = set(np.flatnonzero(np.isin(z, mid)).tolist())
+        assert not unreached & live_rows(z, ang, det, p)
+        want = dense_dp_marginal(z, ang, det, p.sigma_deg, p.mu_fa)
+        got = marginal_likelihood_batch(z, ang, det, p)
+        assert got.tobytes() == want.tobytes()
+        if mu == 0.0:
+            # no clutter and a row no path explains: no association explains
+            # every observation
+            assert got.tobytes() == np.zeros(3).tobytes()
+
+    @pytest.mark.parametrize("mu", [2.0, 0.0])
+    def test_row_between_live_rows(self, mu):
+        # rows 0 and 2 live, row 1 50 sigma from every path; at mu = 0 with
+        # M = K = 3 the marginal is exactly 0, with clutter it is positive
+        p = params(3, mu=mu)
+        ang = np.array([[40.0, -10.0, -30.0], [40.1, -10.2, -30.4], [39.8, -9.9, np.nan]])
+        det = np.where(np.isnan(ang), 0.0, 0.9)
+        z = np.array([40.2, 15.0, -10.3])
+        rows = live_rows(z, ang, det, p)
+        assert 1 not in rows and {0, 2} <= rows
+        want = dense_dp_marginal(z, ang, det, p.sigma_deg, mu)
+        got = marginal_likelihood_batch(z, ang, det, p)
+        assert got.tobytes() == want.tobytes()
+        assert (got == 0.0).all() if mu == 0.0 else (got > 0.0).all()
+
+    @pytest.mark.parametrize("mu", [2.0, 0.0])
+    def test_nan_angles_with_every_exponent_above_the_floor(self, mu):
+        # path 1 is impossible at state 1 and every live row of it lies
+        # within 11 sigma of its other angles: its densities take the
+        # nan-only branch, exp and then 0 at the nan
+        p = params(2, sigma=(0.5, 2.0), mu=mu)
+        ang = np.array([[10.0, -10.0], [10.3, np.nan], [9.8, -10.5]])
+        det = np.where(np.isnan(ang), 0.0, 0.9)
+        z = np.array([10.2, 9.9, -9.7, -10.4])
+        first, stop = _live_spans(z, np.ascontiguousarray(ang.T), p.sigma_deg, batch_gate(z, det, p))
+        assert (first[1], stop[1]) == (0, 4)
+        u = (z[:, None] - ang[:, 1]) / 2.0
+        x = -0.5 * u * u
+        assert np.isnan(x).any() and np.nanmin(x) >= -700.0
+        dens = _densities(z, ang[:, 1], 2.0)
+        with np.errstate(invalid="ignore"):
+            plain = np.where(np.isnan(x), 0.0, np.exp(x) / (2.0 * np.sqrt(2.0 * np.pi)))
+        assert dens.tobytes() == plain.tobytes()
+        want = dense_dp_marginal(z, ang, det, p.sigma_deg, mu)
+        assert marginal_likelihood_batch(z, ang, det, p).tobytes() == want.tobytes()
+
+    def test_densities_with_nan_and_exponents_below_the_floor(self):
+        # nan beside exponents in [-746, -700) and below: the clipped branch
+        z = np.array([10.0, -8.0, -8.9, -9.5])
+        ang = np.array([10.0, np.nan, 9.0])
+        x = -0.5 * ((z[:, None] - ang) / 0.5) ** 2
+        assert np.nanmin(x) < -746.0 and ((x >= -746.0) & (x < -700.0)).any()
+        with np.errstate(invalid="ignore"):
+            plain = np.where(np.isnan(x), 0.0, np.exp(x) / (0.5 * np.sqrt(2.0 * np.pi)))
+        assert _densities(z, ang, 0.5).tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("mu", [2.0, 0.0])
+    @pytest.mark.parametrize("impossible", [False, True])
+    def test_no_live_row_at_all(self, mu, impossible):
+        # every observation over 100 sigma from every path, or every path
+        # impossible at every state: only the all-miss term is left, and
+        # without clutter nothing explains the observations
+        p = params(2, mu=mu)
+        ang = np.full((4, 2), np.nan) if impossible else np.array([[10.0, -10.0], [11.0, -9.0]] * 2)
+        det = np.where(np.isnan(ang), 0.0, 0.9)
+        z = np.array([70.0, -80.0])
+        assert live_rows(z, ang, det, p) == set()
+        want = dense_dp_marginal(z, ang, det, p.sigma_deg, mu)
+        got = marginal_likelihood_batch(z, ang, det, p)
+        assert got.tobytes() == want.tobytes()
+        assert (got == 0.0).all() if mu == 0.0 else (got > 0.0).all()
 
 
 class TestModelParams:

@@ -82,6 +82,15 @@ class TestPredict:
         assert np.array_equal(out.states, rows)
         assert np.array_equal(out.weights, ps.weights)
 
+    def test_noise_draws_leave_the_generator_as_rng_normal_does(self):
+        ps = init_particles(PriorParams(roi=ROI), 1000, np.random.default_rng(0))
+        drawn, plain = np.random.default_rng(3), np.random.default_rng(3)
+        out = predict_particles(ps, 2.048, MotionParams(), drawn)
+        u1 = plain.normal(0.0, np.sqrt(0.05), 1000)
+        u2 = plain.normal(0.0, np.sqrt(0.1), 1000)
+        assert out.states.tobytes() == predict(ps.states, 2.048, u1, u2).tobytes()
+        assert drawn.bit_generator.state == plain.bit_generator.state
+
 
 class TestParams:
     @pytest.mark.parametrize(
@@ -153,6 +162,19 @@ class TestResampling:
             [np.sum(np.all(out.states == ps.states[j], axis=1)) for j in range(64)]
         )
         assert np.all(np.abs(counts - 64 * w) < 1.0)
+
+    def test_gather_is_the_fancy_index_bit_for_bit(self):
+        # the systematic indices of seeded weights, gathered by hand
+        rng = np.random.default_rng(11)
+        w = rng.random(1000) ** 4
+        w /= w.sum()
+        ps = ParticleSet(states=rng.normal(0.0, 1e3, (1000, 3)), weights=w)
+        out = resample(ps, np.random.default_rng(4))
+        u = np.random.default_rng(4).random()
+        idx = np.minimum(np.searchsorted(np.cumsum(w), (u + np.arange(1000)) / 1000), 999)
+        assert np.unique(idx).size < 1000
+        assert out.states.tobytes() == ps.states[idx].tobytes()
+        assert out.states.flags.c_contiguous
 
 
 class TestMmse:
