@@ -79,8 +79,8 @@ rows, to within ``2**-100`` of the weight:
 
 Every other skipped operation would have added or multiplied an exact 0.
 So the result is within ``2**-100`` of the plain DP's, relatively, and
-with no floor it is the plain DP's bit for bit (but for a lone state
-with 8 or more observations, see ``marginal_likelihood_batch``).
+with no floor it is the plain DP's bit for bit (but for a lone state,
+J = 1, see ``marginal_likelihood_batch``).
 
 Angles are degrees throughout; densities are per degree.
 """
@@ -376,9 +376,13 @@ def marginal_likelihood_batch(
     docstring).  The gate leaves out less than ``2**-100``
     of every state's weight, and with ``mu_fa = 0`` or a detection
     probability of 1, where it is 39 sigma, nothing but exact zeros: the
-    result is then the full DP's bit for bit.  One exception: for a lone
-    state numpy sums the rows pairwise, in blocks of eight, so with 8 or
-    more observations a skipped row can move the weight by an ulp or two.
+    result is then the full DP's bit for bit.  In a batch of two or more
+    states a state's weight does not depend on the batch's size or on its
+    place in it.  A lone state (J = 1) is the exception, at any number of
+    observations: numpy takes another BLAS path for the product of a
+    single row with the count weights, and with 8 or more rows it sums
+    them pairwise, so its weight can differ from the same state's weight
+    in a batch by an ulp or two.
     The gate relies on the order, so ``z_sorted`` out of order, or with a
     ``nan``, raises ``ValueError``, as do a path count K other than
     ``params.n_paths`` and ``detect_probs`` of another shape than
@@ -465,10 +469,11 @@ def marginal_likelihood_batch(
 
     # the weight of c detections is c!; without clutter only c = M explains
     # every observation, and S[M, m] is 0 for m < M, so its sum is exact.
-    # Each state's sums run along its own contiguous row, so its weight
-    # does not depend on the batch; a gemv down the columns of the
-    # (counts, states) sums, ``weights @ S.sum(axis=1)``, takes an order
-    # that the BLAS kernel picks by batch size and position
+    # Each state's sums run along its own contiguous row, so in a batch of
+    # two or more its weight does not depend on the batch; a gemv down the
+    # columns of the (counts, states) sums, ``weights @ S.sum(axis=1)``,
+    # takes an order that the BLAS kernel picks by batch size and position.
+    # A single row takes another BLAS path, which can round differently
     weights = np.array([math.factorial(c) if mu > 0.0 or c == M else 0 for c in range(K + 1)], dtype=float)
     return np.ascontiguousarray(S.sum(axis=1).T) @ weights
 

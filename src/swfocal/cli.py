@@ -7,9 +7,12 @@ so a config file fully determines a run, every block is a JSON object and
 numeric values must be JSON numbers.  Only ``simulate`` reads the
 ``scenario`` block, and only from the file.  ``simulate`` and ``track``
 take ``--seed`` to override the config seed; identical
-invocations produce byte-identical outputs.  Exit codes: 0 success,
-1 domain error (bad file contents, filter degeneracy, missing inputs),
-2 usage error.
+invocations produce byte-identical outputs.  A command whose arrays
+would not fit in physical memory is refused before it allocates them, and
+each command checks only its own: ``build-grid`` the grid, ``simulate``
+the scenario's epochs and ``track`` its particles at the largest record.
+Exit codes: 0 success, 1 domain error (bad file contents, a run beyond
+physical memory, filter degeneracy, missing inputs), 2 usage error.
 """
 
 from __future__ import annotations
@@ -90,34 +93,17 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _max_particles(n_paths: int) -> int:
-    """The largest J whose particles and one epoch's arrays fit in physical memory.
-
-    Per particle a tracking epoch holds at least 9 + 7K doubles: the
-    (range, depth, speed) state and its weight, twice across the motion
-    step; the lookup's (4, K) corner block and its K angles; the K
-    detection probabilities; and the association DP's K + 1 counts at
-    M = 0.
-    """
-    return _physical_memory() // (8 * (9 + 7 * n_paths))
-
-
-def _max_epochs(n_paths: int) -> int:
-    """The largest epoch count whose simulated arrays fit in physical memory.
-
-    Per epoch ``generate_truth`` holds at least 4 doubles, the time and the
-    (range, depth, speed) state, and ``generate_observations`` at least 5K:
-    the lookup's (4, K) corner block and its K angles.
-    """
-    return _physical_memory() // (8 * (4 + 5 * n_paths))
+def _refuse_beyond_memory(nbytes, subject: str) -> None:
+    """Refuse ``nbytes`` beyond physical memory; a float, ``inf`` included, is compared, not converted."""
+    if nbytes > _physical_memory():
+        raise ValueError(f"{subject} needs {nbytes} bytes, more than this machine's physical memory")
 
 
 def load_config(path) -> RunConfig:
     """Parse and validate a run configuration file.
 
-    A ``J`` whose particles, or a scenario whose epochs, would not fit in
-    physical memory is refused here, before anything of that size is
-    allocated.
+    Sizes are not checked here: each command refuses the arrays it would
+    allocate (``_refuse_beyond_memory``).
     """
     doc = sio.read_json(path, ConfigError)
     try:
@@ -125,30 +111,18 @@ def load_config(path) -> RunConfig:
         n_paths = doc.get("K", 4)
         if n_paths not in DEFAULT_MU_FA:
             raise ValueError(f"K must be one of {sorted(DEFAULT_MU_FA)}")
-        n_particles, most = doc.get("J", 10_000), _max_particles(n_paths)
-        if n_particles > most:
-            raise ValueError(
-                f"J = {n_particles} particles need more than this machine's physical memory; "
-                f"at K = {n_paths} at most {most} fit"
-            )
         given = {"sigma_deg": DEFAULT_SIGMA[:n_paths], "mu_fa": DEFAULT_MU_FA[n_paths], **doc.get("model", {})}
         model = ModelParams(n_paths=n_paths, **given)
         motion = MotionParams(**doc.get("motion", {}))
         prior = PriorParams(**{"roi": DEFAULT_ROI, **doc.get("prior", {})})
         if "scenario" in doc:
-            scenario = doc["scenario"] = ScenarioConfig(**doc["scenario"], roi=prior.roi, motion=motion)
-            most = _max_epochs(n_paths)
-            if scenario.duration_s / motion.step_s > most:  # more than ``most`` epochs
-                raise ValueError(
-                    f"duration_s = {scenario.duration_s} s in steps of {motion.step_s} s needs more than this "
-                    f"machine's physical memory; at K = {n_paths} at most {most} epochs fit"
-                )
+            doc["scenario"] = ScenarioConfig(**doc["scenario"], roi=prior.roi, motion=motion)
         return RunConfig(
             grid_file=doc["grid_file"],
             output_dir=doc.get("output_dir", "out"),
             observations_file=doc.get("observations_file"),
             truth_file=doc.get("truth_file"),
-            n_particles=n_particles,
+            n_particles=doc.get("J", 10_000),
             seed=doc.get("seed", 0),
             model=model,
             motion=motion,
@@ -160,12 +134,8 @@ def load_config(path) -> RunConfig:
 
 
 def cmd_build_grid(args) -> int:
-    # the values alone must fit in physical memory: refused before anything is read or allocated
-    need = 8 * len(PathKind) * args.nr * args.nd
-    if need > _physical_memory():
-        raise ValueError(
-            f"a {args.nr} x {args.nd} grid needs {need} bytes of values, more than this machine's physical memory"
-        )
+    # the values, refused before the environment is read
+    _refuse_beyond_memory(8 * len(PathKind) * args.nr * args.nd, f"a {args.nr} x {args.nd} grid")
     wg = sio.read_environment(args.env)
     grid = build_doa_grid(wg, tuple(args.roi), args.nr, args.nd)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -180,6 +150,13 @@ def cmd_simulate(args) -> int:
     cfg, grid = _load_run(args)
     if cfg.scenario is None:
         raise ConfigError(f"{args.config}: simulate needs a scenario block")
+    # per epoch the truth's time and state, and the lookup's (4, K) corners
+    # and K angles; counted in floats, where a huge count is inf, not an error
+    duration, step, K = cfg.scenario.duration_s, cfg.motion.step_s, cfg.model.n_paths
+    _refuse_beyond_memory(
+        8 * (4 + 5 * K) * np.ceil(duration / step),
+        f"{args.config}: duration_s = {duration} s in steps of {step} s at K = {K}",
+    )
     truth = generate_truth(cfg.scenario, seed=cfg.seed)
     obs = generate_observations(truth, grid, cfg.model, seed=cfg.seed)
 
@@ -204,28 +181,19 @@ def cmd_simulate(args) -> int:
 def cmd_track(args) -> int:
     cfg, grid = _load_run(args)
     records = sio.read_observations(cfg.obs_path())
-    # the association DP holds up to a (K + 1, M + 1, J) state and an M K J
-    # prefix buffer for a record of M angles: refused before the tracker
-    # allocates them
+    # per particle its state and weight, twice across the motion step, the
+    # lookup's (4, K) corners, K angles and K detection probabilities, and
+    # the association DP's (K + 1, M + 1) state and M K prefix at the
+    # largest record, M angles
     M, K, J = max((doas.size for *_, doas in records), default=0), cfg.model.n_paths, cfg.n_particles
-    need = 8 * J * ((K + 1) * (M + 1) + M * K)
-    if need > _physical_memory():
-        raise ValueError(
-            f"{cfg.obs_path()}: a record of {M} angles at K = {K} and J = {J} needs {need} bytes "
-            "for the association DP, more than this machine's physical memory"
-        )
+    _refuse_beyond_memory(
+        8 * J * (8 + 6 * K + (K + 1) * (M + 1) + M * K),
+        f"{args.config}: J = {J} particles at K = {K} over records of up to {M} angles in {cfg.obs_path()}",
+    )
     stream = ((time_s, ObservationSet(z=doas)) for _, time_s, doas in records)
     failure = None
     try:
-        estimates = run_tracker(
-            grid,
-            stream,
-            cfg.model,
-            cfg.motion,
-            cfg.prior,
-            J=cfg.n_particles,
-            seed=cfg.seed,
-        )
+        estimates = run_tracker(grid, stream, cfg.model, cfg.motion, cfg.prior, J=J, seed=cfg.seed)
     except DegeneracyError as e:
         # a lost track still leaves the estimates made before it
         estimates, failure = e.estimates, e
@@ -244,12 +212,13 @@ def cmd_track(args) -> int:
     return 0
 
 
-def evaluate_run(estimates: np.ndarray, truth: np.ndarray) -> dict:
+def evaluate_run(estimates: np.ndarray, truth: np.ndarray, name: str = "estimates") -> dict:
     """Errors of one estimate sequence against the truth, joined on time.
 
     The join bisects the truth times, which must be finite and strictly
     increasing: ``cmd_evaluate`` checks its truth file, and a simulated
-    ``GroundTruthTrack`` holds such times.
+    ``GroundTruthTrack`` holds such times.  Errors whose statistics
+    overflow the float range raise ``ValueError`` naming ``name``.
     """
     t_truth = truth[:, 0]
     if not t_truth.size:
@@ -261,8 +230,6 @@ def evaluate_run(estimates: np.ndarray, truth: np.ndarray) -> dict:
         raise ValueError("no estimate epochs match the truth timeline")
     e = estimates[matched]
     t = truth[idx[matched]]
-    range_err = e[:, 1] - t[:, 1]
-    depth_err = e[:, 2] - t[:, 2]
     half = e.shape[0] // 2
 
     def stats(re, de):
@@ -273,10 +240,18 @@ def evaluate_run(estimates: np.ndarray, truth: np.ndarray) -> dict:
             "median_abs_depth_error_m": float(np.median(np.abs(de))),
         }
 
+    # an error, or its square, beyond the float range reads inf, and so does
+    # every statistic of a run that holds it: refused below
+    with np.errstate(over="ignore"):
+        range_err = e[:, 1] - t[:, 1]
+        depth_err = e[:, 2] - t[:, 2]
+        whole, final = stats(range_err, depth_err), stats(range_err[half:], depth_err[half:])
+    if not np.isfinite([*whole.values(), *final.values()]).all():
+        raise ValueError(f"{name}: the errors against the truth overflow the float range")
     return {
         "n_epochs": int(e.shape[0]),
-        **stats(range_err, depth_err),
-        "final_half": stats(range_err[half:], depth_err[half:]),
+        **whole,
+        "final_half": final,
         "per_epoch": [
             {"time_s": float(tt), "range_error_m": float(re), "depth_error_m": float(de)}
             for tt, re, de in zip(e[:, 0], range_err, depth_err)
@@ -291,10 +266,8 @@ def cmd_evaluate(args) -> int:
         raise ValueError(f"{args.truth}: truth times must be finite and strictly increasing")
     report = {"truth_file": str(args.truth), "runs": []}
     for est_path in args.estimates:
-        est = sio.read_estimates_csv(est_path)
-        run = {"estimates_file": str(est_path)}
-        run.update(evaluate_run(est, truth))
-        report["runs"].append(run)
+        run = evaluate_run(sio.read_estimates_csv(est_path), truth, str(est_path))
+        report["runs"].append({"estimates_file": str(est_path), **run})
     text = json.dumps(report, indent=2, allow_nan=False)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)

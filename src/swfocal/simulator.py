@@ -46,9 +46,13 @@ class ScenarioConfig:
             raise ValueError("initial_speed_mps: initial speed must be finite")
         if self.truth_motion not in ("deterministic", "stochastic"):
             raise ValueError("truth motion must be 'deterministic' or 'stochastic'")
+        if not (np.iterable(self.dropouts) and all(np.shape(w) == (2,) for w in self.dropouts)):
+            raise ValueError("dropouts: each dropout window must be a pair [start, end]")
         for a, b in self.dropouts:
-            if not 0.0 <= a < b <= self.duration_s:
-                raise ValueError("dropout windows must lie within the run duration")
+            if not (0.0 <= a and b <= self.duration_s):
+                raise ValueError("dropouts: dropout windows must lie within the run duration")
+            if not a < b:
+                raise ValueError("dropouts: a dropout window must end after it starts")
         r0, r1, d0, d1 = self.roi
         if not (r0 <= self.initial_range_m <= r1 and d0 <= self.initial_depth_m <= d1):
             raise ValueError("initial position must lie inside the region of interest")

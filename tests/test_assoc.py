@@ -375,6 +375,25 @@ class TestMarginalLikelihood:
                 a_o, dt_o = np.asarray(a, order=order), np.asarray(dt, order=order)
                 assert marginal_likelihood_batch(z, a_o, dt_o, p).tobytes() == want
 
+    def test_a_weight_is_the_same_in_every_batch_of_two_or_more(self):
+        # K = 4, M = 0..9, impossible paths anywhere: a state's weight is the
+        # same bit for bit in a batch of 2 to 257 states as in one of 1000,
+        # at the front of the batch or elsewhere.  A lone state is not
+        # covered: its product with the count weights takes another BLAS path
+        rng = np.random.default_rng(28)
+        for _ in range(40):
+            M = int(rng.integers(0, 10))
+            p = params(4, sigma=tuple(rng.uniform(0.3, 3.0, 4)))
+            ang = np.sort(rng.uniform(-30, 30, (1000, 4)), axis=1)[:, ::-1].copy()
+            ang[rng.random(ang.shape) < 0.2] = np.nan
+            det = np.where(np.isnan(ang), 0.0, 0.9)
+            near = rng.choice(ang[0], M) + rng.normal(0.0, 1.0, M)
+            z = np.sort(np.where(np.isnan(near), rng.uniform(-30, 30, M), near))[::-1]
+            whole = marginal_likelihood_batch(z, ang, det, p)
+            for n in (2, 3, 4, 5, 8, 17, 64, 257):
+                for pick in (np.arange(n), rng.choice(1000, n, replace=False)):
+                    assert marginal_likelihood_batch(z, ang[pick], det[pick], p).tobytes() == whole[pick].tobytes()
+
     @pytest.mark.parametrize("dist", [3.0, 37.5, 38.6, 39.1, -38.6, -39.1])
     def test_single_path_density_bit_for_bit_across_the_cut(self, dist):
         # K = 1, M = 1, no clutter, d = 1: the marginal is dens / f_fa.  At

@@ -12,7 +12,7 @@ import pytest
 from swfocal import io as sio
 from swfocal.assoc import ModelParams, ObservationSet
 import swfocal.cli
-from swfocal.cli import ConfigError, _max_epochs, _max_particles, _physical_memory, load_config
+from swfocal.cli import ConfigError, _physical_memory, load_config
 from swfocal.environment import PathKind
 from swfocal.grid import build_doa_grid
 from swfocal.simulator import ScenarioConfig
@@ -21,6 +21,28 @@ from swfocal.tracking import MotionParams, PriorParams, run_tracker
 REPO = Path(__file__).resolve().parent.parent
 ENV_FILE = REPO / "configs" / "coastal_216m_env.json"
 SCENARIO = {"initial_range_m": 3000.0, "initial_depth_m": 60.0, "initial_speed_mps": -2.5, "duration_s": 100.0}
+MEMORY = 2**30  # the physical memory the in-process refusal tests pretend to have
+BEYOND = "more than this machine's physical memory"
+
+
+def refused_in_process(argv, capsys) -> str:
+    """The stderr of ``cli.main(argv)``, which must exit 1 with under 1 MiB allocated."""
+    tracemalloc.start()
+    try:
+        assert swfocal.cli.main(argv) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    return capsys.readouterr().err
+
+
+def assert_one_error_line(res, out):
+    """A subprocess run refused with exit 1, one ``error:`` line, no traceback and no ``out``."""
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def run_cli(*args, cwd=None):
@@ -98,6 +120,25 @@ class TestLoadConfig:
         given = SCENARIO if block == "scenario" else {}  # a scenario block must be complete
         p.write_text(json.dumps({"grid_file": "grid.bin", block: {**given, key: value}}))
         with pytest.raises(ConfigError, match=key):
+            load_config(p)
+
+    @pytest.mark.parametrize(
+        "block, key, value, rule",
+        [
+            ("prior", "roi", [100.0, 3600.0, 10.0], "must be four numbers"),
+            ("prior", "roi", 100.0, "must be four numbers"),
+            ("scenario", "dropouts", [[10.0, 20.0, 30.0]], "each dropout window must be a pair"),
+            ("scenario", "dropouts", [10.0, 20.0], "each dropout window must be a pair"),
+            ("scenario", "dropouts", [[20.0, 10.0]], "a dropout window must end after it starts"),
+            ("scenario", "dropouts", [[10.0, 200.0]], "dropout windows must lie within the run duration"),
+        ],
+        ids=["roi-of-three", "roi-number", "window-of-three", "flat-window", "reversed-window", "window-beyond"],
+    )
+    def test_a_value_of_the_wrong_shape_names_its_key_and_rule(self, tmp_path, block, key, value, rule):
+        p = tmp_path / "run.json"
+        given = SCENARIO if block == "scenario" else {}  # a scenario block must be complete
+        p.write_text(json.dumps({"grid_file": "grid.bin", block: {**given, key: value}}))
+        with pytest.raises(ConfigError, match=f"^{p}: {key}: .*{rule}"):
             load_config(p)
 
     @pytest.mark.parametrize(
@@ -204,32 +245,38 @@ class TestLoadConfig:
     def test_particles_beyond_physical_memory_are_refused_before_any_allocation(
         self, tiny_setup, tmp_path, monkeypatch, capsys, K
     ):
-        # the bound itself loads; one more particle, or 10**31, is a config
-        # error naming J and the file, raised before the tracker runs and
-        # with nothing of the particles' size allocated
+        # load_config takes any J; track refuses, before the tracker runs and
+        # with nothing of the particles' size allocated, the J whose
+        # particles and association DP at the largest record, M = 3 angles
+        # here, need more than physical memory: the bound runs, one more
+        # particle or 10**31 is one error line naming the config
         _, _, cfg = tiny_setup
-        most = _max_particles(K)
-        assert 10**6 < most < 10**31
+        obs = tmp_path / "obs.jsonl"
+        sio.write_observations(obs, [(0, 2.048, [5.0]), (1, 4.096, [40.0, 30.0, 20.0])])
+        per_particle = 8 * (8 + 6 * K + (K + 1) * 4 + 3 * K)
+        most = MEMORY // per_particle
         p = tmp_path / "run.json"
-        p.write_text(json.dumps(dict(cfg, K=K, J=most)))
-        assert load_config(p).n_particles == most
+        out = tmp_path / "out"
+
+        def write(J):
+            p.write_text(json.dumps(dict(cfg, K=K, J=J, output_dir=str(out), observations_file=str(obs))))
 
         def no_tracking(*args, **kwargs):
             raise AssertionError("the tracker ran")
 
         monkeypatch.setattr(swfocal.cli, "run_tracker", no_tracking)
+        monkeypatch.setattr(swfocal.cli, "_physical_memory", lambda: MEMORY)
+        write(most)
+        with pytest.raises(AssertionError, match="the tracker ran"):
+            swfocal.cli.main(["track", "--config", str(p)])
         for J in (most + 1, 10**31):
-            p.write_text(json.dumps(dict(cfg, K=K, J=J)))
-            tracemalloc.start()
-            try:
-                with pytest.raises(ConfigError, match=f"^{p}: J = {J} particles need more"):
-                    load_config(p)
-                assert swfocal.cli.main(["track", "--config", str(p)]) == 1
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 2**20
-            assert capsys.readouterr().err.startswith(f"error: {p}: J = {J}")
+            write(J)
+            assert load_config(p).n_particles == J
+            assert refused_in_process(["track", "--config", str(p)], capsys) == (
+                f"error: {p}: J = {J} particles at K = {K} over records of up to 3 angles in {obs} "
+                f"needs {J * per_particle} bytes, {BEYOND}\n"
+            )
+        assert_one_error_line(run_cli("track", "--config", p), out)
 
     def test_grid_file_is_required(self, tmp_path):
         p = tmp_path / "run.json"
@@ -259,35 +306,27 @@ class TestBuildGrid:
         assert sio.read_grid(tmp_path / "out" / "grid.bin").values.shape == (5, 5, 4)
 
     def test_a_grid_beyond_physical_memory_is_refused_before_any_allocation(self, tmp_path, monkeypatch, capsys):
-        # one grid point more than the values' bound, or 10**12 ranges, is one
+        # the values' bound is built; one range more, or 10**12 ranges, is one
         # error line and exit 1, before any row is solved and with nothing of
         # the grid's size allocated
         n_d = 165
-        n_r = _physical_memory() // (8 * len(PathKind) * n_d) + 1
+        n_r = MEMORY // (8 * len(PathKind) * n_d)
         out = tmp_path / "g.bin"
 
         def no_build(*args, **kwargs):
             raise AssertionError("the grid was built")
 
         monkeypatch.setattr(swfocal.cli, "build_doa_grid", no_build)
-        for nr in (n_r, 10**12):
-            argv = ["build-grid", "--env", str(ENV_FILE), "--out", str(out), "--nr", str(nr), "--nd", str(n_d)]
-            tracemalloc.start()
-            try:
-                assert swfocal.cli.main(argv) == 1
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 2**20
-            assert capsys.readouterr().err == (
-                f"error: a {nr} x {n_d} grid needs {32 * nr * n_d} bytes of values, "
-                "more than this machine's physical memory\n"
+        monkeypatch.setattr(swfocal.cli, "_physical_memory", lambda: MEMORY)
+        argv = ["build-grid", "--env", str(ENV_FILE), "--out", str(out), "--nd", str(n_d), "--nr"]
+        with pytest.raises(AssertionError, match="the grid was built"):
+            swfocal.cli.main([*argv, str(n_r)])
+        for nr in (n_r + 1, 10**12):
+            assert refused_in_process([*argv, str(nr)], capsys) == (
+                f"error: a {nr} x {n_d} grid needs {32 * nr * n_d} bytes, {BEYOND}\n"
             )
         res = run_cli("build-grid", "--env", ENV_FILE, "--out", out, "--nr", 10**12, "--nd", n_d)
-        assert res.returncode == 1
-        assert "Traceback" not in res.stderr
-        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
-        assert not out.exists()
+        assert_one_error_line(res, out)
 
     def test_single_point_axis_is_usage_error(self, tmp_path):
         res = run_cli(
@@ -315,8 +354,12 @@ class TestBuildGrid:
             (lambda doc: doc.__setitem__("bottom_depth_m", float("nan")), "bottom depth"),
             (lambda doc: doc.__setitem__("bottom_depth_m", float("inf")), "bottom depth"),
             (lambda doc: doc.__setitem__("receiver_depth_m", float("nan")), "receiver depth"),
+            (lambda doc: doc["ssp_knots"][1].append(1500.0), "ssp_knots: each profile knot must be a pair"),
         ],
-        ids=["speed-nan", "speed-inf", "depth-nan", "depth-inf", "bottom-nan", "bottom-inf", "receiver-nan"],
+        ids=[
+            "speed-nan", "speed-inf", "depth-nan", "depth-inf", "bottom-nan", "bottom-inf", "receiver-nan",
+            "knot-of-three",
+        ],
     )
     def test_non_finite_env_value_is_domain_error_by_name(self, tmp_path, edit, name):
         # Python's json reads the NaN and Infinity literals that it writes
@@ -419,42 +462,58 @@ class TestSimulate:
     def test_a_duration_beyond_physical_memory_is_refused_before_any_allocation(
         self, tiny_setup, tmp_path, monkeypatch, capsys
     ):
-        # the bound's epochs load; one epoch more, or 1e15 s, is a config
-        # error naming duration_s and the file, raised before the truth is
-        # made and with nothing of the epochs' size allocated
+        # load_config takes any duration; simulate runs the bound's epochs and
+        # refuses one epoch more, or 1e15 s, with one error line naming the
+        # config, before the truth is made and with nothing of the epochs'
+        # size allocated
         root, cfg_path, cfg = tiny_setup
-        most, step = _max_epochs(4), MotionParams().step_s
-        assert 10**6 < most < 10**31
+        most, step = MEMORY // (8 * (4 + 5 * 4)), MotionParams().step_s
         p = tmp_path / "run.json"
+        out = tmp_path / "out"
 
         def write(duration):
             scenario = dict(cfg["scenario"], duration_s=duration)
-            p.write_text(json.dumps(dict(cfg, output_dir=str(tmp_path / "out"), scenario=scenario)))
-
-        write((most - 1) * step)
-        assert load_config(p).scenario.duration_s == (most - 1) * step
+            p.write_text(json.dumps(dict(cfg, output_dir=str(out), scenario=scenario)))
 
         def no_truth(*args, **kwargs):
             raise AssertionError("the truth was made")
 
         monkeypatch.setattr(swfocal.cli, "generate_truth", no_truth)
-        for duration in ((most + 1) * step, 1e15):
+        monkeypatch.setattr(swfocal.cli, "_physical_memory", lambda: MEMORY)
+        write((most - 0.5) * step)
+        with pytest.raises(AssertionError, match="the truth was made"):
+            swfocal.cli.main(["simulate", "--config", str(p)])
+        for duration, epochs in (((most + 0.5) * step, most + 1), (1e15, np.ceil(1e15 / step))):
             write(duration)
-            tracemalloc.start()
-            try:
-                with pytest.raises(ConfigError, match=f"^{p}: duration_s = {duration} s in steps of {step} s"):
-                    load_config(p)
-                assert swfocal.cli.main(["simulate", "--config", str(p)]) == 1
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 2**20
-            assert capsys.readouterr().err.startswith(f"error: {p}: duration_s = {duration} s")
+            assert load_config(p).scenario.duration_s == duration
+            assert refused_in_process(["simulate", "--config", str(p)], capsys) == (
+                f"error: {p}: duration_s = {duration} s in steps of {step} s at K = 4 "
+                f"needs {np.float64(8 * 24 * epochs)} bytes, {BEYOND}\n"
+            )
+        assert_one_error_line(run_cli("simulate", "--config", p), out)
+
+    def test_an_epoch_count_beyond_the_float_range_is_refused(self, tiny_setup, tmp_path):
+        # 1e300 s in steps of 1e-300 s passes both dataclasses, and its epoch
+        # count overflows to inf: refused, not converted to an integer
+        root, cfg_path, cfg = tiny_setup
+        p = tmp_path / "run.json"
+        scenario = dict(cfg["scenario"], duration_s=1e300, dropouts=[])
+        doc = dict(cfg, output_dir=str(tmp_path / "out"), scenario=scenario, motion={"step_s": 1e-300})
+        p.write_text(json.dumps(doc))
         res = run_cli("simulate", "--config", p)
-        assert res.returncode == 1
-        assert "Traceback" not in res.stderr
-        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
-        assert not (tmp_path / "out").exists()
+        assert_one_error_line(res, tmp_path / "out")
+        assert res.stderr == (
+            f"error: {p}: duration_s = 1e+300 s in steps of 1e-300 s at K = 4 needs inf bytes, {BEYOND}\n"
+        )
+
+    def test_ignores_the_particle_count(self, tiny_setup, tmp_path):
+        # simulate draws no particles, so a J far beyond physical memory runs
+        root, cfg_path, cfg = tiny_setup
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps(dict(cfg, J=10**31, output_dir=str(tmp_path / "out"))))
+        res = run_cli("simulate", "--config", p)
+        assert res.returncode == 0, res.stderr
+        assert (tmp_path / "out" / "observations.jsonl").exists()
 
 
 class TestTrackAndEvaluate:
@@ -608,6 +667,22 @@ class TestTrackAndEvaluate:
         assert res.stderr.startswith(f"error: {files[which]}:{row + 1}: ") and repr(bad) in res.stderr
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("estimate, truth", [(1e200, 1000.0), (1.5e308, -1.5e308)], ids=["square", "difference"])
+    def test_evaluate_rejects_errors_that_overflow(self, tmp_path, estimate, truth):
+        # a finite estimate whose error, or its square, overflows: one error
+        # line naming the estimates file, and no numpy warning
+        rows = [(i * 2.048, truth, 60.0, -2.5) for i in range(3)]
+        files = {"truth": tmp_path / "truth.csv", "est": tmp_path / "est.csv"}
+        sio.write_track_csv(files["truth"], rows)
+        last = (rows[2][0], estimate, 60.0, -2.5)
+        sio.write_estimates_csv(files["est"], [(*r, 100.0) for r in [*rows[:2], last]])
+        with pytest.raises(ValueError, match="^estimates: the errors against the truth overflow the float range$"):
+            swfocal.cli.evaluate_run(sio.read_estimates_csv(files["est"]), sio.read_track_csv(files["truth"]))
+        res = run_cli("evaluate", "--estimates", files["est"], "--truth", files["truth"])
+        assert res.returncode == 1
+        assert res.stderr == f"error: {files['est']}: the errors against the truth overflow the float range\n"
+        assert res.stdout == ""
+
     def test_track_missing_observations_is_domain_error(self, tiny_setup, tmp_path):
         root, cfg_path, cfg = tiny_setup
         cfg_bad = dict(cfg, observations_file=str(tmp_path / "missing.jsonl"))
@@ -628,39 +703,50 @@ class TestTrackAndEvaluate:
     def test_a_record_beyond_physical_memory_is_refused_before_tracking(
         self, tiny_setup, tmp_path, monkeypatch, capsys
     ):
-        # at the largest J that loads, a record of six angles needs more than
-        # physical memory for the association DP's state and prefix buffer:
-        # one error line naming the file, before the tracker runs and with
-        # nothing of that size allocated
+        # at a J whose particles and association DP fit for records of five
+        # angles, a record of six needs more than physical memory: one error
+        # line naming the config and the observations, before the tracker
+        # runs and with nothing of that size allocated
         root, cfg_path, cfg = tiny_setup
-        J = _max_particles(4)
-        need = 8 * J * (5 * 7 + 6 * 4)
-        assert need > _physical_memory()
+        J = MEMORY // (8 * (37 + 9 * 5))  # 8 + 6K + (K + 1)(M + 1) + MK doubles per particle at K = 4
         obs = tmp_path / "obs.jsonl"
-        sio.write_observations(obs, [(0, 2.048, [5.0]), (1, 4.096, [40.0, 30.0, 20.0, 10.0, 0.0, -10.0])])
         p = tmp_path / "c.json"
-        p.write_text(json.dumps(dict(cfg, J=J, output_dir=str(tmp_path / "out"), observations_file=str(obs))))
+        out = tmp_path / "out"
+
+        def write(records, J=J):
+            sio.write_observations(obs, records)
+            p.write_text(json.dumps(dict(cfg, J=J, output_dir=str(out), observations_file=str(obs))))
 
         def no_tracking(*args, **kwargs):
             raise AssertionError("the tracker ran")
 
         monkeypatch.setattr(swfocal.cli, "run_tracker", no_tracking)
-        tracemalloc.start()
-        try:
-            assert swfocal.cli.main(["track", "--config", str(p)]) == 1
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
-        assert capsys.readouterr().err == (
-            f"error: {obs}: a record of 6 angles at K = 4 and J = {J} needs {need} bytes "
-            "for the association DP, more than this machine's physical memory\n"
+        monkeypatch.setattr(swfocal.cli, "_physical_memory", lambda: MEMORY)
+        five, six = [40.0, 30.0, 20.0, 10.0, 0.0], [40.0, 30.0, 20.0, 10.0, 0.0, -10.0]
+        write([(0, 2.048, [5.0]), (1, 4.096, five)])
+        with pytest.raises(AssertionError, match="the tracker ran"):
+            swfocal.cli.main(["track", "--config", str(p)])
+        write([(0, 2.048, [5.0]), (1, 4.096, six)])
+        assert refused_in_process(["track", "--config", str(p)], capsys) == (
+            f"error: {p}: J = {J} particles at K = 4 over records of up to 6 angles in {obs} "
+            f"needs {8 * J * (37 + 9 * 6)} bytes, {BEYOND}\n"
         )
+        # on this machine: the J whose particles fit with records of no angle
+        write([(0, 2.048, [5.0]), (1, 4.096, six)], J=_physical_memory() // (8 * 37))
+        assert_one_error_line(run_cli("track", "--config", p), out)
+
+    def test_track_ignores_the_scenario_size(self, tiny_setup, tmp_path):
+        # track simulates nothing, so a scenario of 1e15 s runs
+        root, cfg_path, cfg = tiny_setup
+        obs = tmp_path / "obs.jsonl"
+        sio.write_observations(obs, [(0, 2.048, [5.0]), (1, 4.096, [20.0, 5.0])])
+        scenario = dict(cfg["scenario"], duration_s=1e15)
+        p = tmp_path / "c.json"
+        doc = dict(cfg, output_dir=str(tmp_path / "out"), observations_file=str(obs), scenario=scenario)
+        p.write_text(json.dumps(doc))
         res = run_cli("track", "--config", p)
-        assert res.returncode == 1
-        assert "Traceback" not in res.stderr
-        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
-        assert not (tmp_path / "out").exists()
+        assert res.returncode == 0, res.stderr
+        assert sio.read_estimates_csv(tmp_path / "out" / "estimates.csv")[:, 0].tolist() == [2.048, 4.096]
 
     def test_degenerate_track_writes_the_epochs_before_it(self, tiny_setup, tmp_path):
         # without clutter, the third epoch's five observations cannot come
