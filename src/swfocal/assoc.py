@@ -123,7 +123,7 @@ class ModelParams:
         if self.n_paths < 1:
             raise ValueError("need at least one propagation path")
         if len(self.sigma_deg) != self.n_paths:
-            raise ValueError("need one noise standard deviation per path")
+            raise ValueError("sigma_deg: need one noise standard deviation per path")
         # each check is written so that nan fails it
         if not all(0.0 < s < np.inf for s in self.sigma_deg):
             raise ValueError("sigma_deg: noise standard deviations must be positive and finite")

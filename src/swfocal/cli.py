@@ -4,10 +4,11 @@
 the SB and DP layers of that grid.  Runs are driven by a strict JSON
 configuration, read with ``io``'s JSON rules: unknown keys are rejected
 so a config file fully determines a run, every block is a JSON object and
-numeric values must be JSON numbers.  Only ``simulate`` reads the
-``scenario`` block, and only from the file.  ``simulate`` and ``track``
-take ``--seed`` to override the config seed; identical
-invocations produce byte-identical outputs.  A command whose arrays
+numeric values must be JSON numbers, ``prior.roi``, ``model.sigma_deg``
+and ``scenario.dropouts`` lists of the shape ``CONFIG_KEYS`` gives
+``io.number``.  Only ``simulate`` reads the ``scenario`` block, and only
+from the file.  ``simulate`` and ``track`` take ``--seed`` to override the
+config seed; identical invocations produce byte-identical outputs.  A command whose arrays
 would not fit in physical memory is refused before it allocates them, and
 each command checks only its own: ``build-grid`` the grid, ``simulate``
 the scenario's epochs and ``track`` its particles at the largest record.
@@ -79,11 +80,12 @@ CONFIG_KEYS = {
     "K": sio.integer,
     "J": lambda v, key: sio.integer(v, key, least=1),
     "seed": sio.integer,
-    "model": _block(ModelParams, skip=("n_paths",)),
+    "model": _block(ModelParams, skip=("n_paths",), sigma_deg=lambda v, key: sio.number(v, key, (None,))),
     "motion": _block(MotionParams),
-    "prior": _block(PriorParams),
+    "prior": _block(PriorParams, roi=lambda v, key: sio.number(v, key, (4,))),
     "scenario": _block(
-        ScenarioConfig, skip=("roi", "motion"), required=SCENARIO_REQUIRED, truth_motion=sio.string
+        ScenarioConfig, skip=("roi", "motion"), required=SCENARIO_REQUIRED, truth_motion=sio.string,
+        dropouts=lambda v, key: sio.number(v, key, (None, 2)),
     ),
 }
 

@@ -132,12 +132,10 @@ class SoundSpeedProfile:
     knots: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if not (np.iterable(self.knots) and all(np.shape(k) == (2,) for k in self.knots)):
-            raise ValueError("ssp_knots: each profile knot must be a pair [depth_m, speed_mps]")
         knots = tuple((float(z), float(c)) for z, c in self.knots)
         object.__setattr__(self, "knots", knots)
         if len(knots) < 2:
-            raise ValueError("sound speed profile needs at least two knots")
+            raise ValueError("ssp_knots: sound speed profile needs at least two knots")
         depths = [z for z, _ in knots]
         if depths[0] != 0.0:
             raise ValueError("first profile knot must be at the surface (depth 0)")

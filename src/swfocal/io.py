@@ -1,8 +1,9 @@
 """File formats: environment JSON, binary DOA grids, observation JSONL,
 truth and estimate CSVs, and evaluation reports.  The JSON input rules,
 the run configuration's included, live here alone: ``read_json``,
-``json_object``, ``number``, ``integer`` and ``string``.  CSV values must
-be finite numbers.
+``json_object``, ``number``, ``integer`` and ``string``.  ``number`` reads
+the shape of a list too, so a value's shape is checked nowhere else.  CSV
+values must be finite numbers.
 
 All angles in files are degrees, all distances meters, all times seconds.
 The binary grid layout, version 2, is little-endian: an 8-byte magic, a
@@ -51,8 +52,6 @@ __all__ = [
 GRID_MAGIC = b"SWFOCGRD"
 GRID_VERSION = 2
 
-_ENV_KEYS = {"ssp_knots", "bottom_depth_m", "receiver_depth_m"}
-
 
 class EnvFileError(ValueError):
     """Malformed environment description file."""
@@ -62,16 +61,24 @@ class GridFileError(ValueError):
     """Malformed or truncated binary grid file."""
 
 
-def number(v, key: str):
-    """``v`` as a float, or a list as a tuple of them; each must be a JSON number, and a bool is none."""
-    if isinstance(v, list):
-        return tuple(number(x, key) for x in v)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise TypeError(f"{key} must be a JSON number, got {v!r}")
-    try:
-        return float(v)
-    except OverflowError:
-        raise ValueError(f"{key} must be a JSON number in the float range") from None
+def number(v, key: str, shape=()):
+    """``v`` as a float, or for a ``shape`` of list lengths, outermost first and ``None`` for any, as nested
+    tuples of floats; each value must be a JSON number, and a bool is none."""
+
+    def read(x, inner):
+        if inner and isinstance(x, list) and inner[0] in (None, len(x)):
+            return tuple(read(y, inner[1:]) for y in x)
+        if inner or isinstance(x, list):
+            lists = "lists of ".join("" if n is None else f"{n} " for n in shape)
+            raise ValueError(f"{key}: must be {f'a list of {lists}numbers' if shape else 'a JSON number'}, got {v!r}")
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise TypeError(f"{key} must be a JSON number, got {x!r}")
+        try:
+            return float(x)
+        except OverflowError:
+            raise ValueError(f"{key} must be a JSON number in the float range") from None
+
+    return read(v, shape)
 
 
 def integer(v, key: str, least: int = 0) -> int:
@@ -125,8 +132,9 @@ def read_environment(path) -> Waveguide:
     keys are rejected; parse errors carry line context.
     """
     doc = read_json(path, EnvFileError)
+    read = {"ssp_knots": lambda v, key: number(v, key, (None, 2)), "bottom_depth_m": number, "receiver_depth_m": number}
     try:
-        doc = json_object(doc, "environment", dict.fromkeys(_ENV_KEYS, number), required=_ENV_KEYS)
+        doc = json_object(doc, "environment", read, required=read)
         return Waveguide(
             ssp=SoundSpeedProfile(knots=doc["ssp_knots"]),
             bottom_depth=doc["bottom_depth_m"],
@@ -205,19 +213,13 @@ def write_observations(path, records) -> None:
             )
 
 
-def _index(v, key: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise TypeError(f"{key} must be a JSON integer, got {v!r}")
-    return v
-
-
-_RECORD = {"t_index": _index, "time_s": number, "doas": lambda v, key: ObservationSet(number(v, key)).z}
+_RECORD = {"t_index": integer, "time_s": number, "doas": lambda v, key: ObservationSet(number(v, key, (None,))).z}
 
 
 def read_observations(path) -> list[tuple[int, float, np.ndarray]]:
     """Read (t_index, time_s, doas) records, each checked as an ``ObservationSet``.
 
-    ``t_index`` is a JSON integer, and ``time_s`` and the doas JSON numbers;
+    ``t_index`` is an integer of at least 0, and ``time_s`` and the doas JSON numbers;
     ``time_s`` is finite and strictly increasing from line to line.
     """
     records = []

@@ -46,8 +46,6 @@ class ScenarioConfig:
             raise ValueError("initial_speed_mps: initial speed must be finite")
         if self.truth_motion not in ("deterministic", "stochastic"):
             raise ValueError("truth motion must be 'deterministic' or 'stochastic'")
-        if not (np.iterable(self.dropouts) and all(np.shape(w) == (2,) for w in self.dropouts)):
-            raise ValueError("dropouts: each dropout window must be a pair [start, end]")
         for a, b in self.dropouts:
             if not (0.0 <= a and b <= self.duration_s):
                 raise ValueError("dropouts: dropout windows must lie within the run duration")

@@ -83,8 +83,6 @@ class PriorParams:
     speed_std: float = 5.0
 
     def __post_init__(self):
-        if np.shape(self.roi) != (4,):
-            raise ValueError("roi: prior region of interest must be four numbers, two ranges then two depths")
         r0, r1, d0, d1 = self.roi
         if not np.isfinite(self.roi).all():
             raise ValueError("roi: prior region of interest must be finite")

@@ -125,14 +125,22 @@ class TestLoadConfig:
     @pytest.mark.parametrize(
         "block, key, value, rule",
         [
-            ("prior", "roi", [100.0, 3600.0, 10.0], "must be four numbers"),
-            ("prior", "roi", 100.0, "must be four numbers"),
-            ("scenario", "dropouts", [[10.0, 20.0, 30.0]], "each dropout window must be a pair"),
-            ("scenario", "dropouts", [10.0, 20.0], "each dropout window must be a pair"),
+            ("prior", "roi", [100.0, 3600.0, 10.0], "must be a list of 4 numbers"),
+            ("prior", "roi", 100.0, "must be a list of 4 numbers"),
+            ("prior", "roi", [100.0, 3600.0, [10.0], 175.0], "must be a list of 4 numbers"),
+            ("scenario", "dropouts", [[10.0, 20.0, 30.0]], "must be a list of lists of 2 numbers"),
+            ("scenario", "dropouts", [10.0, 20.0], "must be a list of lists of 2 numbers"),
+            ("scenario", "dropouts", [[1.0, [2.0, 3.0]]], "must be a list of lists of 2 numbers"),
             ("scenario", "dropouts", [[20.0, 10.0]], "a dropout window must end after it starts"),
             ("scenario", "dropouts", [[10.0, 200.0]], "dropout windows must lie within the run duration"),
+            ("model", "sigma_deg", 0.5, "must be a list of numbers"),
+            ("model", "sigma_deg", [0.5, 0.5, 2.0], "need one noise standard deviation per path"),
+            ("motion", "step_s", [2.048], "must be a JSON number"),
         ],
-        ids=["roi-of-three", "roi-number", "window-of-three", "flat-window", "reversed-window", "window-beyond"],
+        ids=[
+            "roi-of-three", "roi-number", "roi-nested", "window-of-three", "flat-window", "window-nested",
+            "reversed-window", "window-beyond", "sigma-number", "sigma-of-three", "step-list",
+        ],
     )
     def test_a_value_of_the_wrong_shape_names_its_key_and_rule(self, tmp_path, block, key, value, rule):
         p = tmp_path / "run.json"
@@ -354,11 +362,14 @@ class TestBuildGrid:
             (lambda doc: doc.__setitem__("bottom_depth_m", float("nan")), "bottom depth"),
             (lambda doc: doc.__setitem__("bottom_depth_m", float("inf")), "bottom depth"),
             (lambda doc: doc.__setitem__("receiver_depth_m", float("nan")), "receiver depth"),
-            (lambda doc: doc["ssp_knots"][1].append(1500.0), "ssp_knots: each profile knot must be a pair"),
+            (lambda doc: doc["ssp_knots"][1].append(1500.0), "ssp_knots: must be a list of lists of 2 numbers"),
+            (lambda doc: doc["ssp_knots"][1].__setitem__(1, [1500.0]), "ssp_knots: must be a list of lists of 2"),
+            (lambda doc: doc.__setitem__("bottom_depth_m", [216.5]), "bottom_depth_m: must be a JSON number"),
+            (lambda doc: doc.__setitem__("ssp_knots", doc["ssp_knots"][:1]), "ssp_knots: sound speed profile needs"),
         ],
         ids=[
             "speed-nan", "speed-inf", "depth-nan", "depth-inf", "bottom-nan", "bottom-inf", "receiver-nan",
-            "knot-of-three",
+            "knot-of-three", "knot-nested", "bottom-list", "one-knot",
         ],
     )
     def test_non_finite_env_value_is_domain_error_by_name(self, tmp_path, edit, name):

@@ -1,11 +1,17 @@
+import copy
+import functools
 import json
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swfocal import io as sio
+from swfocal.cli import ConfigError, load_config
 from swfocal.environment import PathKind
 from swfocal.grid import DoaGrid, build_doa_grid
 
@@ -278,14 +284,26 @@ class TestRecordFiles:
             ("[0, 0.0, [3.0]]", "record must be a JSON object"),
             ('{"t_index": 0, "time_s": 0.0}', r"missing keys \['doas'\]"),
             ('{"t_index": 0, "time_s": 0.0, "doas": [3.0], "snr": 1}', r"unknown keys \['snr'\]"),
-            ('{"t_index": 0, "time_s": 0.0, "doas": 3.0}', "observed angles must form a list"),
-            ('{"t_index": 0, "time_s": 0.0, "doas": [[3.0], [1.0]]}', "observed angles must form a list"),
+            ('{"t_index": 0, "time_s": 0.0, "doas": 3.0}', "doas: must be a list of numbers"),
+            ('{"t_index": 0, "time_s": 0.0, "doas": [[3.0], [1.0]]}', "doas: must be a list of numbers"),
+            ('{"t_index": -1, "time_s": 0.0, "doas": [3.0]}', "t_index must be an integer of at least 0"),
+            ('{"t_index": 1.5, "time_s": 0.0, "doas": [3.0]}', "t_index must be an integer of at least 0"),
+            ('{"t_index": true, "time_s": 0.0, "doas": [3.0]}', "t_index must be an integer of at least 0"),
+            ('{"t_index": [0], "time_s": 0.0, "doas": [3.0]}', "t_index must be an integer of at least 0"),
+            ('{"t_index": 2.0, "time_s": 0.0, "doas": [3.0]}', None),
         ],
-        ids=["array", "missing-doas", "unknown-key", "doas-number", "doas-nested"],
+        ids=[
+            "array", "missing-doas", "unknown-key", "doas-number", "doas-nested",
+            "t_index-negative", "t_index-fraction", "t_index-bool", "t_index-list", "t_index-integral-float",
+        ],
     )
     def test_observation_record_is_an_object_of_its_three_keys(self, tmp_path, line, why):
         path = tmp_path / "obs.jsonl"
         path.write_text(line + "\n")
+        if why is None:  # read, its t_index as an int
+            ((t_index, *_),) = sio.read_observations(path)
+            assert t_index == 2 and type(t_index) is int
+            return
         with pytest.raises(ValueError, match=f":1: bad observation record: .*{why}"):
             sio.read_observations(path)
 
@@ -308,20 +326,20 @@ class TestRecordFiles:
             sio.read_observations(path)
 
     @pytest.mark.parametrize(
-        "record, key",
+        "record, key, rule",
         [
-            ('"t_index": 1, "time_s": "3", "doas": [1.0]', "time_s"),
-            ('"t_index": 1, "time_s": 2.0, "doas": ["10", true]', "doas"),
-            ('"t_index": 1, "time_s": 2.0, "doas": [true]', "doas"),
-            ('"t_index": 2.7, "time_s": 2.0, "doas": [1.0]', "t_index"),
-            ('"t_index": true, "time_s": 2.0, "doas": [1.0]', "t_index"),
+            ('"t_index": 1, "time_s": "3", "doas": [1.0]', "time_s", "a JSON number"),
+            ('"t_index": 1, "time_s": 2.0, "doas": ["10", true]', "doas", "a JSON number"),
+            ('"t_index": 1, "time_s": 2.0, "doas": [true]', "doas", "a JSON number"),
+            ('"t_index": 2.7, "time_s": 2.0, "doas": [1.0]', "t_index", "an integer"),
+            ('"t_index": true, "time_s": 2.0, "doas": [1.0]', "t_index", "an integer"),
         ],
         ids=["time_s-string", "doas-string-and-bool", "doas-bool", "t_index-fraction", "t_index-bool"],
     )
-    def test_observation_values_must_be_json_numbers(self, tmp_path, record, key):
+    def test_observation_values_must_be_json_numbers(self, tmp_path, record, key, rule):
         path = tmp_path / "obs.jsonl"
         path.write_text('{"t_index": 0, "time_s": 0.0, "doas": [3.0]}\n{' + record + "}\n")
-        with pytest.raises(ValueError, match=f":2:.*{key} must be a JSON"):
+        with pytest.raises(ValueError, match=f":2:.*{key} must be {rule}"):
             sio.read_observations(path)
 
     def test_track_csv_round_trip(self, tmp_path):
@@ -362,3 +380,58 @@ class TestRecordFiles:
         path = tmp_path / "truth.csv"
         path.write_text("time_s,range_m,depth_m,speed_mps\n0,1,2,3\n\n4,5,6,7\n")
         assert sio.read_track_csv(path).tolist() == [[0, 1, 2, 3], [4, 5, 6, 7]]
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# per input kind: file name, a valid document, its reader and the reader's error
+READERS = {
+    "config": ("run.json", json.loads((CONFIGS / "default_run.json").read_text()), load_config, ConfigError),
+    "environment": (
+        "env.json", json.loads((CONFIGS / "coastal_216m_env.json").read_text()), sio.read_environment, sio.EnvFileError
+    ),
+    "observations": ("obs.jsonl", {"t_index": 0, "time_s": 0.0, "doas": [3.0, -1.0]}, sio.read_observations, ValueError),
+}
+
+
+def _key_paths(doc, path=()):
+    """Every key of the JSON object ``doc`` as a path of keys, a block's own keys after the block."""
+    for k, v in doc.items():
+        yield (*path, k)
+        if isinstance(v, dict):
+            yield from _key_paths(v, (*path, k))
+
+
+def _depth(v) -> int:
+    """How deep ``v`` nests lists, its first value standing for all."""
+    return 1 + _depth(v[0]) if isinstance(v, list) else 0
+
+
+def _of_another_shape_or_type(v):
+    """JSON values of another shape or type than ``v``: lists nested to another depth, numbers at the
+    bottom (so a number where a list belongs, a list where a number does), booleans, strings and null."""
+    numbers = st.integers(-(10**6), 10**6) | st.floats(-1e6, 1e6)
+    nested = [
+        functools.reduce(lambda s, _: st.lists(s, min_size=1, max_size=3), range(depth), numbers)
+        for depth in range(4)
+        if isinstance(v, (str, dict)) or depth != _depth(v)
+    ]
+    return st.one_of(*nested, st.booleans(), st.none(), *([] if isinstance(v, str) else [st.text("xyz", max_size=3)]))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    case=st.sampled_from([(kind, keys) for kind, (_, doc, *_) in READERS.items() for keys in _key_paths(doc)]),
+    data=st.data(),
+)
+def test_a_value_of_another_shape_or_type_is_refused_by_file_and_key(tmp_path_factory, case, data):
+    kind, keys = case
+    name, doc, read, error = READERS[kind]
+    doc = copy.deepcopy(doc)
+    block = functools.reduce(dict.__getitem__, keys[:-1], doc)
+    block[keys[-1]] = data.draw(_of_another_shape_or_type(block[keys[-1]]), label=".".join(keys))
+    path = tmp_path_factory.getbasetemp() / name
+    path.write_text(json.dumps(doc) + "\n")  # one line: one observation record
+    with pytest.raises(error) as e:
+        read(path)
+    message, key = str(e.value), keys[-1]
+    assert message.startswith(f"{path}:") and (f"{key}: " in message or f"{key} must be" in message), message
