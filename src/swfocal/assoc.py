@@ -88,6 +88,7 @@ Angles are degrees throughout; densities are per degree.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Sequence
@@ -123,14 +124,14 @@ class ModelParams:
         if self.n_paths < 1:
             raise ValueError("need at least one propagation path")
         if len(self.sigma_deg) != self.n_paths:
-            raise ValueError("sigma_deg: need one noise standard deviation per path")
+            raise ValueError(f"sigma_deg: need one noise standard deviation per path, got {self.sigma_deg}")
         # each check is written so that nan fails it
         if not all(0.0 < s < np.inf for s in self.sigma_deg):
-            raise ValueError("sigma_deg: noise standard deviations must be positive and finite")
+            raise ValueError(f"sigma_deg: noise standard deviations must be positive and finite, got {self.sigma_deg}")
         if not 0.0 <= self.detect_prob <= 1.0:
-            raise ValueError("detect_prob: detection probability must lie in [0, 1]")
+            raise ValueError(f"detect_prob: detection probability must lie in [0, 1], got {self.detect_prob}")
         if not 0.0 <= self.mu_fa < np.inf:
-            raise ValueError("mu_fa: mean false-alarm count must be finite and nonnegative")
+            raise ValueError(f"mu_fa: mean false-alarm count must be finite and nonnegative, got {self.mu_fa}")
 
     @property
     def fa_density(self) -> float:
@@ -148,14 +149,14 @@ class ObservationSet:
         z = np.asarray(self.z, dtype=float)
         object.__setattr__(self, "z", z)
         if z.ndim != 1:
-            raise ValueError("observed angles must form a list")
+            raise ValueError(f"doas: observed angles must form a list, got {z.tolist()}")
         # array methods rather than np.any/np.diff: read_observations builds one set per line
         if not np.isfinite(z).all():
-            raise ValueError("non-finite observed angle")
+            raise ValueError(f"doas: observed angles must be finite, got {z.tolist()}")
         if (z < -90.0).any() or (z >= 90.0).any():
-            raise ValueError("observed angles must lie in [-90, 90)")
+            raise ValueError(f"doas: observed angles must lie in [-90, 90), got {z.tolist()}")
         if (z[1:] > z[:-1]).any():
-            raise ValueError("observations must be sorted in descending order")
+            raise ValueError(f"doas: observations must be sorted in descending order, got {z.tolist()}")
 
     @property
     def M(self) -> int:
@@ -278,6 +279,8 @@ _GATE_LOG_TOL = 100.0 * math.log(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _EXP_FLOOR = -700.0
 _EXP_ZERO = -746.0
+# a marginal whose bound (``_log_marginal_bound``) exceeds this could overflow the DP
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 # the DP's prefix sums are written before they are read, so one buffer per
 # thread serves every call; a fresh multi-megabyte array per epoch would be
@@ -305,17 +308,23 @@ def _gate_width(det: np.ndarray, params: ModelParams, M: int) -> float:
     probability of 1, or one outside [0, 1]) the gate is ``_GATE_SIGMA``,
     where every skipped density is exactly 0.
     """
-    K = det.shape[0]
     mu = params.mu_fa
     d = det.max(axis=1, initial=0.0)
     # nan fails these comparisons too
     if not (mu > 0.0 and det.min(initial=1.0) >= 0.0 and d.max(initial=0.0) < 1.0):
         return _GATE_SIGMA
     log_floor = float(np.log1p(-d).sum())
-    c = np.array(params.sigma_deg) * (_SQRT_2PI * params.fa_density * mu)
-    ratio = float((d / c).max(initial=1.0))
-    log_bound = math.lgamma(K + 1) + K * math.log((M + 1) * ratio) - log_floor + _GATE_LOG_TOL
+    log_bound = _log_marginal_bound(d, params, M) - log_floor + _GATE_LOG_TOL
     return min(_GATE_SIGMA, math.sqrt(2.0 * log_bound))
+
+
+def _log_marginal_bound(d: np.ndarray, params: ModelParams, M: int) -> float:
+    """Log of ``K! ((M + 1) R)**K``, ``R`` as in ``_gate_width`` for each path's largest detection
+    probability ``d``: with ``mu > 0`` it bounds every state's marginal, and every value of the DP."""
+    K = d.size
+    c = np.array(params.sigma_deg) * (_SQRT_2PI * params.fa_density * params.mu_fa)
+    ratio = float((d / c).max(initial=1.0))
+    return math.lgamma(K + 1) + K * math.log((M + 1) * ratio)
 
 
 def _live_spans(z: np.ndarray, ang: np.ndarray, sigma, gate: float) -> tuple[list[int], list[int]]:
@@ -385,10 +394,11 @@ def marginal_likelihood_batch(
     in a batch by an ulp or two.
     The gate relies on the order, so ``z_sorted`` out of order, or with a
     ``nan``, raises ``ValueError``, as do a path count K other than
-    ``params.n_paths`` and ``detect_probs`` of another shape than
-    ``angles_deg``.  Any memory layout is accepted; the transpose of a
-    C-ordered (K, J) array, as ``interpolate_doa_many`` returns, is read
-    without a copy.
+    ``params.n_paths``, ``detect_probs`` of another shape than
+    ``angles_deg`` and a clutter mean so small that the weights could
+    overflow the float range (``_log_marginal_bound``).  Any memory layout
+    is accepted; the transpose of a C-ordered (K, J) array, as
+    ``interpolate_doa_many`` returns, is read without a copy.
     The prefix sums live in a per-thread scratch buffer that only grows,
     to the largest L * K * J float64 of any call on that thread, with L
     the live rows (at most M; about 3 MB at L = 10, K = 4, J = 10^4), and
@@ -412,6 +422,12 @@ def marginal_likelihood_batch(
     if mu <= 0.0 and M > K:
         return np.zeros(J)
 
+    # a tiny clutter mean would overflow the DP: refused before it runs
+    if mu > 0.0 and (log_bound := _log_marginal_bound(det.max(axis=1, initial=0.0), params, M)) > _LOG_FLOAT_MAX:
+        raise ValueError(
+            f"mu_fa: must be 0, for no clutter, or large enough that the association marginal stays in "
+            f"the float range (its bound is e^{log_bound:.0f} here), got {mu}"
+        )
     gate = _gate_width(det, params, M)
     first, stop = _live_spans(z, ang, params.sigma_deg, gate)
     # the DP runs on the union of the live rows: a row no path's gate

@@ -8,7 +8,11 @@ numeric values must be JSON numbers, ``prior.roi``, ``model.sigma_deg``
 and ``scenario.dropouts`` lists of the shape ``CONFIG_KEYS`` gives
 ``io.number``.  Only ``simulate`` reads the ``scenario`` block, and only
 from the file.  ``simulate`` and ``track`` take ``--seed`` to override the
-config seed; identical invocations produce byte-identical outputs.  A command whose arrays
+config seed; identical invocations produce byte-identical outputs.  They
+meet the config with its grid in ``_load_run``: ``K`` must not exceed the
+grid's layers and ``prior.roi`` must lie inside the grid's region of
+interest.  A refused input prints one ``error:`` line in ``io``'s form,
+``<file>[:<line>]: <key>: <rule>, got <value>``.  A command whose arrays
 would not fit in physical memory is refused before it allocates them, and
 each command checks only its own: ``build-grid`` the grid, ``simulate``
 the scenario's epochs and ``track`` its particles at the largest record.
@@ -112,7 +116,7 @@ def load_config(path) -> RunConfig:
         doc = sio.json_object(doc, "config", CONFIG_KEYS, required=("grid_file",))
         n_paths = doc.get("K", 4)
         if n_paths not in DEFAULT_MU_FA:
-            raise ValueError(f"K must be one of {sorted(DEFAULT_MU_FA)}")
+            raise ValueError(f"K: must be one of {sorted(DEFAULT_MU_FA)}, got {n_paths}")
         given = {"sigma_deg": DEFAULT_SIGMA[:n_paths], "mu_fa": DEFAULT_MU_FA[n_paths], **doc.get("model", {})}
         model = ModelParams(n_paths=n_paths, **given)
         motion = MotionParams(**doc.get("motion", {}))
@@ -131,7 +135,7 @@ def load_config(path) -> RunConfig:
             prior=prior,
             scenario=doc.get("scenario"),
         )
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise ConfigError(f"{path}: {e}") from e
 
 
@@ -151,7 +155,7 @@ def cmd_build_grid(args) -> int:
 def cmd_simulate(args) -> int:
     cfg, grid = _load_run(args)
     if cfg.scenario is None:
-        raise ConfigError(f"{args.config}: simulate needs a scenario block")
+        raise ConfigError(f"{args.config}: config: missing keys ['scenario'], which simulate needs")
     # per epoch the truth's time and state, and the lookup's (4, K) corners
     # and K angles; counted in floats, where a huge count is inf, not an error
     duration, step, K = cfg.scenario.duration_s, cfg.motion.step_s, cfg.model.n_paths
@@ -281,13 +285,27 @@ def cmd_evaluate(args) -> int:
 
 
 def _load_run(args) -> tuple[RunConfig, DoaGrid]:
-    """The config with the command line's overrides, and the first K path layers of its grid."""
+    """The config with the command line's overrides, and the first K path layers of its grid.
+
+    The config meets its grid here alone: the grid must hold K layers, and
+    its region of interest ``prior.roi``, where the particles start and the
+    simulated truth stays.
+    """
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = dataclasses.replace(cfg, output_dir=args.out)
-    return cfg, sio.read_grid(cfg.grid_file).select_kinds(tuple(PathKind)[: cfg.model.n_paths])
+    grid = sio.read_grid(cfg.grid_file)
+    K, (r0, r1, d0, d1), (p0, p1, q0, q1) = cfg.model.n_paths, grid.roi, cfg.prior.roi
+    if K > len(grid.kinds):
+        raise ConfigError(f"{args.config}: K: must be at most the {len(grid.kinds)} layers of {cfg.grid_file}, got {K}")
+    if not (r0 <= p0 and p1 <= r1 and d0 <= q0 and q1 <= d1):
+        raise ConfigError(
+            f"{args.config}: roi: must lie inside the region of interest of {cfg.grid_file}, "
+            f"{list(grid.roi)}, got {list(cfg.prior.roi)}"
+        )
+    return cfg, grid.select_kinds(tuple(PathKind)[:K])
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -135,15 +135,18 @@ class SoundSpeedProfile:
         knots = tuple((float(z), float(c)) for z, c in self.knots)
         object.__setattr__(self, "knots", knots)
         if len(knots) < 2:
-            raise ValueError("ssp_knots: sound speed profile needs at least two knots")
-        depths = [z for z, _ in knots]
-        if depths[0] != 0.0:
-            raise ValueError("first profile knot must be at the surface (depth 0)")
+            raise ValueError(f"ssp_knots: sound speed profile needs at least two knots, got {knots}")
         # each check is written so that nan fails it
-        if not all(a < b < np.inf for a, b in zip(depths, depths[1:])):
-            raise ValueError("profile knot depths must be finite and strictly increasing")
-        if not all(0.0 < c < np.inf for _, c in knots):
-            raise ValueError("sound speeds must be positive and finite")
+        if knots[0][0] != 0.0:
+            raise ValueError(f"ssp_knots[0][0]: the first knot must be at the surface (depth 0), got {knots[0][0]}")
+        for i, ((above, _), (z, _)) in enumerate(zip(knots, knots[1:]), start=1):
+            if not above < z < np.inf:
+                raise ValueError(
+                    f"ssp_knots[{i}][0]: knot depths must be finite and strictly increasing, got {z} after {above}"
+                )
+        for i, (_, c) in enumerate(knots):
+            if not 0.0 < c < np.inf:
+                raise ValueError(f"ssp_knots[{i}][1]: sound speeds must be positive and finite, got {c}")
 
     @property
     def max_depth(self) -> float:
@@ -161,11 +164,17 @@ class Waveguide:
     def __post_init__(self):
         # each check is written so that nan fails it
         if not 0.0 < self.bottom_depth < np.inf:
-            raise ValueError("bottom depth must be positive and finite")
+            raise ValueError(f"bottom_depth_m: must be positive and finite, got {self.bottom_depth}")
         if not 0.0 < self.receiver_depth < self.bottom_depth:
-            raise ValueError("receiver depth must lie strictly inside the water column")
+            raise ValueError(
+                f"receiver_depth_m: must lie strictly inside the water column (0, {self.bottom_depth}), "
+                f"got {self.receiver_depth}"
+            )
         if self.ssp.max_depth < self.bottom_depth:
-            raise ValueError("sound speed profile must cover the full water column")
+            raise ValueError(
+                f"ssp_knots: the profile must reach the bottom at {self.bottom_depth} m, "
+                f"got its last knot at {self.ssp.max_depth} m"
+            )
 
 
 @dataclass(frozen=True)

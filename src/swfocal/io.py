@@ -2,8 +2,12 @@
 truth and estimate CSVs, and evaluation reports.  The JSON input rules,
 the run configuration's included, live here alone: ``read_json``,
 ``json_object``, ``number``, ``integer`` and ``string``.  ``number`` reads
-the shape of a list too, so a value's shape is checked nowhere else.  CSV
-values must be finite numbers.
+the shape of a list too, so a value's shape is checked nowhere else.  A
+refused JSON input reads ``<file>[:<line>]: <key>: <rule>, got <value>``:
+these rules, and the value rules of the dataclasses the files fill, raise
+``<key>: <rule>, got <value>`` at the key path of the offending element,
+such as ``ssp_knots[3][1]``, and the readers here prefix the file, and for
+an observation record its line.  CSV values must be finite numbers.
 
 All angles in files are degrees, all distances meters, all times seconds.
 The binary grid layout, version 2, is little-endian: an 8-byte magic, a
@@ -63,22 +67,17 @@ class GridFileError(ValueError):
 
 def number(v, key: str, shape=()):
     """``v`` as a float, or for a ``shape`` of list lengths, outermost first and ``None`` for any, as nested
-    tuples of floats; each value must be a JSON number, and a bool is none."""
-
-    def read(x, inner):
-        if inner and isinstance(x, list) and inner[0] in (None, len(x)):
-            return tuple(read(y, inner[1:]) for y in x)
-        if inner or isinstance(x, list):
-            lists = "lists of ".join("" if n is None else f"{n} " for n in shape)
-            raise ValueError(f"{key}: must be {f'a list of {lists}numbers' if shape else 'a JSON number'}, got {v!r}")
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise TypeError(f"{key} must be a JSON number, got {x!r}")
-        try:
-            return float(x)
-        except OverflowError:
-            raise ValueError(f"{key} must be a JSON number in the float range") from None
-
-    return read(v, shape)
+    tuples of floats; each value must be a JSON number, and a bool is none.  A value of another shape is
+    refused at its own key path, such as ``ssp_knots[3][1]``, quoting that value alone."""
+    if shape and isinstance(v, list) and shape[0] in (None, len(v)):
+        return tuple(number(x, f"{key}[{i}]", shape[1:]) for i, x in enumerate(v))
+    if shape or isinstance(v, bool) or not isinstance(v, (int, float)):
+        lists = "lists of ".join("" if n is None else f"{n} " for n in shape)
+        raise ValueError(f"{key}: must be {f'a list of {lists}numbers' if shape else 'a JSON number'}, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{key}: must be a JSON number in the float range") from None
 
 
 def integer(v, key: str, least: int = 0) -> int:
@@ -89,27 +88,27 @@ def integer(v, key: str, least: int = 0) -> int:
         or (isinstance(v, float) and not v.is_integer())  # nan and inf too
         or v < least
     ):
-        raise ValueError(f"{key} must be an integer of at least {least}, got {v!r}")
+        raise ValueError(f"{key}: must be an integer of at least {least}, got {v!r}")
     return int(v)
 
 
 def string(v, key: str) -> str:
     """``v``, which must be a JSON string."""
     if not isinstance(v, str):
-        raise TypeError(f"{key} must be a string, got {v!r}")
+        raise ValueError(f"{key}: must be a string, got {v!r}")
     return v
 
 
-def json_object(doc, what: str, read: dict, required=()) -> dict:
-    """JSON object ``doc`` with each value as ``read[key](value, key)``: unknown
-    keys are checked first, then each value, then the ``required`` keys."""
+def json_object(doc, key: str, read: dict, required=()) -> dict:
+    """JSON object ``doc``, refused under ``key``, with each value as ``read[k](value, k)``:
+    unknown keys are checked first, then each value, then the ``required`` keys."""
     if not isinstance(doc, dict):
-        raise TypeError(f"{what} must be a JSON object, got {doc!r}")
+        raise ValueError(f"{key}: must be a JSON object, got {doc!r}")
     if unknown := set(doc) - set(read):
-        raise ValueError(f"{what}: unknown keys {sorted(unknown)}")
+        raise ValueError(f"{key}: unknown keys {sorted(unknown)}")
     values = {k: read[k](v, k) for k, v in doc.items()}
     if missing := set(required) - set(doc):
-        raise ValueError(f"{what}: missing keys {sorted(missing)}")
+        raise ValueError(f"{key}: missing keys {sorted(missing)}")
     return values
 
 
@@ -140,7 +139,7 @@ def read_environment(path) -> Waveguide:
             bottom_depth=doc["bottom_depth_m"],
             receiver_depth=doc["receiver_depth_m"],
         )
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise EnvFileError(f"{path}: {e}") from e
 
 
@@ -231,11 +230,11 @@ def read_observations(path) -> list[tuple[int, float, np.ndarray]]:
                 doc = json_object(json.loads(line), "record", _RECORD, required=_RECORD)
                 t = doc["time_s"]
                 if not math.isfinite(t):
-                    raise ValueError(f"non-finite time_s {t}")
+                    raise ValueError(f"time_s: must be finite, got {t}")
                 if records and not t > records[-1][1]:
-                    raise ValueError(f"time_s {t} does not increase on {records[-1][1]}")
-            except (json.JSONDecodeError, TypeError, ValueError) as e:
-                raise ValueError(f"{path}:{lineno}: bad observation record: {e}") from e
+                    raise ValueError(f"time_s: must increase from line to line, got {t} after {records[-1][1]}")
+            except ValueError as e:  # a JSON decode error too
+                raise ValueError(f"{path}:{lineno}: {e}") from e
             records.append((doc["t_index"], t, doc["doas"]))
     return records
 

@@ -41,19 +41,21 @@ class ScenarioConfig:
     def __post_init__(self):
         # each check is written so that nan fails it
         if not 0.0 <= self.duration_s < np.inf:
-            raise ValueError("duration_s: duration must be finite and nonnegative")
+            raise ValueError(f"duration_s: duration must be finite and nonnegative, got {self.duration_s}")
         if not np.isfinite(self.initial_speed_mps):
-            raise ValueError("initial_speed_mps: initial speed must be finite")
+            raise ValueError(f"initial_speed_mps: initial speed must be finite, got {self.initial_speed_mps}")
         if self.truth_motion not in ("deterministic", "stochastic"):
-            raise ValueError("truth motion must be 'deterministic' or 'stochastic'")
-        for a, b in self.dropouts:
+            raise ValueError(f"truth_motion: must be 'deterministic' or 'stochastic', got {self.truth_motion!r}")
+        for i, (a, b) in enumerate(self.dropouts):
             if not (0.0 <= a and b <= self.duration_s):
-                raise ValueError("dropouts: dropout windows must lie within the run duration")
+                raise ValueError(f"dropouts[{i}]: dropout windows must lie within the run duration, got {[a, b]}")
             if not a < b:
-                raise ValueError("dropouts: a dropout window must end after it starts")
-        r0, r1, d0, d1 = self.roi
-        if not (r0 <= self.initial_range_m <= r1 and d0 <= self.initial_depth_m <= d1):
-            raise ValueError("initial position must lie inside the region of interest")
+                raise ValueError(f"dropouts[{i}]: a dropout window must end after it starts, got {[a, b]}")
+        (r0, r1, d0, d1), r, d = self.roi, self.initial_range_m, self.initial_depth_m
+        if not r0 <= r <= r1:
+            raise ValueError(f"initial_range_m: must lie in the region of interest, [{r0}, {r1}], got {r}")
+        if not d0 <= d <= d1:
+            raise ValueError(f"initial_depth_m: must lie in the region of interest, [{d0}, {d1}], got {d}")
 
     def epoch_times(self) -> np.ndarray:
         n = int(np.ceil(self.duration_s / self.motion.step_s))

@@ -69,10 +69,10 @@ class MotionParams:
     def __post_init__(self):
         # each check is written so that nan fails it
         for name in ("accel_var", "depth_var"):
-            if not 0.0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name}: driving-noise variance must be finite and nonnegative")
+            if not 0.0 <= (v := getattr(self, name)) < np.inf:
+                raise ValueError(f"{name}: driving-noise variance must be finite and nonnegative, got {v}")
         if not 0.0 < self.step_s < np.inf:
-            raise ValueError("step_s: nominal step must be positive and finite")
+            raise ValueError(f"step_s: nominal step must be positive and finite, got {self.step_s}")
 
 
 @dataclass(frozen=True)
@@ -85,11 +85,13 @@ class PriorParams:
     def __post_init__(self):
         r0, r1, d0, d1 = self.roi
         if not np.isfinite(self.roi).all():
-            raise ValueError("roi: prior region of interest must be finite")
+            raise ValueError(f"roi: prior region of interest must be finite, got {list(self.roi)}")
         if not (r0 < r1 and d0 < d1):
-            raise ValueError("roi: prior region of interest is empty")
+            raise ValueError(f"roi: prior region of interest must not be empty, got {list(self.roi)}")
         if not 0.0 < self.speed_std < np.inf:
-            raise ValueError("speed_std: speed prior standard deviation must be positive and finite")
+            raise ValueError(
+                f"speed_std: speed prior standard deviation must be positive and finite, got {self.speed_std}"
+            )
 
 
 @dataclass

@@ -441,6 +441,23 @@ class TestMarginalLikelihood:
         with pytest.raises(ValueError, match="detect_probs"):
             marginal_likelihood_batch(np.array([1.0]), ang, det, params(4))
 
+    @pytest.mark.parametrize("mu, log_bound", [(1e-70, None), (1e-75, 721), (1e-300, 2794)])
+    def test_a_clutter_mean_whose_marginal_would_overflow_is_refused(self, mu, log_bound):
+        # K = 4, default sigmas, M = 6, J = 10**3: the bound K! ((M + 1) R)**K
+        # on the marginal is e^675 at mu = 1e-70, whose weights stay finite
+        # with no overflow warning, and beyond the float range below it
+        rng = np.random.default_rng(0)
+        ang = np.sort(rng.uniform(-20.0, 20.0, (1000, 4)), axis=1)[:, ::-1].copy()
+        det = np.full(ang.shape, 0.9)
+        z = np.sort(rng.choice(ang.reshape(-1), 6) + rng.normal(0.0, 0.3, 6))[::-1].copy()
+        p = params(4, sigma=(0.5, 0.5, 2.0, 2.0), mu=mu)
+        if log_bound is None:
+            w = marginal_likelihood_batch(z, ang, det, p)
+            assert np.isfinite(w).all() and w.max() > 1e280
+            return
+        with pytest.raises(ValueError, match=rf"^mu_fa: must be 0, for no clutter, .*e\^{log_bound} here\), got {mu}$"):
+            marginal_likelihood_batch(z, ang, det, p)
+
     def test_scratch_never_leaks_between_calls(self):
         cases = [scratch_case(*c) for c in SCRATCH_SEQUENCE]
         sizes = [args[0].size * args[1].size for args, _ in cases]  # M * K * J

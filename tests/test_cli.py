@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -123,30 +124,34 @@ class TestLoadConfig:
             load_config(p)
 
     @pytest.mark.parametrize(
-        "block, key, value, rule",
+        "block, at, value, rule",
         [
             ("prior", "roi", [100.0, 3600.0, 10.0], "must be a list of 4 numbers"),
             ("prior", "roi", 100.0, "must be a list of 4 numbers"),
-            ("prior", "roi", [100.0, 3600.0, [10.0], 175.0], "must be a list of 4 numbers"),
-            ("scenario", "dropouts", [[10.0, 20.0, 30.0]], "must be a list of lists of 2 numbers"),
-            ("scenario", "dropouts", [10.0, 20.0], "must be a list of lists of 2 numbers"),
-            ("scenario", "dropouts", [[1.0, [2.0, 3.0]]], "must be a list of lists of 2 numbers"),
-            ("scenario", "dropouts", [[20.0, 10.0]], "a dropout window must end after it starts"),
-            ("scenario", "dropouts", [[10.0, 200.0]], "dropout windows must lie within the run duration"),
+            ("prior", "roi[2]", [100.0, 3600.0, [10.0], 175.0], "must be a JSON number, got [10.0]"),
+            ("scenario", "dropouts[0]", [[10.0, 20.0, 30.0]], "must be a list of 2 numbers"),
+            ("scenario", "dropouts[0]", [10.0, 20.0], "must be a list of 2 numbers, got 10.0"),
+            ("scenario", "dropouts[0][1]", [[1.0, [2.0, 3.0]]], "must be a JSON number, got [2.0, 3.0]"),
+            ("scenario", "dropouts[0]", [[20.0, 10.0]], "a dropout window must end after it starts"),
+            ("scenario", "dropouts[0]", [[10.0, 200.0]], "dropout windows must lie within the run duration"),
             ("model", "sigma_deg", 0.5, "must be a list of numbers"),
             ("model", "sigma_deg", [0.5, 0.5, 2.0], "need one noise standard deviation per path"),
             ("motion", "step_s", [2.048], "must be a JSON number"),
+            ("scenario", "truth_motion", "random", "must be 'deterministic' or 'stochastic', got 'random'"),
+            ("scenario", "initial_range_m", 5000.0, "must lie in the region of interest, [100.0, 3600.0], got 5000.0"),
         ],
         ids=[
             "roi-of-three", "roi-number", "roi-nested", "window-of-three", "flat-window", "window-nested",
             "reversed-window", "window-beyond", "sigma-number", "sigma-of-three", "step-list",
+            "truth-motion-random", "start-beyond-the-roi",
         ],
     )
-    def test_a_value_of_the_wrong_shape_names_its_key_and_rule(self, tmp_path, block, key, value, rule):
+    def test_a_value_of_the_wrong_shape_names_its_key_and_rule(self, tmp_path, block, at, value, rule):
+        # ``at`` is the key path of the offending element
         p = tmp_path / "run.json"
         given = SCENARIO if block == "scenario" else {}  # a scenario block must be complete
-        p.write_text(json.dumps({"grid_file": "grid.bin", block: {**given, key: value}}))
-        with pytest.raises(ConfigError, match=f"^{p}: {key}: .*{rule}"):
+        p.write_text(json.dumps({"grid_file": "grid.bin", block: {**given, at.split("[")[0]: value}}))
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{p}: {at}: ')}.*{re.escape(rule)}"):
             load_config(p)
 
     @pytest.mark.parametrize(
@@ -171,7 +176,7 @@ class TestLoadConfig:
             assert (cfg.n_particles, cfg.seed) == ((10_000, 0) if key == "J" else (10_000, 3))
             assert type(cfg.n_particles) is type(cfg.seed) is int
         else:
-            with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            with pytest.raises(ConfigError, match=f"^{p}: {key}: must be an integer"):
                 load_config(p)
 
     @pytest.mark.parametrize("value", [None, 5])
@@ -179,25 +184,26 @@ class TestLoadConfig:
     def test_path_keys_must_be_strings(self, tmp_path, key, value):
         p = tmp_path / "run.json"
         p.write_text(json.dumps({"grid_file": "grid.bin", key: value}))
-        with pytest.raises(ConfigError, match=f"{key} must be a string"):
+        with pytest.raises(ConfigError, match=f"^{p}: {key}: must be a string"):
             load_config(p)
 
     @pytest.mark.parametrize(
-        "block, key, value",
+        "block, at, value, bad",
         [
-            ("model", "detect_prob", True),
-            ("motion", "step_s", True),
-            ("model", "mu_fa", "2.5"),
-            ("prior", "roi", ["100", "3600", 10, 175]),
-            ("model", "sigma_deg", [0.5, 0.5, False, 2.0]),
-            ("scenario", "dropouts", [[420.0, "494"]]),
-            ("scenario", "initial_depth_m", None),
+            ("model", "detect_prob", True, True),
+            ("motion", "step_s", True, True),
+            ("model", "mu_fa", "2.5", "2.5"),
+            ("prior", "roi[0]", ["100", "3600", 10, 175], "100"),
+            ("model", "sigma_deg[2]", [0.5, 0.5, False, 2.0], False),
+            ("scenario", "dropouts[0][1]", [[420.0, "494"]], "494"),
+            ("scenario", "initial_depth_m", None, None),
         ],
     )
-    def test_float_keys_must_be_json_numbers(self, tmp_path, block, key, value):
+    def test_float_keys_must_be_json_numbers(self, tmp_path, block, at, value, bad):
+        # the key path of the offending element, and that element alone
         p = tmp_path / "run.json"
-        p.write_text(json.dumps({"grid_file": "grid.bin", block: {key: value}}))
-        with pytest.raises(ConfigError, match=f"{key} must be a JSON number"):
+        p.write_text(json.dumps({"grid_file": "grid.bin", block: {at.split("[")[0]: value}}))
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{p}: {at}: must be a JSON number, got {bad!r}')}$"):
             load_config(p)
 
     def test_environment_file_is_an_unknown_key(self, tmp_path):
@@ -239,7 +245,7 @@ class TestLoadConfig:
     def test_a_block_must_be_a_json_object(self, tmp_path, block, value):
         p = tmp_path / "run.json"
         p.write_text(json.dumps({"grid_file": "grid.bin", block: value}))
-        with pytest.raises(ConfigError, match=f"{block} must be a JSON object"):
+        with pytest.raises(ConfigError, match=f"^{p}: {block}: must be a JSON object"):
             load_config(p)
 
     @pytest.mark.parametrize("doc", ["[1, 2]", "{", '{"grid_file": "grid.bin"} 1'])
@@ -355,21 +361,28 @@ class TestBuildGrid:
     @pytest.mark.parametrize(
         "edit, name",
         [
-            (lambda doc: doc["ssp_knots"][1].__setitem__(1, float("nan")), "sound speeds"),
-            (lambda doc: doc["ssp_knots"][1].__setitem__(1, float("inf")), "sound speeds"),
-            (lambda doc: doc["ssp_knots"][1].__setitem__(0, float("nan")), "knot depths"),
-            (lambda doc: doc["ssp_knots"][-1].__setitem__(0, float("inf")), "knot depths"),
-            (lambda doc: doc.__setitem__("bottom_depth_m", float("nan")), "bottom depth"),
-            (lambda doc: doc.__setitem__("bottom_depth_m", float("inf")), "bottom depth"),
-            (lambda doc: doc.__setitem__("receiver_depth_m", float("nan")), "receiver depth"),
-            (lambda doc: doc["ssp_knots"][1].append(1500.0), "ssp_knots: must be a list of lists of 2 numbers"),
-            (lambda doc: doc["ssp_knots"][1].__setitem__(1, [1500.0]), "ssp_knots: must be a list of lists of 2"),
+            (lambda doc: doc["ssp_knots"][1].__setitem__(1, float("nan")), "ssp_knots[1][1]: sound speeds"),
+            (lambda doc: doc["ssp_knots"][1].__setitem__(1, float("inf")), "ssp_knots[1][1]: sound speeds"),
+            (lambda doc: doc["ssp_knots"][1].__setitem__(0, float("nan")), "ssp_knots[1][0]: knot depths"),
+            (lambda doc: doc["ssp_knots"][-1].__setitem__(0, float("inf")), "ssp_knots[14][0]: knot depths"),
+            (lambda doc: doc.__setitem__("bottom_depth_m", float("nan")), "bottom_depth_m: must be positive"),
+            (lambda doc: doc.__setitem__("bottom_depth_m", float("inf")), "bottom_depth_m: must be positive"),
+            (lambda doc: doc.__setitem__("receiver_depth_m", float("nan")), "receiver_depth_m: must lie strictly"),
+            (lambda doc: doc["ssp_knots"][1].append(1500.0), "ssp_knots[1]: must be a list of 2 numbers"),
+            (lambda doc: doc["ssp_knots"][1].__setitem__(1, [1500.0]), "ssp_knots[1][1]: must be a JSON number"),
             (lambda doc: doc.__setitem__("bottom_depth_m", [216.5]), "bottom_depth_m: must be a JSON number"),
             (lambda doc: doc.__setitem__("ssp_knots", doc["ssp_knots"][:1]), "ssp_knots: sound speed profile needs"),
+            (lambda doc: doc.__setitem__("bottom_depth_m", -1), "bottom_depth_m: must be positive and finite, got -1.0"),
+            (lambda doc: doc.__setitem__("receiver_depth_m", 300), "receiver_depth_m: must lie strictly inside"),
+            (lambda doc: doc["ssp_knots"][0].__setitem__(0, 5.0), "ssp_knots[0][0]: the first knot must be at"),
+            (lambda doc: doc["ssp_knots"].insert(3, [35.0, 1510.0]), "ssp_knots[4][0]: knot depths must be finite"),
+            (lambda doc: doc["ssp_knots"][2].__setitem__(1, -1), "ssp_knots[2][1]: sound speeds must be positive"),
+            (lambda doc: doc["ssp_knots"].pop(), "ssp_knots: the profile must reach the bottom at 216.5 m"),
         ],
         ids=[
             "speed-nan", "speed-inf", "depth-nan", "depth-inf", "bottom-nan", "bottom-inf", "receiver-nan",
-            "knot-of-three", "knot-nested", "bottom-list", "one-knot",
+            "knot-of-three", "knot-nested", "bottom-list", "one-knot", "bottom-negative", "receiver-below-bottom",
+            "first-knot-below-surface", "knots-out-of-order", "speed-negative", "profile-short-of-bottom",
         ],
     )
     def test_non_finite_env_value_is_domain_error_by_name(self, tmp_path, edit, name):
@@ -378,7 +391,7 @@ class TestBuildGrid:
         edit(doc)
         bad = tmp_path / "env.json"
         bad.write_text(json.dumps(doc))
-        with pytest.raises(sio.EnvFileError, match=name):
+        with pytest.raises(sio.EnvFileError, match=f"^{re.escape(f'{bad}: {name}')}"):
             sio.read_environment(bad)
         out = tmp_path / "g.bin"
         res = run_cli("build-grid", "--env", bad, "--out", out, "--nr", 50, "--nd", 10)
@@ -459,7 +472,7 @@ class TestSimulate:
         p.write_text(json.dumps(dict(cfg_n, output_dir=str(tmp_path / "out"))))
         res = run_cli("simulate", "--config", p)
         assert res.returncode == 1
-        assert res.stderr == f"error: {p}: simulate needs a scenario block\n"
+        assert res.stderr == f"error: {p}: config: missing keys ['scenario'], which simulate needs\n"
         assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key_rejected(self, tiny_setup, tmp_path):
@@ -710,6 +723,43 @@ class TestTrackAndEvaluate:
         assert res.returncode == 1
         assert "mu_fa" in res.stderr
         assert not (tmp_path / "out").exists()
+
+    def test_track_with_a_clutter_mean_that_would_overflow_exits_1_naming_it(self, tiny_setup, tmp_path):
+        # the association marginal's bound is far beyond the float range at
+        # mu_fa = 1e-300: one error line, no numpy warning and no estimates
+        root, cfg_path, cfg = tiny_setup
+        obs, p, out = tmp_path / "obs.jsonl", tmp_path / "c.json", tmp_path / "out"
+        sio.write_observations(obs, [(0, 2.048, [20.0, 5.0, -3.0])])
+        p.write_text(json.dumps(dict(cfg, output_dir=str(out), observations_file=str(obs), model={"mu_fa": 1e-300})))
+        res = run_cli("track", "--config", p)
+        assert_one_error_line(res, out)
+        assert res.stderr.startswith("error: mu_fa: must be 0, for no clutter, ") and res.stderr.endswith(", got 1e-300\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "track"])
+    @pytest.mark.parametrize(
+        "layers, roi, start",
+        [
+            (2, [300.0, 1200.0, 30.0, 150.0], 1100.0),
+            (4, [100.0, 1200.0, 30.0, 150.0], 1100.0),
+            (4, [1300.0, 1500.0, 30.0, 150.0], 1400.0),
+        ],
+        ids=["K-beyond-the-layers", "roi-beyond-the-grid", "roi-beside-the-grid"],
+    )
+    def test_a_config_must_fit_its_grid(self, tiny_setup, tmp_path, capsys, command, layers, roi, start):
+        # refused before anything runs, naming the config, the key and the
+        # grid: a prior roi beyond the grid's would start particles, or run
+        # the simulated truth, where the grid has no angles
+        root, cfg_path, cfg = tiny_setup
+        grid_file, p, out = str(tmp_path / "grid.bin"), tmp_path / "c.json", tmp_path / "out"
+        sio.write_grid(grid_file, sio.read_grid(cfg["grid_file"]).select_kinds(tuple(PathKind)[:layers]))
+        scenario, prior = dict(cfg["scenario"], initial_range_m=start), dict(cfg["prior"], roi=roi)
+        p.write_text(json.dumps(dict(cfg, grid_file=grid_file, output_dir=str(out), prior=prior, scenario=scenario)))
+        assert swfocal.cli.main([command, "--config", str(p)]) == 1
+        want = f"K: must be at most the 2 layers of {grid_file}, got 4" if layers == 2 else (
+            f"roi: must lie inside the region of interest of {grid_file}, [300.0, 1200.0, 30.0, 150.0], got {roi}"
+        )
+        assert capsys.readouterr().err == f"error: {p}: {want}\n"
+        assert not out.exists()
 
     def test_a_record_beyond_physical_memory_is_refused_before_tracking(
         self, tiny_setup, tmp_path, monkeypatch, capsys

@@ -85,3 +85,15 @@ def test_epoch_estimates_identical_on_both_sides(tmp_path):
         assert set(doc["median"][side]) == {"epoch_ms_mean", "epoch_ms_p50", "epoch_ms_p99", "stages_ms"}
         assert set(doc["median"][side]["stages_ms"]) == set(EPOCH_ROWS[3:])
         assert len(doc["per_run"][side]) == 1
+
+
+@pytest.mark.parametrize("command", ["epoch", "build"])
+def test_a_base_git_cannot_archive_is_one_error_line(command):
+    res = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "ab.py"), command, "--base", "no-such-rev"],
+        capture_output=True, text=True, cwd=REPO, timeout=120,
+    )
+    assert res.returncode == 2
+    # git's own message, on the one line
+    assert res.stderr.startswith("error: --base no-such-rev: fatal: ") and res.stderr.count("\n") == 1
+    assert res.stdout == ""

@@ -6,7 +6,8 @@ Usage, from the root of a source checkout:
     python3 tools/ab.py build --base HEAD~1 --rounds 5 [--seeds 0 1] [--json ab.json]
 
 The base revision's ``src/`` is taken with ``git archive`` into a temporary
-directory, and both copies of swfocal are imported into this one process.
+directory, and both copies of swfocal are imported into this one process;
+a ``--base`` that git cannot archive exits 2 with git's message.
 Each round runs both sides, alternating which goes first.  Stages are timed
 with the benchmark's span tracer (``perfbench/spans.py``); ``--json`` also
 writes every run's timings and ``perfbench/measure.py``'s machine facts.
@@ -337,7 +338,12 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        sides = {"base": import_side(extract_src(args.base, tmp / "base")), "change": import_side(ROOT / "src")}
+        try:
+            base = extract_src(args.base, tmp / "base")
+        except subprocess.CalledProcessError as e:  # no such revision, or no git checkout
+            print(f"error: --base {args.base}: {' '.join(e.stderr.decode().split())}", file=sys.stderr)
+            return 2
+        sides = {"base": import_side(base), "change": import_side(ROOT / "src")}
         failed, doc = args.run(args, sides, tmp)
     if args.json:
         args.json.write_text(json.dumps({"base": args.base, **doc, "machine": machine_facts(ROOT)}, indent=1))
