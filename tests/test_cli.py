@@ -855,41 +855,3 @@ class TestHugeJsonIntegers:
         assert res.stderr.startswith(f"error: {prefix}"), res.stderr
         assert "Traceback" not in res.stderr
 
-
-class TestDefaultConfigRoundTrip:
-    def test_default_config_round_trip_under_budget(self, tmp_path):
-        """The shipped configuration simulates 586 epochs (514 after the two
-        74 s dropouts) and completes simulate/track/evaluate well inside
-        five minutes at the default particle count."""
-        import time
-
-        grid_path = tmp_path / "grid.bin"
-        res = run_cli(
-            "build-grid", "--env", ENV_FILE, "--out", grid_path,
-            "--roi", 100, 3600, 10, 175, "--nr", 351, "--nd", 34,
-        )
-        assert res.returncode == 0, res.stderr
-        cfg = json.loads((REPO / "configs" / "default_run.json").read_text())
-        cfg["grid_file"] = str(grid_path)
-        cfg["output_dir"] = str(tmp_path / "out")
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(cfg))
-
-        t0 = time.perf_counter()
-        assert run_cli("simulate", "--config", cfg_path).returncode == 0
-        assert run_cli("track", "--config", cfg_path).returncode == 0
-        res = run_cli(
-            "evaluate",
-            "--estimates", tmp_path / "out" / "estimates.csv",
-            "--truth", tmp_path / "out" / "truth.csv",
-        )
-        elapsed = time.perf_counter() - t0
-        assert res.returncode == 0, res.stderr
-        assert elapsed < 300.0
-
-        truth = sio.read_track_csv(tmp_path / "out" / "truth.csv")
-        obs = sio.read_observations(tmp_path / "out" / "observations.jsonl")
-        assert truth.shape[0] == 586
-        assert len(obs) == 586 - 72
-        report = json.loads(res.stdout)
-        assert report["runs"][0]["n_epochs"] == 514
