@@ -292,8 +292,9 @@ class _Scratch(threading.local):
 _thread_scratch = _Scratch()
 
 
-def _gate_width(det: np.ndarray, params: ModelParams, M: int) -> float:
-    """Half-width in sigmas of the row gate for path-major ``det``.
+def _gate_width(det: np.ndarray, d: np.ndarray, log_bound: float, mu: float) -> float:
+    """Half-width in sigmas of the row gate for path-major ``det``, with ``d``
+    its rows' maxima and ``log_bound`` their ``_log_marginal_bound``.
 
     With ``mu > 0`` and every detection probability in [0, 1), each
     state's marginal is at least its all-miss term, so at least
@@ -308,22 +309,22 @@ def _gate_width(det: np.ndarray, params: ModelParams, M: int) -> float:
     probability of 1, or one outside [0, 1]) the gate is ``_GATE_SIGMA``,
     where every skipped density is exactly 0.
     """
-    mu = params.mu_fa
-    d = det.max(axis=1, initial=0.0)
     # nan fails these comparisons too
     if not (mu > 0.0 and det.min(initial=1.0) >= 0.0 and d.max(initial=0.0) < 1.0):
         return _GATE_SIGMA
     log_floor = float(np.log1p(-d).sum())
-    log_bound = _log_marginal_bound(d, params, M) - log_floor + _GATE_LOG_TOL
-    return min(_GATE_SIGMA, math.sqrt(2.0 * log_bound))
+    return min(_GATE_SIGMA, math.sqrt(2.0 * (log_bound - log_floor + _GATE_LOG_TOL)))
 
 
 def _log_marginal_bound(d: np.ndarray, params: ModelParams, M: int) -> float:
     """Log of ``K! ((M + 1) R)**K``, ``R`` as in ``_gate_width`` for each path's largest detection
-    probability ``d``: with ``mu > 0`` it bounds every state's marginal, and every value of the DP."""
+    probability ``d``: with ``mu > 0`` it bounds every state's marginal, and every value of the DP.
+    A ``mu`` so small that ``sigma_k sqrt(2 pi) f_fa mu`` is subnormal or 0 gives ``inf``, with no warning,
+    and the 0/0 of a path never detected is skipped."""
     K = d.size
     c = np.array(params.sigma_deg) * (_SQRT_2PI * params.fa_density * params.mu_fa)
-    ratio = float((d / c).max(initial=1.0))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratio = float(np.fmax.reduce(d / c, initial=1.0))
     return math.lgamma(K + 1) + K * math.log((M + 1) * ratio)
 
 
@@ -423,12 +424,13 @@ def marginal_likelihood_batch(
         return np.zeros(J)
 
     # a tiny clutter mean would overflow the DP: refused before it runs
-    if mu > 0.0 and (log_bound := _log_marginal_bound(det.max(axis=1, initial=0.0), params, M)) > _LOG_FLOAT_MAX:
+    d, log_bound = det.max(axis=1, initial=0.0), math.inf  # no bound holds without clutter
+    if mu > 0.0 and (log_bound := _log_marginal_bound(d, params, M)) > _LOG_FLOAT_MAX:
         raise ValueError(
             f"mu_fa: must be 0, for no clutter, or large enough that the association marginal stays in "
             f"the float range (its bound is e^{log_bound:.0f} here), got {mu}"
         )
-    gate = _gate_width(det, params, M)
+    gate = _gate_width(det, d, log_bound, mu)
     first, stop = _live_spans(z, ang, params.sigma_deg, gate)
     # the DP runs on the union of the live rows: a row no path's gate
     # reaches is never written, and its S rows stay exact zeros.  Each

@@ -222,9 +222,9 @@ def evaluate_run(estimates: np.ndarray, truth: np.ndarray, name: str = "estimate
     """Errors of one estimate sequence against the truth, joined on time.
 
     The join bisects the truth times, which must be finite and strictly
-    increasing: ``cmd_evaluate`` checks its truth file, and a simulated
-    ``GroundTruthTrack`` holds such times.  Errors whose statistics
-    overflow the float range raise ``ValueError`` naming ``name``.
+    increasing, as ``read_track_csv`` and ``GroundTruthTrack`` hold them.
+    Errors whose statistics overflow the float range raise ``ValueError``
+    naming ``name``.
     """
     t_truth = truth[:, 0]
     if not t_truth.size:
@@ -267,9 +267,6 @@ def evaluate_run(estimates: np.ndarray, truth: np.ndarray, name: str = "estimate
 
 def cmd_evaluate(args) -> int:
     truth = sio.read_track_csv(args.truth)
-    t = truth[:, 0]
-    if not (t[1:] > t[:-1]).all():  # the reader has checked that they are finite
-        raise ValueError(f"{args.truth}: truth times must be finite and strictly increasing")
     report = {"truth_file": str(args.truth), "runs": []}
     for est_path in args.estimates:
         run = evaluate_run(sio.read_estimates_csv(est_path), truth, str(est_path))

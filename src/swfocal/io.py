@@ -7,7 +7,7 @@ refused JSON input reads ``<file>[:<line>]: <key>: <rule>, got <value>``:
 these rules, and the value rules of the dataclasses the files fill, raise
 ``<key>: <rule>, got <value>`` at the key path of the offending element,
 such as ``ssp_knots[3][1]``, and the readers here prefix the file, and for
-an observation record its line.  CSV values must be finite numbers.
+an observation record or a CSV row its line; a CSV value's key is its column.
 
 All angles in files are degrees, all distances meters, all times seconds.
 The binary grid layout, version 2, is little-endian: an 8-byte magic, a
@@ -245,8 +245,8 @@ def write_track_csv(path, rows) -> None:
 
 
 def read_track_csv(path) -> np.ndarray:
-    """Read a truth CSV into an (n, 4) array of time, range, depth, speed."""
-    return _read_csv(path, ["time_s", "range_m", "depth_m", "speed_mps"])
+    """Read a truth CSV into an (n, 4) array of time, range, depth, speed; the times must increase."""
+    return _read_csv(path, ["time_s", "range_m", "depth_m", "speed_mps"], increasing=True)
 
 
 def write_estimates_csv(path, rows) -> None:
@@ -270,8 +270,8 @@ def _write_csv(path, header: list[str], rows) -> None:
             w.writerow(values)
 
 
-def _read_csv(path, expected_header: list[str]) -> np.ndarray:
-    """The rows under ``expected_header``, each with as many values as the header, all finite."""
+def _read_csv(path, expected_header: list[str], increasing: bool = False) -> np.ndarray:
+    """Rows of as many finite values as ``expected_header``; with ``increasing``, first values that increase."""
     n = len(expected_header)
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -283,13 +283,23 @@ def _read_csv(path, expected_header: list[str]) -> np.ndarray:
             raise ValueError(f"{path}: expected header {expected_header}, got {header}")
         rows = []
         for row in filter(None, reader):  # blank lines are skipped
+            at = f"{path}:{reader.line_num}"
             if len(row) != n:
-                raise ValueError(f"{path}:{reader.line_num}: expected {n} values, got {len(row)}")
-            try:
-                values = [float(v) for v in row]
-                if not all(map(math.isfinite, values)):
-                    raise ValueError(f"values must be finite numbers, got {row}")
-            except ValueError as e:
-                raise ValueError(f"{path}:{reader.line_num}: {e}") from None
+                raise ValueError(f"{at}: expected {n} values, got {len(row)}")
+            values = [_finite(cell, at, key) for cell, key in zip(row, expected_header)]
+            if increasing and rows and not values[0] > rows[-1][0]:
+                raise ValueError(
+                    f"{at}: {expected_header[0]}: must increase from line to line, got {values[0]} after {rows[-1][0]}"
+                )
             rows.append(values)
     return np.array(rows).reshape(-1, n)
+
+
+def _finite(cell: str, at: str, key: str) -> float:
+    """CSV ``cell`` as a finite float, refused at ``<file>:<line>`` ``at`` under column ``key``."""
+    try:
+        if math.isfinite(v := float(cell)):
+            return v
+    except ValueError:
+        pass
+    raise ValueError(f"{at}: {key}: must be a finite number, got {cell!r}")

@@ -3,10 +3,11 @@
 The simulator stands in for a beamforming front-end: it moves a source
 through the waveguide, looks up the modeled path angles at its true
 position, and emits per-epoch observation sets drawn from the detection,
-noise and clutter model the tracker assumes.  Epochs tick every
-``motion.step_s`` seconds starting at zero; dropout windows delete whole
-epochs from the observation stream (the truth keeps all of them), which is
-how variable time steps reach the tracker.
+noise and clutter model the tracker assumes.  A stochastic truth is one
+particle moved by the tracker's only motion step, ``predict_particles``.
+Epochs tick every ``motion.step_s`` seconds starting at zero; dropout
+windows delete whole epochs from the observation stream (the truth keeps
+all of them), which is how variable time steps reach the tracker.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from swfocal.assoc import ModelParams, ObservationSet
 from swfocal.grid import DoaGrid, interpolate_doa_many
-from swfocal.tracking import MotionParams, predict
+from swfocal.tracking import MotionParams, ParticleSet, predict_particles
 
 __all__ = ["ScenarioConfig", "GroundTruthTrack", "generate_truth", "generate_observations"]
 
@@ -84,9 +85,9 @@ def generate_truth(cfg: ScenarioConfig, seed: int = 0) -> GroundTruthTrack:
     """Move the source through the scenario.
 
     Deterministic mode is straight-line: constant range rate, constant
-    depth.  Stochastic mode draws the motion model's driving noise each
-    step.  If the track leaves the region of interest it is truncated at
-    the last inside epoch, with a warning.
+    depth.  Stochastic mode moves one particle by ``predict_particles``.
+    If the track leaves the region of interest it is truncated at the
+    last inside epoch, with a warning.
     """
     times = cfg.epoch_times()
     r0, r1, d0, d1 = cfg.roi
@@ -97,11 +98,11 @@ def generate_truth(cfg: ScenarioConfig, seed: int = 0) -> GroundTruthTrack:
         states[:, 2] = cfg.initial_speed_mps
     else:
         rng = np.random.default_rng(seed)
-        states[:1] = (cfg.initial_range_m, cfg.initial_depth_m, cfg.initial_speed_mps)
+        ps = ParticleSet(states=[(cfg.initial_range_m, cfg.initial_depth_m, cfg.initial_speed_mps)], weights=[1.0])
+        states[:1] = ps.states
         for i in range(1, times.size):
-            u1 = rng.normal(0.0, np.sqrt(cfg.motion.accel_var))
-            u2 = rng.normal(0.0, np.sqrt(cfg.motion.depth_var))
-            states[i] = predict(states[i - 1], float(times[i] - times[i - 1]), u1, u2)
+            ps = predict_particles(ps, float(times[i] - times[i - 1]), cfg.motion, rng)
+            states[i] = ps.states[0]
 
     inside = (
         (states[:, 0] >= r0)

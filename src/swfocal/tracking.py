@@ -7,14 +7,15 @@ nearly constant-location model in depth: over a step of length T,
     depth' = depth + T * u2
     speed' = speed + T * u1
 
-with independent zero-mean Gaussian driving noise (u1, u2).  Each epoch
-every particle is reweighted by the exact association marginal of the
-observed DOAs at its position (modeled angles interpolated from the
-precomputed grid, detection probability zero where a path is impossible
-or the particle left the region of interest), weights are renormalized,
-and systematic resampling runs whenever the effective sample size drops
-below half the particle count.  The state estimate is the weighted
-particle mean.
+with independent zero-mean Gaussian driving noise (u1, u2).
+``predict_particles`` is the only motion step: the simulator's stochastic
+truth is one particle moved by it.  Each epoch every particle is
+reweighted by the exact association marginal of the observed DOAs at its
+position (modeled angles interpolated from the precomputed grid,
+detection probability zero where a path is impossible or the particle
+left the region of interest), weights are renormalized, and systematic
+resampling runs whenever the effective sample size drops below half the
+particle count.  The state estimate is the weighted particle mean.
 
 The association marginal is computed in the linear domain; the update
 only takes its logarithm to combine it with the prior weights.  A
@@ -41,7 +42,6 @@ __all__ = [
     "ParticleSet",
     "DegeneracyError",
     "init_particles",
-    "predict",
     "predict_particles",
     "update",
     "effective_sample_size",
@@ -148,38 +148,26 @@ def init_particles(prior: PriorParams, J: int, rng: np.random.Generator) -> Part
     return ParticleSet(states=states, weights=np.full(J, 1.0 / J))
 
 
-def predict(states: np.ndarray, T: float, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """One motion step of (..., 3) states given the driving-noise realization.
-
-    The last axis is [range_m, depth_m, speed_mps]; ``u1`` and ``u2``
-    broadcast against the leading axes.
-    """
-    if not 0.0 < T < np.inf:
-        raise ValueError("time step must be positive and finite")
-    s = np.asarray(states, dtype=float)
-    out = np.empty(np.broadcast(s[..., 0], u1, u2).shape + (3,))
-    r, d, v = out[..., 0], out[..., 1], out[..., 2]
-    # r = s0 + T s2 + T^2/2 u1, d = s1 + T u2, v = s2 + T u1, each in that order
-    np.multiply(T, s[..., 2], out=r)
-    np.add(s[..., 0], r, out=r)
-    r += 0.5 * T * T * u1
-    np.multiply(T, u2, out=d)
-    np.add(s[..., 1], d, out=d)
-    np.multiply(T, u1, out=v)
-    np.add(s[..., 2], v, out=v)
-    return out
-
-
 def predict_particles(
     ps: ParticleSet, T: float, motion: MotionParams, rng: np.random.Generator
 ) -> ParticleSet:
-    """Propagate all particles one step, sampling the driving noise."""
-    # the values and generator state of rng.normal(0.0, sd, J), which draws
-    # the same standard normals z and returns 0.0 + sd * z: that is sd * z,
-    # up to the sign of a zero product at sd = 0
+    """Move every particle one step of length ``T``, drawing the driving noise as ``rng.normal`` would."""
+    if not 0.0 < T < np.inf:
+        raise ValueError("time step must be positive and finite")
     u1 = rng.standard_normal(ps.J) * np.sqrt(motion.accel_var)
     u2 = rng.standard_normal(ps.J) * np.sqrt(motion.depth_var)
-    return ParticleSet(states=predict(ps.states, T, u1, u2), weights=ps.weights)
+    s = ps.states
+    out = np.empty(s.shape)
+    r, d, v = out[:, 0], out[:, 1], out[:, 2]
+    # r = s0 + T s2 + T^2/2 u1, d = s1 + T u2, v = s2 + T u1, each in that order
+    np.multiply(T, s[:, 2], out=r)
+    np.add(s[:, 0], r, out=r)
+    r += 0.5 * T * T * u1
+    np.multiply(T, u2, out=d)
+    np.add(s[:, 1], d, out=d)
+    np.multiply(T, u1, out=v)
+    np.add(s[:, 2], v, out=v)
+    return ParticleSet(states=out, weights=ps.weights)
 
 
 def update(

@@ -8,8 +8,9 @@ image-source geometry and a fixed-step ray march instead of closed-form
 layer sums, the row-major range sum instead of the node-major one, and a
 binary-search, one-point bilinear interpolation and the minimum of the
 four corner weights instead of vectorized cell arithmetic and the
-fraction-based edge rule, so the tests never share code with the
-implementations they verify.  The last section holds small
+fraction-based edge rule, and a stochastic truth stepped row by row with
+``rng.normal`` draws instead of the tracker's motion step, so the tests
+never share code with the implementations they verify.  The last section holds small
 one-value helpers that only the tests use.
 """
 
@@ -329,6 +330,23 @@ BOUNCE_SIGNATURE = {
     PathKind.BB: ("bottom",),
     PathKind.SBB: ("surface", "bottom"),
 }
+
+
+def stochastic_truth_states(cfg, seed: int) -> np.ndarray:
+    """States of a stochastic truth at every epoch of scenario ``cfg``, before
+    any truncation: one row per step, its driving noise drawn by
+    ``rng.normal`` and the step written as three stacked components."""
+    rng = np.random.default_rng(seed)
+    times = cfg.epoch_times()
+    states = np.zeros((times.size, 3))
+    states[:1] = (cfg.initial_range_m, cfg.initial_depth_m, cfg.initial_speed_mps)
+    for i in range(1, times.size):
+        u1 = rng.normal(0.0, np.sqrt(cfg.motion.accel_var))
+        u2 = rng.normal(0.0, np.sqrt(cfg.motion.depth_var))
+        T = float(times[i] - times[i - 1])
+        r, d, v = states[i - 1]
+        states[i] = (r + T * v + 0.5 * T * T * u1, d + T * u2, v + T * u1)
+    return states
 
 
 def sound_speed_at(ssp, depth_m: float) -> float:

@@ -14,6 +14,7 @@ from swfocal.assoc import (
     _densities,
     _gate_width,
     _live_spans,
+    _log_marginal_bound,
     association_prior,
     conditional_pdf,
     is_valid,
@@ -458,6 +459,17 @@ class TestMarginalLikelihood:
         with pytest.raises(ValueError, match=rf"^mu_fa: must be 0, for no clutter, .*e\^{log_bound} here\), got {mu}$"):
             marginal_likelihood_batch(z, ang, det, p)
 
+    @pytest.mark.parametrize("mu", [1e-320, 5e-324])
+    def test_a_subnormal_clutter_mean_is_refused_with_no_warning(self, mu):
+        # sigma_k sqrt(2 pi) f_fa mu is subnormal at 1e-320 and 0 at 5e-324,
+        # so d_k over it overflows or divides by 0, and a path never detected
+        # gives 0/0; the bound is inf and refused, and numpy warns of none of it
+        ang = np.array([[20.0, 5.0, np.nan, -3.0]] * 3)
+        det = np.where(np.isnan(ang), 0.0, 0.9)
+        p = params(4, sigma=(0.5, 0.5, 2.0, 2.0), mu=mu)
+        with pytest.raises(ValueError, match=rf"^mu_fa: must be 0, for no clutter, .*e\^inf here\), got {mu}$"):
+            marginal_likelihood_batch(np.array([20.0, 5.0, -3.0]), ang, det, p)
+
     def test_scratch_never_leaks_between_calls(self):
         cases = [scratch_case(*c) for c in SCRATCH_SEQUENCE]
         sizes = [args[0].size * args[1].size for args, _ in cases]  # M * K * J
@@ -516,7 +528,9 @@ def on_gate_edges(z, ang, sigma, seed, gate):
 def batch_gate(z, det, p):
     """The gate ``marginal_likelihood_batch`` uses for (J, K) ``det``, checked
     against the oracle's."""
-    gate = _gate_width(np.ascontiguousarray(det.T), p, z.size)
+    det_k = np.ascontiguousarray(det.T)
+    d = det_k.max(axis=1, initial=0.0)
+    gate = _gate_width(det_k, d, _log_marginal_bound(d, p, z.size) if p.mu_fa > 0.0 else math.inf, p.mu_fa)
     assert gate == pytest.approx(gate_width(det, p.sigma_deg, p.mu_fa, z.size), rel=1e-12)
     return gate
 

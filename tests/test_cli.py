@@ -647,8 +647,15 @@ class TestTrackAndEvaluate:
         assert res.returncode == 1
         assert res.stderr == "error: the truth has no epochs\n"
 
-    @pytest.mark.parametrize("times", [(4.0, 0.0, 2.0), (0.0, 2.0, 2.0), (0.0, float("nan"), 4.0)])
-    def test_evaluate_truth_times_out_of_order_are_domain_error(self, tmp_path, times):
+    @pytest.mark.parametrize(
+        "times, line, rule",
+        [
+            ((4.0, 0.0, 2.0), 3, "must increase from line to line, got 0.0 after 4.0"),
+            ((0.0, 2.0, 2.0), 4, "must increase from line to line, got 2.0 after 2.0"),
+            ((0.0, float("nan"), 4.0), 3, "must be a finite number, got 'nan'"),
+        ],
+    )
+    def test_evaluate_truth_times_out_of_order_are_domain_error(self, tmp_path, times, line, rule):
         # the time join bisects the truth times, so unsorted ones match the wrong epochs
         truth = tmp_path / "truth.csv"
         est = tmp_path / "est.csv"
@@ -656,10 +663,7 @@ class TestTrackAndEvaluate:
         sio.write_estimates_csv(est, [(t, 1000.0, 60.0, -2.5, 100.0) for t in (0.0, 2.0, 4.0)])
         res = run_cli("evaluate", "--estimates", est, "--truth", truth)
         assert res.returncode == 1
-        if np.isnan(times).any():  # the reader rejects a non-finite value before the order is looked at
-            assert res.stderr == f"error: {truth}:3: values must be finite numbers, got ['nan', '1000.0', '60.0', '-2.5']\n"
-        else:
-            assert res.stderr == f"error: {truth}: truth times must be finite and strictly increasing\n"
+        assert res.stderr == f"error: {truth}:{line}: time_s: {rule}\n"
 
     def test_track_needs_no_scenario_block(self, tiny_setup, tmp_path):
         root, cfg_path, cfg = tiny_setup
@@ -688,7 +692,7 @@ class TestTrackAndEvaluate:
         files[which].write_text("\n".join(lines) + "\n")
         res = run_cli("evaluate", "--estimates", files["est"], "--truth", files["truth"])
         assert res.returncode == 1
-        assert res.stderr.startswith(f"error: {files[which]}:{row + 1}: ") and repr(bad) in res.stderr
+        assert res.stderr == f"error: {files[which]}:{row + 1}: depth_m: must be a finite number, got {bad!r}\n"
         assert res.stdout == ""
 
     @pytest.mark.parametrize("estimate, truth", [(1e200, 1000.0), (1.5e308, -1.5e308)], ids=["square", "difference"])
@@ -724,16 +728,18 @@ class TestTrackAndEvaluate:
         assert "mu_fa" in res.stderr
         assert not (tmp_path / "out").exists()
 
-    def test_track_with_a_clutter_mean_that_would_overflow_exits_1_naming_it(self, tiny_setup, tmp_path):
+    @pytest.mark.parametrize("mu", [1e-300, 1e-320])
+    def test_track_with_a_clutter_mean_that_would_overflow_exits_1_naming_it(self, tiny_setup, tmp_path, mu):
         # the association marginal's bound is far beyond the float range at
-        # mu_fa = 1e-300: one error line, no numpy warning and no estimates
+        # mu_fa = 1e-300, and inf at the subnormal 1e-320, where the bound's
+        # own division overflows: one error line, no numpy warning and no estimates
         root, cfg_path, cfg = tiny_setup
         obs, p, out = tmp_path / "obs.jsonl", tmp_path / "c.json", tmp_path / "out"
         sio.write_observations(obs, [(0, 2.048, [20.0, 5.0, -3.0])])
-        p.write_text(json.dumps(dict(cfg, output_dir=str(out), observations_file=str(obs), model={"mu_fa": 1e-300})))
+        p.write_text(json.dumps(dict(cfg, output_dir=str(out), observations_file=str(obs), model={"mu_fa": mu})))
         res = run_cli("track", "--config", p)
         assert_one_error_line(res, out)
-        assert res.stderr.startswith("error: mu_fa: must be 0, for no clutter, ") and res.stderr.endswith(", got 1e-300\n")
+        assert res.stderr.startswith("error: mu_fa: must be 0, for no clutter, ") and res.stderr.endswith(f", got {mu}\n")
 
     @pytest.mark.parametrize("command", ["simulate", "track"])
     @pytest.mark.parametrize(

@@ -381,8 +381,16 @@ class TestRecordFiles:
     def test_csv_values_must_be_finite_numbers(self, tmp_path, bad):
         path = tmp_path / "est.csv"
         path.write_text(f"time_s,range_m,depth_m,speed_mps,ess\n0,1,2,3,4\n\n2,{bad},2,3,4\n")
-        with pytest.raises(ValueError, match=r"est\.csv:4: values must be finite numbers|est\.csv:4: could not convert"):
+        with pytest.raises(ValueError, match=rf"est\.csv:4: range_m: must be a finite number, got {re.escape(repr(bad))}$"):
             sio.read_estimates_csv(path)
+
+    def test_truth_times_must_increase_and_estimate_times_need_not(self, tmp_path):
+        truth, est = tmp_path / "truth.csv", tmp_path / "est.csv"
+        truth.write_text("time_s,range_m,depth_m,speed_mps\n2,1,2,3\n\n2,5,6,7\n")
+        est.write_text("time_s,range_m,depth_m,speed_mps,ess\n2,1,2,3,4\n\n2,5,6,7,8\n")
+        with pytest.raises(ValueError, match=r"truth\.csv:4: time_s: must increase from line to line, got 2\.0 after 2\.0$"):
+            sio.read_track_csv(truth)
+        assert sio.read_estimates_csv(est)[:, 0].tolist() == [2.0, 2.0]
 
     def test_csv_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "truth.csv"

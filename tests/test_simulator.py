@@ -6,6 +6,8 @@ from swfocal.grid import interpolate_doa_many
 from swfocal.simulator import GroundTruthTrack, ScenarioConfig, generate_observations, generate_truth
 from swfocal.tracking import MotionParams
 
+from oracles import stochastic_truth_states
+
 ROI = (300.0, 1200.0, 30.0, 150.0)
 
 
@@ -39,6 +41,24 @@ class TestTruth:
         assert truth.states[:, 0].min() >= ROI[0]
         assert truth.times_s[-1] < 42.0
         assert any("truncat" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize(
+        "motion",
+        [
+            MotionParams(),
+            MotionParams(accel_var=0.0, depth_var=0.0),
+            MotionParams(accel_var=0.0, depth_var=0.3, step_s=1.0),
+            MotionParams(accel_var=0.01, depth_var=0.0, step_s=4.096),
+        ],
+        ids=["default", "zero-variances", "depth-noise-only", "range-noise-only"],
+    )
+    def test_stochastic_truth_is_the_row_by_row_step_byte_for_byte(self, seed, motion):
+        cfg = scenario(truth_motion="stochastic", initial_range_m=750.0, duration_s=60.0, motion=motion)
+        truth = generate_truth(cfg, seed=seed)
+        want = stochastic_truth_states(cfg, seed)
+        assert truth.times_s.size >= 10
+        assert truth.states.tobytes() == want[: truth.times_s.size].tobytes()
 
     def test_stochastic_increment_moments(self):
         # one-step increments: var(range) = (T^2/2)^2 a, var(depth) = T^2 b,

@@ -16,7 +16,6 @@ from swfocal.tracking import (
     effective_sample_size,
     init_particles,
     mmse_estimate,
-    predict,
     predict_particles,
     resample,
     run_tracker,
@@ -28,67 +27,63 @@ ROI = (300.0, 1200.0, 30.0, 150.0)
 PARAMS4 = ModelParams(n_paths=4, sigma_deg=(0.5, 0.5, 2.0, 2.0), detect_prob=0.9, mu_fa=2.0)
 
 
+def step(states, T, accel_var=0.0, depth_var=0.0, rng=None):
+    """The states ``predict_particles`` moves one step of length ``T``."""
+    ps = ParticleSet(states=states, weights=np.full(len(states), 1.0 / len(states)))
+    motion = MotionParams(accel_var=accel_var, depth_var=depth_var)
+    return predict_particles(ps, T, motion, rng or np.random.default_rng(0)).states
+
+
+class OnesGenerator:
+    """A generator stub whose standard normals are all 1."""
+
+    def standard_normal(self, n):
+        return np.ones(n)
+
+
+def stacked(s, T, u1, u2):
+    """The motion step as three stacked components."""
+    return np.column_stack([s[:, 0] + T * s[:, 2] + 0.5 * T * T * u1, s[:, 1] + T * u2, s[:, 2] + T * u1])
+
+
 class TestPredict:
     def test_deterministic_part(self):
-        s = predict(np.array([1000.0, 60.0, -2.5]), 2.048, 0.0, 0.0)
+        s = step([[1000.0, 60.0, -2.5]], 2.048)[0]
         assert s[0] == pytest.approx(1000.0 - 2.5 * 2.048)
         assert s[1] == 60.0
         assert s[2] == -2.5
 
     def test_noise_columns(self):
-        assert predict(np.zeros(3), 1.0, 1.0, 0.0).tolist() == [0.5, 0.0, 1.0]
-        assert predict(np.zeros(3), 1.0, 0.0, 1.0).tolist() == [0.0, 1.0, 0.0]
+        assert step(np.zeros((1, 3)), 1.0, accel_var=1.0, rng=OnesGenerator()).tolist() == [[0.5, 0.0, 1.0]]
+        assert step(np.zeros((1, 3)), 1.0, depth_var=1.0, rng=OnesGenerator()).tolist() == [[0.0, 1.0, 0.0]]
 
     def test_dropout_stretches_step(self):
         T = 2.048 + 74.0
-        s = predict(np.array([1000.0, 60.0, -2.5]), T, 0.0, 0.0)
+        s = step([[1000.0, 60.0, -2.5]], T)[0]
         assert s[0] == pytest.approx(1000.0 - 2.5 * T)
 
     @pytest.mark.parametrize("T", [0.0, -2.048, float("nan"), float("inf")])
     def test_nonpositive_step_rejected(self, T):
         with pytest.raises(ValueError, match="time step must be positive"):
-            predict(np.zeros(3), T, 0.0, 0.0)
+            step(np.zeros((1, 3)), T)
 
-    def test_broadcasting_matches_stacked_components(self):
-        # the step as three stacked components, the reference for the
-        # simulator's one-row step and the filter's (J, 3) step, bit for bit
-        def stacked(s, T, u1, u2):
-            return np.stack(
-                [s[..., 0] + T * s[..., 2] + 0.5 * T * T * u1, s[..., 1] + T * u2, s[..., 2] + T * u1],
-                axis=-1,
-            )
-
+    def test_matches_stacked_components(self):
+        ps = init_particles(PriorParams(roi=ROI), 500, np.random.default_rng(0))
+        motion = MotionParams(accel_var=0.09, depth_var=0.16)
+        out = predict_particles(ps, 76.048, motion, np.random.default_rng(3))
         rng = np.random.default_rng(3)
-        row = np.array([1234.5, 61.3, -2.37])
-        u1, u2 = rng.normal(0.0, np.sqrt(0.05)), rng.normal(0.0, np.sqrt(0.1))
-        got = predict(row, 2.048, u1, u2)
-        assert got.shape == (3,)
-        assert np.array_equal(got, stacked(row, 2.048, u1, u2))
-        states = init_particles(PriorParams(roi=ROI), 500, rng).states
-        u1, u2 = rng.normal(0.0, 0.3, 500), rng.normal(0.0, 0.4, 500)
-        got = predict(states, 76.048, u1, u2)
-        assert got.shape == (500, 3)
-        assert np.array_equal(got, stacked(states, 76.048, u1, u2))
-
-    def test_batch_matches_scalar(self):
-        ps = init_particles(PriorParams(roi=ROI), 50, np.random.default_rng(0))
-        out = predict_particles(ps, 2.048, MotionParams(), np.random.default_rng(1))
-        rng = np.random.default_rng(1)
-        u1 = rng.normal(0.0, np.sqrt(0.05), 50)
-        u2 = rng.normal(0.0, np.sqrt(0.1), 50)
-        assert np.array_equal(out.states, predict(ps.states, 2.048, u1, u2))
-        # one row at a time, as the simulator's stochastic truth steps
-        rows = [predict(ps.states[j], 2.048, u1[j], u2[j]) for j in range(50)]
-        assert np.array_equal(out.states, rows)
+        u1 = rng.normal(0.0, np.sqrt(0.09), 500)
+        u2 = rng.normal(0.0, np.sqrt(0.16), 500)
+        assert out.states.shape == (500, 3)
+        assert out.states.tobytes() == stacked(ps.states, 76.048, u1, u2).tobytes()
         assert np.array_equal(out.weights, ps.weights)
 
     def test_noise_draws_leave_the_generator_as_rng_normal_does(self):
         ps = init_particles(PriorParams(roi=ROI), 1000, np.random.default_rng(0))
         drawn, plain = np.random.default_rng(3), np.random.default_rng(3)
-        out = predict_particles(ps, 2.048, MotionParams(), drawn)
-        u1 = plain.normal(0.0, np.sqrt(0.05), 1000)
-        u2 = plain.normal(0.0, np.sqrt(0.1), 1000)
-        assert out.states.tobytes() == predict(ps.states, 2.048, u1, u2).tobytes()
+        predict_particles(ps, 2.048, MotionParams(), drawn)
+        plain.normal(0.0, np.sqrt(0.05), 1000)
+        plain.normal(0.0, np.sqrt(0.1), 1000)
         assert drawn.bit_generator.state == plain.bit_generator.state
 
 
