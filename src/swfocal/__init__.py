@@ -8,22 +8,4 @@ filter.  A command-line interface ties grid precomputation, scenario
 simulation, tracking and evaluation together.
 """
 
-from swfocal.environment import (
-    EigenRay,
-    PathKind,
-    SoundSpeedProfile,
-    Waveguide,
-    eigenray_angles,
-    find_eigenrays,
-)
-
-__all__ = [
-    "EigenRay",
-    "PathKind",
-    "SoundSpeedProfile",
-    "Waveguide",
-    "eigenray_angles",
-    "find_eigenrays",
-]
-
-__version__ = "0.1.0"
+__all__ = []

@@ -218,22 +218,23 @@ def cmd_track(args) -> int:
     return 0
 
 
-def evaluate_run(estimates: np.ndarray, truth: np.ndarray, name: str = "estimates") -> dict:
+def evaluate_run(estimates: np.ndarray, truth: np.ndarray, name: str = "estimates", truth_name: str = "truth") -> dict:
     """Errors of one estimate sequence against the truth, joined on time.
 
     The join bisects the truth times, which must be finite and strictly
     increasing, as ``read_track_csv`` and ``GroundTruthTrack`` hold them.
-    Errors whose statistics overflow the float range raise ``ValueError``
-    naming ``name``.
+    An empty truth raises ``ValueError`` naming ``truth_name``; estimates
+    with no time on the truth's, or errors whose statistics overflow the
+    float range, raise it naming ``name``.
     """
     t_truth = truth[:, 0]
     if not t_truth.size:
-        raise ValueError("the truth has no epochs")
+        raise ValueError(f"{truth_name}: the truth has no epochs")
     idx = np.searchsorted(t_truth, estimates[:, 0])
     idx = np.clip(idx, 0, t_truth.size - 1)
     matched = np.abs(t_truth[idx] - estimates[:, 0]) < 1e-6
     if not np.any(matched):
-        raise ValueError("no estimate epochs match the truth timeline")
+        raise ValueError(f"{name}: no estimate epochs match the truth timeline")
     e = estimates[matched]
     t = truth[idx[matched]]
     half = e.shape[0] // 2
@@ -269,7 +270,7 @@ def cmd_evaluate(args) -> int:
     truth = sio.read_track_csv(args.truth)
     report = {"truth_file": str(args.truth), "runs": []}
     for est_path in args.estimates:
-        run = evaluate_run(sio.read_estimates_csv(est_path), truth, str(est_path))
+        run = evaluate_run(sio.read_estimates_csv(est_path), truth, str(est_path), str(args.truth))
         report["runs"].append({"estimates_file": str(est_path), **run})
     text = json.dumps(report, indent=2, allow_nan=False)
     if args.out:

@@ -25,7 +25,26 @@ import numpy as np
 
 from swfocal.environment import PathKind, Waveguide, eigenray_angles
 
-__all__ = ["DoaGrid", "build_doa_grid", "interpolate_doa_many"]
+__all__ = ["DoaGrid", "check_roi", "inside_roi", "build_doa_grid", "interpolate_doa_many"]
+
+
+def check_roi(roi) -> None:
+    """Refuse a region of interest ``(r0, r1, d0, d1)`` unless both its spans are positive and finite.
+
+    A ``nan`` bound fails the rule of its span.  The refusal reads
+    ``roi: <rule>, got [r0, r1, d0, d1]``.
+    """
+    roi = [float(v) for v in roi]
+    r0, r1, d0, d1 = roi
+    for axis, span in (("range", r1 - r0), ("depth", d1 - d0)):
+        if not 0.0 < span < np.inf:
+            raise ValueError(f"roi: the {axis} span must be positive and finite, got {roi}")
+
+
+def inside_roi(roi, r, d):
+    """Whether each point (``r``, ``d``) lies in ``roi``: edges count as inside, ``nan`` as outside."""
+    r0, r1, d0, d1 = roi
+    return (r >= r0) & (r <= r1) & (d >= d0) & (d <= d1)
 
 
 @dataclass(frozen=True)
@@ -52,11 +71,8 @@ class DoaGrid:
     depths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_roi(self.roi)
         r0, r1, d0, d1 = self.roi
-        if not (r0 < r1 and d0 < d1):
-            raise ValueError("grid roi must satisfy range_min < range_max and depth_min < depth_max")
-        if not (r1 - r0 < np.inf and d1 - d0 < np.inf):
-            raise ValueError("grid roi must be finite")
         if self.values.ndim != 3 or not 1 <= self.values.shape[2] <= len(PathKind):
             raise ValueError(f"grid values must have shape (n_r, n_d, K), K in 1..{len(PathKind)}, got {self.values.shape}")
         n_r, n_d, n_k = self.values.shape
@@ -93,26 +109,23 @@ def _nodes(lo: float, hi: float, n: int) -> np.ndarray:
     return nodes
 
 
-def _validate_roi(wg: Waveguide, roi) -> tuple[float, float, float, float]:
-    r0, r1, d0, d1 = (float(v) for v in roi)
-    if not 0.0 < r0:
-        raise ValueError("roi ranges must be positive")
-    if not (0.0 <= d0 and d1 <= wg.bottom_depth):
-        raise ValueError("roi depths must lie inside the water column")
-    return (r0, r1, d0, d1)
-
-
 def build_doa_grid(wg: Waveguide, roi, n_r: int, n_d: int) -> DoaGrid:
     """Build the DOA grid of all four paths over ``roi``, one depth row at a time.
 
     A caller that tracks fewer paths takes them with ``select_kinds``.
-    ``DoaGrid`` checks the roi and the counts before any row is solved.
-    Deterministic: the same inputs produce a bit-identical grid.
+    ``DoaGrid`` checks the roi by ``check_roi`` and the counts; then the
+    ranges must be positive and the depths lie in the water column, all
+    before any row is solved.  Deterministic: the same inputs produce a
+    bit-identical grid.
     """
-    values = np.empty((n_r, n_d, len(PathKind)))
-    grid = DoaGrid(_validate_roi(wg, roi), values)
+    grid = DoaGrid(tuple(float(v) for v in roi), np.empty((n_r, n_d, len(PathKind))))
+    r0, _, d0, d1 = grid.roi
+    if not 0.0 < r0:
+        raise ValueError(f"roi: ranges must be positive, got {list(grid.roi)}")
+    if not (0.0 <= d0 and d1 <= wg.bottom_depth):
+        raise ValueError(f"roi: depths must lie in the water column [0, {wg.bottom_depth}], got {list(grid.roi)}")
     for j, depth in enumerate(grid.depths):
-        values[:, j] = eigenray_angles(wg, depth, grid.ranges).T
+        grid.values[:, j] = eigenray_angles(wg, depth, grid.ranges).T
     return grid
 
 
@@ -173,15 +186,9 @@ def interpolate_doa_many(grid: DoaGrid, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     r = np.ascontiguousarray(pts[:, 0])
     d = np.ascontiguousarray(pts[:, 1])
-    r0, r1, d0, d1 = grid.roi
-    # a nan coordinate fails these comparisons too
-    if not (
-        r.min(initial=r0) >= r0
-        and r.max(initial=r1) <= r1
-        and d.min(initial=d0) >= d0
-        and d.max(initial=d1) <= d1
-    ):
+    if not inside_roi(grid.roi, r, d).all():
         raise ValueError("points outside the grid region of interest")
+    r0, r1, d0, d1 = grid.roi
     ir, fx = _axis_cells(r0, r1, grid.ranges, r)
     jd, fy = _axis_cells(d0, d1, grid.depths, d)
     cell = ir * grid.n_d

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from swfocal.assoc import ModelParams, ObservationSet
-from swfocal.grid import DoaGrid, interpolate_doa_many
+from swfocal.grid import DoaGrid, check_roi, inside_roi, interpolate_doa_many
 from swfocal.tracking import MotionParams, ParticleSet, predict_particles
 
 __all__ = ["ScenarioConfig", "GroundTruthTrack", "generate_truth", "generate_observations"]
@@ -52,6 +52,7 @@ class ScenarioConfig:
                 raise ValueError(f"dropouts[{i}]: dropout windows must lie within the run duration, got {[a, b]}")
             if not a < b:
                 raise ValueError(f"dropouts[{i}]: a dropout window must end after it starts, got {[a, b]}")
+        check_roi(self.roi)
         (r0, r1, d0, d1), r, d = self.roi, self.initial_range_m, self.initial_depth_m
         if not r0 <= r <= r1:
             raise ValueError(f"initial_range_m: must lie in the region of interest, [{r0}, {r1}], got {r}")
@@ -90,7 +91,6 @@ def generate_truth(cfg: ScenarioConfig, seed: int = 0) -> GroundTruthTrack:
     last inside epoch, with a warning.
     """
     times = cfg.epoch_times()
-    r0, r1, d0, d1 = cfg.roi
     states = np.zeros((times.size, 3))
     if cfg.truth_motion == "deterministic":
         states[:, 0] = cfg.initial_range_m + cfg.initial_speed_mps * times
@@ -104,12 +104,7 @@ def generate_truth(cfg: ScenarioConfig, seed: int = 0) -> GroundTruthTrack:
             ps = predict_particles(ps, float(times[i] - times[i - 1]), cfg.motion, rng)
             states[i] = ps.states[0]
 
-    inside = (
-        (states[:, 0] >= r0)
-        & (states[:, 0] <= r1)
-        & (states[:, 1] >= d0)
-        & (states[:, 1] <= d1)
-    )
+    inside = inside_roi(cfg.roi, states[:, 0], states[:, 1])
     n_keep = int(np.argmin(inside)) if not inside.all() else times.size
     if n_keep < times.size:
         log.warning(

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from swfocal.assoc import ModelParams, ObservationSet, marginal_likelihood_batch
-from swfocal.grid import DoaGrid, interpolate_doa_many
+from swfocal.grid import DoaGrid, check_roi, inside_roi, interpolate_doa_many
 
 __all__ = [
     "SourceState",
@@ -83,11 +83,7 @@ class PriorParams:
     speed_std: float = 5.0
 
     def __post_init__(self):
-        r0, r1, d0, d1 = self.roi
-        if not np.isfinite(self.roi).all():
-            raise ValueError(f"roi: prior region of interest must be finite, got {list(self.roi)}")
-        if not (r0 < r1 and d0 < d1):
-            raise ValueError(f"roi: prior region of interest must not be empty, got {list(self.roi)}")
+        check_roi(self.roi)
         if not 0.0 < self.speed_std < np.inf:
             raise ValueError(
                 f"speed_std: speed prior standard deviation must be positive and finite, got {self.speed_std}"
@@ -179,9 +175,8 @@ def update(
     Raises ``DegeneracyError``, naming the cause, if no particle retains
     positive weight.
     """
-    r0, r1, d0, d1 = grid.roi
     s = ps.states
-    inside = (s[:, 0] >= r0) & (s[:, 0] <= r1) & (s[:, 1] >= d0) & (s[:, 1] <= d1)
+    inside = inside_roi(grid.roi, s[:, 0], s[:, 1])
 
     def likelihood(points):
         angles = interpolate_doa_many(grid, points)

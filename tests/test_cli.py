@@ -342,6 +342,15 @@ class TestBuildGrid:
         res = run_cli("build-grid", "--env", ENV_FILE, "--out", out, "--nr", 10**12, "--nd", n_d)
         assert_one_error_line(res, out)
 
+    def test_nan_roi_is_refused_by_the_roi_rule(self, tmp_path):
+        out = tmp_path / "g.bin"
+        res = run_cli(
+            "build-grid", "--env", ENV_FILE, "--out", out, "--roi", 100, 3600, 10, "nan", "--nr", 5, "--nd", 5
+        )
+        assert res.returncode == 1
+        assert res.stderr == "error: roi: the depth span must be positive and finite, got [100.0, 3600.0, 10.0, nan]\n"
+        assert not out.exists()
+
     def test_single_point_axis_is_usage_error(self, tmp_path):
         res = run_cli(
             "build-grid", "--env", ENV_FILE, "--out", tmp_path / "g.bin", "--nr", 1
@@ -645,7 +654,17 @@ class TestTrackAndEvaluate:
         sio.write_estimates_csv(est, [(2.048, 1000.0, 60.0, -2.5, 100.0)])
         res = run_cli("evaluate", "--estimates", est, "--truth", truth)
         assert res.returncode == 1
-        assert res.stderr == "error: the truth has no epochs\n"
+        assert res.stderr == f"error: {truth}: the truth has no epochs\n"
+
+    def test_evaluate_names_the_estimates_file_off_the_truth_timeline(self, tmp_path):
+        truth, matched, unmatched = (tmp_path / f"{name}.csv" for name in ("truth", "matched", "unmatched"))
+        rows = [(i * 2.048, 1000.0, 60.0, 0.0) for i in range(5)]
+        sio.write_track_csv(truth, rows)
+        sio.write_estimates_csv(matched, [(t, r, d, s, 10.0) for t, r, d, s in rows])
+        sio.write_estimates_csv(unmatched, [(t + 1.0, r, d, s, 10.0) for t, r, d, s in rows])
+        res = run_cli("evaluate", "--estimates", matched, "--estimates", unmatched, "--truth", truth)
+        assert res.returncode == 1
+        assert res.stderr == f"error: {unmatched}: no estimate epochs match the truth timeline\n"
 
     @pytest.mark.parametrize(
         "times, line, rule",

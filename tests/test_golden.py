@@ -2,9 +2,11 @@
 
 ``build-grid`` of the README (roi 100..3600 m x 10..175 m, 876 x 56), then
 ``simulate``, ``track`` and ``evaluate`` of ``configs/default_run.json`` at
-seeds 0 and 1, all in process through ``cli.main``.  The sha256 of the
-grid, of each seed's ``estimates.csv`` and of seed 0's evaluate run entry
-must match ``tests/golden.json``, which also names the Python, numpy and
+seeds 0 and 1, all in process through ``cli.main``; then ``simulate``
+and ``track`` of the same config at ``K = 2`` and seed 0, without its
+``model`` block, as ``tools/ab.py epoch --K 2`` runs it.  The sha256 of
+the grid, of each run's ``estimates.csv`` and of seed 0's evaluate run
+entry must match ``tests/golden.json``, which also names the Python, numpy and
 machine it was made with, so a failure says whether the environment
 changed.  The run entry is hashed without its file path, which names the
 temporary directory.
@@ -80,6 +82,14 @@ def run_readme_pipeline(root: Path) -> tuple[dict, dict]:
                 "evaluated_epochs": entry["n_epochs"],
             }
             counts["seconds"] = time.perf_counter() - t0
+    # the SB and DP layers under the K = 2 defaults: the model block holds four sigmas
+    config = root / "run_k2.json"
+    doc = {key: value for key, value in cfg.items() if key != "model"}
+    config.write_text(json.dumps(dict(doc, K=2, grid_file=str(grid), output_dir=str(root / "out"))))
+    out = root / "k2_seed0"
+    run("simulate", "--config", config, "--seed", 0, "--out", out)
+    run("track", "--config", config, "--seed", 0, "--out", out)
+    hashes["K2/seed0/estimates.csv"] = sha256((out / "estimates.csv").read_bytes())
     return hashes, counts
 
 

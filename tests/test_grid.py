@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from swfocal.assoc import ModelParams, ObservationSet
 from swfocal.environment import (
     PathKind,
     SoundSpeedProfile,
@@ -14,8 +17,11 @@ from swfocal.grid import (
     _axis_cells,
     _edge_rows,
     build_doa_grid,
+    check_roi,
+    inside_roi,
     interpolate_doa_many,
 )
+from swfocal.tracking import ParticleSet, update
 
 from oracles import (
     BOUNCE_SIGNATURE,
@@ -201,14 +207,63 @@ class TestBuild:
         assert np.any(np.isnan(grid.values))
 
     def test_bad_roi_rejected(self, iso_wg):
-        with pytest.raises(ValueError):
-            build_doa_grid(iso_wg, (100.0, 2500.0, 10.0, 300.0), 10, 10)
-        with pytest.raises(ValueError):
-            build_doa_grid(iso_wg, (-5.0, 2500.0, 10.0, 175.0), 10, 10)
-        with pytest.raises(ValueError):
+        for roi, rule in (
+            ((100.0, 2500.0, 10.0, 300.0), "depths must lie in the water column [0, 216.5]"),
+            ((-5.0, 2500.0, 10.0, 175.0), "ranges must be positive"),
+            ((2500.0, 100.0, 10.0, 175.0), "the range span must be positive and finite"),
+            ((100.0, 2500.0, 10.0, float("nan")), "the depth span must be positive and finite"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'roi: {rule}, got {list(roi)}')}$"):
+                build_doa_grid(iso_wg, roi, 10, 10)
+        with pytest.raises(ValueError, match="2 points"):
             build_doa_grid(iso_wg, (100.0, 2500.0, 10.0, 175.0), 1, 10)
-        with pytest.raises(ValueError, match="range_min < range_max"):
-            build_doa_grid(iso_wg, (2500.0, 100.0, 10.0, 175.0), 10, 10)
+
+
+class TestRoi:
+    @pytest.mark.parametrize(
+        "roi, axis",
+        [
+            ((2500.0, 100.0, 10.0, 175.0), "range"),
+            ((100.0, 100.0, 10.0, 175.0), "range"),
+            ((-1e308, 1e308, 0.0, 10.0), "range"),
+            ((100.0, np.inf, 10.0, 175.0), "range"),
+            ((np.nan, 2500.0, 10.0, 175.0), "range"),
+            ((100.0, 2500.0, 175.0, 10.0), "depth"),
+            ((100.0, 2500.0, -np.inf, 175.0), "depth"),
+            ((100.0, 2500.0, 10.0, np.nan), "depth"),
+        ],
+    )
+    def test_check_roi_refuses_an_empty_or_infinite_span(self, roi, axis):
+        rule = f"roi: the {axis} span must be positive and finite, got {list(roi)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(rule)}$"):
+            check_roi(roi)
+
+    def test_inside_roi_table(self, iso_grid):
+        # each edge is inside, one ulp beyond it is not, nor is nan or an
+        # infinity in either coordinate; the lookup refuses exactly the
+        # rows outside and the update weighs exactly those as zero
+        r0, r1, d0, d1 = iso_grid.roi
+        rm, dm = 0.5 * (r0 + r1), 0.5 * (d0 + d1)
+        inside = [(rm, dm), (r0, dm), (r1, dm), (rm, d0), (rm, d1), (r0, d0), (r1, d1)]
+        outside = [
+            (np.nextafter(r0, -np.inf), dm), (np.nextafter(r1, np.inf), dm),
+            (rm, np.nextafter(d0, -np.inf)), (rm, np.nextafter(d1, np.inf)),
+            *[(v, dm) for v in (np.nan, np.inf, -np.inf)], *[(rm, v) for v in (np.nan, np.inf, -np.inf)],
+        ]
+        pts = np.array(inside + outside)
+        want = np.arange(len(pts)) < len(inside)
+        assert np.array_equal(inside_roi(iso_grid.roi, pts[:, 0], pts[:, 1]), want)
+        for p, ok in zip(pts, want):
+            if ok:
+                assert interpolate_doa_many(iso_grid, p[None]).shape == (1, 4)
+            else:
+                with pytest.raises(ValueError, match="outside the grid region of interest"):
+                    interpolate_doa_many(iso_grid, p[None])
+        states = np.column_stack([pts, np.zeros(len(pts))])
+        ps = ParticleSet(states=states, weights=np.full(len(pts), 1.0 / len(pts)))
+        params = ModelParams(n_paths=4, sigma_deg=(0.5, 0.5, 2.0, 2.0))
+        out = update(ps, ObservationSet(z=np.array([5.0])), iso_grid, params)
+        assert np.array_equal(out.weights > 0.0, want)
 
 
 class TestInterpolation:

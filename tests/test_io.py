@@ -149,8 +149,8 @@ class TestGridFile:
         [
             ((100.0, 200.0, 10.0, 20.0), 2, 2, 5, "K in 1..4"),
             ((100.0, 200.0, 10.0, 20.0), 2, 2, 0, "K in 1..4"),
-            ((200.0, 100.0, 10.0, 20.0), 2, 2, 1, "range_min < range_max"),
-            ((100.0, 200.0, 20.0, 10.0), 2, 2, 1, "depth_min < depth_max"),
+            ((200.0, 100.0, 10.0, 20.0), 2, 2, 1, "roi: the range span must be positive and finite"),
+            ((100.0, 200.0, 20.0, 10.0), 2, 2, 1, "roi: the depth span must be positive and finite"),
             ((100.0, 200.0, 10.0, 20.0), 1, 2, 1, "2 points"),
             ((100.0, 200.0, 10.0, 20.0), 2, 1, 1, "2 points"),
         ],

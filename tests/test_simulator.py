@@ -92,6 +92,11 @@ class TestTruth:
         with pytest.raises(ValueError):
             scenario(initial_range_m=50.0)
 
+    def test_a_reversed_roi_is_refused_before_the_initial_point(self):
+        roi = (3600.0, 100.0, 10.0, 175.0)
+        with pytest.raises(ValueError, match=r"^roi: the range span must be positive and finite, got \[3600.0, "):
+            scenario(initial_range_m=2450.0, roi=roi)
+
     @pytest.mark.parametrize(
         "field, value",
         [

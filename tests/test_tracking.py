@@ -109,10 +109,11 @@ class TestParams:
             ("speed_std", float("inf")),
             ("roi", (300.0, float("inf"), 30.0, 150.0)),
             ("roi", (300.0, 1200.0, float("nan"), 150.0)),
+            ("roi", (-1e308, 1e308, 0.0, 10.0)),  # finite bounds, but uniform draws over them overflow
         ],
     )
     def test_non_finite_prior_rejected_by_name(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError, match=f"^{field}: "):
             PriorParams(**{"roi": ROI, field: value})
 
 
