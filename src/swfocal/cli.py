@@ -11,11 +11,13 @@ from the file.  ``simulate`` and ``track`` take ``--seed`` to override the
 config seed; identical invocations produce byte-identical outputs.  They
 meet the config with its grid in ``_load_run``: ``K`` must not exceed the
 grid's layers and ``prior.roi`` must lie inside the grid's region of
-interest.  A refused input prints one ``error:`` line in ``io``'s form,
-``<file>[:<line>]: <key>: <rule>, got <value>``.  A command whose arrays
-would not fit in physical memory is refused before it allocates them, and
-each command checks only its own: ``build-grid`` the grid, ``simulate``
-the scenario's epochs and ``track`` its particles at the largest record.
+interest.  A refused input is a ``ValueError`` and prints one ``error:``
+line in ``io``'s form, ``<file>[:<line>]: <key>: <rule>, got <value>``; a
+file that cannot be opened or written prints ``error: <file>: <reason>``.
+A command whose arrays would not fit in physical memory is refused before
+it allocates them, and each command checks only its own: ``build-grid``
+the grid, ``simulate`` the scenario's epochs and ``track`` its particles at
+the largest record.
 Exit codes: 0 success, 1 domain error (bad file contents, a run beyond
 physical memory, filter degeneracy, missing inputs), 2 usage error.
 """
@@ -38,16 +40,12 @@ from swfocal.grid import DoaGrid, build_doa_grid
 from swfocal.simulator import ScenarioConfig, generate_observations, generate_truth
 from swfocal.tracking import DegeneracyError, MotionParams, PriorParams, run_tracker
 
-__all__ = ["main", "RunConfig", "ConfigError", "load_config"]
+__all__ = ["main", "RunConfig", "load_config"]
 
 DEFAULT_SIGMA = (0.5, 0.5, 2.0, 2.0)  # per path; K = 2 takes the first two
 DEFAULT_MU_FA = {2: 4.0, 4: 2.0}
 DEFAULT_ROI = (100.0, 3600.0, 10.0, 175.0)
 SCENARIO_REQUIRED = ("initial_range_m", "initial_depth_m", "initial_speed_mps", "duration_s")
-
-
-class ConfigError(ValueError):
-    """Malformed run configuration."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,7 +109,7 @@ def load_config(path) -> RunConfig:
     Sizes are not checked here: each command refuses the arrays it would
     allocate (``_refuse_beyond_memory``).
     """
-    doc = sio.read_json(path, ConfigError)
+    doc = sio.read_json(path)
     try:
         doc = sio.json_object(doc, "config", CONFIG_KEYS, required=("grid_file",))
         n_paths = doc.get("K", 4)
@@ -136,7 +134,7 @@ def load_config(path) -> RunConfig:
             scenario=doc.get("scenario"),
         )
     except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from e
+        raise ValueError(f"{path}: {e}") from e
 
 
 def cmd_build_grid(args) -> int:
@@ -155,7 +153,7 @@ def cmd_build_grid(args) -> int:
 def cmd_simulate(args) -> int:
     cfg, grid = _load_run(args)
     if cfg.scenario is None:
-        raise ConfigError(f"{args.config}: config: missing keys ['scenario'], which simulate needs")
+        raise ValueError(f"{args.config}: config: missing keys ['scenario'], which simulate needs")
     # per epoch the truth's time and state, and the lookup's (4, K) corners
     # and K angles; counted in floats, where a huge count is inf, not an error
     duration, step, K = cfg.scenario.duration_s, cfg.motion.step_s, cfg.model.n_paths
@@ -297,9 +295,9 @@ def _load_run(args) -> tuple[RunConfig, DoaGrid]:
     grid = sio.read_grid(cfg.grid_file)
     K, (r0, r1, d0, d1), (p0, p1, q0, q1) = cfg.model.n_paths, grid.roi, cfg.prior.roi
     if K > len(grid.kinds):
-        raise ConfigError(f"{args.config}: K: must be at most the {len(grid.kinds)} layers of {cfg.grid_file}, got {K}")
+        raise ValueError(f"{args.config}: K: must be at most the {len(grid.kinds)} layers of {cfg.grid_file}, got {K}")
     if not (r0 <= p0 and p1 <= r1 and d0 <= q0 and q1 <= d1):
-        raise ConfigError(
+        raise ValueError(
             f"{args.config}: roi: must lie inside the region of interest of {cfg.grid_file}, "
             f"{list(grid.roi)}, got {list(cfg.prior.roi)}"
         )
@@ -364,6 +362,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as e:
+        if isinstance(e, OSError) and e.filename is not None:
+            e = f"{e.filename}: {e.strerror}"
         print(f"error: {e}", file=sys.stderr)
         return 1
 

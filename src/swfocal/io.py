@@ -2,9 +2,10 @@
 truth and estimate CSVs, and evaluation reports.  The JSON input rules,
 the run configuration's included, live here alone: ``read_json``,
 ``json_object``, ``number``, ``integer`` and ``string``.  ``number`` reads
-the shape of a list too, so a value's shape is checked nowhere else.  A
-refused JSON input reads ``<file>[:<line>]: <key>: <rule>, got <value>``:
-these rules, and the value rules of the dataclasses the files fill, raise
+the shape of a list too, so a value's shape is checked nowhere else.  Every
+reader refuses a bad input with a plain ``ValueError``, and a refused JSON
+input reads ``<file>[:<line>]: <key>: <rule>, got <value>``: these rules,
+and the value rules of the dataclasses the files fill, raise
 ``<key>: <rule>, got <value>`` at the key path of the offending element,
 such as ``ssp_knots[3][1]``, and the readers here prefix the file, and for
 an observation record or a CSV row its line; a CSV value's key is its column.
@@ -13,9 +14,9 @@ All angles in files are degrees, all distances meters, all times seconds.
 The binary grid layout, version 2, is little-endian: an 8-byte magic, a
 u32 version, the region of interest as four f64 (range_min, range_max,
 depth_min, depth_max), u32 counts N_r, N_d and K, then N_r x N_d x K f64
-values in row-major order with ``nan`` marking geometrically impossible
-entries.  The K layers are the first K paths in canonical order (SB, DP,
-BB, SBB), so the file names no path.
+values in row-major order, angles in [-90, 90] with ``nan`` marking
+geometrically impossible entries.  The K layers are the first K paths in
+canonical order (SB, DP, BB, SBB), so the file names no path.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ __all__ = [
     "string",
     "json_object",
     "read_json",
-    "EnvFileError",
-    "GridFileError",
     "read_environment",
     "read_grid",
     "write_grid",
@@ -55,14 +54,6 @@ __all__ = [
 
 GRID_MAGIC = b"SWFOCGRD"
 GRID_VERSION = 2
-
-
-class EnvFileError(ValueError):
-    """Malformed environment description file."""
-
-
-class GridFileError(ValueError):
-    """Malformed or truncated binary grid file."""
 
 
 def number(v, key: str, shape=()):
@@ -112,15 +103,15 @@ def json_object(doc, key: str, read: dict, required=()) -> dict:
     return values
 
 
-def read_json(path, error):
-    """The JSON value that file ``path`` holds; a decode error raises ``error`` naming ``path:line:col``,
-    and any other, such as an integer of more digits than ``int`` converts, ``error`` naming ``path``."""
+def read_json(path):
+    """The JSON value that file ``path`` holds; a decode error is refused naming ``path:line:col``,
+    and any other, such as an integer of more digits than ``int`` converts, naming ``path``."""
     try:
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
-        raise error(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
+        raise ValueError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
     except ValueError as e:
-        raise error(f"{path}: {e}") from e
+        raise ValueError(f"{path}: {e}") from e
 
 
 def read_environment(path) -> Waveguide:
@@ -130,7 +121,7 @@ def read_environment(path) -> Waveguide:
     ``bottom_depth_m`` and ``receiver_depth_m``, all JSON numbers.  Unknown
     keys are rejected; parse errors carry line context.
     """
-    doc = read_json(path, EnvFileError)
+    doc = read_json(path)
     read = {"ssp_knots": lambda v, key: number(v, key, (None, 2)), "bottom_depth_m": number, "receiver_depth_m": number}
     try:
         doc = json_object(doc, "environment", read, required=read)
@@ -140,7 +131,7 @@ def read_environment(path) -> Waveguide:
             receiver_depth=doc["receiver_depth_m"],
         )
     except ValueError as e:
-        raise EnvFileError(f"{path}: {e}") from e
+        raise ValueError(f"{path}: {e}") from e
 
 
 def write_grid(path, grid: DoaGrid) -> None:
@@ -157,39 +148,42 @@ def read_grid(path) -> DoaGrid:
     """Read a grid file, its values straight into the grid's one array.
 
     The header's value count is checked against the file's size before
-    anything is allocated for the values.
+    anything is allocated for the values, and the values are checked as
+    angles without a whole-grid temporary.
     """
     with open(path, "rb") as f:
 
         def take(n: int, what: str) -> bytes:
             b = f.read(n)
             if len(b) != n:
-                raise GridFileError(f"{path}: truncated while reading {what}")
+                raise ValueError(f"{path}: truncated while reading {what}")
             return b
 
         if take(8, "magic") != GRID_MAGIC:
-            raise GridFileError(f"{path}: not a DOA grid file (bad magic)")
+            raise ValueError(f"{path}: not a DOA grid file (bad magic)")
         (version,) = struct.unpack("<I", take(4, "version"))
         if version != GRID_VERSION:
-            raise GridFileError(f"{path}: unsupported grid version {version}; rebuild the grid with `swfocal build-grid`")
+            raise ValueError(f"{path}: unsupported grid version {version}; rebuild the grid with `swfocal build-grid`")
         roi = struct.unpack("<4d", take(32, "roi"))
         n_r, n_d, n_k = struct.unpack("<III", take(12, "counts"))
         size, left = 8 * n_r * n_d * n_k, os.fstat(f.fileno()).st_size - f.tell()
         if left < size:
-            raise GridFileError(f"{path}: truncated while reading values")
+            raise ValueError(f"{path}: truncated while reading values")
         if left > size:
-            raise GridFileError(f"{path}: trailing bytes after grid values")
+            raise ValueError(f"{path}: trailing bytes after grid values")
         values = np.empty((n_r, n_d, n_k))
         if f.readinto(values) != size:
-            raise GridFileError(f"{path}: truncated while reading values")
+            raise ValueError(f"{path}: truncated while reading values")
     if sys.byteorder != "little":
         values.byteswap(inplace=True)
-    if np.isinf(values).any():
-        raise GridFileError(f"{path}: grid values must be finite or nan")
+    # nan is skipped by both reductions
+    lo, hi = np.fmin.reduce(values, axis=None, initial=0.0), np.fmax.reduce(values, axis=None, initial=0.0)
+    if not -90.0 <= lo <= hi <= 90.0:
+        raise ValueError(f"{path}: values: must be angles in [-90, 90] or nan, got {lo if lo < -90.0 else hi}")
     try:
         return DoaGrid(roi, values)
     except ValueError as e:
-        raise GridFileError(f"{path}: {e}") from e
+        raise ValueError(f"{path}: {e}") from e
 
 
 def write_observations(path, records) -> None:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -9,11 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from swfocal import io as sio
 from swfocal.assoc import ModelParams, ObservationSet
 import swfocal.cli
-from swfocal.cli import ConfigError, _physical_memory, load_config
+from swfocal.cli import _physical_memory, load_config
 from swfocal.environment import PathKind
 from swfocal.grid import build_doa_grid
 from swfocal.simulator import ScenarioConfig
@@ -47,9 +50,10 @@ def assert_one_error_line(res, out):
 
 
 def run_cli(*args, cwd=None):
+    """``python -m swfocal`` with ``args``, where a numpy RuntimeWarning is an error, as in process."""
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     return subprocess.run(
-        [sys.executable, "-m", "swfocal", *map(str, args)],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "swfocal", *map(str, args)],
         capture_output=True,
         text=True,
         env=env,
@@ -120,7 +124,7 @@ class TestLoadConfig:
         p = tmp_path / "run.json"
         given = SCENARIO if block == "scenario" else {}  # a scenario block must be complete
         p.write_text(json.dumps({"grid_file": "grid.bin", block: {**given, key: value}}))
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ValueError, match=key):
             load_config(p)
 
     @pytest.mark.parametrize(
@@ -151,7 +155,7 @@ class TestLoadConfig:
         p = tmp_path / "run.json"
         given = SCENARIO if block == "scenario" else {}  # a scenario block must be complete
         p.write_text(json.dumps({"grid_file": "grid.bin", block: {**given, at.split("[")[0]: value}}))
-        with pytest.raises(ConfigError, match=f"^{re.escape(f'{p}: {at}: ')}.*{re.escape(rule)}"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: {at}: ')}.*{re.escape(rule)}"):
             load_config(p)
 
     @pytest.mark.parametrize(
@@ -176,7 +180,7 @@ class TestLoadConfig:
             assert (cfg.n_particles, cfg.seed) == ((10_000, 0) if key == "J" else (10_000, 3))
             assert type(cfg.n_particles) is type(cfg.seed) is int
         else:
-            with pytest.raises(ConfigError, match=f"^{p}: {key}: must be an integer"):
+            with pytest.raises(ValueError, match=f"^{p}: {key}: must be an integer"):
                 load_config(p)
 
     @pytest.mark.parametrize("value", [None, 5])
@@ -184,7 +188,7 @@ class TestLoadConfig:
     def test_path_keys_must_be_strings(self, tmp_path, key, value):
         p = tmp_path / "run.json"
         p.write_text(json.dumps({"grid_file": "grid.bin", key: value}))
-        with pytest.raises(ConfigError, match=f"^{p}: {key}: must be a string"):
+        with pytest.raises(ValueError, match=f"^{p}: {key}: must be a string"):
             load_config(p)
 
     @pytest.mark.parametrize(
@@ -203,20 +207,20 @@ class TestLoadConfig:
         # the key path of the offending element, and that element alone
         p = tmp_path / "run.json"
         p.write_text(json.dumps({"grid_file": "grid.bin", block: {at.split("[")[0]: value}}))
-        with pytest.raises(ConfigError, match=f"^{re.escape(f'{p}: {at}: must be a JSON number, got {bad!r}')}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: {at}: must be a JSON number, got {bad!r}')}$"):
             load_config(p)
 
     def test_environment_file_is_an_unknown_key(self, tmp_path):
         p = tmp_path / "run.json"
         p.write_text(json.dumps({"grid_file": "grid.bin", "environment_file": "env.json"}))
-        with pytest.raises(ConfigError, match="unknown keys"):
+        with pytest.raises(ValueError, match="unknown keys"):
             load_config(p)
 
     def test_scenario_step_is_an_unknown_key(self, tmp_path):
         # the epoch step is the motion step
         p = tmp_path / "run.json"
         p.write_text(json.dumps({"grid_file": "grid.bin", "scenario": {"step_s": 2.048}}))
-        with pytest.raises(ConfigError, match="unknown keys"):
+        with pytest.raises(ValueError, match="unknown keys"):
             load_config(p)
 
     def test_without_a_scenario_block_there_is_no_scenario(self, tmp_path):
@@ -237,7 +241,7 @@ class TestLoadConfig:
     def test_scenario_block_must_be_complete(self, tmp_path):
         p = tmp_path / "run.json"
         p.write_text(json.dumps({"grid_file": "grid.bin", "scenario": {"initial_range_m": 3000.0}}))
-        with pytest.raises(ConfigError, match=r"scenario: missing keys \['duration_s', 'initial_depth_m'"):
+        with pytest.raises(ValueError, match=r"scenario: missing keys \['duration_s', 'initial_depth_m'"):
             load_config(p)
 
     @pytest.mark.parametrize("value", [[["mu_fa", 3.0]], 5, "mu_fa"], ids=["pairs", "number", "string"])
@@ -245,14 +249,14 @@ class TestLoadConfig:
     def test_a_block_must_be_a_json_object(self, tmp_path, block, value):
         p = tmp_path / "run.json"
         p.write_text(json.dumps({"grid_file": "grid.bin", block: value}))
-        with pytest.raises(ConfigError, match=f"^{p}: {block}: must be a JSON object"):
+        with pytest.raises(ValueError, match=f"^{p}: {block}: must be a JSON object"):
             load_config(p)
 
     @pytest.mark.parametrize("doc", ["[1, 2]", "{", '{"grid_file": "grid.bin"} 1'])
     def test_config_must_be_one_json_object(self, tmp_path, doc):
         p = tmp_path / "run.json"
         p.write_text(doc)
-        with pytest.raises(ConfigError, match=f"^{p}"):
+        with pytest.raises(ValueError, match=f"^{p}"):
             load_config(p)
 
     @pytest.mark.parametrize("K", [2, 4])
@@ -295,7 +299,7 @@ class TestLoadConfig:
     def test_grid_file_is_required(self, tmp_path):
         p = tmp_path / "run.json"
         p.write_text(json.dumps({"J": 100}))
-        with pytest.raises(ConfigError, match=r"missing keys \['grid_file'\]"):
+        with pytest.raises(ValueError, match=r"missing keys \['grid_file'\]"):
             load_config(p)
 
 
@@ -400,7 +404,7 @@ class TestBuildGrid:
         edit(doc)
         bad = tmp_path / "env.json"
         bad.write_text(json.dumps(doc))
-        with pytest.raises(sio.EnvFileError, match=f"^{re.escape(f'{bad}: {name}')}"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{bad}: {name}')}"):
             sio.read_environment(bad)
         out = tmp_path / "g.bin"
         res = run_cli("build-grid", "--env", bad, "--out", out, "--nr", 50, "--nd", 10)
@@ -473,6 +477,7 @@ class TestSimulate:
         p.write_text(json.dumps(cfg_bad))
         res = run_cli("simulate", "--config", p)
         assert res.returncode == 1
+        assert res.stderr == f"error: {tmp_path / 'nope.bin'}: No such file or directory\n"
 
     def test_without_a_scenario_block_is_domain_error(self, tiny_setup, tmp_path):
         root, cfg_path, cfg = tiny_setup
@@ -737,6 +742,7 @@ class TestTrackAndEvaluate:
         p.write_text(json.dumps(cfg_bad))
         res = run_cli("track", "--config", p)
         assert res.returncode == 1
+        assert res.stderr == f"error: {tmp_path / 'missing.jsonl'}: No such file or directory\n"
 
     def test_track_with_nan_parameter_exits_1_naming_it(self, tiny_setup, tmp_path):
         root, cfg_path, cfg = tiny_setup
@@ -880,3 +886,65 @@ class TestHugeJsonIntegers:
         assert res.stderr.startswith(f"error: {prefix}"), res.stderr
         assert "Traceback" not in res.stderr
 
+
+GRID_HEADER = 56  # bytes: magic, version, roi and counts
+GRID_VALUES = 6 * 5 * 4
+
+
+@pytest.fixture(scope="module")
+def grid_fuzz_setup(tmp_path_factory, coastal_wg):
+    """A 6 x 5 grid file, a config that simulates and tracks at J = 100 over 10 epochs on it, the
+    observations file that both commands use and the bytes of both files as simulated on that grid."""
+    root = tmp_path_factory.mktemp("grid-fuzz")
+    grid_file, cfg_path, obs_file = root / "grid.bin", root / "run.json", root / "out" / "observations.jsonl"
+    sio.write_grid(grid_file, build_doa_grid(coastal_wg, (300.0, 1200.0, 30.0, 150.0), 6, 5))
+    cfg = {
+        "grid_file": str(grid_file),
+        "output_dir": str(root / "out"),
+        "J": 100,
+        "prior": {"roi": [300.0, 1200.0, 30.0, 150.0]},
+        "scenario": {**SCENARIO, "initial_range_m": 1100.0, "duration_s": 10 * MotionParams().step_s},
+    }
+    cfg_path.write_text(json.dumps(cfg))
+    assert swfocal.cli.main(["simulate", "--config", str(cfg_path)]) == 0
+    return grid_file, cfg_path, obs_file, grid_file.read_bytes(), obs_file.read_bytes()
+
+
+@settings(
+    derandomize=True, max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    change=st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, GRID_HEADER + 8 * GRID_VALUES - 1)),
+        st.tuples(st.just("flip"), st.tuples(st.integers(0, GRID_HEADER - 1), st.integers(0, 7))),
+        st.tuples(
+            st.just("value"),
+            st.tuples(
+                st.integers(0, GRID_VALUES - 1),
+                st.sampled_from([1e300, -1e300, np.inf, -np.inf, np.nan, 5e-324, 90.5, -90.5]),
+            ),
+        ),
+    )
+)
+def test_a_changed_grid_file_exits_0_or_1_with_one_error_line(grid_fuzz_setup, capsys, change):
+    # a grid file truncated, with one header bit flipped or with one value
+    # replaced: simulate and track run or refuse it in one line, and no
+    # exception or numpy warning escapes
+    grid_file, cfg_path, obs_file, raw, observations = grid_fuzz_setup
+    raw = bytearray(raw)
+    how, at = change
+    if how == "truncate":
+        del raw[at:]
+    elif how == "flip":
+        raw[at[0]] ^= 1 << at[1]
+    else:
+        raw[GRID_HEADER + 8 * at[0] : GRID_HEADER + 8 * at[0] + 8] = struct.pack("<d", at[1])
+    grid_file.write_bytes(raw)
+    # track reads what simulate wrote, or the unchanged grid's observations if it refused
+    obs_file.write_bytes(observations)
+    for command in ("simulate", "track"):
+        code = swfocal.cli.main([command, "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert (code, err) == (0, "") or (code == 1 and err.startswith("error: ") and err.count("\n") == 1), (
+            command, code, err
+        )
