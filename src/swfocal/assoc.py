@@ -41,8 +41,7 @@ rows, to within ``2**-100`` of the weight:
   triangle that these touch are exact zeros: ``0 * (1 - d_k)`` and
   ``0 * r_k(m)`` are +0, and adding +0 changes nothing.  Rows above the
   last one written are exact zeros too, and so the miss factor skips
-  them, and path 0, whose prefix is all ones, writes its miss and its
-  densities directly.
+  them.
 * Rows no path's gate reaches.  An observation outside the gate of every
   path (below) can only be clutter: its row is never written, and its
   densities, prefix sums and weight terms would all be exact zeros.  The
@@ -447,42 +446,35 @@ def marginal_likelihood_batch(
     # count-major, S[c, m]: the counts 0..k that path k touches are one
     # contiguous block
     S = np.zeros((K + 1, L + 1, J))
+    S[0, 0] = 1.0  # no path yet: no detection, no observation
     if _thread_scratch.prefix.size < L * K * J:
         _thread_scratch.prefix = None  # free the old buffer before its successor exists
         _thread_scratch.prefix = np.empty(L * K * J)
     top = 1  # rows top.. are exact zeros: no path has written them yet
     for k in range(K):
         s, e = spans[k]
-        if k == 0:
-            # S is 1 at [0, 0] and 0 elsewhere, so its prefix is all ones:
-            # the miss writes S[0, 0] and the detection S[1, s + 1 : e + 1]
-            S[0, 0] = miss[0]
-        else:
-            # before path k, c detections need c observations and at most k
-            # paths: S[c, m] is 0 for c > min(m, k), and so is P[c, m].  P[:, m]
-            # sums S[:, 0..m] over counts 0..k up to the last live row; row by
-            # row, which is cumsum's order but far faster than cumsum along an
-            # outer axis
-            if s < e:
-                P = _thread_scratch.prefix[: (k + 1) * e * J].reshape(k + 1, e, J)
-                P[:, 0] = S[: k + 1, 0]
-                for m in range(1, e):
-                    np.add(P[:, m - 1], S[: k + 1, m], out=P[:, m])
-            # counts 0..k of the written rows in one op; the entries above
-            # the triangle are exact zeros, and 0 * (1 - d) is +0
-            S[: k + 1, :top] *= miss[k]
+        # before path k, c detections need c observations and at most k
+        # paths: S[c, m] is 0 for c > min(m, k), and so is P[c, m].  P[:, m]
+        # sums S[:, 0..m] over counts 0..k up to the last live row; row by
+        # row, which is cumsum's order but far faster than cumsum along an
+        # outer axis
+        if s < e:
+            P = _thread_scratch.prefix[: (k + 1) * e * J].reshape(k + 1, e, J)
+            P[:, 0] = S[: k + 1, 0]
+            for m in range(1, e):
+                np.add(P[:, m - 1], S[: k + 1, m], out=P[:, m])
+        # counts 0..k of the written rows in one op; the entries above
+        # the triangle are exact zeros, and 0 * (1 - d) is +0
+        S[: k + 1, :top] *= miss[k]
         if s < e:
             hit = _densities(z[s:e], ang[k], params.sigma_deg[k])
             hit *= scale[k]
             hit /= params.fa_density
-            if k == 0:
-                S[1, s + 1 : e + 1] = hit
-            else:
-                # the detection from live row m adds counts 0..k of its prefix
-                # into counts 1..k + 1 of row m + 1, all rows in one block
-                Ps = P[:, s:]
-                Ps *= hit
-                S[1 : k + 2, s + 1 : e + 1] += Ps
+            # the detection from live row m adds counts 0..k of its prefix
+            # into counts 1..k + 1 of row m + 1, all rows in one block
+            Ps = P[:, s:]
+            Ps *= hit
+            S[1 : k + 2, s + 1 : e + 1] += Ps
             top = max(top, e + 1)
 
     # the weight of c detections is c!; without clutter only c = M explains

@@ -73,11 +73,11 @@ class DoaGrid:
     def __post_init__(self):
         check_roi(self.roi)
         r0, r1, d0, d1 = self.roi
-        if self.values.ndim != 3 or not 1 <= self.values.shape[2] <= len(PathKind):
-            raise ValueError(f"grid values must have shape (n_r, n_d, K), K in 1..{len(PathKind)}, got {self.values.shape}")
-        n_r, n_d, n_k = self.values.shape
-        if n_r < 2 or n_d < 2:
-            raise ValueError("grid needs at least 2 points per axis")
+        shape = self.values.shape
+        if len(shape) != 3 or min(shape[:2]) < 2 or not 1 <= shape[2] <= len(PathKind):
+            rule = f"must have shape (n_r, n_d, K) with at least 2 points per axis and K in 1..{len(PathKind)}"
+            raise ValueError(f"values: {rule}, got {shape}")
+        n_r, n_d, n_k = shape
         object.__setattr__(self, "n_r", n_r)
         object.__setattr__(self, "n_d", n_d)
         object.__setattr__(self, "kinds", tuple(PathKind)[:n_k])

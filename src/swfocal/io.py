@@ -11,12 +11,13 @@ such as ``ssp_knots[3][1]``, and the readers here prefix the file, and for
 an observation record or a CSV row its line; a CSV value's key is its column.
 
 All angles in files are degrees, all distances meters, all times seconds.
-The binary grid layout, version 2, is little-endian: an 8-byte magic, a
-u32 version, the region of interest as four f64 (range_min, range_max,
-depth_min, depth_max), u32 counts N_r, N_d and K, then N_r x N_d x K f64
-values in row-major order, angles in [-90, 90] with ``nan`` marking
-geometrically impossible entries.  The K layers are the first K paths in
-canonical order (SB, DP, BB, SBB), so the file names no path.
+The binary grid layout, version 2, is little-endian: a 56-byte header,
+one ``struct.Struct`` of an 8-byte magic, a u32 version, the region of
+interest as four f64 (range_min, range_max, depth_min, depth_max) and u32
+counts N_r, N_d and K, then N_r x N_d x K f64 values in row-major order,
+angles in [-90, 90] with ``nan`` marking geometrically impossible entries.
+The K layers are the first K paths in canonical order (SB, DP, BB, SBB),
+so the file names no path.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ __all__ = [
 
 GRID_MAGIC = b"SWFOCGRD"
 GRID_VERSION = 2
+_GRID_HEADER = struct.Struct("<8sI4d3I")  # magic, version, roi, counts N_r, N_d and K
 
 
 def number(v, key: str, shape=()):
@@ -137,43 +139,38 @@ def read_environment(path) -> Waveguide:
 def write_grid(path, grid: DoaGrid) -> None:
     """Write ``grid`` in the binary layout, straight from its values' memory."""
     with open(path, "wb") as f:
-        f.write(GRID_MAGIC)
-        f.write(struct.pack("<I", GRID_VERSION))
-        f.write(struct.pack("<4d", *grid.roi))
-        f.write(struct.pack("<III", *grid.values.shape))
+        f.write(_GRID_HEADER.pack(GRID_MAGIC, GRID_VERSION, *grid.roi, *grid.values.shape))
         f.write(np.ascontiguousarray(grid.values, dtype="<f8"))  # a copy only if not C-ordered <f8
 
 
 def read_grid(path) -> DoaGrid:
     """Read a grid file, its values straight into the grid's one array.
 
-    The header's value count is checked against the file's size before
-    anything is allocated for the values, and the values are checked as
-    angles without a whole-grid temporary.
+    The header is one read, refused field by field (``magic``, ``header``,
+    ``version``); its ``counts`` must give the values the file holds, which
+    is checked against the file's size before anything is allocated for
+    the values, and the values are checked as angles without a whole-grid
+    temporary.
     """
     with open(path, "rb") as f:
-
-        def take(n: int, what: str) -> bytes:
-            b = f.read(n)
-            if len(b) != n:
-                raise ValueError(f"{path}: truncated while reading {what}")
-            return b
-
-        if take(8, "magic") != GRID_MAGIC:
-            raise ValueError(f"{path}: not a DOA grid file (bad magic)")
-        (version,) = struct.unpack("<I", take(4, "version"))
+        head = f.read(_GRID_HEADER.size)
+        if head[:8] != GRID_MAGIC:
+            raise ValueError(f"{path}: magic: must be {GRID_MAGIC!r}, got {head[:8]!r}")
+        if len(head) != _GRID_HEADER.size:
+            raise ValueError(f"{path}: header: must be {_GRID_HEADER.size} bytes, got {len(head)}")
+        _, version, *roi, n_r, n_d, n_k = _GRID_HEADER.unpack(head)
         if version != GRID_VERSION:
-            raise ValueError(f"{path}: unsupported grid version {version}; rebuild the grid with `swfocal build-grid`")
-        roi = struct.unpack("<4d", take(32, "roi"))
-        n_r, n_d, n_k = struct.unpack("<III", take(12, "counts"))
+            raise ValueError(
+                f"{path}: version: must be {GRID_VERSION} (rebuild the grid with `swfocal build-grid`), got {version}"
+            )
         size, left = 8 * n_r * n_d * n_k, os.fstat(f.fileno()).st_size - f.tell()
-        if left < size:
-            raise ValueError(f"{path}: truncated while reading values")
-        if left > size:
-            raise ValueError(f"{path}: trailing bytes after grid values")
-        values = np.empty((n_r, n_d, n_k))
-        if f.readinto(values) != size:
-            raise ValueError(f"{path}: truncated while reading values")
+        if left == size:
+            values = np.empty((n_r, n_d, n_k))
+            left = f.readinto(values)  # less if the file shrank since
+        if left != size:
+            raise ValueError(
+                f"{path}: counts: must give the {left / 8:.16g} values the file holds, got {[n_r, n_d, n_k]}"
+            )
     if sys.byteorder != "little":
         values.byteswap(inplace=True)
     # nan is skipped by both reductions
@@ -181,7 +178,7 @@ def read_grid(path) -> DoaGrid:
     if not -90.0 <= lo <= hi <= 90.0:
         raise ValueError(f"{path}: values: must be angles in [-90, 90] or nan, got {lo if lo < -90.0 else hi}")
     try:
-        return DoaGrid(roi, values)
+        return DoaGrid(tuple(roi), values)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
 
@@ -217,7 +214,7 @@ def read_observations(path) -> list[tuple[int, float, np.ndarray]]:
     """
     records = []
     with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
+        for lineno, line in enumerate(_decoded(path, f), start=1):
             if not line.strip():
                 continue
             try:
@@ -231,6 +228,14 @@ def read_observations(path) -> list[tuple[int, float, np.ndarray]]:
                 raise ValueError(f"{path}:{lineno}: {e}") from e
             records.append((doc["t_index"], t, doc["doas"]))
     return records
+
+
+def _decoded(path, lines):
+    """The ``lines`` of text file ``path``, a decode error refused naming ``path``."""
+    try:
+        yield from lines
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: {e}") from e
 
 
 def write_track_csv(path, rows) -> None:
@@ -268,7 +273,7 @@ def _read_csv(path, expected_header: list[str], increasing: bool = False) -> np.
     """Rows of as many finite values as ``expected_header``; with ``increasing``, first values that increase."""
     n = len(expected_header)
     with open(path, newline="") as f:
-        reader = csv.reader(f)
+        reader = csv.reader(_decoded(path, f))
         try:
             header = next(reader)
         except StopIteration:

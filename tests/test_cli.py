@@ -735,6 +735,37 @@ class TestTrackAndEvaluate:
         assert res.stderr == f"error: {files['est']}: the errors against the truth overflow the float range\n"
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("which", ["truth", "est"])
+    def test_evaluate_names_a_csv_file_that_is_not_utf8(self, tmp_path, capsys, which):
+        # the readers decode as they iterate: a decode error names its file as any other refusal
+        rows = [(i * 2.048, 1000.0 - i, 60.0, -2.5) for i in range(3)]
+        files = {"truth": tmp_path / "truth.csv", "est": tmp_path / "est.csv"}
+        sio.write_track_csv(files["truth"], rows)
+        sio.write_estimates_csv(files["est"], [(*r, 100.0) for r in rows])
+        raw = files[which].read_bytes()
+        at = raw.index(b"60.0")
+        files[which].write_bytes(raw[:at] + b"\xff" + raw[at + 1 :])
+        argv = ["evaluate", "--estimates", str(files["est"]), "--truth", str(files["truth"])]
+        assert swfocal.cli.main(argv) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {files[which]}: 'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte\n"
+        )
+
+    def test_track_names_an_observation_file_that_is_not_utf8(self, tiny_setup, tmp_path, capsys):
+        root, cfg_path, cfg = tiny_setup
+        obs = tmp_path / "obs.jsonl"
+        sio.write_observations(obs, [(0, 2.048, [5.0]), (1, 4.096, [20.0, 5.0])])
+        raw = obs.read_bytes()
+        at = raw.index(b"20.0")
+        obs.write_bytes(raw[:at] + b"\xff" + raw[at + 1 :])
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(dict(cfg, output_dir=str(tmp_path / "out"), observations_file=str(obs))))
+        assert swfocal.cli.main(["track", "--config", str(p)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {obs}: 'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_track_missing_observations_is_domain_error(self, tiny_setup, tmp_path):
         root, cfg_path, cfg = tiny_setup
         cfg_bad = dict(cfg, observations_file=str(tmp_path / "missing.jsonl"))
@@ -948,3 +979,59 @@ def test_a_changed_grid_file_exits_0_or_1_with_one_error_line(grid_fuzz_setup, c
         assert (code, err) == (0, "") or (code == 1 and err.startswith("error: ") and err.count("\n") == 1), (
             command, code, err
         )
+
+
+CSV_TOKENS = [b"nan", b"inf", b"1e400", b"1e308", b"-0", b"", b'"', b"1,2", b"\x00", b"\xff", b"true"]
+CSV_ROWS = 5  # epochs in each of the two files
+
+
+@pytest.fixture(scope="module")
+def csv_fuzz_setup(tmp_path_factory):
+    """A truth CSV and an estimates CSV on its times, and the bytes of both."""
+    root = tmp_path_factory.mktemp("csv-fuzz")
+    files = {"t": root / "t.csv", "e": root / "e.csv"}
+    rows = [(i * 2.048, 1000.0 - 3.0 * i, 60.0 + i, -2.5) for i in range(CSV_ROWS)]
+    sio.write_track_csv(files["t"], rows)
+    sio.write_estimates_csv(files["e"], [(t, r + 5.0, d - 1.0, s, 100.0) for t, r, d, s in rows])
+    return files, {name: path.read_bytes() for name, path in files.items()}
+
+
+@settings(
+    derandomize=True, max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    which=st.sampled_from(["t", "e"]),
+    change=st.one_of(
+        # line 0 is the header
+        st.tuples(st.just("cell"), st.tuples(st.integers(0, CSV_ROWS), st.integers(0, 4), st.sampled_from(CSV_TOKENS))),
+        st.tuples(st.just("drop"), st.integers(0, CSV_ROWS)),
+        st.tuples(st.just("add"), st.integers(0, CSV_ROWS)),
+        st.tuples(st.just("cut"), st.integers(0, 10**6)),
+    ),
+)
+def test_a_changed_csv_file_exits_0_or_1_with_one_error_line(csv_fuzz_setup, tmp_path, capsys, which, change):
+    # a truth or estimates CSV with one cell or header name replaced by a
+    # drawn token, one row a column short or long, or cut at a drawn byte:
+    # evaluate reports on it or refuses it in one line that names a file,
+    # and no exception or numpy warning escapes
+    files, raws = csv_fuzz_setup
+    for name, raw in raws.items():
+        files[name].write_bytes(raw)
+    lines = raws[which].split(b"\n")
+    how, at = change
+    if how == "cell":
+        line, col, token = at
+        cells = lines[line].split(b",")
+        cells[col % len(cells)] = token
+        lines[line] = b",".join(cells)
+    elif how == "drop":
+        lines[at] = lines[at].rpartition(b",")[0]
+    elif how == "add":
+        lines[at] += b",1.0"
+    raw = b"\n".join(lines)
+    files[which].write_bytes(raw[: at % len(raw)] if how == "cut" else raw)
+    argv = ["evaluate", "--estimates", str(files["e"]), "--truth", str(files["t"]), "--out", str(tmp_path / "r.json")]
+    code = swfocal.cli.main(argv)
+    err = capsys.readouterr().err
+    named = err.startswith((f"error: {files['t']}:", f"error: {files['e']}:"))
+    assert (code, err) == (0, "") or (code == 1 and named and err.count("\n") == 1), (which, change, code, err)

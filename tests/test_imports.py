@@ -1,8 +1,10 @@
 import ast
 import importlib
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "swfocal"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "swfocal"
 
 
 def own(module: str) -> bool:
@@ -164,3 +166,47 @@ def test_the_scan_sees_names_read_through_a_module(tmp_path):
         "swfocal.io._number",
         "swfocal.tracking.PathKind",
     ]
+
+
+def vacuous_matches(path: Path) -> list[str]:
+    """``test: pattern`` of every ``match=`` string in a test taking ``tmp_path`` that the test's name holds.
+
+    pytest names ``tmp_path`` after the test, cut at 30 characters, and a
+    refusal quotes its file, so a pattern that ``re.search`` finds in those
+    30 characters matches whatever the message says.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    tests = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name.startswith("test")]
+    return [
+        f"{test.name}: {kw.value.value}"
+        for test in tests
+        if "tmp_path" in [a.arg for a in test.args.args]
+        for kw in ast.walk(test)
+        if isinstance(kw, ast.keyword) and kw.arg == "match" and isinstance(kw.value, ast.Constant)
+        if isinstance(kw.value.value, str) and re.search(kw.value.value, test.name[:30])
+    ]
+
+
+def test_no_refusal_pattern_matches_the_tmp_path_name():
+    sources = sorted(TESTS.glob("test_*.py"))
+    assert len(sources) > 5
+    found = {p.name: vacuous_matches(p) for p in sources}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_scan_sees_vacuous_matches(tmp_path):
+    src = tmp_path / "test_m.py"
+    src.write_text(
+        "def test_bad_magic(tmp_path):\n"
+        "    pytest.raises(ValueError, match='magic')\n"
+        "    pytest.raises(ValueError, match=f'{tmp_path}')\n"
+        "def test_bad_magic_in_memory():\n"
+        "    pytest.raises(ValueError, match='magic')\n"
+        "class TestCsv:\n"
+        "    def test_header_mismatch_rejected(self, tmp_path, capsys):\n"
+        "        pytest.raises(ValueError, match='^est[.]csv: expected header')\n"
+        "        pytest.raises(ValueError, match='head.r')\n"
+        "def test_a_name_of_more_than_thirty_characters_truncated(tmp_path):\n"
+        "    pytest.raises(ValueError, match='truncated')\n"
+    )
+    assert vacuous_matches(src) == ["test_bad_magic: magic", "test_header_mismatch_rejected: head.r"]
