@@ -78,8 +78,7 @@ rows, to within ``2**-100`` of the weight:
 
 Every other skipped operation would have added or multiplied an exact 0.
 So the result is within ``2**-100`` of the plain DP's, relatively, and
-with no floor it is the plain DP's bit for bit (but for a lone state,
-J = 1, see ``marginal_likelihood_batch``).
+with no floor it is the plain DP's bit for bit in any batch, J = 1 included.
 
 Angles are degrees throughout; densities are per degree.
 """
@@ -318,11 +317,11 @@ def _gate_width(det: np.ndarray, d: np.ndarray, log_bound: float, mu: float) -> 
 def _log_marginal_bound(d: np.ndarray, params: ModelParams, M: int) -> float:
     """Log of ``K! ((M + 1) R)**K``, ``R`` as in ``_gate_width`` for each path's largest detection
     probability ``d``: with ``mu > 0`` it bounds every state's marginal, and every value of the DP.
-    A ``mu`` so small that ``sigma_k sqrt(2 pi) f_fa mu`` is subnormal or 0 gives ``inf``, with no warning,
-    and the 0/0 of a path never detected is skipped."""
+    A ``mu`` so small that ``sigma_k sqrt(2 pi) f_fa mu`` is subnormal or 0 gives ``inf``, and a product that
+    overflows a detection factor of 0, with no warning; the 0/0 of a path never detected is skipped."""
     K = d.size
-    c = np.array(params.sigma_deg) * (_SQRT_2PI * params.fa_density * params.mu_fa)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        c = np.array(params.sigma_deg) * (_SQRT_2PI * params.fa_density * params.mu_fa)
         ratio = float(np.fmax.reduce(d / c, initial=1.0))
     return math.lgamma(K + 1) + K * math.log((M + 1) * ratio)
 
@@ -332,12 +331,15 @@ def _live_spans(z: np.ndarray, ang: np.ndarray, sigma, gate: float) -> tuple[lis
 
     Row m of path k is live if ``z[m]`` lies within ``gate * sigma[k]`` of
     the span of row k of the path-major ``ang``.  ``nan`` angles are
-    ignored; all ``nan`` gives ``first[k] >= stop[k]``, no row.
+    ignored; all ``nan`` gives ``first[k] >= stop[k]``, no row.  The bounds
+    are Python floats, so a reach beyond the float range is inf with no
+    numpy warning: every row is live, and all ``nan`` sorts ``-inf + inf`` last.
     """
-    reach = gate * np.array(sigma)
     neg_z = -z
-    first = neg_z.searchsorted(-(np.fmax.reduce(ang, axis=1, initial=-np.inf) + reach))
-    stop = neg_z.searchsorted(-(np.fmin.reduce(ang, axis=1, initial=np.inf) - reach), side="right")
+    hi = np.fmax.reduce(ang, axis=1, initial=-np.inf).tolist()
+    lo = np.fmin.reduce(ang, axis=1, initial=np.inf).tolist()
+    first = neg_z.searchsorted([-(h + gate * s) for h, s in zip(hi, sigma)])
+    stop = neg_z.searchsorted([-(l - gate * s) for l, s in zip(lo, sigma)], side="right")
     return first.tolist(), stop.tolist()
 
 
@@ -385,13 +387,9 @@ def marginal_likelihood_batch(
     docstring).  The gate leaves out less than ``2**-100``
     of every state's weight, and with ``mu_fa = 0`` or a detection
     probability of 1, where it is 39 sigma, nothing but exact zeros: the
-    result is then the full DP's bit for bit.  In a batch of two or more
-    states a state's weight does not depend on the batch's size or on its
-    place in it.  A lone state (J = 1) is the exception, at any number of
-    observations: numpy takes another BLAS path for the product of a
-    single row with the count weights, and with 8 or more rows it sums
-    them pairwise, so its weight can differ from the same state's weight
-    in a batch by an ulp or two.
+    result is then the full DP's bit for bit, in any batch, J = 1 included:
+    the final sum takes the same order for every state.  With a floor a
+    batch changes only the rows skipped, each time under ``2**-100``.
     The gate relies on the order, so ``z_sorted`` out of order, or with a
     ``nan``, raises ``ValueError``, as do a path count K other than
     ``params.n_paths``, ``detect_probs`` of another shape than
@@ -477,13 +475,13 @@ def marginal_likelihood_batch(
             S[1 : k + 2, s + 1 : e + 1] += Ps
             top = max(top, e + 1)
 
-    # the weight of c detections is c!; without clutter only c = M explains
-    # every observation, and S[M, m] is 0 for m < M, so its sum is exact.
-    # Each state's sums run along its own contiguous row, so in a batch of
-    # two or more its weight does not depend on the batch; a gemv down the
-    # columns of the (counts, states) sums, ``weights @ S.sum(axis=1)``,
-    # takes an order that the BLAS kernel picks by batch size and position.
-    # A single row takes another BLAS path, which can round differently
-    weights = np.array([math.factorial(c) if mu > 0.0 or c == M else 0 for c in range(K + 1)], dtype=float)
-    return np.ascontiguousarray(S.sum(axis=1).T) @ weights
-
+    # rows in sequence, then c detections weighted c! count by count: the
+    # same order in any batch.  Without clutter only c = M explains every observation
+    total = S[:, 0].copy()
+    for m in range(1, L + 1):
+        total += S[:, m]
+    if mu <= 0.0:
+        return math.factorial(M) * total[M]
+    for c in range(1, K + 1):
+        total[0] += total[c] * math.factorial(c)
+    return total[0]

@@ -155,10 +155,11 @@ def cmd_simulate(args) -> int:
     if cfg.scenario is None:
         raise ValueError(f"{args.config}: config: missing keys ['scenario'], which simulate needs")
     # per epoch the truth's time and state, and the lookup's (4, K) corners
-    # and K angles; counted in floats, where a huge count is inf, not an error
+    # and K angles; counted in Python floats, where a huge count is inf, not
+    # an error or a warning
     duration, step, K = cfg.scenario.duration_s, cfg.motion.step_s, cfg.model.n_paths
     _refuse_beyond_memory(
-        8 * (4 + 5 * K) * np.ceil(duration / step),
+        8 * (4 + 5 * K) * float(np.ceil(duration / step)),
         f"{args.config}: duration_s = {duration} s in steps of {step} s at K = {K}",
     )
     truth = generate_truth(cfg.scenario, seed=cfg.seed)

@@ -93,7 +93,9 @@ def generate_truth(cfg: ScenarioConfig, seed: int = 0) -> GroundTruthTrack:
     times = cfg.epoch_times()
     states = np.zeros((times.size, 3))
     if cfg.truth_motion == "deterministic":
-        states[:, 0] = cfg.initial_range_m + cfg.initial_speed_mps * times
+        # a range beyond the float range is +-inf, outside the region of interest
+        with np.errstate(over="ignore"):
+            states[:, 0] = cfg.initial_range_m + cfg.initial_speed_mps * times
         states[:, 1] = cfg.initial_depth_m
         states[:, 2] = cfg.initial_speed_mps
     else:
@@ -134,17 +136,18 @@ def generate_observations(
     rng = np.random.default_rng(seed)
     angles = interpolate_doa_many(grid, truth.states[:, :2])
     upper = np.nextafter(90.0, -90.0)
+    sigma = np.asarray(params.sigma_deg)
     out: list[ObservationSet] = []
-    for i in range(truth.times_s.size):
-        ang = angles[i]
-        possible = ~np.isnan(ang)
-        detected = possible & (rng.random(ang.size) < params.detect_prob)
-        doas = ang[detected] + rng.normal(0.0, 1.0, int(detected.sum())) * np.asarray(
-            params.sigma_deg
-        )[detected]
-        n_fa = rng.poisson(params.mu_fa)
-        fa = rng.uniform(-90.0, 90.0, n_fa)
-        z = np.clip(np.concatenate([doas, fa]), -90.0, upper)
-        z = np.sort(z, kind="stable")[::-1]
-        out.append(ObservationSet(z=z))
+    # noise beyond the float range is +-inf, clipped into [-90, 90) below
+    with np.errstate(over="ignore"):
+        for i in range(truth.times_s.size):
+            ang = angles[i]
+            possible = ~np.isnan(ang)
+            detected = possible & (rng.random(ang.size) < params.detect_prob)
+            doas = ang[detected] + rng.normal(0.0, 1.0, int(detected.sum())) * sigma[detected]
+            n_fa = rng.poisson(params.mu_fa)
+            fa = rng.uniform(-90.0, 90.0, n_fa)
+            z = np.clip(np.concatenate([doas, fa]), -90.0, upper)
+            z = np.sort(z, kind="stable")[::-1]
+            out.append(ObservationSet(z=z))
     return out

@@ -155,14 +155,17 @@ def predict_particles(
     s = ps.states
     out = np.empty(s.shape)
     r, d, v = out[:, 0], out[:, 1], out[:, 2]
-    # r = s0 + T s2 + T^2/2 u1, d = s1 + T u2, v = s2 + T u1, each in that order
-    np.multiply(T, s[:, 2], out=r)
-    np.add(s[:, 0], r, out=r)
-    r += 0.5 * T * T * u1
-    np.multiply(T, u2, out=d)
-    np.add(s[:, 1], d, out=d)
-    np.multiply(T, u1, out=v)
-    np.add(s[:, 2], v, out=v)
+    # r = s0 + T s2 + T^2/2 u1, d = s1 + T u2, v = s2 + T u1, each in that order.
+    # A state beyond the float range is +-inf, or nan where two infinities
+    # meet, and lies outside every region of interest
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(T, s[:, 2], out=r)
+        np.add(s[:, 0], r, out=r)
+        r += 0.5 * T * T * u1
+        np.multiply(T, u2, out=d)
+        np.add(s[:, 1], d, out=d)
+        np.multiply(T, u1, out=v)
+        np.add(s[:, 2], v, out=v)
     return ParticleSet(states=out, weights=ps.weights)
 
 

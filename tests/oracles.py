@@ -74,8 +74,8 @@ def dense_dp_marginal(z, angles, detect, sigma, mu, fa_density=1.0 / 180.0) -> n
     every row and count, with the plain densities ``exp(x) / c`` (0 at a
     ``nan`` angle) and no row gate, no triangle and no clipped ``exp``.
     Every skipped term of ``marginal_likelihood_batch`` is an exact 0 here,
-    and the final weighted sum is taken in the same order, so the two agree
-    bit for bit.
+    and the final weighted sum is taken in the same order, rows and then
+    counts, so the two agree bit for bit.
     """
     z = np.asarray(z, dtype=float)
     ang = np.asarray(angles, dtype=float).T
@@ -96,10 +96,14 @@ def dense_dp_marginal(z, angles, detect, sigma, mu, fa_density=1.0 / 180.0) -> n
             dens = np.where(np.isnan(x), 0.0, np.exp(x) / c)
         hit = dens * (det[k] if mu <= 0.0 else det[k] / mu) / fa_density
         S[1:, 1:] += hit[:, None, :] * P[:, :K]
+    total = S[0].copy()
+    for m in range(1, M + 1):
+        total += S[m]
     if mu <= 0.0:
-        return math.factorial(M) * np.ascontiguousarray(S[:, M].T).sum(axis=1)
-    weights = np.array([math.factorial(c) for c in range(K + 1)], dtype=float)
-    return np.ascontiguousarray(S.sum(axis=0).T) @ weights
+        return math.factorial(M) * total[M]
+    for c in range(1, K + 1):
+        total[0] += total[c] * math.factorial(c)
+    return total[0]
 
 
 def gate_mask(z, angles, sigma: float, gate: float) -> np.ndarray:

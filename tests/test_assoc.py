@@ -376,11 +376,11 @@ class TestMarginalLikelihood:
                 a_o, dt_o = np.asarray(a, order=order), np.asarray(dt, order=order)
                 assert marginal_likelihood_batch(z, a_o, dt_o, p).tobytes() == want
 
-    def test_a_weight_is_the_same_in_every_batch_of_two_or_more(self):
+    def test_a_weight_is_the_same_in_every_batch(self):
         # K = 4, M = 0..9, impossible paths anywhere: a state's weight is the
-        # same bit for bit in a batch of 2 to 257 states as in one of 1000,
-        # at the front of the batch or elsewhere.  A lone state is not
-        # covered: its product with the count weights takes another BLAS path
+        # same bit for bit alone, through the one-state wrapper, and in a
+        # batch of 1 to 257 states as in one of 1000, at the front of the
+        # batch or elsewhere
         rng = np.random.default_rng(28)
         for _ in range(40):
             M = int(rng.integers(0, 10))
@@ -391,9 +391,12 @@ class TestMarginalLikelihood:
             near = rng.choice(ang[0], M) + rng.normal(0.0, 1.0, M)
             z = np.sort(np.where(np.isnan(near), rng.uniform(-30, 30, M), near))[::-1]
             whole = marginal_likelihood_batch(z, ang, det, p)
-            for n in (2, 3, 4, 5, 8, 17, 64, 257):
+            for n in (1, 2, 3, 4, 5, 8, 17, 64, 257):
                 for pick in (np.arange(n), rng.choice(1000, n, replace=False)):
                     assert marginal_likelihood_batch(z, ang[pick], det[pick], p).tobytes() == whole[pick].tobytes()
+            for j in rng.choice(1000, 5, replace=False):
+                alone = marginal_likelihood(ObservationSet(z=z), PathPrediction(ang[j], det[j]), p)
+                assert np.float64(alone).tobytes() == whole[j].tobytes()
 
     @pytest.mark.parametrize("dist", [3.0, 37.5, 38.6, 39.1, -38.6, -39.1])
     def test_single_path_density_bit_for_bit_across_the_cut(self, dist):
@@ -582,6 +585,13 @@ class TestGate:
             self.assert_spans_are_mask_rows(z, ang, sigma, gate)
             want = dense_dp_marginal(z, ang, det, sigma, mu)
             assert marginal_likelihood_batch(z, ang, det, p).tobytes() == want.tobytes()
+
+    def test_a_reach_beyond_the_float_range_makes_every_row_live(self):
+        # 39 * 1e308 is inf, with no numpy warning: every row of a path with
+        # an angle is live, and a path with none still has no row
+        z = np.array([80.0, 10.0, -89.0])
+        ang = np.array([[12.0, np.nan], [-60.0, np.nan]])
+        assert _live_spans(z, np.ascontiguousarray(ang.T), (1e308, 1e308), 39.0) == ([0, 3], [3, 3])
 
     def test_width_for_the_default_models(self):
         # 14.0-15.0 sigma at K = 4 and 12.77-13.3 at K = 2 for M = 0..30,

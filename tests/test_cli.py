@@ -5,12 +5,13 @@ import re
 import struct
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from swfocal import io as sio
@@ -544,6 +545,38 @@ class TestSimulate:
             f"error: {p}: duration_s = 1e+300 s in steps of 1e-300 s at K = 4 needs inf bytes, {BEYOND}\n"
         )
 
+    def test_a_duration_near_the_float_maximum_is_refused_with_no_warning(self, tiny_setup, tmp_path, capsys):
+        # the epoch count's bytes overflow to inf, which the memory check refuses
+        root, cfg_path, cfg = tiny_setup
+        p, out = tmp_path / "c.json", tmp_path / "out"
+        p.write_text(json.dumps(dict(cfg, output_dir=str(out), scenario=dict(cfg["scenario"], duration_s=1e308))))
+        assert swfocal.cli.main(["simulate", "--config", str(p)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {p}: duration_s = 1e+308 s in steps of 2.048 s at K = 4 needs inf bytes, {BEYOND}\n"
+        )
+        assert not out.exists()
+
+    def test_a_speed_near_the_float_maximum_leaves_the_roi_with_no_warning(self, tiny_setup, tmp_path, capsys):
+        # the deterministic truth's ranges overflow to inf after the start,
+        # outside the region of interest: the track is truncated to one epoch
+        root, cfg_path, cfg = tiny_setup
+        p, out = tmp_path / "c.json", tmp_path / "out"
+        scenario = dict(cfg["scenario"], initial_speed_mps=1e308)
+        p.write_text(json.dumps(dict(cfg, output_dir=str(out), scenario=scenario)))
+        assert swfocal.cli.main(["simulate", "--config", str(p)]) == 0
+        assert capsys.readouterr().err == ""
+        assert sio.read_track_csv(out / "truth.csv")[:, 1].tolist() == [1100.0]
+
+    def test_a_noise_deviation_near_the_float_maximum_simulates_with_no_warning(self, tiny_setup, tmp_path, capsys):
+        # an SB detection's noise overflows to +-inf and is clipped into [-90, 90)
+        root, cfg_path, cfg = tiny_setup
+        p, out = tmp_path / "c.json", tmp_path / "out"
+        p.write_text(json.dumps(dict(cfg, output_dir=str(out), model={"sigma_deg": [1e308, 0.5, 2.0, 2.0]})))
+        assert swfocal.cli.main(["simulate", "--config", str(p)]) == 0
+        assert capsys.readouterr().err == ""
+        doas = np.concatenate([z for *_, z in sio.read_observations(out / "observations.jsonl")])
+        assert ((doas >= -90.0) & (doas < 90.0)).all() and (np.abs(doas) > 89.0).any()
+
     def test_ignores_the_particle_count(self, tiny_setup, tmp_path):
         # simulate draws no particles, so a J far beyond physical memory runs
         root, cfg_path, cfg = tiny_setup
@@ -774,6 +807,36 @@ class TestTrackAndEvaluate:
         res = run_cli("track", "--config", p)
         assert res.returncode == 1
         assert res.stderr == f"error: {tmp_path / 'missing.jsonl'}: No such file or directory\n"
+
+    def test_track_with_a_speed_prior_near_the_float_maximum_loses_every_particle_with_no_warning(
+        self, tiny_setup, tmp_path, capsys
+    ):
+        # the first step moves every particle out of the region of interest,
+        # most of them to +-inf: one error line, and no numpy warning
+        root, cfg_path, cfg = tiny_setup
+        obs, p, out = tmp_path / "obs.jsonl", tmp_path / "c.json", tmp_path / "out"
+        sio.write_observations(obs, [(0, 2.048, [20.0, 5.0]), (1, 4.096, [5.0])])
+        prior = dict(cfg["prior"], speed_std=1e308)
+        p.write_text(json.dumps(dict(cfg, output_dir=str(out), observations_file=str(obs), prior=prior)))
+        assert swfocal.cli.main(["track", "--config", str(p)]) == 1
+        assert capsys.readouterr().err == (
+            "error: all particle weights vanished at epoch t = 2.048 s: every particle left the region of interest\n"
+        )
+
+    @pytest.mark.parametrize("mu", [2.0, 1000.0])
+    def test_track_with_noise_deviations_near_the_float_maximum_runs_with_no_warning(
+        self, tiny_setup, tmp_path, capsys, mu
+    ):
+        # the association gate's reach overflows to inf: every row is live;
+        # at mu_fa = 1000 so does the marginal bound's sigma sqrt(2 pi) f_fa mu
+        root, cfg_path, cfg = tiny_setup
+        obs, p, out = tmp_path / "obs.jsonl", tmp_path / "c.json", tmp_path / "out"
+        sio.write_observations(obs, [(0, 2.048, [20.0, 5.0]), (1, 4.096, [5.0])])
+        model = {"sigma_deg": [1e308] * 4, "mu_fa": mu}
+        p.write_text(json.dumps(dict(cfg, output_dir=str(out), observations_file=str(obs), model=model)))
+        assert swfocal.cli.main(["track", "--config", str(p)]) == 0
+        assert capsys.readouterr().err == ""
+        assert sio.read_estimates_csv(out / "estimates.csv")[:, 0].tolist() == [2.048, 4.096]
 
     def test_track_with_nan_parameter_exits_1_naming_it(self, tiny_setup, tmp_path):
         root, cfg_path, cfg = tiny_setup
@@ -1035,3 +1098,87 @@ def test_a_changed_csv_file_exits_0_or_1_with_one_error_line(csv_fuzz_setup, tmp
     err = capsys.readouterr().err
     named = err.startswith((f"error: {files['t']}:", f"error: {files['e']}:"))
     assert (code, err) == (0, "") or (code == 1 and named and err.count("\n") == 1), (which, change, code, err)
+
+
+def json_paths(doc, at=()):
+    """Every value's path in ``doc``, containers included, outermost first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    return [at] * bool(at) + [p for key, v in items for p in json_paths(v, (*at, key))]
+
+
+RUN = json.loads((REPO / "configs" / "default_run.json").read_text())
+# the shipped run at J = 100, its scenario's times scaled down to ten epochs
+_SCALE = 10 * RUN["motion"]["step_s"] / RUN["scenario"]["duration_s"]
+SMALL_RUN = {**RUN, "J": 100, "scenario": {
+    **RUN["scenario"],
+    "duration_s": RUN["scenario"]["duration_s"] * _SCALE,
+    "dropouts": [[a * _SCALE, b * _SCALE] for a, b in RUN["scenario"]["dropouts"]],
+}}
+RUN_PATHS = json_paths(SMALL_RUN)
+# a key added at the top or to a block: two the run may name and two it may not
+RUN_NEW_KEYS = [
+    (*block, key) for block in [()] + [(k,) for k, v in RUN.items() if isinstance(v, dict)]
+    for key in ("observations_file", "truth_file", "step_s", "extra")
+]
+RUN_VALUES = [
+    1e308, -1e308, 1e300, 10**30, -1, -2.5, 0.5, 2.5, 5e-324, 1e-310, 0,
+    float("nan"), float("inf"), -float("inf"), True, False, "", "x", "stochastic", None, [], [1e308], [[0.5, 2.0]],
+]
+
+
+@pytest.fixture(scope="module")
+def config_fuzz_setup(tmp_path_factory, coastal_wg):
+    """The bytes of an 8 x 6 grid over the shipped run's region of interest."""
+    root = tmp_path_factory.mktemp("config-fuzz")
+    sio.write_grid(root / "grid.bin", build_doa_grid(coastal_wg, tuple(RUN["prior"]["roi"]), 8, 6))
+    return root, (root / "grid.bin").read_bytes()
+
+
+@settings(
+    derandomize=True, max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    change=st.one_of(
+        st.tuples(
+            st.just("set"), st.tuples(st.sampled_from(RUN_PATHS + RUN_NEW_KEYS), st.sampled_from(RUN_VALUES))
+        ),
+        st.tuples(st.just("drop"), st.sampled_from([p for p in RUN_PATHS if isinstance(p[-1], str)])),
+        st.tuples(st.just("cut"), st.integers(0, 10**6)),
+    )
+)
+@example(change=("set", (("prior", "speed_std"), 1e308)))
+@example(change=("set", (("model", "sigma_deg"), [1e308] * 4)))
+@example(change=("set", (("scenario", "duration_s"), 1e308)))
+@example(change=("set", (("scenario", "initial_speed_mps"), 1e308)))
+@example(change=("set", (("model", "sigma_deg", 0), 1e308)))
+@example(change=("set", (("motion", "step_s"), 1e308)))  # the first step meets inf - inf
+def test_a_changed_config_exits_0_or_1_with_one_error_line(config_fuzz_setup, monkeypatch, capsys, change):
+    # the shipped run's config with one value replaced by a drawn one, a key
+    # dropped or added, or cut at a drawn byte: simulate, then track on what
+    # it wrote, run or refuse it in one line, and no exception or numpy
+    # warning escapes.  Each example runs in a directory of its own, where
+    # the config's relative paths and any drawn ones land
+    root, grid = config_fuzz_setup
+    work = Path(tempfile.mkdtemp(dir=root))
+    (work / "out").mkdir()
+    (work / "out" / "grid.bin").write_bytes(grid)
+    monkeypatch.chdir(work)
+    doc = json.loads(json.dumps(SMALL_RUN))
+    how, at = change
+    if how != "cut":
+        path = at if how == "drop" else at[0]
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if how == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = at[1]
+    text = json.dumps(doc, indent=1)
+    (work / "run.json").write_text(text[: at % len(text)] if how == "cut" else text)
+    for command in ("simulate", "track"):
+        code = swfocal.cli.main([command, "--config", "run.json"])
+        err = capsys.readouterr().err
+        assert (code, err) == (0, "") or (code == 1 and err.startswith("error: ") and err.count("\n") == 1), (
+            command, code, err
+        )
