@@ -158,9 +158,9 @@ def cmd_simulate(args) -> int:
     # and K angles; counted in Python floats, where a huge count is inf, not
     # an error or a warning
     duration, step, K = cfg.scenario.duration_s, cfg.motion.step_s, cfg.model.n_paths
+    n_epochs = float(np.ceil(duration / step))
     _refuse_beyond_memory(
-        8 * (4 + 5 * K) * float(np.ceil(duration / step)),
-        f"{args.config}: duration_s = {duration} s in steps of {step} s at K = {K}",
+        8 * (4 + 5 * K) * n_epochs, f"{args.config}: duration_s = {duration} s in steps of {step} s at K = {K}"
     )
     truth = generate_truth(cfg.scenario, seed=cfg.seed)
     obs = generate_observations(truth, grid, cfg.model, seed=cfg.seed)
@@ -176,10 +176,12 @@ def cmd_simulate(args) -> int:
         if not cfg.scenario.in_dropout(float(t))
     ]
     sio.write_observations(cfg.obs_path(), records)
-    print(
-        f"simulated {truth.times_s.size} epochs ({len(records)} with data) "
-        f"-> {cfg.truth_path()}, {cfg.obs_path()}"
-    )
+    n = truth.times_s.size
+    summary = f"{n} epochs ({len(records)} with data"
+    if n < n_epochs:  # the truth left the region of interest, and ends at its last epoch inside
+        left = f"the truth left the region of interest after t = {truth.times_s[-1]:.3f} s"
+        summary = f"{n} of {n_epochs:.0f} epochs ({len(records)} with data; {left}"
+    print(f"simulated {summary}) -> {cfg.truth_path()}, {cfg.obs_path()}")
     return 0
 
 

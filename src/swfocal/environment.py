@@ -104,6 +104,9 @@ _FAN = 0.5 * np.pi * np.linspace(0.0, 1.0, 513) ** 2
 _FAN_SIN, _FAN_COS = np.sin(_FAN), np.cos(_FAN)
 _WINDOW = 8  # fan rays per inverse interpolant, which is of degree 7
 _MAX_STEPS = 60
+# the largest speed (m/s) and depth (m) of an environment: the solve squares
+# speeds and multiplies depths by sums of speeds, all within the float range
+_LARGEST = 1e100
 
 
 class PathKind(Enum):
@@ -140,13 +143,16 @@ class SoundSpeedProfile:
         if knots[0][0] != 0.0:
             raise ValueError(f"ssp_knots[0][0]: the first knot must be at the surface (depth 0), got {knots[0][0]}")
         for i, ((above, _), (z, _)) in enumerate(zip(knots, knots[1:]), start=1):
-            if not above < z < np.inf:
+            if not above < z <= _LARGEST:
                 raise ValueError(
-                    f"ssp_knots[{i}][0]: knot depths must be finite and strictly increasing, got {z} after {above}"
+                    f"ssp_knots[{i}][0]: knot depths must be strictly increasing and at most {_LARGEST:g} m, "
+                    f"got {z} after {above}"
                 )
         for i, (_, c) in enumerate(knots):
-            if not 0.0 < c < np.inf:
-                raise ValueError(f"ssp_knots[{i}][1]: sound speeds must be positive and finite, got {c}")
+            if not 0.0 < c <= _LARGEST:
+                raise ValueError(
+                    f"ssp_knots[{i}][1]: sound speeds must be positive and at most {_LARGEST:g} m/s, got {c}"
+                )
 
     @property
     def max_depth(self) -> float:
@@ -163,8 +169,8 @@ class Waveguide:
 
     def __post_init__(self):
         # each check is written so that nan fails it
-        if not 0.0 < self.bottom_depth < np.inf:
-            raise ValueError(f"bottom_depth_m: must be positive and finite, got {self.bottom_depth}")
+        if not 0.0 < self.bottom_depth <= _LARGEST:
+            raise ValueError(f"bottom_depth_m: must be positive and at most {_LARGEST:g} m, got {self.bottom_depth}")
         if not 0.0 < self.receiver_depth < self.bottom_depth:
             raise ValueError(
                 f"receiver_depth_m: must lie strictly inside the water column (0, {self.bottom_depth}), "
@@ -179,7 +185,8 @@ class Waveguide:
 
 @dataclass(frozen=True)
 class EigenRay:
-    kind: PathKind
+    """The eigenray of a path, which ``find_eigenrays`` returns under its kind."""
+
     arrival_angle_deg: float
 
 
@@ -270,7 +277,10 @@ def _trial(a, b, fa, fb, r, c, num, base, start=None):
     Returns the trial ``x``, its ``f``, whether it meets the stopping rule,
     and its ``sin`` and ``cos``.
     """
-    x = (a * fb - b * fa) / (fb - fa)
+    # where even the vertical ray reaches far beyond r, as at a range tiny
+    # beside the depths, fa == fb == -1: the secant point is +inf and bisects
+    with np.errstate(divide="ignore"):
+        x = (a * fb - b * fa) / (fb - fa)
     if start is not None:
         np.copyto(x, start, where=(start > a) & (start < b))
     out = (x <= a) | (x >= b)
@@ -419,4 +429,4 @@ def find_eigenrays(wg: Waveguide, source: tuple[float, float]) -> dict[PathKind,
     """
     r_s, z_s = float(source[0]), float(source[1])
     arrival = eigenray_angles(wg, z_s, [r_s])[:, 0]
-    return {kind: None if np.isnan(a) else EigenRay(kind, float(a)) for kind, a in zip(PathKind, arrival)}
+    return {kind: None if np.isnan(a) else EigenRay(float(a)) for kind, a in zip(PathKind, arrival)}

@@ -27,7 +27,6 @@ import json
 import math
 import os
 import struct
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -144,7 +143,7 @@ def write_grid(path, grid: DoaGrid) -> None:
 
 
 def read_grid(path) -> DoaGrid:
-    """Read a grid file, its values straight into the grid's one array.
+    """Read a grid file, its values straight into the grid's one array, little-endian as the file holds them.
 
     The header is one read, refused field by field (``magic``, ``header``,
     ``version``); its ``counts`` must give the values the file holds, which
@@ -165,14 +164,12 @@ def read_grid(path) -> DoaGrid:
             )
         size, left = 8 * n_r * n_d * n_k, os.fstat(f.fileno()).st_size - f.tell()
         if left == size:
-            values = np.empty((n_r, n_d, n_k))
+            values = np.empty((n_r, n_d, n_k), dtype="<f8")
             left = f.readinto(values)  # less if the file shrank since
         if left != size:
             raise ValueError(
                 f"{path}: counts: must give the {left / 8:.16g} values the file holds, got {[n_r, n_d, n_k]}"
             )
-    if sys.byteorder != "little":
-        values.byteswap(inplace=True)
     # nan is skipped by both reductions
     lo, hi = np.fmin.reduce(values, axis=None, initial=0.0), np.fmax.reduce(values, axis=None, initial=0.0)
     if not -90.0 <= lo <= hi <= 90.0:

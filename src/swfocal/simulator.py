@@ -12,7 +12,6 @@ all of them), which is how variable time steps reach the tracker.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +21,6 @@ from swfocal.grid import DoaGrid, check_roi, inside_roi, interpolate_doa_many
 from swfocal.tracking import MotionParams, ParticleSet, predict_particles
 
 __all__ = ["ScenarioConfig", "GroundTruthTrack", "generate_truth", "generate_observations"]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -87,8 +84,8 @@ def generate_truth(cfg: ScenarioConfig, seed: int = 0) -> GroundTruthTrack:
 
     Deterministic mode is straight-line: constant range rate, constant
     depth.  Stochastic mode moves one particle by ``predict_particles``.
-    If the track leaves the region of interest it is truncated at the
-    last inside epoch, with a warning.
+    If the track leaves the region of interest it ends at the last inside
+    epoch, so it holds fewer epochs than ``cfg.epoch_times()``.
     """
     times = cfg.epoch_times()
     states = np.zeros((times.size, 3))
@@ -108,16 +105,7 @@ def generate_truth(cfg: ScenarioConfig, seed: int = 0) -> GroundTruthTrack:
 
     inside = inside_roi(cfg.roi, states[:, 0], states[:, 1])
     n_keep = int(np.argmin(inside)) if not inside.all() else times.size
-    if n_keep < times.size:
-        log.warning(
-            "truth track leaves the region of interest at t=%.3f s; truncating %d of %d epochs",
-            times[n_keep],
-            times.size - n_keep,
-            times.size,
-        )
-        times = times[:n_keep]
-        states = states[:n_keep]
-    return GroundTruthTrack(times_s=times, states=states)
+    return GroundTruthTrack(times_s=times[:n_keep], states=states[:n_keep])
 
 
 def generate_observations(

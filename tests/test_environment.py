@@ -203,6 +203,24 @@ class TestEigenrays:
         for kind in PathKind:
             assert rays[kind].arrival_angle_deg == pytest.approx(expect[kind], abs=1e-9)
 
+    @pytest.mark.parametrize("r", [1e-300, 1e-100])
+    def test_a_range_tiny_beside_the_depths_takes_the_vertical_ray(self, coastal_wg, r):
+        # even the vertical fan ray reaches beyond r by more than a float's
+        # precision, so both ends of its bracket read f = -1: the secant is
+        # +inf and bisects, with no numpy warning, onto the vertical ray
+        rays = find_eigenrays(coastal_wg, (r, 60.0))
+        assert [rays[kind].arrival_angle_deg for kind in PathKind] == [90.0, 90.0, -90.0, -90.0]
+
+    def test_a_bottom_far_below_the_source_turns_its_paths_vertical(self, coastal_wg):
+        # the deepest column the rules allow under the coastal profile's
+        # upper 190 m: the paths that reach the bottom are vertical rays, and
+        # those above it are the coastal ones bit for bit
+        knots = (*coastal_wg.ssp.knots[:-1], (1e100, 1488.2))
+        deep = Waveguide(SoundSpeedProfile(knots), bottom_depth=1e100, receiver_depth=coastal_wg.receiver_depth)
+        rays, coastal = find_eigenrays(deep, (1000.0, 60.0)), find_eigenrays(coastal_wg, (1000.0, 60.0))
+        assert [rays[kind].arrival_angle_deg for kind in (PathKind.BB, PathKind.SBB)] == [-90.0, -90.0]
+        assert [rays[kind] for kind in (PathKind.SB, PathKind.DP)] == [coastal[PathKind.SB], coastal[PathKind.DP]]
+
     def test_invalid_source_positions_rejected(self, iso_wg):
         with pytest.raises(ValueError):
             find_eigenrays(iso_wg, (0.0, 60.0))

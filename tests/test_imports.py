@@ -168,6 +168,56 @@ def test_the_scan_sees_names_read_through_a_module(tmp_path):
     ]
 
 
+REPORTERS = ("logging", "warnings")
+STREAMS = ("stdout", "stderr")
+
+
+def reports(path: Path) -> list[tuple[int, str]]:
+    """``(line, name)`` of every import of ``logging`` or ``warnings``, ``print`` call and
+    ``sys.stdout`` or ``sys.stderr`` read in ``path``, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if a.name.partition(".")[0] in REPORTERS]
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module.partition(".")[0] in REPORTERS:
+            found.append((node.lineno, node.module))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+            found.append((node.lineno, "print"))
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "sys" and node.attr in STREAMS:
+            found.append((node.lineno, f"sys.{node.attr}"))
+    return sorted(found)
+
+
+def test_only_the_cli_prints_or_logs():
+    # the library reports by what it returns and raises; the command line
+    # alone turns that into an exit code and its lines
+    sources = sorted(p for p in SRC.glob("*.py") if p.stem != "cli")
+    assert len(sources) > 5
+    found = {p.name: reports(p) for p in sources}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_scan_sees_reports(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "import logging\n"
+        "import json, warnings as w\n"
+        "from logging.handlers import QueueHandler\n"
+        "from warnings import warn\n"
+        "import sys\n"
+        "def f():\n"
+        "    print('x', file=sys.stderr)\n"
+        "    sys.stdout.write('y')\n"
+        "from .logging import levels\n"
+        "import loggingx, numpy.warnings\n"
+        "np.printoptions(), log.print(), sys.byteorder\n"
+    )
+    assert reports(src) == [
+        (1, "logging"), (2, "warnings"), (3, "logging.handlers"), (4, "warnings"),
+        (7, "print"), (7, "sys.stderr"), (8, "sys.stdout"),
+    ]
+
+
 def vacuous_matches(path: Path) -> list[str]:
     """``test: pattern`` of every ``match=`` string in a test taking ``tmp_path`` that the test's name holds.
 

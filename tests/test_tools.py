@@ -1,4 +1,5 @@
-"""``tools/ab.py`` end to end: both subcommands against this checkout's HEAD."""
+"""``tools/ab.py`` end to end: both subcommands in a git repository of one commit that holds this
+working tree's ``src/``, ``tools/``, ``perfbench/`` and ``configs/``, so both sides are one tree."""
 
 import json
 import shutil
@@ -10,9 +11,7 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 
-pytestmark = pytest.mark.skipif(
-    not (REPO / ".git").exists() or shutil.which("git") is None, reason="needs a git checkout and git"
-)
+pytestmark = pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
 
 BUILD_ROWS = (
     "median build s", "range-function rays", "range-function calls", "evaluations/eigenray", "fan ms",
@@ -29,11 +28,24 @@ BUILD_KEYS = {
 EPOCH_KEYS = {"base", "K", "J", "seeds", "rounds", "machine", "median", "wins", "runs", "per_run"}
 
 
-def ab(*args, json_out: Path) -> tuple[str, dict]:
-    """Run ``tools/ab.py`` with ``--json json_out``: its stdout and its JSON."""
+@pytest.fixture(scope="module")
+def checkout(tmp_path_factory) -> Path:
+    """A git repository whose one commit holds the working tree's ``src/``, ``tools/``, ``perfbench/`` and
+    ``configs/``."""
+    root = tmp_path_factory.mktemp("checkout")
+    for name in ("src", "tools", "perfbench", "configs"):
+        shutil.copytree(REPO / name, root / name, ignore=shutil.ignore_patterns("__pycache__"))
+    git = ["git", "-c", "user.name=ab", "-c", "user.email=ab@localhost", "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "--no-verify", "-m", "the working tree"]):
+        subprocess.run([*git, *args], cwd=root, check=True, capture_output=True)
+    return root
+
+
+def ab(checkout: Path, *args, json_out: Path) -> tuple[str, dict]:
+    """Run ``tools/ab.py`` of ``checkout`` with ``--json json_out``: its stdout and its JSON."""
     res = subprocess.run(
-        [sys.executable, str(REPO / "tools" / "ab.py"), *args, "--json", str(json_out)],
-        capture_output=True, text=True, cwd=REPO, timeout=120,
+        [sys.executable, str(checkout / "tools" / "ab.py"), *args, "--json", str(json_out)],
+        capture_output=True, text=True, cwd=checkout, timeout=120,
     )
     assert res.returncode == 0, res.stderr
     assert "Traceback" not in res.stderr
@@ -48,8 +60,8 @@ def row(stdout: str, name: str) -> list[str]:
     return values
 
 
-def test_build_counts_alike_on_both_sides(tmp_path):
-    out, doc = ab("build", "--base", "HEAD", "--rounds", "1", "--seeds", json_out=tmp_path / "b.json")
+def test_build_counts_alike_on_both_sides(checkout, tmp_path):
+    out, doc = ab(checkout, "build", "--base", "HEAD", "--rounds", "1", "--seeds", json_out=tmp_path / "b.json")
     assert out.startswith("build_doa_grid, coastal 2400x165, 1 rounds\n")
     assert "grid values: max |diff| 0 deg, nan patterns equal\n" in out
     assert "README pipeline" not in out
@@ -72,8 +84,8 @@ def test_build_counts_alike_on_both_sides(tmp_path):
     assert doc["range_function"]["base"] == doc["range_function"]["change"]
 
 
-def test_epoch_estimates_identical_on_both_sides(tmp_path):
-    out, doc = ab("epoch", "--base", "HEAD", "--rounds", "1", "--seeds", "0", "--J", "200",
+def test_epoch_estimates_identical_on_both_sides(checkout, tmp_path):
+    out, doc = ab(checkout, "epoch", "--base", "HEAD", "--rounds", "1", "--seeds", "0", "--J", "200",
                   json_out=tmp_path / "e.json")
     assert out.startswith("K = 4, J = 200, seeds [0], 1 rounds; estimates identical\n")
     assert all(float(v) >= 0 for name in EPOCH_ROWS for v in row(out, name))
@@ -88,10 +100,10 @@ def test_epoch_estimates_identical_on_both_sides(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["epoch", "build"])
-def test_a_base_git_cannot_archive_is_one_error_line(command):
+def test_a_base_git_cannot_archive_is_one_error_line(checkout, command):
     res = subprocess.run(
-        [sys.executable, str(REPO / "tools" / "ab.py"), command, "--base", "no-such-rev"],
-        capture_output=True, text=True, cwd=REPO, timeout=120,
+        [sys.executable, str(checkout / "tools" / "ab.py"), command, "--base", "no-such-rev"],
+        capture_output=True, text=True, cwd=checkout, timeout=120,
     )
     assert res.returncode == 2
     # git's own message, on the one line
