@@ -86,6 +86,7 @@ Angles are degrees throughout; densities are per degree.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import threading
 from dataclasses import dataclass
@@ -148,7 +149,15 @@ class ObservationSet:
         object.__setattr__(self, "z", z)
         if z.ndim != 1:
             raise ValueError(f"doas: observed angles must form a list, got {z.tolist()}")
-        # array methods rather than np.any/np.diff: read_observations builds one set per line
+        # a valid set is accepted in one pass over Python floats, with no numpy
+        # reduction: np.any, np.diff or an array method costs about a
+        # microsecond on a handful of angles, and the simulator, the reader and
+        # cmd_track each build a set per epoch.  Descending pairs bound every
+        # angle by the first and the last, and nan fails every comparison.  The
+        # ordered checks below run only to name the rule a refused set breaks.
+        v = z.tolist()
+        if not v or (v[0] < 90.0 and v[-1] >= -90.0 and all(map(operator.ge, v, v[1:]))):
+            return
         if not np.isfinite(z).all():
             raise ValueError(f"doas: observed angles must be finite, got {z.tolist()}")
         if (z < -90.0).any() or (z >= 90.0).any():

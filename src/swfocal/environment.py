@@ -107,6 +107,9 @@ _MAX_STEPS = 60
 # the largest speed (m/s) and depth (m) of an environment: the solve squares
 # speeds and multiplies depths by sums of speeds, all within the float range
 _LARGEST = 1e100
+# the shallowest receiver depth (m): at 1e-200 m and less a refracting
+# profile's eigenray brackets stay open after _MAX_STEPS steps
+_SHALLOWEST = 1e-100
 
 
 class PathKind(Enum):
@@ -176,6 +179,8 @@ class Waveguide:
                 f"receiver_depth_m: must lie strictly inside the water column (0, {self.bottom_depth}), "
                 f"got {self.receiver_depth}"
             )
+        if self.receiver_depth < _SHALLOWEST:
+            raise ValueError(f"receiver_depth_m: must be at least {_SHALLOWEST:g} m, got {self.receiver_depth}")
         if self.ssp.max_depth < self.bottom_depth:
             raise ValueError(
                 f"ssp_knots: the profile must reach the bottom at {self.bottom_depth} m, "

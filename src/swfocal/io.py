@@ -62,6 +62,11 @@ def number(v, key: str, shape=()):
     tuples of floats; each value must be a JSON number, and a bool is none.  A value of another shape is
     refused at its own key path, such as ``ssp_knots[3][1]``, quoting that value alone."""
     if shape and isinstance(v, list) and shape[0] in (None, len(v)):
+        # a flat list of JSON floats in one pass, such as an observation record's doas; a list holding
+        # anything else takes the element path, which reads an int and names what it refuses: a bool,
+        # an int beyond the float range, a string or a list
+        if len(shape) == 1 and not [x for x in v if type(x) is not float]:
+            return tuple(v)
         return tuple(number(x, f"{key}[{i}]", shape[1:]) for i, x in enumerate(v))
     if shape or isinstance(v, bool) or not isinstance(v, (int, float)):
         lists = "lists of ".join("" if n is None else f"{n} " for n in shape)
@@ -184,20 +189,20 @@ def write_observations(path, records) -> None:
     """Write DOA observation records as JSON lines.
 
     ``records`` yields (t_index, time_s, doas) with ``doas`` sorted in
-    descending order.
+    descending order.  Each line holds the bytes of ``json.dumps`` of the
+    record as a dict of ``int(t_index)``, ``float(time_s)`` and a list of
+    ``float(a)`` per angle, written line by line.
     """
     with open(path, "w") as f:
-        for t_index, time_s, doas in records:
-            f.write(
-                json.dumps(
-                    {
-                        "t_index": int(t_index),
-                        "time_s": float(time_s),
-                        "doas": [float(a) for a in doas],
-                    }
-                )
-                + "\n"
-            )
+        f.writelines(
+            # floats as Python's repr, as json writes the finite ones; nan, inf
+            # and -inf are its only spellings with an n or an f, renamed as json
+            # spells them, NaN, Infinity and -Infinity
+            f'{{"t_index": {int(t_index)}, "time_s": {float(time_s)!r}, "doas": {[*map(float, doas)]!r}}}\n'
+            .replace("nan", "NaN")
+            .replace("inf", "Infinity")
+            for t_index, time_s, doas in records
+        )
 
 
 _RECORD = {"t_index": integer, "time_s": number, "doas": lambda v, key: ObservationSet(number(v, key, (None,))).z}

@@ -12,6 +12,7 @@ all of them), which is how variable time steps reach the tracker.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,19 +124,30 @@ def generate_observations(
         raise ValueError(f"the grid has {len(grid.kinds)} paths, the model {params.n_paths}")
     rng = np.random.default_rng(seed)
     angles = interpolate_doa_many(grid, truth.states[:, :2])
-    upper = np.nextafter(90.0, -90.0)
-    sigma = np.asarray(params.sigma_deg)
-    out: list[ObservationSet] = []
+    n, K = angles.shape
+    # the loop only draws, per epoch in this order; a path is detected where
+    # its draw lies below ``below``, which no draw does for an impossible path
+    below = np.where(np.isnan(angles), 0.0, params.detect_prob).tolist()
+    detected: list[bool] = []
+    noise, fa, n_fa = [np.empty(0)], [], []  # np.concatenate needs an array at no epoch
+    for i in range(n):
+        hits = list(map(operator.lt, rng.random(K).tolist(), below[i]))
+        detected += hits
+        noise.append(rng.normal(0.0, 1.0, sum(hits)))
+        n_fa.append(rng.poisson(params.mu_fa))
+        fa.append(rng.uniform(-90.0, 90.0, n_fa[-1]))
+
+    # every epoch's detections, then every epoch's false alarms, each tagged with its epoch
+    hit = np.array(detected, dtype=bool).reshape(n, K)
+    sigma = np.broadcast_to(params.sigma_deg, (n, K))
     # noise beyond the float range is +-inf, clipped into [-90, 90) below
     with np.errstate(over="ignore"):
-        for i in range(truth.times_s.size):
-            ang = angles[i]
-            possible = ~np.isnan(ang)
-            detected = possible & (rng.random(ang.size) < params.detect_prob)
-            doas = ang[detected] + rng.normal(0.0, 1.0, int(detected.sum())) * sigma[detected]
-            n_fa = rng.poisson(params.mu_fa)
-            fa = rng.uniform(-90.0, 90.0, n_fa)
-            z = np.clip(np.concatenate([doas, fa]), -90.0, upper)
-            z = np.sort(z, kind="stable")[::-1]
-            out.append(ObservationSet(z=z))
-    return out
+        doas = angles[hit] + np.concatenate(noise) * sigma[hit]
+    z = np.clip(np.concatenate([doas, *fa]), -90.0, np.nextafter(90.0, -90.0))
+    counts = np.count_nonzero(hit, axis=1) + n_fa
+    epoch = np.concatenate([np.nonzero(hit)[0], np.repeat(np.arange(n), n_fa)])
+    # a stable ascending sort per epoch, detections before false alarms among
+    # equal angles, then all reversed: each epoch's angles descend, the last epoch first
+    z = z[np.lexsort((z, epoch))][::-1]
+    start = z.size - np.cumsum(counts)
+    return [ObservationSet(z=z[a:b]) for a, b in zip(start.tolist(), (start + counts).tolist())]

@@ -8,14 +8,19 @@ image-source geometry and a fixed-step ray march instead of closed-form
 layer sums, the row-major range sum instead of the node-major one, and a
 binary-search, one-point bilinear interpolation and the minimum of the
 four corner weights instead of vectorized cell arithmetic and the
-fraction-based edge rule, and a stochastic truth stepped row by row with
-``rng.normal`` draws instead of the tracker's motion step, so the tests
-never share code with the implementations they verify.  The last section holds small
+fraction-based edge rule, a stochastic truth stepped row by row with
+``rng.normal`` draws instead of the tracker's motion step, observation sets
+drawn and sorted epoch by epoch instead of in one whole-run sort, the
+observation rules as ordered numpy reductions and element-by-element JSON
+reads instead of one pass over Python floats, and ``json.dumps`` of each
+record instead of the writer's own formatting, so the tests never share
+code with the implementations they verify.  The last section holds small
 one-value helpers that only the tests use.
 """
 
 import bisect
 import itertools
+import json
 import math
 
 import numpy as np
@@ -351,6 +356,69 @@ def stochastic_truth_states(cfg, seed: int) -> np.ndarray:
         r, d, v = states[i - 1]
         states[i] = (r + T * v + 0.5 * T * T * u1, d + T * u2, v + T * u1)
     return states
+
+
+def observation_loop(truth, grid, params: ModelParams, seed: int) -> list[np.ndarray]:
+    """Each epoch's observed angles, drawn and assembled epoch by epoch: the
+    possible paths detected with ``params.detect_prob`` and observed with
+    Gaussian noise, a Poisson count of uniform false alarms, all clipped to
+    [-90, 90), sorted ascending by a stable sort and reversed."""
+    rng = np.random.default_rng(seed)
+    angles = interpolate_doa_many(grid, truth.states[:, :2])
+    upper = np.nextafter(90.0, -90.0)
+    sigma = np.asarray(params.sigma_deg)
+    out = []
+    with np.errstate(over="ignore"):
+        for ang in angles:
+            possible = ~np.isnan(ang)
+            detected = possible & (rng.random(ang.size) < params.detect_prob)
+            doas = ang[detected] + rng.normal(0.0, 1.0, int(detected.sum())) * sigma[detected]
+            n_fa = rng.poisson(params.mu_fa)
+            fa = rng.uniform(-90.0, 90.0, n_fa)
+            z = np.clip(np.concatenate([doas, fa]), -90.0, upper)
+            out.append(np.sort(z, kind="stable")[::-1])
+    return out
+
+
+def observation_refusal(z) -> str | None:
+    """The message refusing angles ``z`` as one epoch's observations, or
+    ``None`` for a valid set: a list, then finite, then in [-90, 90), then
+    descending, each rule one numpy reduction over the whole array."""
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 1:
+        return f"doas: observed angles must form a list, got {z.tolist()}"
+    if not np.all(np.isfinite(z)):
+        return f"doas: observed angles must be finite, got {z.tolist()}"
+    if np.any(z < -90.0) or np.any(z >= 90.0):
+        return f"doas: observed angles must lie in [-90, 90), got {z.tolist()}"
+    if np.any(np.diff(z) > 0.0):
+        return f"doas: observations must be sorted in descending order, got {z.tolist()}"
+    return None
+
+
+def json_numbers(v, key: str) -> tuple[float, ...]:
+    """JSON list ``v`` of numbers read element by element, a bool being no
+    number, each element refused at its own key path, such as ``doas[3]``."""
+    if not isinstance(v, list):
+        raise ValueError(f"{key}: must be a list of numbers, got {v!r}")
+    out = []
+    for i, x in enumerate(v):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ValueError(f"{key}[{i}]: must be a JSON number, got {x!r}")
+        try:
+            out.append(float(x))
+        except OverflowError:
+            raise ValueError(f"{key}[{i}]: must be a JSON number in the float range") from None
+    return tuple(out)
+
+
+def observation_lines(records) -> str:
+    """Observation records (t_index, time_s, doas) as JSON lines, each the
+    ``json.dumps`` of its record as a dict."""
+    return "".join(
+        json.dumps({"t_index": int(t), "time_s": float(time_s), "doas": [float(a) for a in doas]}) + "\n"
+        for t, time_s, doas in records
+    )
 
 
 def sound_speed_at(ssp, depth_m: float) -> float:

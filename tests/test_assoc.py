@@ -29,6 +29,7 @@ from oracles import (
     enum_marginal,
     gate_mask,
     gate_width,
+    observation_refusal,
     unnormalized_factor_r,
     valid_vectors,
 )
@@ -812,6 +813,14 @@ class TestModelParams:
             ModelParams(**kw)
 
 
+# the edges of the observation domain, the non-finite values and both zeros, among any floats
+ANGLES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -90.0, math.nextafter(90.0, -90.0), 90.0]),
+    st.floats(-100.0, 100.0),
+    st.floats(),
+)
+
+
 class TestObservationSet:
     def test_descending_order_enforced(self):
         with pytest.raises(ValueError):
@@ -838,6 +847,27 @@ class TestObservationSet:
     def test_sorted_input_accepted(self, z):
         obs = ObservationSet(z=np.sort(np.array(z))[::-1])
         assert obs.M == len(z)
+
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    @given(
+        st.one_of(
+            # a flat list, sorted descending half of the time
+            st.tuples(st.lists(ANGLES, max_size=7), st.booleans()).map(
+                lambda case: sorted(case[0], reverse=True) if case[1] else case[0]
+            ),
+            st.integers(0, 3).flatmap(lambda n: st.lists(st.lists(ANGLES, min_size=n, max_size=n), max_size=3)),
+            ANGLES,
+        )
+    )
+    def test_accepts_and_refuses_as_the_ordered_reductions(self, z):
+        z = np.array(z, dtype=float)
+        want = observation_refusal(z)
+        if want is None:
+            assert ObservationSet(z=z).z.tobytes() == z.tobytes()
+        else:
+            with pytest.raises(ValueError) as refused:
+                ObservationSet(z=z)
+            assert str(refused.value) == want
 
     def test_impossible_prediction_needs_zero_detect(self):
         with pytest.raises(ValueError):

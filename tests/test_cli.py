@@ -464,6 +464,17 @@ class TestBuildGrid:
         values = sio.read_grid(out).values
         assert (values[..., 2:] == -90.0).all()
 
+    @pytest.mark.parametrize("depth", [5e-324, 1e-310, 1e-200])
+    def test_a_receiver_shallower_than_1e_100_m_is_refused_by_name(self, tmp_path, depth):
+        # at the parent build-grid ended in the solver's "eigenray brackets still open after 60 steps"
+        doc = json.loads(ENV_FILE.read_text())
+        doc["receiver_depth_m"] = depth
+        bad, out = tmp_path / "env.json", tmp_path / "g.bin"
+        bad.write_text(json.dumps(doc))
+        res = run_cli("build-grid", "--env", bad, "--out", out, "--nr", 20, "--nd", 8)
+        assert_one_error_line(res, out)
+        assert res.stderr == f"error: {bad}: receiver_depth_m: must be at least 1e-100 m, got {depth}\n"
+
     def test_iso_velocity_direct_path_covers_the_column(self, tmp_path):
         # straight-line propagation reaches everywhere: the direct-path
         # layer reports zero impossible entries

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from swfocal.environment import (
     eigenray_angles,
     find_eigenrays,
 )
+from swfocal.grid import build_doa_grid
 
 from oracles import (
     BOUNCE_SIGNATURE,
@@ -405,3 +407,18 @@ class TestGrazingAngle:
             ray = ~np.isnan(phi)
             residual = np.abs(r[ray] / row_major_path_range(phi[ray], c, num, base) - 1.0)
             assert residual.max(initial=0.0) <= 1e-13 + 4 * np.finfo(float).eps
+
+
+class TestShallowestReceiver:
+    """A receiver at 1e-200 m or less left a refracting profile's eigenray
+    brackets open, so depths below 1e-100 m are refused by name."""
+
+    @pytest.mark.parametrize("profile", ["coastal", *PROFILES])
+    def test_the_shallowest_receiver_allowed_builds(self, profile, coastal_wg):
+        knots = coastal_wg.ssp.knots if profile == "coastal" else PROFILES[profile]
+        with pytest.raises(ValueError, match=r"^receiver_depth_m: must be at least 1e-100 m, got 9\.9+\d*e-101$"):
+            make_wg(knots, receiver=math.nextafter(1e-100, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = build_doa_grid(make_wg(knots, receiver=1e-100), (100.0, 2500.0, 10.0, 175.0), 20, 8)
+        assert not np.isnan(grid.values).all()

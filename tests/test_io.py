@@ -1,6 +1,7 @@
 import copy
 import functools
 import json
+import math
 import re
 import struct
 import tracemalloc
@@ -15,6 +16,8 @@ from swfocal import io as sio
 from swfocal.cli import load_config
 from swfocal.environment import PathKind
 from swfocal.grid import DoaGrid, build_doa_grid
+
+from oracles import json_numbers, observation_lines
 
 
 class TestEnvironmentFile:
@@ -483,3 +486,52 @@ def test_a_value_of_another_shape_or_type_is_refused_by_file_and_key(tmp_path_fa
     # one form: the file (and a record's line), the key path, the rule
     line = ":1" if kind == "observations" else ""
     assert re.match(rf"{re.escape(f'{path}{line}: {keys[-1]}')}(\[\d+\])*: ", str(e.value)), str(e.value)
+
+
+# what a JSON list may hold where numbers belong: any float, ints, those
+# beyond the float range included, bools, strings, null and nested lists
+JSON_ELEMENTS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e16, 10**400, -(10**400), True, False]),
+    st.integers(),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.floats(), max_size=2),
+)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.one_of(st.lists(st.floats(), max_size=6), st.lists(JSON_ELEMENTS, max_size=6), JSON_ELEMENTS))
+def test_a_list_of_numbers_reads_as_element_by_element(v):
+    try:
+        want = json_numbers(v, "doas")
+    except ValueError as e:
+        with pytest.raises(ValueError) as refused:
+            sio.number(v, "doas", (None,))
+        assert str(refused.value) == str(e)
+    else:
+        got = sio.number(v, "doas", (None,))
+        assert type(got) is tuple and all(type(x) is float for x in got)
+        assert list(map(repr, got)) == list(map(repr, want))
+
+
+# the values json spells its own way, the smallest subnormal and a float repr writes with an exponent
+WRITTEN_FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16]))
+RECORDS = st.lists(
+    st.tuples(
+        st.integers(0, 2**40).flatmap(lambda i: st.sampled_from([i, np.int64(i), np.uint64(i)])),
+        WRITTEN_FLOATS.flatmap(lambda t: st.sampled_from([t, np.float64(t)])),
+        st.lists(WRITTEN_FLOATS, max_size=5).flatmap(
+            lambda v: st.sampled_from([v, tuple(v), np.array(v, dtype=float), [np.float64(a) for a in v]])
+        ),
+    ),
+    max_size=4,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(RECORDS)
+def test_observation_lines_are_the_bytes_of_json_dumps(tmp_path_factory, records):
+    path = tmp_path_factory.getbasetemp() / "written.jsonl"
+    sio.write_observations(path, records)
+    assert path.read_bytes() == observation_lines(records).encode()

@@ -6,7 +6,7 @@ from swfocal.grid import interpolate_doa_many
 from swfocal.simulator import GroundTruthTrack, ScenarioConfig, generate_observations, generate_truth
 from swfocal.tracking import MotionParams
 
-from oracles import stochastic_truth_states
+from oracles import observation_loop, stochastic_truth_states
 
 ROI = (300.0, 1200.0, 30.0, 150.0)
 
@@ -180,3 +180,49 @@ class TestObservations:
         params = ModelParams(n_paths=model_paths, sigma_deg=(0.5,) * model_paths)
         with pytest.raises(ValueError, match=f"grid has {grid_paths} paths, the model {model_paths}"):
             generate_observations(truth, grid, params, seed=0)
+
+
+# truths on the refractive grid: an approach over possible paths only, one
+# at 140 m where the direct path is impossible over part of the track, and
+# one that leaves the region of interest after 40 s
+TRUTHS = {
+    "approach": dict(duration_s=300.0),
+    "impossible paths": dict(initial_depth_m=140.0, duration_s=300.0),
+    "cut at the roi": dict(initial_range_m=400.0, duration_s=400.0),
+}
+
+
+class TestObservationsAgainstTheEpochLoop:
+    """``generate_observations`` against ``oracles.observation_loop``, which
+    draws and assembles each epoch in turn, byte for byte per epoch."""
+
+    @pytest.mark.parametrize("truth", TRUTHS)
+    @pytest.mark.parametrize("d", [0.0, 0.9, 1.0])
+    @pytest.mark.parametrize("mu_fa", [0.0, 2.0])
+    @pytest.mark.parametrize("K", [2, 4])
+    def test_every_epoch_byte_for_byte(self, refr_grid, truth, d, mu_fa, K):
+        grid = refr_grid.select_kinds(refr_grid.kinds[:K])
+        track = generate_truth(scenario(**TRUTHS[truth]))
+        impossible = np.isnan(interpolate_doa_many(grid, track.states[:, :2]))
+        assert impossible.any() == (truth == "impossible paths")
+        assert (track.times_s.size < scenario(**TRUTHS[truth]).epoch_times().size) == (truth == "cut at the roi")
+        params = ModelParams(n_paths=K, sigma_deg=(0.5, 0.5, 2.0, 2.0)[:K], detect_prob=d, mu_fa=mu_fa)
+        for seed in range(3):
+            got = [o.z.tobytes() for o in generate_observations(track, grid, params, seed=seed)]
+            assert got == [z.tobytes() for z in observation_loop(track, grid, params, seed)]
+
+    def test_huge_noise_is_clipped_alike(self, refr_grid):
+        # noise beyond the float range saturates to +-inf and clips to the domain's ends
+        track = generate_truth(scenario(duration_s=60.0))
+        params = ModelParams(n_paths=4, sigma_deg=(1e308,) * 4, detect_prob=0.9, mu_fa=2.0)
+        got = generate_observations(track, refr_grid, params, seed=7)
+        want = observation_loop(track, refr_grid, params, 7)
+        assert [o.z.tobytes() for o in got] == [z.tobytes() for z in want]
+        assert any(np.nextafter(90.0, -90.0) in o.z for o in got)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_a_truth_of_no_or_one_epoch(self, refr_grid, n):
+        track = GroundTruthTrack(times_s=np.arange(n) * 2.048, states=np.tile([700.0, 70.0, 0.0], (n, 1)))
+        params = ModelParams(n_paths=4, sigma_deg=(0.5, 0.5, 2.0, 2.0))
+        got = generate_observations(track, refr_grid, params, seed=0)
+        assert [o.z.tobytes() for o in got] == [z.tobytes() for z in observation_loop(track, refr_grid, params, 0)]

@@ -1,4 +1,4 @@
-"""``tools/ab.py`` end to end: both subcommands in a git repository of one commit that holds this
+"""``tools/ab.py`` end to end: every subcommand in a git repository of one commit that holds this
 working tree's ``src/``, ``tools/``, ``perfbench/`` and ``configs/``, so both sides are one tree."""
 
 import json
@@ -26,6 +26,8 @@ BUILD_KEYS = {
     "grid_max_abs_diff_deg", "nan_equal", "readme_pipeline_max_abs_diff", "build_s",
 }
 EPOCH_KEYS = {"base", "K", "J", "seeds", "rounds", "machine", "median", "wins", "runs", "per_run"}
+OBS_ROWS = ("generate", "write", "read", "wrap", "total")
+OBS_KEYS = {"base", "seeds", "rounds", "machine", "median", "wins", "runs", "sha256", "per_run"}
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +101,42 @@ def test_epoch_estimates_identical_on_both_sides(checkout, tmp_path):
         assert len(doc["per_run"][side]) == 1
 
 
-@pytest.mark.parametrize("command", ["epoch", "build"])
+def test_obs_bytes_identical_on_both_sides(checkout, tmp_path):
+    out, doc = ab(checkout, "obs", "--base", "HEAD", "--rounds", "1", "--seeds", "0", "1",
+                  json_out=tmp_path / "o.json")
+    assert out.startswith("README observation path, seeds [0, 1], 1 rounds; files and records identical\n")
+    assert all(float(v) > 0 for name in OBS_ROWS for v in row(out, name))
+    assert "wins: " in out
+    assert set(doc) == OBS_KEYS
+    assert (doc["seeds"], doc["rounds"], doc["runs"]) == ([0, 1], 1, 2)
+    assert set(doc["sha256"]) == {"0", "1"} and doc["sha256"]["0"] != doc["sha256"]["1"]
+    for side in ("base", "change"):
+        assert set(doc["median"][side]) == set(OBS_ROWS)
+        assert len(doc["per_run"][side]) == 2
+
+
+def test_obs_exits_1_when_the_files_differ(checkout, tmp_path):
+    # the change ends its files with a blank line, which the reader skips: the records read back alike
+    changed = tmp_path / "checkout"
+    shutil.copytree(checkout, changed)
+    io_py = changed / "src" / "swfocal" / "io.py"
+    io_py.write_text(io_py.read_text() + (
+        "\n_write = write_observations\n\n\n"
+        "def write_observations(path, records):\n"
+        "    _write(path, records)\n"
+        "    with open(path, 'a') as f:\n"
+        "        f.write('\\n')\n"
+    ))
+    res = subprocess.run(
+        [sys.executable, str(changed / "tools" / "ab.py"), "obs", "--base", "HEAD", "--rounds", "1", "--seeds", "0"],
+        capture_output=True, text=True, cwd=changed, timeout=120,
+    )
+    assert res.returncode == 1
+    assert "error: the sides' files differ at seed 0, round 0\n" in res.stderr and "Traceback" not in res.stderr
+    assert res.stdout.startswith("README observation path, seeds [0], 1 rounds; files and records DIFFER\n")
+
+
+@pytest.mark.parametrize("command", ["epoch", "build", "obs"])
 def test_a_base_git_cannot_archive_is_one_error_line(checkout, command):
     res = subprocess.run(
         [sys.executable, str(checkout / "tools" / "ab.py"), command, "--base", "no-such-rev"],

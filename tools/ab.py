@@ -1,9 +1,11 @@
-"""Same-process A/B of a base revision beside this checkout: the tracking epoch or the DOA grid build.
+"""Same-process A/B of a base revision beside this checkout: the tracking epoch, the DOA grid build or
+the observation path.
 
 Usage, from the root of a source checkout:
 
     python3 tools/ab.py epoch --base HEAD~1 --seeds 0 1 --rounds 5 [--K 2] [--J 1000] [--json ab.json]
     python3 tools/ab.py build --base HEAD~1 --rounds 5 [--seeds 0 1] [--json ab.json]
+    python3 tools/ab.py obs --base HEAD~1 --seeds 0 1 2 3 --rounds 10 [--json ab.json]
 
 The base revision's ``src/`` is taken with ``git archive`` into a temporary
 directory, and both copies of swfocal are imported into this one process;
@@ -35,6 +37,15 @@ counts the range-function rays and calls, the evaluations per eigenray
 It exits 1 unless the sides' grids agree within 1e-11 deg with equal ``nan``
 patterns and the README pipeline, which each side runs on its own at each
 of ``--seeds``, gives estimates within 1e-9 m.
+
+``obs`` runs the README observation path at each seed on the 876x56 README
+grid, as ``swfocal simulate`` and ``swfocal track`` do: the stream is
+generated (``simulator.generate_observations``), its records written
+(``io.write_observations``), read back (``io.read_observations``) and
+wrapped in a second ``ObservationSet`` per record.  It prints the median ms
+per stream of each of those four stages and of their total, and the streams
+whose total the change won.  It exits 1 unless both sides write the same
+file bytes and read back the same records, array bytes included.
 """
 
 import os
@@ -44,6 +55,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
 import importlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
@@ -78,6 +90,7 @@ EPOCH_STAGES = {"lookup": "interpolate_doa_many", "marginal": "marginal_likeliho
                 "predict": "predict_particles", "ess": "effective_sample_size", "mmse": "mmse_estimate",
                 "resample": "resample"}
 BUILD_STAGES = ("fan", "first evaluation", "leftovers", "rest")
+OBS_STAGES = ("generate", "write", "read", "wrap")
 SOLVE, RANGE, START = "environment._grazing_angle", "environment._path_range", "environment._fan_start"
 
 
@@ -318,12 +331,75 @@ def run_build(args, sides: dict, tmp: Path) -> tuple[bool, dict]:
                     "nan_equal": nan_equal, "readme_pipeline_max_abs_diff": pipeline, "build_s": seconds}
 
 
+def observation_path(side: SimpleNamespace, grid, cfg, seed: int, path: Path) -> tuple[dict, list]:
+    """One README stream through ``side``'s four observation stages, its file at ``path``: the
+    seconds of each stage and what the stream reads back as, the wrapped sets' angles included."""
+    tracer = Tracer()
+
+    def stage(name, fn, *args):
+        span = tracer.begin(name)
+        out = fn(*args)
+        tracer.end(span)
+        return out
+
+    truth = side.simulator.generate_truth(cfg.scenario, seed=seed)
+    obs = stage("generate", side.simulator.generate_observations, truth, grid, cfg.model, seed)
+    records = [(i, t, o.z) for i, (t, o) in enumerate(zip(truth.times_s, obs))
+               if not cfg.scenario.in_dropout(float(t))]
+    stage("write", side.io.write_observations, path, records)
+    back = stage("read", side.io.read_observations, path)
+    stream = stage("wrap", lambda: [(t, side.assoc.ObservationSet(z=doas)) for _, t, doas in back])
+    seconds = {s["name"]: s["end"] - s["start"] for s in tracer.spans}
+    return seconds, [(i, t, z.tobytes(), o.z.tobytes()) for (i, t, z), (_, o) in zip(back, stream)]
+
+
+def run_obs(args, sides: dict, tmp: Path) -> tuple[bool, dict]:
+    cfg = sides["change"].cli.load_config(RUN_CONFIG)
+    grid = sides["change"].grid.build_doa_grid(sides["change"].io.read_environment(ENV_FILE), cfg.prior.roi,
+                                               *README_SHAPE)
+    sides["change"].io.write_grid(tmp / "grid.bin", grid)
+    inputs = {name: (side.io.read_grid(tmp / "grid.bin"), side.cli.load_config(RUN_CONFIG))
+              for name, side in sides.items()}
+
+    runs, wins, failed, sha256 = {name: [] for name in SIDES}, 0, False, {}
+    for r in range(args.rounds):
+        for i, seed in enumerate(args.seeds):
+            got, files = {}, {}
+            for name in alternate(r + i):
+                files[name] = tmp / f"{name}-{seed}.jsonl"
+                got[name] = observation_path(sides[name], *inputs[name], seed, files[name])
+            same_file = files["base"].read_bytes() == files["change"].read_bytes()
+            if not (same_file and got["base"][1] == got["change"][1]):
+                print(f"error: the sides' {'records read back' if same_file else 'files'} differ at seed {seed}, "
+                      f"round {r}", file=sys.stderr)
+                failed = True
+            sha256[seed] = hashlib.sha256(files["change"].read_bytes()).hexdigest()
+            ms = {name: {k: 1e3 * got[name][0][k] for k in OBS_STAGES} for name in SIDES}
+            for name in SIDES:
+                ms[name]["total"] = sum(ms[name].values())
+                runs[name].append(ms[name])
+            wins += ms["change"]["total"] < ms["base"]["total"]
+            print(f"round {r} seed {seed}: base {ms['base']['total']:.2f} ms, change {ms['change']['total']:.2f} ms "
+                  "per stream", file=sys.stderr)
+
+    keys = (*OBS_STAGES, "total")
+    med = {name: {k: statistics.median(run[k] for run in rs) for k in keys} for name, rs in runs.items()}
+    same = "DIFFER" if failed else "identical"
+    print(f"README observation path, seeds {args.seeds}, {args.rounds} rounds; files and records {same}")
+    table("ms per stream", [(k, med["base"][k], med["change"][k]) for k in keys], 16, 9)
+    n = len(runs["change"])
+    print(f"wins: {wins} of {n} streams had the faster total with the change")
+    return failed, {"seeds": args.seeds, "rounds": args.rounds, "median": med, "wins": wins, "runs": n,
+                    "sha256": sha256, "per_run": runs}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
     epoch = sub.add_parser("epoch", help="time the tracking epoch's stages on the README streams")
     build = sub.add_parser("build", help="time the 2400x165 grid build's solve stages, compare grids and estimates")
-    for s, default, run in ((epoch, 3, run_epoch), (build, 5, run_build)):
+    obs = sub.add_parser("obs", help="time the observation path's stages on the README streams, compare their bytes")
+    for s, default, run in ((epoch, 3, run_epoch), (build, 5, run_build), (obs, 5, run_obs)):
         s.set_defaults(run=run)
         s.add_argument("--base", required=True, help="git revision to compare against, e.g. HEAD~1")
         s.add_argument("--rounds", type=int, default=default, help="runs of every stream, or builds, on each side")
@@ -332,6 +408,7 @@ def main(argv=None) -> int:
     epoch.add_argument("--K", type=int, default=4, choices=(2, 4))
     epoch.add_argument("--J", type=int, default=10_000)
     build.add_argument("--seeds", type=int, nargs="*", default=[0], help="README pipeline seeds (none: skip it)")
+    obs.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3], help="stream seeds")
     args = p.parse_args(argv)
     if args.rounds < 1:
         p.error("--rounds must be at least 1")
