@@ -154,13 +154,18 @@ def cmd_simulate(args) -> int:
     cfg, grid = _load_run(args)
     if cfg.scenario is None:
         raise ValueError(f"{args.config}: config: missing keys ['scenario'], which simulate needs")
-    # per epoch the truth's time and state, and the lookup's (4, K) corners
-    # and K angles; counted in Python floats, where a huge count is inf, not
-    # an error or a warning
-    duration, step, K = cfg.scenario.duration_s, cfg.motion.step_s, cfg.model.n_paths
+    # per epoch the truth's time and state and the lookup's (4, K) corners,
+    # gathered and then copied path-major; four doubles per angle drawn while
+    # the run is sorted (the angles, their epochs, their order and the sorted
+    # run), for at most K detections and mu_fa false alarms on average; and
+    # up to 512 bytes of Python objects, the epoch's draws in the loop and
+    # then its returned set.  Counted in Python floats, where a huge count is
+    # inf, not an error or a warning
+    duration, step, K, mu = cfg.scenario.duration_s, cfg.motion.step_s, cfg.model.n_paths, cfg.model.mu_fa
     n_epochs = float(np.ceil(duration / step))
     _refuse_beyond_memory(
-        8 * (4 + 5 * K) * n_epochs, f"{args.config}: duration_s = {duration} s in steps of {step} s at K = {K}"
+        (8 * (4 + 8 * K + 4 * (K + mu)) + 512) * n_epochs,
+        f"{args.config}: duration_s = {duration} s in steps of {step} s at K = {K} and mu_fa = {mu}",
     )
     truth = generate_truth(cfg.scenario, seed=cfg.seed)
     obs = generate_observations(truth, grid, cfg.model, seed=cfg.seed)
@@ -188,13 +193,17 @@ def cmd_simulate(args) -> int:
 def cmd_track(args) -> int:
     cfg, grid = _load_run(args)
     records = sio.read_observations(cfg.obs_path())
-    # per particle its state and weight, twice across the motion step, the
-    # lookup's (4, K) corners, K angles and K detection probabilities, and
-    # the association DP's (K + 1, M + 1) state and M K prefix at the
-    # largest record, M angles
+    # per particle its state and weight, twice across the motion step, and
+    # the larger of two phases that never overlap: the lookup's (4, K)
+    # corners, gathered and then copied path-major, with 16 per-point cells,
+    # fractions and weights; or the association DP at the largest record, M
+    # angles: K angles, K detection probabilities, their miss factors and a
+    # path's detection factors, at most 4 K, its (K + 1, M + 1) state and
+    # K + 1 final sums, its (K - 1) M prefix sums, and the densities of up to
+    # M rows with their temporaries, 3 M
     M, K, J = max((doas.size for *_, doas in records), default=0), cfg.model.n_paths, cfg.n_particles
     _refuse_beyond_memory(
-        8 * J * (8 + 6 * K + (K + 1) * (M + 1) + M * K),
+        8 * J * (8 + max(8 * K + 16, 4 * K + (K + 1) * (M + 2) + (K + 2) * M)),
         f"{args.config}: J = {J} particles at K = {K} over records of up to {M} angles in {cfg.obs_path()}",
     )
     stream = ((time_s, ObservationSet(z=doas)) for _, time_s, doas in records)

@@ -6,10 +6,13 @@ fly is far too slow, so the arrival angles are precomputed on a regular
 range/depth grid and bilinearly interpolated at runtime.  A grid is its
 region of interest and its values, exactly what the solver returns: ``nan``
 marks a path that is geometrically impossible, and its K layers are the
-first K paths in canonical order.  The counts, the paths and the two node
-tables, the ``linspace`` positions of its range and depth nodes, are read
-off the roi and the values' shape; the node tables are read-only arrays
-built with the grid, so a lookup makes no node array of its own.
+first K paths in canonical order.  The counts, the paths and the node
+tables, the ``linspace`` positions of its range and depth nodes and the
+widths of the cells between them, are read off the roi and the values'
+shape; the tables are read-only arrays built with the grid, so a lookup
+makes no node array of its own.  A lookup reads each point's cell off the
+uniform step and its fraction off the tables, and corrects the cell only
+where some fraction falls outside [0, 1).
 
 The grid is built one depth row at a time with the closed-form solver of
 ``swfocal.environment``: a row is one ``eigenray_angles`` call for all
@@ -58,8 +61,9 @@ class DoaGrid:
 
     ``n_r``, ``n_d`` and ``kinds`` are read off the values' shape.
     ``ranges`` and ``depths`` are the node tables, ``np.linspace`` over
-    the roi: built once with the grid, read by every lookup, and therefore
-    read-only arrays.
+    the roi, and ``range_widths`` and ``depth_widths`` their cell widths,
+    ``nodes[1:] - nodes[:-1]``: built once with the grid, read by every
+    lookup, and therefore read-only arrays.
     """
 
     roi: tuple[float, float, float, float]
@@ -69,6 +73,8 @@ class DoaGrid:
     kinds: tuple[PathKind, ...] = field(init=False, compare=False)
     ranges: np.ndarray = field(init=False, repr=False, compare=False)
     depths: np.ndarray = field(init=False, repr=False, compare=False)
+    range_widths: np.ndarray = field(init=False, repr=False, compare=False)
+    depth_widths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_roi(self.roi)
@@ -81,8 +87,12 @@ class DoaGrid:
         object.__setattr__(self, "n_r", n_r)
         object.__setattr__(self, "n_d", n_d)
         object.__setattr__(self, "kinds", tuple(PathKind)[:n_k])
-        object.__setattr__(self, "ranges", _nodes(r0, r1, n_r))
-        object.__setattr__(self, "depths", _nodes(d0, d1, n_d))
+        ranges, range_widths = _node_tables(r0, r1, n_r)
+        depths, depth_widths = _node_tables(d0, d1, n_d)
+        object.__setattr__(self, "ranges", ranges)
+        object.__setattr__(self, "depths", depths)
+        object.__setattr__(self, "range_widths", range_widths)
+        object.__setattr__(self, "depth_widths", depth_widths)
 
     def coverage(self) -> dict[PathKind, float]:
         """Fraction of grid points where each path is impossible."""
@@ -102,11 +112,13 @@ class DoaGrid:
         return DoaGrid(self.roi, np.ascontiguousarray(self.values[:, :, : len(kinds)]))
 
 
-def _nodes(lo: float, hi: float, n: int) -> np.ndarray:
-    """``n`` uniform nodes over [lo, hi], as a read-only array."""
+def _node_tables(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` uniform nodes over [lo, hi] and the ``n - 1`` cell widths
+    ``nodes[1:] - nodes[:-1]``, as read-only arrays."""
     nodes = np.linspace(lo, hi, n)
-    nodes.flags.writeable = False
-    return nodes
+    widths = nodes[1:] - nodes[:-1]
+    nodes.flags.writeable = widths.flags.writeable = False
+    return nodes, widths
 
 
 def build_doa_grid(wg: Waveguide, roi, n_r: int, n_d: int) -> DoaGrid:
@@ -129,29 +141,44 @@ def build_doa_grid(wg: Waveguide, roi, n_r: int, n_d: int) -> DoaGrid:
     return grid
 
 
-def _axis_cells(lo: float, hi: float, nodes: np.ndarray, x: np.ndarray):
+# a fraction f in [2**-500, 1) has 1 - f >= 2**-53, so every corner weight is
+# at least 2**-1000, a normal float: none is 0
+_INNER = 2.0**-500
+
+
+def _axis_cells(lo: float, hi: float, nodes: np.ndarray, widths: np.ndarray, x: np.ndarray):
     """Cell index and fraction of each ``x`` in [lo, hi] on the uniform ``nodes``.
 
-    ``nodes`` is the grid's node table over [lo, hi].  The index is the
-    last node at or below ``x`` (the cell below the top node for
-    ``x == hi``).  It is read off the uniform step, then moved by at most
-    one to agree with the nodes, whose positions round differently; that
-    is enough while the step is far above the rounding error of the
-    coordinates.  As ``x >= lo == nodes[0]``, the index never falls
-    below 0, so only the top is clipped.
+    ``nodes`` and ``widths`` are the grid's node and cell-width tables over
+    [lo, hi].  The index is the last node at or below ``x`` (the cell below
+    the top node for ``x == hi``), and the fraction is ``(x - nodes[i]) /
+    widths[i]``.  The index is read off the uniform step.  Where every
+    fraction lies in [0, 1) it is already the last node at or below ``x``:
+    ``frac >= 0`` holds exactly where ``x >= nodes[i]``, and ``x >=
+    nodes[i + 1]`` gives ``frac >= 1``, rounding being monotone.  Otherwise
+    the index is moved by at most one to agree with the nodes, whose
+    positions round differently; that is enough while the step is far above
+    the rounding error of the coordinates.  As ``x >= lo == nodes[0]``, the
+    index never falls below 0, so only the top is clipped.  Also returns
+    whether every fraction lies in [2**-500, 1), where no bilinear weight
+    can be 0 (``_edge_rows``); zero points pass both tests.
     """
     n = nodes.size
     t = x - lo
     t /= (hi - lo) / (n - 1)
     i = t.astype(np.intp)  # x >= lo, so truncation is floor
     np.minimum(i, n - 2, out=i)
-    i -= nodes.take(i) > x
-    i += nodes.take(i + 1) <= x
-    np.minimum(i, n - 2, out=i)
-    below = nodes.take(i)
-    frac = x - below
-    frac /= nodes.take(i + 1) - below
-    return i, frac
+    frac = x - nodes.take(i)
+    frac /= widths.take(i)
+    low, high = frac.min(initial=1.0), frac.max(initial=0.0)
+    if not (low >= 0.0 and high < 1.0):
+        i -= nodes.take(i) > x
+        i += nodes.take(i + 1) <= x
+        np.minimum(i, n - 2, out=i)
+        frac = x - nodes.take(i)
+        frac /= widths.take(i)
+        low, high = frac.min(initial=1.0), frac.max(initial=0.0)
+    return i, frac, low >= _INNER and high < 1.0
 
 
 def _edge_rows(fx, gx, fy, gy) -> np.ndarray:
@@ -177,9 +204,10 @@ def interpolate_doa_many(grid: DoaGrid, points: np.ndarray) -> np.ndarray:
     exactly zero weight are ignored, so a query exactly on a grid node
     returns the stored value.
 
-    The cells are read off the grid's node tables, ``ranges`` and
-    ``depths``, which the grid builds once; the rows with a corner of zero
-    weight are found from the cell fractions.  The (n, K) result is a
+    The cells are read off the grid's node and width tables, which the
+    grid builds once (``_axis_cells``); the rows with a corner of zero
+    weight are found from the cell fractions, and only where some fraction
+    lies outside [2**-500, 1).  The (n, K) result is a
     view of path-major (K, n) memory: each path's angles are contiguous,
     and ``result.T`` is C-ordered.
     """
@@ -189,8 +217,8 @@ def interpolate_doa_many(grid: DoaGrid, points: np.ndarray) -> np.ndarray:
     if not inside_roi(grid.roi, r, d).all():
         raise ValueError("points outside the grid region of interest")
     r0, r1, d0, d1 = grid.roi
-    ir, fx = _axis_cells(r0, r1, grid.ranges, r)
-    jd, fy = _axis_cells(d0, d1, grid.depths, d)
+    ir, fx, inner_r = _axis_cells(r0, r1, grid.ranges, grid.range_widths, r)
+    jd, fy, inner_d = _axis_cells(d0, d1, grid.depths, grid.depth_widths, d)
     cell = ir * grid.n_d
     cell += jd
     gx = 1 - fx
@@ -203,9 +231,9 @@ def interpolate_doa_many(grid: DoaGrid, points: np.ndarray) -> np.ndarray:
     # inside a cell every corner has weight, and an impossible one makes
     # the sum nan.  On a cell edge a corner of zero weight is ignored, also
     # where impossible (0 * nan is nan too), so it is zeroed first.
-    # Random points are almost never on an edge: skip the four selections.
-    edge = _edge_rows(fx, gx, fy, gy)
-    if edge.size:
+    # Random points are almost never on an edge: where every fraction lies
+    # in [2**-500, 1) no weight is 0, and the rule and the selections are skipped.
+    if not (inner_r and inner_d) and (edge := _edge_rows(fx, gx, fy, gy)).size:
         for w, v in zip(weights, corners):
             v[:, edge[w[edge] == 0.0]] = 0.0
     out = np.multiply(weights[0], corners[0])

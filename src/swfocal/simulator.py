@@ -137,13 +137,17 @@ def generate_observations(
         n_fa.append(rng.poisson(params.mu_fa))
         fa.append(rng.uniform(-90.0, 90.0, n_fa[-1]))
 
-    # every epoch's detections, then every epoch's false alarms, each tagged with its epoch
+    # every epoch's detections, then every epoch's false alarms, each tagged
+    # with its epoch.  The per-epoch draws go as soon as they are joined: the
+    # sets returned are built after them, and the peak stays near the lookup's
     hit = np.array(detected, dtype=bool).reshape(n, K)
+    del below, detected
     sigma = np.broadcast_to(params.sigma_deg, (n, K))
     # noise beyond the float range is +-inf, clipped into [-90, 90) below
     with np.errstate(over="ignore"):
         doas = angles[hit] + np.concatenate(noise) * sigma[hit]
     z = np.clip(np.concatenate([doas, *fa]), -90.0, np.nextafter(90.0, -90.0))
+    del noise, fa, doas
     counts = np.count_nonzero(hit, axis=1) + n_fa
     epoch = np.concatenate([np.nonzero(hit)[0], np.repeat(np.arange(n), n_fa)])
     # a stable ascending sort per epoch, detections before false alarms among

@@ -1,9 +1,10 @@
 """Independent reference implementations used to check the package.
 
 Everything here is written from the model definitions directly, with
-brute-force enumeration and a dense dynamic program instead of the gated
-one, a row-by-row gate mask instead of the search on sorted
-observations, the gate's width written out from its definition,
+brute-force enumeration, a dense dynamic program and a gated one that
+skips no structural zero but the triangle instead of the package's, a
+row-by-row gate mask instead of the search on sorted observations, the
+gate's width written out from its definition,
 image-source geometry and a fixed-step ray march instead of closed-form
 layer sums, the row-major range sum instead of the node-major one, and a
 binary-search, one-point bilinear interpolation and the minimum of the
@@ -111,6 +112,80 @@ def dense_dp_marginal(z, angles, detect, sigma, mu, fa_density=1.0 / 180.0) -> n
     return total[0]
 
 
+def gated_dp_marginal(z, angles, detect, sigma, mu, fa_density=1.0 / 180.0) -> np.ndarray:
+    """The gated association DP with no structural zero skipped but the triangle.
+
+    ``angles`` and ``detect`` are (J, K), every detection probability in
+    [0, 1].  The rows and the gate are those of ``marginal_likelihood_batch``:
+    the same gate width, from the same expressions, the union of each
+    path's rows within it of the span of the path's angles, and the same
+    densities.  Then path k scales counts 0..k of every row written so far
+    by its miss factor, and adds counts 0..k of the running sum over all
+    rows, in one block, into counts 1..k+1 of the next row; the final sum
+    adds every row, then the counts.  Every entry the package skips beyond
+    that is an exact 0 here, so the two agree bit for bit, the floor on or
+    off.
+    """
+    z = np.asarray(z, dtype=float)
+    ang = np.ascontiguousarray(np.asarray(angles, dtype=float).T)
+    det = np.ascontiguousarray(np.asarray(detect, dtype=float).T)
+    K, J = ang.shape
+    M = z.size
+    if mu <= 0.0 and M > K:
+        return np.zeros(J)
+    d = det.max(axis=1, initial=0.0)
+    gate = 39.0
+    if mu > 0.0 and d.max(initial=0.0) < 1.0:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            c = np.array(sigma) * (math.sqrt(2.0 * math.pi) * fa_density * mu)
+            ratio = float(np.fmax.reduce(d / c, initial=1.0))
+        log_bound = math.lgamma(K + 1) + K * math.log((M + 1) * ratio)
+        log_floor = float(np.log1p(-d).sum())
+        gate = min(39.0, math.sqrt(2.0 * (log_bound - log_floor + 100.0 * math.log(2.0))))
+    neg_z = -z
+    hi = np.fmax.reduce(ang, axis=1, initial=-np.inf).tolist()
+    lo = np.fmin.reduce(ang, axis=1, initial=np.inf).tolist()
+    first = neg_z.searchsorted([-(h + gate * s) for h, s in zip(hi, sigma)]).tolist()
+    stop = neg_z.searchsorted([-(l - gate * s) for l, s in zip(lo, sigma)], side="right").tolist()
+    live = sorted({m for s, e in zip(first, stop) for m in range(s, e)})
+    at = {m: i for i, m in enumerate(live)}
+    spans = [(at[s], at[s] + e - s) if s < e else (0, 0) for s, e in zip(first, stop)]
+    z = z[live]
+    L = len(live)
+    miss = 1.0 - det
+    scale = det if mu <= 0.0 else det / mu
+    S = np.zeros((K + 1, L + 1, J))
+    S[0, 0] = 1.0
+    top = 1
+    for k in range(K):
+        s, e = spans[k]
+        if s < e:
+            P = np.empty((k + 1, e, J))
+            P[:, 0] = S[: k + 1, 0]
+            for m in range(1, e):
+                np.add(P[:, m - 1], S[: k + 1, m], out=P[:, m])
+        S[: k + 1, :top] *= miss[k]
+        if s < e:
+            u = (z[s:e, None] - ang[k]) / sigma[k]
+            x = -0.5 * u * u
+            with np.errstate(invalid="ignore"):
+                hit = np.where(np.isnan(x), 0.0, np.exp(x) / (sigma[k] * math.sqrt(2.0 * math.pi)))
+            hit *= scale[k]
+            hit /= fa_density
+            Ps = P[:, s:]
+            Ps *= hit
+            S[1 : k + 2, s + 1 : e + 1] += Ps
+            top = max(top, e + 1)
+    total = S[:, 0].copy()
+    for m in range(1, L + 1):
+        total += S[:, m]
+    if mu <= 0.0:
+        return math.factorial(M) * total[M]
+    for c in range(1, K + 1):
+        total[0] += total[c] * math.factorial(c)
+    return total[0]
+
+
 def gate_mask(z, angles, sigma: float, gate: float) -> np.ndarray:
     """The observations within ``gate`` sigma of the span of one path's angles.
 
@@ -180,20 +255,24 @@ class EnumTable:
         return float(terms.sum())
 
 
+def axis_cell(nodes: list, x: float) -> tuple[int, float]:
+    """Cell index and fraction of ``x`` on the sorted ``nodes``, by binary
+    search: the last node at or below ``x``, the cell below the top node at
+    the top node itself."""
+    i = min(max(bisect.bisect_right(nodes, x) - 1, 0), len(nodes) - 2)
+    return i, (x - nodes[i]) / (nodes[i + 1] - nodes[i])
+
+
 def bilinear_doa(grid, r: float, d: float) -> list:
     """Bilinear DOA of every path layer at (r, d), ``None`` where impossible.
 
-    The cell is found by binary search: the last node at or below the
-    point, and the cell below the top node at the roi maximum.  A corner of
+    The cell is found by binary search (``axis_cell``).  A corner of
     zero weight is ignored even where impossible; an impossible corner with
     weight makes the value ``None``.  Corners are summed in the order
     (i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1).
     """
-    ranges, depths = grid.ranges.tolist(), grid.depths.tolist()
-    i = min(max(bisect.bisect_right(ranges, r) - 1, 0), len(ranges) - 2)
-    j = min(max(bisect.bisect_right(depths, d) - 1, 0), len(depths) - 2)
-    fx = (r - ranges[i]) / (ranges[i + 1] - ranges[i])
-    fy = (d - depths[j]) / (depths[j + 1] - depths[j])
+    i, fx = axis_cell(grid.ranges.tolist(), r)
+    j, fy = axis_cell(grid.depths.tolist(), d)
     corners = (
         ((1 - fx) * (1 - fy), i, j),
         ((1 - fx) * fy, i, j + 1),

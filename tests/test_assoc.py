@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 
@@ -27,6 +28,7 @@ from oracles import (
     count_valid,
     dense_dp_marginal,
     enum_marginal,
+    gated_dp_marginal,
     gate_mask,
     gate_width,
     observation_refusal,
@@ -534,7 +536,7 @@ def batch_gate(z, det, p):
     against the oracle's."""
     det_k = np.ascontiguousarray(det.T)
     d = det_k.max(axis=1, initial=0.0)
-    gate = _gate_width(det_k, d, _log_marginal_bound(d, p, z.size) if p.mu_fa > 0.0 else math.inf, p.mu_fa)
+    gate = _gate_width(d, _log_marginal_bound(d, p, z.size) if p.mu_fa > 0.0 else math.inf, p.mu_fa)
     assert gate == pytest.approx(gate_width(det, p.sigma_deg, p.mu_fa, z.size), rel=1e-12)
     return gate
 
@@ -608,22 +610,23 @@ class TestGate:
     @given(
         K=st.integers(min_value=1, max_value=4),
         M=st.integers(min_value=0, max_value=30),
-        d=st.sampled_from([0.0, 0.05, 0.5, 0.9, 0.999, 1.0 - 2.0**-53, 1.0, 1.5, -0.1, np.nan]),
+        d=st.sampled_from([0.0, 0.05, 0.5, 0.9, 0.999, 1.0 - 2.0**-53, 1.0]),
         mu=st.sampled_from([0.0, 1e-300, 0.05, 2.0, 50.0]),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=200, deadline=None)
     def test_width_matches_its_definition(self, K, M, d, mu, seed):
         # one path's probabilities at d, the others drawn in [0, 1); no
-        # floor without clutter or at a probability of 1 or outside [0, 1],
-        # which is found before any division by 0 or log of 0
+        # floor without clutter or at a probability of 1, which is found
+        # before any division by 0 or log of 0.  A probability outside
+        # [0, 1] never reaches the gate: the batch refuses it first
         rng = np.random.default_rng(seed)
         p = params(K, sigma=tuple(rng.uniform(0.3, 3.0, K)), mu=mu)
         det = rng.uniform(0.0, 0.99, (5, K))
         det[:, rng.integers(K)] = d
         with np.errstate(all="raise"):
             gate = batch_gate(np.zeros(M), det, p)
-        floorless = mu == 0.0 or not 0.0 <= d < 1.0
+        floorless = mu == 0.0 or d == 1.0
         assert gate == 39.0 if floorless else 0.0 < gate <= 39.0
 
     @given(
@@ -704,6 +707,113 @@ def live_rows(z, ang, det, p) -> set:
     """The union of the rows that ``marginal_likelihood_batch`` computes."""
     first, stop = _live_spans(z, np.ascontiguousarray(ang.T), p.sigma_deg, batch_gate(z, det, p))
     return {m for f, e in zip(first, stop) for m in range(f, e)}
+
+
+def path_spans(z, ang, det, p):
+    """Each path's live rows ``(s, e)`` in the union of the live rows, as the
+    DP indexes them (``(0, 0)`` for none), and ``top`` before each path."""
+    first, stop = _live_spans(z, np.ascontiguousarray(ang.T), p.sigma_deg, batch_gate(z, det, p))
+    at = {m: i for i, m in enumerate(sorted({m for f, e in zip(first, stop) for m in range(f, e)}))}
+    spans = [(at[f], at[f] + e - f) if f < e else (0, 0) for f, e in zip(first, stop)]
+    tops, top = [], 1
+    for s, e in spans:
+        tops.append(top)
+        top = max(top, e + 1) if s < e else top
+    return spans, tops
+
+
+def span_angles(*spans):
+    """(3, K) angles, path k's three states at ``a``, ``b`` and their mean for
+    its ``(a, b)`` of ``spans``, or ``nan`` for ``None``."""
+    cols = [[np.nan] * 3 if ab is None else [ab[0], ab[1], (ab[0] + ab[1]) / 2] for ab in spans]
+    return np.array(cols).T
+
+
+# four observations 3 degrees apart, and four paths of sigma 0.05 whose gates
+# reach no observation beyond their span: 0.72 degrees with the floor, 1.95
+# without.  At state 0 path k lies on observation k where it can
+LAYOUT_Z = np.array([12.0, 9.0, 6.0, 3.0])
+LAYOUTS = {
+    # path 1 sees no row, between paths 0 and 2 that do
+    "empty span between live ones": span_angles((12, 12), None, (6, 6), (3, 3)),
+    # paths 1..3 start at row 0, below every count they carry
+    "spans that start below their count": span_angles((12, 12), (9, 12), (6, 12), (3, 12)),
+    # path 1 reaches row 3, beyond the top that path 0 left
+    "rows between top and e": span_angles((12, 12), (9, 3), (6, 6), (3, 3)),
+}
+
+
+class TestStructuralZeros:
+    """The DP skips the entries that are always 0, and every marginal stays
+    the gated DP's that skips only the triangle, byte for byte."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("mu, d", [(2.0, 0.9), (2.0, 1.0), (0.0, 0.9)])
+    def test_layout_matches_the_gated_dp_byte_for_byte(self, layout, mu, d):
+        ang = LAYOUTS[layout]
+        det = np.where(np.isnan(ang), 0.0, d)
+        p = params(4, sigma=(0.05,) * 4, mu=mu)
+        spans, tops = path_spans(LAYOUT_Z, ang, det, p)
+        live = [k for k, (s, e) in enumerate(spans) if s < e]
+        if layout == "empty span between live ones":
+            assert spans[1] == (0, 0) and live == [0, 2, 3]
+        elif layout == "spans that start below their count":
+            assert all(spans[k][0] == 0 and tops[k] > 1 for k in (1, 2, 3))
+        else:
+            assert spans[1][0] < tops[1] < spans[1][1]
+        for a, dt in [(ang, det)] + [(ang[j : j + 1], det[j : j + 1]) for j in range(3)]:
+            want = gated_dp_marginal(LAYOUT_Z, a, dt, p.sigma_deg, mu)
+            assert marginal_likelihood_batch(LAYOUT_Z, a, dt, p).tobytes() == want.tobytes()
+        # state 0 explains every observation with a path of its own, but
+        # where path 1 is impossible, which leaves observation 1 to clutter
+        unexplained = mu == 0.0 and layout == "empty span between live ones"
+        assert (marginal_likelihood_batch(LAYOUT_Z, ang, det, p)[0] > 0.0) != unexplained
+
+    @given(
+        K=st.integers(min_value=1, max_value=4),
+        M=st.integers(min_value=0, max_value=10),
+        J=st.sampled_from([1, 2, 7, 40]),
+        floor=st.sampled_from(["on", "off at mu = 0", "off at d = 1"]),
+        width=st.sampled_from([0.02, 0.3, 3.0]),
+        dead=st.integers(min_value=-1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    def test_batch_matches_the_gated_dp_byte_for_byte(self, K, M, J, floor, width, dead, seed):
+        # narrow noise makes short spans, empty ones and spans that start
+        # below their count; an all-nan path has no span at all
+        rng = np.random.default_rng(seed)
+        mu = 0.0 if floor == "off at mu = 0" else float(rng.choice([0.5, 2.0]))
+        p = params(K, sigma=tuple(width * rng.uniform(0.5, 2.0, K)), mu=mu)
+        ang = np.sort(rng.uniform(-30.0, 30.0, (J, K)), axis=1)[:, ::-1].copy()
+        ang[rng.random((J, K)) < 0.2] = np.nan
+        if dead < K:
+            ang[:, dead] = np.nan
+        det = rng.uniform(0.05, 0.95, (J, K))
+        if floor == "off at d = 1":
+            det[:, rng.integers(K)] = 1.0
+        det[np.isnan(ang)] = 0.0
+        near = rng.choice(ang.reshape(-1), M) + rng.normal(0.0, width, M)
+        z = np.where(np.isnan(near) | (rng.random(M) < 0.3), rng.uniform(-30.0, 30.0, M), near)
+        z = np.sort(z)[::-1]
+        want = gated_dp_marginal(z, ang, det, p.sigma_deg, mu)
+        assert marginal_likelihood_batch(z, ang, det, p).tobytes() == want.tobytes()
+        if floor != "on":
+            assert want.tobytes() == dense_dp_marginal(z, ang, det, p.sigma_deg, mu).tobytes()
+
+    @pytest.mark.parametrize("bad", [-np.inf, -1e308, -0.1, 1.5, np.nan])
+    @pytest.mark.parametrize("mu", [2.0, 0.0])
+    def test_a_detection_probability_outside_0_1_is_refused_by_name(self, bad, mu):
+        # 1 - d is infinite at -inf and -1e308, where 0 * inf would turn a
+        # skipped zero into nan; refused before anything runs, also where
+        # without clutter M > K would give zeros at once
+        ang = np.array([[10.0, -5.0], [10.5, -4.0]])
+        det = np.full(ang.shape, 0.9)
+        det[1, 0] = bad
+        want = rf"^detect_probs: must lie in \[0, 1\], got {re.escape(str(np.float64(bad)))}$"
+        for z in (np.array([10.0, -5.0]), np.array([10.0, 0.0, -5.0])):
+            with pytest.raises(ValueError, match=want):
+                marginal_likelihood_batch(z, ang, det, params(2, mu=mu))
 
 
 class TestUnreachedRows:

@@ -19,7 +19,7 @@ from swfocal.assoc import ModelParams, ObservationSet
 import swfocal.cli
 from swfocal.cli import _physical_memory, load_config
 from swfocal.environment import PathKind
-from swfocal.grid import build_doa_grid
+from swfocal.grid import build_doa_grid, interpolate_doa_many
 from swfocal.simulator import ScenarioConfig
 from swfocal.tracking import MotionParams, PriorParams, run_tracker
 
@@ -272,7 +272,7 @@ class TestLoadConfig:
         _, _, cfg = tiny_setup
         obs = tmp_path / "obs.jsonl"
         sio.write_observations(obs, [(0, 2.048, [5.0]), (1, 4.096, [40.0, 30.0, 20.0])])
-        per_particle = 8 * (8 + 6 * K + (K + 1) * 4 + 3 * K)
+        per_particle = 8 * (8 + max(8 * K + 16, 4 * K + (K + 1) * 5 + (K + 2) * 3))
         most = MEMORY // per_particle
         p = tmp_path / "run.json"
         out = tmp_path / "out"
@@ -588,7 +588,8 @@ class TestSimulate:
         # config, before the truth is made and with nothing of the epochs'
         # size allocated
         root, cfg_path, cfg = tiny_setup
-        most, step = MEMORY // (8 * (4 + 5 * 4)), MotionParams().step_s
+        # 8 (4 + 8K + 4 (K + mu_fa)) + 512 bytes an epoch at K = 4, mu_fa = 2
+        most, step = MEMORY // 992, MotionParams().step_s
         p = tmp_path / "run.json"
         out = tmp_path / "out"
 
@@ -608,8 +609,8 @@ class TestSimulate:
             write(duration)
             assert load_config(p).scenario.duration_s == duration
             assert refused_in_process(["simulate", "--config", str(p)], capsys) == (
-                f"error: {p}: duration_s = {duration} s in steps of {step} s at K = 4 "
-                f"needs {np.float64(8 * 24 * epochs)} bytes, {BEYOND}\n"
+                f"error: {p}: duration_s = {duration} s in steps of {step} s at K = 4 and mu_fa = 2.0 "
+                f"needs {np.float64(992 * epochs)} bytes, {BEYOND}\n"
             )
         assert_one_error_line(run_cli("simulate", "--config", p), out)
 
@@ -624,7 +625,8 @@ class TestSimulate:
         res = run_cli("simulate", "--config", p)
         assert_one_error_line(res, tmp_path / "out")
         assert res.stderr == (
-            f"error: {p}: duration_s = 1e+300 s in steps of 1e-300 s at K = 4 needs inf bytes, {BEYOND}\n"
+            f"error: {p}: duration_s = 1e+300 s in steps of 1e-300 s at K = 4 and mu_fa = 2.0 "
+            f"needs inf bytes, {BEYOND}\n"
         )
 
     def test_a_duration_near_the_float_maximum_is_refused_with_no_warning(self, tiny_setup, tmp_path, capsys):
@@ -634,7 +636,8 @@ class TestSimulate:
         p.write_text(json.dumps(dict(cfg, output_dir=str(out), scenario=dict(cfg["scenario"], duration_s=1e308))))
         assert swfocal.cli.main(["simulate", "--config", str(p)]) == 1
         assert capsys.readouterr().err == (
-            f"error: {p}: duration_s = 1e+308 s in steps of 2.048 s at K = 4 needs inf bytes, {BEYOND}\n"
+            f"error: {p}: duration_s = 1e+308 s in steps of 2.048 s at K = 4 and mu_fa = 2.0 "
+            f"needs inf bytes, {BEYOND}\n"
         )
         assert not out.exists()
 
@@ -980,7 +983,7 @@ class TestTrackAndEvaluate:
         # line naming the config and the observations, before the tracker
         # runs and with nothing of that size allocated
         root, cfg_path, cfg = tiny_setup
-        J = MEMORY // (8 * (37 + 9 * 5))  # 8 + 6K + (K + 1)(M + 1) + MK doubles per particle at K = 4
+        J = MEMORY // (8 * (34 + 11 * 5))  # 8 + max(8K + 16, 4K + (K + 1)(M + 2) + (K + 2)M) doubles at K = 4
         obs = tmp_path / "obs.jsonl"
         p = tmp_path / "c.json"
         out = tmp_path / "out"
@@ -1001,10 +1004,10 @@ class TestTrackAndEvaluate:
         write([(0, 2.048, [5.0]), (1, 4.096, six)])
         assert refused_in_process(["track", "--config", str(p)], capsys) == (
             f"error: {p}: J = {J} particles at K = 4 over records of up to 6 angles in {obs} "
-            f"needs {8 * J * (37 + 9 * 6)} bytes, {BEYOND}\n"
+            f"needs {8 * J * (34 + 11 * 6)} bytes, {BEYOND}\n"
         )
         # on this machine: the J whose particles fit with records of no angle
-        write([(0, 2.048, [5.0]), (1, 4.096, six)], J=_physical_memory() // (8 * 37))
+        write([(0, 2.048, [5.0]), (1, 4.096, six)], J=_physical_memory() // (8 * 56))
         assert_one_error_line(run_cli("track", "--config", p), out)
 
     def test_track_ignores_the_scenario_size(self, tiny_setup, tmp_path):
@@ -1035,6 +1038,64 @@ class TestTrackAndEvaluate:
         assert "at epoch t = 6.144 s: every likelihood inside the region of interest is zero" in res.stderr
         est = sio.read_estimates_csv(tmp_path / "out" / "estimates.csv")
         assert est[:, 0].tolist() == [2.048, 4.096]
+
+
+def counted_and_peak(argv, monkeypatch) -> tuple[float, int]:
+    """The bytes the command's memory rule counts, and the peak it allocates
+    by ``tracemalloc``, of ``cli.main(argv)``, which must exit 0."""
+    counted = []
+    rule = swfocal.cli._refuse_beyond_memory
+
+    def count(nbytes, subject):
+        counted.append(nbytes)
+        rule(nbytes, subject)
+
+    # a first run imports what the command imports late (numpy.random's
+    # modules, about 0.5 MB), once per process
+    assert swfocal.cli.main(argv) == 0
+    monkeypatch.setattr(swfocal.cli, "_refuse_beyond_memory", count)
+    tracemalloc.start()
+    try:
+        assert swfocal.cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(counted) == 1
+    return counted[0], peak
+
+
+class TestMemoryRules:
+    """Each command's memory rule counts at least what the command holds at
+    its peak, on runs small enough that its counted arrays dominate."""
+
+    @pytest.mark.parametrize("K, mu", [(4, 2.0), (4, 20.0), (2, 0.0)])
+    def test_simulate_counts_its_peak(self, tiny_setup, tmp_path, monkeypatch, capsys, K, mu):
+        # a source at rest for 3000 epochs, every one inside the roi
+        _, _, cfg = tiny_setup
+        p = tmp_path / "run.json"
+        scenario = dict(cfg["scenario"], initial_speed_mps=0.0, duration_s=3000 * 2.048)
+        p.write_text(json.dumps(dict(cfg, K=K, model={"mu_fa": mu}, output_dir=str(tmp_path), scenario=scenario)))
+        counted, peak = counted_and_peak(["simulate", "--config", str(p)], monkeypatch)
+        assert capsys.readouterr().out.startswith("simulated 3000 epochs")
+        assert counted >= peak
+
+    @pytest.mark.parametrize("K", [2, 4])
+    def test_track_counts_its_peak(self, tiny_setup, tmp_path, monkeypatch, K):
+        # J = 3000 particles over the prior roi and records of ten angles
+        # near the paths' angles at its centre, so the association DP runs
+        # on every row of the largest record
+        _, _, cfg = tiny_setup
+        grid = sio.read_grid(cfg["grid_file"]).select_kinds(tuple(PathKind)[:K])
+        centre = interpolate_doa_many(grid, np.array([[750.0, 90.0]]))[0]
+        near = np.concatenate([a + np.linspace(-0.4, 0.4, 10 // K) for a in centre[np.isfinite(centre)]])
+        doas = np.sort(np.clip(near, -89.0, 89.0))[::-1]
+        obs = tmp_path / "obs.jsonl"
+        sio.write_observations(obs, [(i, 2.048 * i, doas) for i in range(5)])
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps(dict(cfg, K=K, J=3000, output_dir=str(tmp_path), observations_file=str(obs))))
+        counted, peak = counted_and_peak(["track", "--config", str(p)], monkeypatch)
+        assert doas.size >= 8
+        assert counted >= peak
 
 
 class TestHugeJsonIntegers:

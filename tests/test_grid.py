@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swfocal.assoc import ModelParams, ObservationSet
 from swfocal.environment import (
@@ -25,6 +27,7 @@ from swfocal.tracking import ParticleSet, update
 
 from oracles import (
     BOUNCE_SIGNATURE,
+    axis_cell,
     bilinear_doa,
     image_source_angles,
     interpolate_doa,
@@ -36,11 +39,12 @@ from oracles import (
 
 def lookup_case():
     """A 2400x165 grid with holes, a -0.0 and steps inexact in binary, and
-    points on nodes, one ulp beside them, on the roi's outer edges and
-    inside cells, with the row range of each group.  The last point sits
-    beside a node at depth 5e-324, where the weight fx * fy underflows to 0
-    though neither fraction is 0; the corner that weight falls on is a
-    hole."""
+    points on nodes, one ulp beside them, on the roi's outer edges (where
+    a fraction is 1 at the top node), inside cells, with the range fraction
+    exactly 0 and the depth inside, and with a subnormal depth fraction,
+    with the row range of each group.  The last point sits beside a node
+    at depth 5e-324, where the weight fx * fy underflows to 0 though
+    neither fraction is 0; the corner that weight falls on is a hole."""
     rng = np.random.default_rng(23)
     roi = (100.0, 2500.0, 0.0, 175.0)
     values = rng.uniform(-30.0, 30.0, (2400, 165, 2))
@@ -68,8 +72,18 @@ def lookup_case():
         [[r0, d0], [r0, d1], [r1, d0], [r1, d1]],
     ]
     inside = np.column_stack([rng.uniform(r0, r1, 300), rng.uniform(d0, d1, 300)])
+    zero = np.column_stack([grid.ranges[i[:50]], rng.uniform(d0, d1, 50)])
+    subnormal = np.column_stack([rng.uniform(r0, r1, 20), [5e-324, 1e-310] * 10])
     underflow = [[np.nextafter(grid.ranges[100], np.inf), 5e-324]]
-    parts = {"nodes": [nodes], "ulps": ulps, "outer": outer, "inside": [inside], "underflow": [underflow]}
+    parts = {
+        "nodes": [nodes],
+        "ulps": ulps,
+        "outer": outer,
+        "inside": [inside],
+        "zero": [zero],
+        "subnormal": [subnormal],
+        "underflow": [underflow],
+    }
     groups, n = {}, 0
     for name, arrays in parts.items():
         size = sum(len(a) for a in arrays)
@@ -78,6 +92,31 @@ def lookup_case():
     pts[:, 0] = np.clip(pts[:, 0], r0, r1)
     pts[:, 1] = np.clip(pts[:, 1], d0, d1)
     return grid, pts, groups
+
+
+def cells(grid, pts):
+    """``_axis_cells`` of both axes of (n, 2) ``pts``."""
+    r0, r1, d0, d1 = grid.roi
+    return (
+        _axis_cells(r0, r1, grid.ranges, grid.range_widths, np.ascontiguousarray(pts[:, 0])),
+        _axis_cells(d0, d1, grid.depths, grid.depth_widths, np.ascontiguousarray(pts[:, 1])),
+    )
+
+
+def assert_lookup_is_the_oracles(grid, pts) -> int:
+    """``interpolate_doa_many`` at (n, 2) ``pts`` is ``bilinear_doa``'s value
+    at every point and path, byte for byte, with ``nan`` for ``None``;
+    returns the number of ``None``."""
+    batch = interpolate_doa_many(grid, pts)
+    n_none = 0
+    for n, (r, d) in enumerate(pts.tolist()):
+        for k, want in enumerate(bilinear_doa(grid, r, d)):
+            if want is None:
+                n_none += 1
+                assert np.isnan(batch[n, k]), (n, k)
+            else:
+                assert batch[n, k].tobytes() == np.float64(want).tobytes(), (n, k)
+    return n_none
 
 
 class TestBuild:
@@ -367,7 +406,9 @@ class TestInterpolation:
             r0, r1, d0, d1 = g.roi
             assert g.ranges.tobytes() == np.linspace(r0, r1, g.n_r).tobytes()
             assert g.depths.tobytes() == np.linspace(d0, d1, g.n_d).tobytes()
-            for nodes in (g.ranges, g.depths):
+            assert g.range_widths.tobytes() == np.diff(g.ranges).tobytes()
+            assert g.depth_widths.tobytes() == np.diff(g.depths).tobytes()
+            for nodes in (g.ranges, g.depths, g.range_widths, g.depth_widths):
                 with pytest.raises(ValueError, match="read-only"):
                     nodes[0] = 0.0
                 with pytest.raises(ValueError, match="read-only"):
@@ -384,8 +425,8 @@ class TestInterpolation:
     def test_edge_rule_marks_the_zero_weight_rows(self):
         grid, pts, groups = lookup_case()
         r0, r1, d0, d1 = grid.roi
-        _, fx = _axis_cells(r0, r1, grid.ranges, pts[:, 0])
-        _, fy = _axis_cells(d0, d1, grid.depths, pts[:, 1])
+        _, fx, _ = _axis_cells(r0, r1, grid.ranges, grid.range_widths, pts[:, 0])
+        _, fy, _ = _axis_cells(d0, d1, grid.depths, grid.depth_widths, pts[:, 1])
         got = _edge_rows(fx, 1 - fx, fy, 1 - fy)
         assert np.array_equal(got, min_weight_edge_rows(fx, fy))
         # every node, roi edge and the underflow is an edge row; no cell
@@ -396,18 +437,65 @@ class TestInterpolation:
         assert 0.0 < fx[-1] < 1.0 and 0.0 < fy[-1] < 1.0
 
     def test_lookup_matches_oracle_byte_for_byte(self):
-        grid, pts, _ = lookup_case()
-        batch = interpolate_doa_many(grid, pts)
-        n_none = 0
-        for n, (r, d) in enumerate(pts.tolist()):
-            for k, want in enumerate(bilinear_doa(grid, r, d)):
-                if want is None:
-                    n_none += 1
-                    assert np.isnan(batch[n, k])
-                else:
-                    assert batch[n, k].tobytes() == np.float64(want).tobytes(), (n, k)
-        assert n_none > 0
-        assert not np.isnan(batch[-1]).any()  # the underflowed hole carries no weight
+        # all points at once, and each group alone: the cell correction runs
+        # only where some fraction lies outside [0, 1), at the top node, and
+        # the edge rule only where one lies outside [2**-500, 1)
+        grid, pts, groups = lookup_case()
+        assert assert_lookup_is_the_oracles(grid, pts) > 0
+        inner = {}
+        for name, rows in groups.items():
+            assert_lookup_is_the_oracles(grid, pts[rows])
+            inner[name] = [cells(grid, pts[rows])[a][2] for a in (0, 1)]
+        assert inner["inside"] == [True, True]
+        assert inner["zero"] == [False, True] and inner["subnormal"] == [True, False]
+        assert inner["outer"] == inner["nodes"] == [False, False]
+        # the underflowed hole carries no weight
+        assert not np.isnan(interpolate_doa_many(grid, pts)[-1]).any()
+        # the subnormal fractions, 5e-324 and 1e-310 over the depth step
+        fy = cells(grid, pts[groups["subnormal"]])[1][1]
+        assert 0.0 < fy.max() < 2.0**-1022
+
+    @pytest.mark.parametrize("shape", [(2, 2, 1), (2, 9, 4), (7, 2, 2)])
+    def test_two_node_axes_and_no_points(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        values = rng.uniform(-30.0, 30.0, shape)
+        values[rng.random(shape) < 0.2] = np.nan
+        grid = DoaGrid((10.0, 10.3, 0.0, 0.7), values)
+        r0, r1, d0, d1 = grid.roi
+        assert interpolate_doa_many(grid, np.empty((0, 2))).shape == (0, shape[2])
+        assert all(a[2] for a in cells(grid, np.empty((0, 2))))  # zero points pass both tests
+        nodes = np.array([[r, d] for r in grid.ranges for d in grid.depths])
+        inside = np.column_stack([rng.uniform(r0, r1, 50), rng.uniform(d0, d1, 50)])
+        for pts in (nodes, np.nextafter(nodes, [r1, d1]), inside, np.concatenate([inside, nodes])):
+            assert_lookup_is_the_oracles(grid, pts)
+
+    @given(
+        n=st.integers(min_value=2, max_value=400),
+        lo=st.sampled_from([0.0, 0.1, 100.0, -7.3, 1e5]),
+        span=st.sampled_from([1e-3, 0.7, 175.0, 2400.0, 1e6]),
+        kind=st.sampled_from(["nodes", "ulps", "inside", "mixed"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_cells_match_binary_search(self, n, lo, span, kind, seed):
+        # the cell and fraction of every point, and whether every fraction
+        # lies in [2**-500, 1), whichever path the cells take
+        rng = np.random.default_rng(seed)
+        hi = lo + span
+        nodes, widths = (g := DoaGrid((lo, hi, 0.0, 1.0), np.zeros((n, 2, 1)))).ranges, g.range_widths
+        pick = nodes[rng.integers(0, n, 30)]
+        x = {
+            "nodes": pick,
+            "ulps": np.nextafter(pick, rng.choice([-np.inf, np.inf], 30)),
+            "inside": rng.uniform(lo, hi, 30),
+        }
+        x["mixed"] = np.concatenate(list(x.values()))
+        x = np.clip(x[kind], lo, hi)
+        i, frac, inner = _axis_cells(lo, hi, nodes, widths, x)
+        want = [axis_cell(nodes.tolist(), v) for v in x.tolist()]
+        assert i.tolist() == [w[0] for w in want]
+        assert frac.tobytes() == np.array([w[1] for w in want]).tobytes()
+        assert inner == all(2.0**-500 <= w[1] < 1.0 for w in want)
 
     @pytest.mark.parametrize(
         "grid_name, max_holes, max_phantoms, max_err_deg",
